@@ -155,7 +155,9 @@ def generate_exhaustive(columns, measure, estimates, tc=None):
             keys = np.zeros(n, dtype=np.int64)
             for j in bound:
                 keys += terms[j]
-            uniq, (sums_m, sums_mhat, counts) = group_packed(keys, weights)
+            uniq, (sums_m, sums_mhat, counts) = group_packed(
+                keys, weights, key_bits=codec.total_bits
+            )
             rows = codec.unpack_batch(uniq)
         else:
             projected = stacked.copy()

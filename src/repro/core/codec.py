@@ -3,7 +3,7 @@
 The candidate-generation hot paths group huge numbers of rule tuples
 (LCAs, cuboid cells).  Packing each tuple into a single int64 — one
 bit-field per attribute, with 0 reserved for the wildcard — turns
-row-wise grouping into 1-D ``np.unique`` + ``np.bincount``, which is
+row-wise grouping into one 1-D key sort + ``np.bincount``, which is
 orders of magnitude faster than lexicographic row sorting.
 
 A codec fits whenever the summed per-attribute bit widths stay within
@@ -72,16 +72,6 @@ class RowCodec:
                 key += (int(v) + 1) << self.offsets[j]
         return key
 
-    def masked_term(self, column, agree, attribute):
-        """Vectorized packing term: (value+1)<<offset where agreeing, 0 else.
-
-        Used by the LCA kernels: summing terms over attributes yields
-        the packed LCA keys directly.
-        """
-        self._require_fits()
-        shifted = (column.astype(np.int64) + 1) << self.offsets[attribute]
-        return np.where(agree, shifted, 0)
-
     # ------------------------------------------------------------------
     # Unpacking
     # ------------------------------------------------------------------
@@ -108,16 +98,62 @@ class RowCodec:
             )
 
 
-def group_packed(keys, weight_columns):
+def position_bits(key_bits, *counts):
+    """Bits of the position field(s) under a ``key_bits``-wide key.
+
+    ``bit_length(count - 1)`` summed over the counts, or None when
+    ``key << bits | position`` would overflow int64 (or the key width
+    is unknown, or a count is 0) and the caller must group through
+    ``np.unique``.  Only the codec width and the input shape decide,
+    never the data.
+    """
+    if key_bits is None or 0 in counts:
+        return None
+    bits = sum((count - 1).bit_length() for count in counts)
+    return bits if key_bits + bits <= _MAX_BITS else None
+
+
+def sort_groups(composite, bits):
+    """Group ``key << bits | position`` composites by one in-place sort.
+
+    Returns ``(unique_keys, group_ids, positions, counts)``, the middle
+    two in sorted order.  Positions ascend inside a group, so
+    ``np.bincount(group_ids, weights=w[positions])`` sums each group in
+    ascending input position, left to right: the canonical order, and
+    what ``np.bincount`` over ``np.unique``'s inverse does.
+    """
+    composite.sort()
+    sorted_keys = composite >> bits
+    first = np.ones(composite.size, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=composite.size)
+    group_ids = np.repeat(np.arange(starts.size), counts)
+    positions = composite & ((1 << bits) - 1)
+    return sorted_keys[starts], group_ids, positions, counts
+
+
+def group_packed(keys, weight_columns, key_bits=None):
     """Group packed keys, summing each weight column per distinct key.
 
     Returns ``(unique_keys, sums)`` where ``sums`` has one row per
-    weight column aligned with ``unique_keys``.
+    weight column aligned with ``unique_keys``; every group is summed
+    in ascending input position.  With ``key_bits`` (keys lie in
+    ``[0, 2**key_bits)``) and room for the positions the grouping is
+    one key sort (:func:`sort_groups`), byte-identical to the
+    ``np.unique`` path.
     """
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    inverse = inverse.ravel()
+    bits = position_bits(key_bits, keys.size)
+    if bits is None:
+        uniq, group_ids = np.unique(keys, return_inverse=True)
+        group_ids = group_ids.ravel()
+    else:
+        uniq, group_ids, positions, _ = sort_groups(
+            (keys << bits) | np.arange(keys.size), bits
+        )
+        weight_columns = [w[positions] for w in weight_columns]
     sums = [
-        np.bincount(inverse, weights=w, minlength=uniq.size)
+        np.bincount(group_ids, weights=w, minlength=uniq.size)
         for w in weight_columns
     ]
     return uniq, sums

@@ -16,7 +16,12 @@ the object-based reference implementation.
 import numpy as np
 
 from repro.common.errors import DataError
-from repro.core.codec import group_packed
+from repro.core.codec import group_packed, position_bits, sort_groups
+
+
+#: Candidates per broadcast compare in :func:`match_counts_packed`
+#: (bounds the candidates x |s| temporaries).
+_MATCH_BLOCK = 1 << 16
 
 
 def _field_masks(codec):
@@ -64,44 +69,36 @@ def generate_ancestors_packed(keys, aggs, codec, group=None,
 
     # Pattern id: bit i set iff positions[i] is bound in the key.
     patterns = np.zeros(keys.size, dtype=np.int64)
+    num_bound = np.zeros(keys.size, dtype=np.int64)
     for i, j in enumerate(positions):
-        patterns |= ((keys & masks[j]) != 0).astype(np.int64) << i
+        bound = (keys & masks[j]) != 0
+        patterns |= bound.astype(np.int64) << i
+        num_bound += bound
+    weights = aggs[:, 2].astype(np.int64) if instance_weighted else 1
+    emitted = int((weights << num_bound).sum())
 
-    out_key_parts = []
-    out_agg_parts = []
-    emitted = 0
-    for pattern in np.unique(patterns):
-        sel = patterns == pattern
-        group_keys = keys[sel]
-        group_aggs = aggs[sel]
-        bound = [
-            positions[i]
-            for i in range(len(positions))
-            if (int(pattern) >> i) & 1
-        ]
-        subsets = 1 << len(bound)
-        if instance_weighted:
-            emitted += int(group_aggs[:, 2].sum()) * subsets
-        else:
-            emitted += group_keys.size * subsets
-        # Clear-mask per subset of the bound positions, built in
-        # len(bound) vectorized sweeps; then one outer AND produces
-        # every ancestor of every rule in the pattern group at once.
-        subset_ids = np.arange(subsets, dtype=np.int64)
-        clear_masks = np.zeros(subsets, dtype=np.int64)
-        for bit, j in enumerate(bound):
-            clear_masks |= np.where(
-                (subset_ids >> bit) & 1 == 1, np.int64(masks[j]), np.int64(0)
-            )
-        expanded = group_keys[:, None] & ~clear_masks[None, :]
-        out_key_parts.append(expanded.ravel())
-        out_agg_parts.append(np.repeat(group_aggs, subsets, axis=0))
+    # A source's rank is its place in (pattern, input position) order;
+    # every ancestor key sums its sources' aggregates in rank order.
+    by_rank = np.argsort(patterns, kind="stable")
+    aggs = aggs[by_rank]
+    out_keys = keys[by_rank]
+    ranks = np.arange(keys.size, dtype=np.int64)
+    # One doubling pass per position: every key so far that binds the
+    # position also yields its copy with the position wildcarded.
+    for j in positions:
+        bound = (out_keys & masks[j]) != 0
+        out_keys = np.concatenate([out_keys, out_keys[bound] & ~masks[j]])
+        ranks = np.concatenate([ranks, ranks[bound]])
 
-    all_keys = np.concatenate(out_key_parts)
-    all_aggs = np.concatenate(out_agg_parts)
-    uniq, sums = group_packed(
-        all_keys, [all_aggs[:, 0], all_aggs[:, 1], all_aggs[:, 2]]
-    )
+    bits = position_bits(codec.total_bits, keys.size)
+    if bits is None:
+        order = np.argsort(ranks, kind="stable")
+        uniq, sums = group_packed(out_keys[order], list(aggs[ranks[order]].T))
+        return uniq, np.stack(sums, axis=1), emitted
+    uniq, group_ids, ranks, _ = sort_groups((out_keys << bits) | ranks, bits)
+    sums = [
+        np.bincount(group_ids, weights=column[ranks]) for column in aggs.T
+    ]
     return uniq, np.stack(sums, axis=1), emitted
 
 
@@ -117,25 +114,23 @@ def pack_rule_rows(rows, codec):
     return keys
 
 
-def match_counts_packed(keys, sample_rows, codec):
+def match_counts_packed(keys, sample_keys, codec):
     """Sample-match counts for packed candidate keys (§3.1.1 correction).
 
-    Equivalent to :func:`repro.core.sampling.sample_match_counts` but
-    works field-by-field on packed keys: candidate key field f matches
-    sample value v iff f == 0 (wildcard) or f == v+1.
+    Equivalent to :func:`repro.core.sampling.sample_match_counts` on
+    packed keys: candidate ``c`` matches sample tuple ``t`` iff ``t``
+    restricted to the fields ``c`` binds equals ``c``.  ``sample_keys``
+    are the packed sample tuples (no wildcards).
     """
     keys = np.asarray(keys, dtype=np.int64)
-    sample = np.asarray(sample_rows, dtype=np.int64)
-    masks = _field_masks(codec)
-    counts = np.zeros(keys.size, dtype=np.int64)
-    fields = [
-        (keys >> codec.offsets[j]) & ((1 << codec.widths[j]) - 1)
-        for j in range(codec.arity)
-    ]
-    for srow in sample:
-        match = np.ones(keys.size, dtype=bool)
-        for j in range(codec.arity):
-            field = fields[j]
-            match &= (field == 0) | (field == srow[j] + 1)
-        counts += match
+    bound_masks = np.zeros(keys.size, dtype=np.int64)
+    for mask in _field_masks(codec):
+        bound_masks |= np.where((keys & mask) != 0, mask, 0)
+    counts = np.empty(keys.size, dtype=np.int64)
+    for start in range(0, keys.size, _MATCH_BLOCK):
+        block = slice(start, start + _MATCH_BLOCK)
+        match = (
+            sample_keys[None, :] & bound_masks[block, None]
+        ) == keys[block, None]
+        counts[block] = np.count_nonzero(match, axis=1)
     return counts

@@ -28,13 +28,14 @@ from repro.core import lattice
 from repro.core.config import SirumConfig, VARIANT_FLAGS, variant_config
 from repro.core.divergence import kl_divergence
 from repro.core.index import SampleInvertedIndex
-from repro.core.rct import iterative_scale_rct
+from repro.core.rct import iterative_scale_rct, unique_coverage
 from repro.core.result import MinedRule, MiningResult, RuleSet
 from repro.core.rule import Rule
 from repro.core.codec import RowCodec, group_packed
 from repro.core.lattice_packed import (
     generate_ancestors_packed,
     match_counts_packed,
+    pack_rule_rows,
 )
 from repro.core.sampling import (
     draw_sample_rows,
@@ -144,13 +145,13 @@ def _ancestor_dict_kernel(tc, chunk, group, weighted):
     return partial_aggs, emitted
 
 
-def _match_counts_packed_kernel(tc, bounds, keys, sample_rows, codec):
+def _match_counts_packed_kernel(tc, bounds, keys, sample_keys, codec):
     """Packed-key sample-multiplicity counts for one candidate chunk."""
     start, stop = bounds
     counts = match_counts_packed(
-        shm_resolve(keys)[start:stop], sample_rows, codec
+        shm_resolve(keys)[start:stop], sample_keys, codec
     )
-    tc.add_light_ops((stop - start) * (len(sample_rows) + 1))
+    tc.add_light_ops((stop - start) * (sample_keys.size + 1))
     return counts
 
 
@@ -183,8 +184,8 @@ def _rct_build_kernel(tc, part, words):
     """RCT pass 1: local group-by over coverage words + tiny shuffle."""
     tc.add_records(part.num_rows)
     tc.add_ops(part.num_rows)
-    local_groups = np.unique(
-        shm_resolve(words)[part.start:part.stop], axis=0
+    local_groups = unique_coverage(
+        shm_resolve(words)[part.start:part.stop]
     ).shape[0]
     tc.add_output_bytes(local_groups * PAIR_BYTES)
     return None
@@ -346,7 +347,7 @@ class Sirum:
         self._load(session)
 
         arity = mined_table.schema.arity
-        sample_index = None
+        sample_index = sample_keys = None
         if cfg.exhaustive:
             sample_rows = None
         else:
@@ -359,6 +360,11 @@ class Sirum:
                                for row in sample_rows]
             if cfg.use_fast_pruning:
                 sample_index = SampleInvertedIndex(sample_rows, arity)
+            # Kernels take the sample as an int64 matrix (and as packed
+            # keys), built once per job, not on every partition call.
+            sample_rows = np.asarray(sample_rows, dtype=np.int64)
+            if session.codec.fits:
+                sample_keys = pack_rule_rows(sample_rows, session.codec)
         column_groups = None
         if cfg.num_column_groups is not None:
             column_groups = lattice.make_column_groups(
@@ -400,7 +406,8 @@ class Sirum:
         while self._should_continue(len(rules) - 1 - num_prior, kl_trace[-1]):
             iteration += 1
             candidate_set = self._generate_candidates(
-                session, sample_rows, sample_index, column_groups
+                session, sample_rows, sample_keys, sample_index,
+                column_groups,
             )
             ancestors_emitted += candidate_set.emitted_pairs
             candidates_scored += len(candidate_set)
@@ -457,13 +464,14 @@ class Sirum:
         """Initial scan: every partition is read from (simulated) HDFS."""
         session.run_over_data(_scan_kernel, phase="load")
 
-    def _generate_candidates(self, session, sample_rows, sample_index,
-                             column_groups):
+    def _generate_candidates(self, session, sample_rows, sample_keys,
+                             sample_index, column_groups):
         if self.config.exhaustive:
             candidates = self._generate_exhaustive(session)
         else:
             candidates = self._generate_pruned(
-                session, sample_rows, sample_index, column_groups
+                session, sample_rows, sample_keys, sample_index,
+                column_groups,
             )
         if self.config.eliminate_redundant:
             from repro.core.redundancy import filter_candidate_set
@@ -480,8 +488,8 @@ class Sirum:
                 )
         return candidates
 
-    def _generate_pruned(self, session, sample_rows, sample_index,
-                         column_groups):
+    def _generate_pruned(self, session, sample_rows, sample_keys,
+                         sample_index, column_groups):
         """Sample-pruned generation: LCAs -> ancestors -> gains.
 
         Runs on packed int64 rule keys whenever the table's codec fits
@@ -529,7 +537,7 @@ class Sirum:
         with cluster.phase("gain"):
             if packed:
                 return self._score_candidates_packed(
-                    cluster, session, keys, aggs, emitted, sample_rows,
+                    cluster, session, keys, aggs, emitted, sample_keys,
                     codec,
                 )
             return self._score_candidates(
@@ -560,20 +568,20 @@ class Sirum:
             all_keys = np.concatenate([k for k, _, _ in stage.outputs])
             all_aggs = np.concatenate([a for _, a, _ in stage.outputs])
             keys, sums = group_packed(
-                all_keys, [all_aggs[:, 0], all_aggs[:, 1], all_aggs[:, 2]]
+                all_keys, list(all_aggs.T), key_bits=codec.total_bits
             )
             aggs = np.stack(sums, axis=1)
         return keys, aggs, emitted_total
 
     def _score_candidates_packed(self, cluster, session, keys, aggs,
-                                 emitted, sample_rows, codec):
+                                 emitted, sample_keys, codec):
         """Packed-key multiplicity correction + gains (see
         :meth:`_score_candidates`)."""
         chunk_bounds = _chunk_bounds(keys.size, session.num_partitions)
         with session.shared_ref(keys) as keys_ref:
             kernel = partial(
                 _match_counts_packed_kernel, keys=keys_ref,
-                sample_rows=sample_rows, codec=codec,
+                sample_keys=sample_keys, codec=codec,
             )
             stage = cluster.run_stage(kernel, chunk_bounds, name="gain")
         multiplicities = np.concatenate(stage.outputs)

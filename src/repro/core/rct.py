@@ -55,8 +55,22 @@ class BitMatrix:
         array of distinct bit patterns and ``inverse`` maps each tuple
         to its row in ``keys``.
         """
-        keys, inverse = np.unique(self._words, axis=0, return_inverse=True)
+        keys, inverse = unique_coverage(self._words, return_inverse=True)
         return keys, inverse.ravel()
+
+
+def unique_coverage(words, return_inverse=False):
+    """Distinct coverage-word rows, as ``np.unique(axis=0)`` returns them.
+
+    A one-word matrix (up to 64 rules: the usual case) sorts as the
+    1-D array it is, several times faster than ``axis=0``'s row view.
+    """
+    if words.shape[1] > 1:
+        return np.unique(words, axis=0, return_inverse=return_inverse)
+    if not return_inverse:
+        return np.unique(words[:, 0])[:, None]
+    keys, inverse = np.unique(words[:, 0], return_inverse=True)
+    return keys[:, None], inverse
 
 
 class RuleCoverageTable:

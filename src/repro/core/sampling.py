@@ -24,7 +24,13 @@ tuple, the fast path d index lookups plus one write per agreement.
 import numpy as np
 
 from repro.common.errors import DataError
-from repro.core.codec import RowCodec, group_packed, group_rows_fallback
+from repro.core.codec import (
+    RowCodec,
+    group_packed,
+    group_rows_fallback,
+    position_bits,
+    sort_groups,
+)
 from repro.core.rule import WILDCARD
 
 
@@ -57,25 +63,43 @@ def _lca_groups_packed(columns, measure, estimates, sample, codec):
     (g, 3) array of (sum_m, sum_mhat, count) and ``agreements`` counts
     agreeing (tuple, sample, attribute) triples — the fast path's
     data-dependent work.
+
+    Pairs are summed in (sample i, row t) order.  When ``i`` and ``t``
+    fit in bit fields beside the key they seed the key matrix and one
+    plain sort groups the pairs (:func:`~repro.core.codec.sort_groups`);
+    otherwise ``group_packed`` does, over tiled weights.  Same bytes.
     """
     n = measure.size
-    d = len(columns)
     s = sample.shape[0]
+    bits = position_bits(codec.total_bits, s, n)
+    shift = bits or 0
+    row_bits = (n - 1).bit_length()
+    if bits is None:
+        packed = np.zeros((s, n), dtype=np.int64)
+    else:
+        packed = (np.arange(s) << row_bits)[:, None] | np.arange(n)
     agreements = 0
-    packed = np.zeros((s, n), dtype=np.int64)
-    for j in range(d):
-        agree = columns[j][None, :] == sample[:, j][:, None]
-        agreements += int(agree.sum())
-        term = (columns[j].astype(np.int64) + 1) << codec.offsets[j]
-        packed += np.where(agree, term[None, :], 0)
+    for j, column in enumerate(columns):
+        agree = column[None, :] == sample[:, j][:, None]
+        agreements += int(np.count_nonzero(agree))
+        term = (column.astype(np.int64) + 1) << (codec.offsets[j] + shift)
+        packed += agree * term
     keys = packed.ravel()
-    weights = [
-        np.tile(measure, s),
-        np.tile(estimates, s),
-        np.ones(n * s, dtype=np.float64),
-    ]
-    uniq, sums = group_packed(keys, weights)
-    return uniq, np.stack(sums, axis=1), agreements
+    if bits is None:
+        weights = [
+            np.tile(measure, s),
+            np.tile(estimates, s),
+            np.ones(n * s, dtype=np.float64),
+        ]
+        uniq, sums = group_packed(keys, weights)
+        return uniq, np.stack(sums, axis=1), agreements
+    uniq, group_ids, positions, counts = sort_groups(keys, bits)
+    rows = positions & ((1 << row_bits) - 1)
+    aggs = np.empty((uniq.size, 3), dtype=np.float64)
+    aggs[:, 0] = np.bincount(group_ids, weights=measure[rows])
+    aggs[:, 1] = np.bincount(group_ids, weights=estimates[rows])
+    aggs[:, 2] = counts
+    return uniq, aggs, agreements
 
 
 def _lca_groups(columns, measure, estimates, sample, codec):

@@ -158,13 +158,16 @@ class ServerJob:
 
     Many submissions — across connections and tenants — may attach to
     one ServerJob; ``attached`` counts them per tenant so quota release
-    on completion mirrors quota charge on submission.
+    on completion mirrors quota charge on submission.  ``handle`` is
+    the service's job handle while the job runs and None once it has
+    finished: a retained finished job keeps only its serialised
+    payload, not the ``MiningResult`` behind the handle as well.
     """
 
     __slots__ = (
         "job_id", "key", "handle", "label", "done_event", "ok",
         "result_payload", "error_payload", "attached", "finished",
-        "cache_hit",
+        "cache_hit", "coalesced",
     )
 
     def __init__(self, job_id, key, handle, label):
@@ -179,6 +182,7 @@ class ServerJob:
         self.attached = Counter()
         self.finished = False
         self.cache_hit = handle.cache_hit
+        self.coalesced = handle.coalesced
 
 
 class ClientSession:
@@ -542,7 +546,7 @@ class ServiceServer:
         return {
             "job_id": job.job_id,
             "cache_hit": job.cache_hit,
-            "coalesced": bool(job.handle.coalesced or net_coalesced),
+            "coalesced": bool(job.coalesced or net_coalesced),
             "net_coalesced": net_coalesced,
         }
 
@@ -595,6 +599,7 @@ class ServiceServer:
             job.error_payload = to_wire(exc)
         # Single-threaded from here (loop thread): retire atomically.
         job.finished = True
+        job.handle = None
         if self._inflight_keys.get(job.key) is job:
             del self._inflight_keys[job.key]
         for tenant, count in job.attached.items():

@@ -149,6 +149,7 @@ class TestMatchCountsPacked:
             for _ in range(40)
         ]
         keys = pack_rule_rows(np.array(candidates, dtype=np.int64), codec)
-        packed = match_counts_packed(keys, sample, codec)
+        sample_keys = pack_rule_rows(np.array(sample, dtype=np.int64), codec)
+        packed = match_counts_packed(keys, sample_keys, codec)
         reference = sample_match_counts(candidates, sample)
         np.testing.assert_array_equal(packed, reference)

@@ -1,9 +1,11 @@
 """End-to-end server behaviour: parity, tenants, coalescing, errors."""
 
+import gc
 import socket
 import struct
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from repro.net.protocol import (
     FrameDecoder,
     encode_frame,
 )
+
+from repro.service import ServiceConfig
 
 from .conftest import MINE_PARAMS
 
@@ -286,6 +290,45 @@ class TestDisconnects:
             job.result(timeout=0.3)
         gate.set()
         assert job.result(timeout=20.0) is not None
+
+
+class TestFinishedJobRetention:
+    def test_finished_job_keeps_payload_but_not_the_result(
+            self, serve_stack, connect, worker_gate):
+        """A retained finished job is its serialised payload only: the
+        ``MiningResult`` behind it dies with the service cache entry."""
+        service, server = serve_stack(service_config=ServiceConfig(
+            num_workers=1, cache_capacity=1))
+        gate = worker_gate(service)
+        client = connect(server)
+        job = client.submit_mine("flights", **MINE_PARAMS)
+        server_job = server._jobs[job.job_id]
+        handle = server_job.handle  # in flight: the server still waits
+        assert handle is not None
+        gate.set()
+        assert job.result(timeout=20.0) is not None
+        result_ref = weakref.ref(handle.result(timeout=5.0))
+        del handle
+        assert server_job.finished
+        assert server_job.handle is None
+        assert server_job.result_payload is not None
+        gc.collect()
+        assert result_ref() is not None  # the one-entry cache holds it
+        # A different request evicts it from the one-entry cache ...
+        client.mine("flights", **dict(MINE_PARAMS, seed=1))
+        deadline = time.monotonic() + 10.0
+        while result_ref() is not None:
+            assert time.monotonic() < deadline, (
+                "finished job still pins its MiningResult: %r"
+                % gc.get_referrers(result_ref())
+            )
+            gc.collect()
+            time.sleep(0.02)
+        # ... while the retained job still answers from its payload.
+        assert server._jobs[job.job_id] is server_job
+        assert_mining_results_identical(
+            job.result(timeout=5.0), service.mine("flights", **MINE_PARAMS)
+        )
 
 
 class TestWireErrors:
