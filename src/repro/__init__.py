@@ -28,6 +28,10 @@ from repro.core.config import variant_config
 from repro.core.miner import make_default_cluster
 from repro.data import Schema, Table
 
+# Composition root: this import registers the remote stage executor
+# with the engine, which must not import the wire layer itself.
+import repro.net.worker  # noqa: E402,F401
+
 __version__ = "1.0.0"
 
 __all__ = [

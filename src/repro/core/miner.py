@@ -46,9 +46,9 @@ from repro.core.sampling import (
 )
 from repro.core.scaling import iterative_scale
 from repro.core.session import MiningSession
+from repro.data.shm import resolve as shm_resolve
 from repro.engine.cluster import ClusterContext
 from repro.engine.cost import ClusterSpec, CostModel
-from repro.engine.shm import resolve as shm_resolve
 
 #: Serialized size estimate of one combiner-output (rule, aggregates)
 #: pair — a packed rule key plus aggregate deltas.

@@ -15,9 +15,9 @@ import numpy as np
 from repro.common.errors import EngineError
 from repro.core.codec import RowCodec
 from repro.core.measure import MeasureTransform
-from repro.data.table import TableBlock
-from repro.engine.shm import SharedArray
 from repro.core.rct import BitMatrix
+from repro.data.shm import SharedArray
+from repro.data.table import TableBlock
 
 #: A partition kernel's input: one contiguous block of the table as
 #: NumPy column views (see :meth:`repro.data.table.Table.partition_blocks`).
@@ -130,9 +130,9 @@ class MiningSession:
     def measure_ref(self):
         """The measure as a kernel argument.
 
-        A :class:`~repro.engine.shm.SharedArray` descriptor in process
+        A :class:`~repro.data.shm.SharedArray` descriptor in process
         mode (workers reattach, no copy), the plain array otherwise;
-        kernels resolve either through :func:`repro.engine.shm.resolve`.
+        kernels resolve either through :func:`repro.data.shm.resolve`.
         """
         if self._shared_measure is not None:
             return self._shared_measure
@@ -152,7 +152,7 @@ class MiningSession:
         shared-memory segment (one copy total, instead of one pickled
         copy per task inside the kernel partial) and unlinked when the
         block exits; otherwise the array passes through untouched.
-        Kernels resolve either via :func:`repro.engine.shm.resolve`.
+        Kernels resolve either via :func:`repro.data.shm.resolve`.
         """
         if not self.shared:
             yield array

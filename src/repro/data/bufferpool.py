@@ -8,10 +8,10 @@ built on it) stream a dataset larger than memory: resident decoded
 bytes never exceed ``capacity_bytes``, and blocks that fall out are
 simply re-faulted from the file on the next touch.
 
-Eviction bookkeeping reuses :class:`~repro.engine.memory.EvictionIndex`
+Eviction bookkeeping reuses :class:`~repro.common.eviction.EvictionIndex`
 — the same LRU ledger behind the engine's simulated partition cache —
 so there is one eviction policy in the codebase, not two.  Counters are
-folded into a :class:`~repro.engine.metrics.MetricsRegistry` under
+folded into a :class:`~repro.common.metrics.MetricsRegistry` under
 ``buffer_pool_hits`` / ``buffer_pool_misses`` / ``buffer_pool_evictions``.
 
 Pinned frames are never evicted; if every frame is pinned the pool
@@ -25,8 +25,8 @@ import os
 import threading
 
 from repro.common.errors import DataError
-from repro.engine.memory import EvictionIndex
-from repro.engine.metrics import MetricsRegistry
+from repro.common.eviction import EvictionIndex
+from repro.common.metrics import MetricsRegistry
 
 DEFAULT_CAPACITY_BYTES = 64 * 1024 * 1024
 CAPACITY_ENV_VAR = "REPRO_BUFFER_POOL_BYTES"

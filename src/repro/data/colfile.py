@@ -42,6 +42,7 @@ import numpy as np
 from repro.common.errors import DataError, EngineError
 from repro.data.encoding import DictionaryEncoder
 from repro.data.schema import Schema
+from repro.data.shardmap import ShardMap
 from repro.data.table import Table
 
 MAGIC = b"SRCF"
@@ -199,8 +200,6 @@ class ColFileHandle:
         # The file's physical layout as a shard map: one shard per
         # block, block-aligned except the ragged last block, versioned
         # by the file state (a rewritten file is a different dataset).
-        from repro.engine.placement import ShardMap
-
         try:
             self.block_map = ShardMap.from_block_rows(
                 [int(stat["rows"]) for stat in self.block_stats],

@@ -39,6 +39,8 @@ from multiprocessing import shared_memory as _shared_memory
 
 import numpy as np
 
+from repro.common.errors import DataError
+
 #: Per-array alignment inside a pack, generous enough for any SIMD load.
 _ALIGNMENT = 64
 
@@ -174,8 +176,7 @@ def attached_handle(path, file_key):
     if no live views reference them (``ColFileHandle.close`` keeps the
     map alive otherwise).
     """
-    from repro.common.errors import DataError
-    from repro.data.colfile import ColFileHandle
+    from repro.data.colfile import ColFileHandle  # colfile imports table imports us
 
     key = (str(path), tuple(file_key))
     with _handles_lock:
@@ -325,8 +326,6 @@ def resolve_block_source(path, file_key):
     pickled descriptor works on the driver, on a shared-disk worker and
     on a shared-nothing worker.
     """
-    from repro.common.errors import DataError
-
     fetcher = getattr(_block_fetcher, "fetcher", None)
     local_files = getattr(_block_fetcher, "local_files", True)
     if local_files or fetcher is None:

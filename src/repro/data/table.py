@@ -14,6 +14,13 @@ import numpy as np
 from repro.common.errors import DataError
 from repro.data.encoding import DictionaryEncoder
 from repro.data.schema import Schema
+from repro.data.shardmap import ShardMap
+from repro.data.shm import (
+    MmapTableBlock,
+    SharedArrayPack,
+    SharedTableBlock,
+    register_served_handle,
+)
 
 #: Process-wide dataset version counter.  Tables are immutable, so a
 #: version identifies one table *instance*'s data for its whole life;
@@ -130,7 +137,6 @@ class Table:
         """
         from repro.data.bufferpool import BufferPool
         from repro.data.colfile import ColFileHandle
-        from repro.engine.shm import register_served_handle
 
         handle = ColFileHandle(path)
         if pool is None:
@@ -238,7 +244,7 @@ class Table:
         return Table(self.schema, self._dims, measure_column, self._encoders)
 
     def shard_map(self, num_shards):
-        """This table's :class:`~repro.engine.placement.ShardMap` for
+        """This table's :class:`~repro.data.shardmap.ShardMap` for
         ``num_shards`` (built once per degree and cached).
 
         The map is the one partition abstraction: every execution mode
@@ -248,8 +254,6 @@ class Table:
         table's ``dataset_version``; a different table (new data) gets
         a different version, which placement uses to detect rebinds.
         """
-        from repro.engine.placement import ShardMap
-
         n = len(self)
         if n == 0:
             raise DataError("cannot partition an empty table")
@@ -275,7 +279,7 @@ class Table:
         every engine stage runs over.
 
         With ``shared=True`` the blocks are
-        :class:`~repro.engine.shm.SharedTableBlock` descriptors over a
+        :class:`~repro.data.shm.SharedTableBlock` descriptors over a
         shared-memory copy of the columns (created once per table and
         reused): they are picklable, so the process-pool execution mode
         ships a partition to a worker without copying its data.  Values
@@ -284,8 +288,6 @@ class Table:
         """
         shard_map = self.shard_map(num_blocks)
         if shared:
-            from repro.engine.shm import SharedTableBlock
-
             pack = self._shared_columns()
             return [
                 SharedTableBlock(
@@ -313,8 +315,6 @@ class Table:
         """This table's shared-memory column pack (created on demand)."""
         with self._shm_lock:
             if self._shm_pack is None:
-                from repro.engine.shm import SharedArrayPack
-
                 self._shm_pack = SharedArrayPack.create(
                     list(self._dims) + [self._measure]
                 )
@@ -359,7 +359,7 @@ class FileBackedTable(Table):
 
     Process-mode partitioning never touches shm: ``partition_blocks``
     with ``shared=True`` returns
-    :class:`~repro.engine.shm.MmapTableBlock` descriptors that workers
+    :class:`~repro.data.shm.MmapTableBlock` descriptors that workers
     resolve against an mmap of the file itself, so no whole-table copy
     is made for a process job (``_shm_pack`` stays ``None``).
 
@@ -474,8 +474,6 @@ class FileBackedTable(Table):
         """
         if not shared:
             return super().partition_blocks(num_blocks, shared=False)
-        from repro.engine.shm import MmapTableBlock
-
         return [
             MmapTableBlock(
                 index=shard.shard_id,

@@ -24,13 +24,14 @@ Main entry points:
   including straggler factors and speculative execution (§5.7.2).
 """
 
+from repro.common.metrics import MetricsRegistry
+from repro.data.shardmap import Shard, ShardMap
 from repro.engine.cost import CostModel, ClusterSpec
 from repro.engine.cluster import ClusterContext
 from repro.engine.lazy import DAGScheduler, LazyRDD
-from repro.engine.placement import PlacementTracker, Shard, ShardMap
+from repro.engine.placement import PlacementTracker
 from repro.engine.rdd import RDD
 from repro.engine.task import TaskContext
-from repro.engine.metrics import MetricsRegistry
 
 __all__ = [
     "CostModel",

@@ -8,70 +8,14 @@ fraction): ``access`` either hits (free) or misses (the caller is
 charged a disk read of the partition's bytes), and a timeline of cached
 bytes is recorded for the Figure 4.3/4.4 memory plots.
 
-:class:`EvictionIndex` is the eviction discipline itself — a
-recency-ordered key -> size map with byte accounting — factored out so
-the *real* block buffer pool (:mod:`repro.data.bufferpool`), which
-holds decoded column blocks rather than simulated charges, runs the
-same LRU bookkeeping instead of duplicating it.
+The eviction discipline itself is the shared
+:class:`~repro.common.eviction.EvictionIndex` ledger, the same one the
+*real* block buffer pool (:mod:`repro.data.bufferpool`) runs.
 """
 
 import threading
 
-from collections import OrderedDict
-
-
-class EvictionIndex:
-    """Recency-ordered key -> size_bytes map with byte accounting.
-
-    The shared LRU ledger behind the simulated partition cache and the
-    data layer's block buffer pool: entries keep least-recently-used
-    order, ``total_bytes`` is maintained incrementally, and eviction
-    pops from the cold end — optionally skipping keys the caller has
-    pinned.  Not thread-safe on its own; owners lock around it.
-    """
-
-    def __init__(self):
-        self._entries = OrderedDict()
-        self.total_bytes = 0
-
-    def __contains__(self, key):
-        return key in self._entries
-
-    def __len__(self):
-        return len(self._entries)
-
-    def touch(self, key):
-        """Mark ``key`` most recently used; True when it was present."""
-        if key not in self._entries:
-            return False
-        self._entries.move_to_end(key)
-        return True
-
-    def add(self, key, size_bytes):
-        """Insert ``key`` (absent) as the most recently used entry."""
-        self._entries[key] = size_bytes
-        self._entries.move_to_end(key)
-        self.total_bytes += size_bytes
-
-    def pop(self, key):
-        """Remove ``key``; returns its size, or None when absent."""
-        size = self._entries.pop(key, None)
-        if size is not None:
-            self.total_bytes -= size
-        return size
-
-    def pop_coldest(self, pinned=()):
-        """Evict the least-recently-used key not in ``pinned``.
-
-        Returns ``(key, size_bytes)``, or None when every entry is
-        pinned (or the index is empty).
-        """
-        for key in self._entries:
-            if key not in pinned:
-                size = self._entries.pop(key)
-                self.total_bytes -= size
-                return key, size
-        return None
+from repro.common.eviction import EvictionIndex
 
 
 class CacheManager:

@@ -13,6 +13,7 @@ where per-element processing matches what the thesis profiles.
 
 from repro.common.errors import EngineError
 from repro.common.rng import make_rng
+from repro.data.shardmap import ShardMap
 
 # Rough per-element serialized size used for shuffle-byte estimates.
 ELEMENT_BYTES = 64
@@ -199,12 +200,10 @@ class RDD:
         """Split ``data`` into ``num_partitions`` roughly equal chunks.
 
         Chunk boundaries come from the same
-        :class:`~repro.engine.placement.ShardMap` split every other
+        :class:`~repro.data.shardmap.ShardMap` split every other
         layer partitions with (unclamped: the caller's partition count
         is kept even when some chunks are empty).
         """
-        from repro.engine.placement import ShardMap
-
         data = list(data)
         if num_partitions < 1:
             raise EngineError("num_partitions must be at least 1")

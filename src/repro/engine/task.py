@@ -8,17 +8,17 @@ task's simulated duration via the cost model.
 Each task owns its context exclusively, so kernels may charge it
 without synchronization even when the stage executes on a thread pool.
 The one piece of *shared* state a kernel can touch — the cluster's
-partition cache — is deferred in parallel mode: the context records the
-access requests and the driver replays them in partition order after
-all tasks finish, so cache hits/misses (and the simulated seconds they
-produce) are identical to a serial run.
+partition cache — is deferred: the context records the access requests
+and the driver replays them in partition order after all tasks finish,
+so cache hits/misses (and the simulated seconds they produce) do not
+depend on where or in which order the tasks ran.
 """
 
 
 class TaskContext:
     """Mutable counters for a single simulated task."""
 
-    def __init__(self, task_id, partition_id, defer_cache=False):
+    def __init__(self, task_id, partition_id):
         self.task_id = task_id
         self.partition_id = partition_id
         self.ops = 0
@@ -26,9 +26,8 @@ class TaskContext:
         self.records = 0
         self.disk_bytes = 0
         self.output_bytes = 0
-        #: When true, cache accesses are queued instead of applied; the
-        #: driver replays them deterministically (see module docstring).
-        self.defer_cache = defer_cache
+        #: Queued partition-cache accesses; the driver replays them
+        #: deterministically (see module docstring).
         self.cache_requests = []
 
     def add_ops(self, n):
@@ -73,11 +72,11 @@ class TaskContext:
     def charges(self):
         """The task's counters as a picklable charge record.
 
-        Process-mode workers run the kernel against their own context
-        and send this record back; the driver applies it to a fresh
-        driver-side context (:meth:`apply_charges`) so every downstream
-        step — cache replay, duration computation, counter merges — is
-        byte-for-byte the code path the serial and thread modes take.
+        Whatever ran the kernel (:func:`run_task`) sends this record
+        back; the driver applies it to a fresh driver-side context
+        (:meth:`apply_charges`), so every downstream step — cache
+        replay, duration computation, counter merges — is one code
+        path for every execution mode.
         """
         return (self.ops, self.light_ops, self.records, self.disk_bytes,
                 self.output_bytes, list(self.cache_requests))
@@ -93,3 +92,17 @@ class TaskContext:
         self.cache_requests.extend(
             (key, int(size)) for key, size in requests
         )
+
+
+def run_task(kernel, index, partition):
+    """The one task body: run ``kernel`` over partition ``index``.
+
+    Every execution mode — driver thread, pool thread, pool process,
+    remote shard worker — runs a task through this function.  The
+    kernel charges a task-local :class:`TaskContext` and the context
+    comes back as a charge record, so the driver never shares mutable
+    state with whatever ran the task.
+    """
+    tc = TaskContext(task_id=index, partition_id=index)
+    output = kernel(tc, partition)
+    return output, tc.charges()

@@ -58,7 +58,7 @@ from repro.common.errors import (
     TenantQuotaError,
     to_wire,
 )
-from repro.engine.metrics import MetricsRegistry
+from repro.common.metrics import MetricsRegistry
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     KIND_ERROR,

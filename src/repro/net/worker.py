@@ -1,14 +1,15 @@
 """Remote shard worker: one placed shard executing on another host.
 
 The placement layer makes a shard addressable — an
-:class:`~repro.engine.shm.MmapTableBlock` is ``(path, file_key, row
+:class:`~repro.data.shm.MmapTableBlock` is ``(path, file_key, row
 range)``, which any process that can *reach the bytes* can resolve.
 This module is the network leg of that story: a :class:`ShardWorker`
 listens on the existing framed protocol (:mod:`repro.net.protocol`)
 and executes stage tasks shipped to it by a
-``ClusterContext(executor="remote", workers=[...])`` driver, fetching
-any colfile blocks it cannot open locally back from the driver over
-the same connection.
+``ClusterContext(executor="remote", workers=[...])`` driver — whose
+stage executor, :class:`RemoteExecutor`, also lives here — fetching any
+colfile blocks it cannot open locally back from the driver over the
+same connection.
 
 Driver-initiated ops (``KIND_REQUEST`` frames with an ``op`` field,
 mirroring the front-door server's convention):
@@ -19,14 +20,14 @@ mirroring the front-door server's convention):
   use it with a short deadline (:meth:`ShardWorkerClient.heartbeat`).
 - ``worker_attach`` — pre-open and verify a colfile by ``(path,
   file_key)`` through the worker's process-wide attachment cache
-  (:func:`repro.engine.shm.attached_handle`), so a job's first
+  (:func:`repro.data.shm.attached_handle`), so a job's first
   ``run_stage`` finds the mmap hot and a stale file is refused before
   any kernel runs.  Refused when the worker runs with
   ``local_files=False``.
 - ``run_stage`` — a pickled module-level kernel plus ``[(index,
   pickled partition), ...]`` task batch.  Tasks run in ascending
-  shard order through the same body process-pool workers use
-  (:func:`repro.engine.cluster._run_pickled_task`), so each returns
+  shard order through the one task body every mode uses
+  (:func:`repro.engine.task.run_task`), so each returns
   ``(output, charges)`` — the driver applies charges to driver-side
   contexts in partition order and results stay bit-identical to
   serial.  On the first failing task the batch stops (abort
@@ -39,11 +40,11 @@ while a ``run_stage`` is executing and answered by the driver's
 client from inside its own wait loop):
 
 - ``block_fetch`` — colfile block shipping.  A worker that cannot
-  resolve an :class:`~repro.engine.shm.MmapTableBlock` locally (no
+  resolve an :class:`~repro.data.shm.MmapTableBlock` locally (no
   shared filesystem, or ``local_files=False``) asks the driver for the
   raw bytes of the block indices it needs, plus the file's layout meta
   on first contact.  The driver serves them from its own live mmap
-  (:func:`repro.engine.shm.resolve_local_handle` — which works even if
+  (:func:`repro.data.shm.resolve_local_handle` — which works even if
   the file has since been deleted), and the worker caches them in a
   bounded LRU :class:`WorkerBlockCache` keyed by ``(path, file_key,
   block)``, so repeat stages over the same dataset version hit warm
@@ -68,6 +69,7 @@ import socketserver
 import threading
 
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -78,12 +80,28 @@ from repro.common.errors import (
     from_wire,
     to_wire,
 )
-from repro.engine.memory import EvictionIndex
-from repro.engine.metrics import MetricsRegistry
+from repro.common.eviction import EvictionIndex
+from repro.common.metrics import MetricsRegistry
+from repro.data.shardmap import ShardMap
+from repro.data.shm import (
+    attached_handle,
+    attachment_cache_stats,
+    block_fetcher,
+    resolve_local_handle,
+)
+from repro.engine.executors import (
+    EXECUTOR_REMOTE,
+    StageUnshippable,
+    is_pickling_error,
+    register_executor,
+    shippable,
+)
+from repro.engine.task import run_task
 from repro.net.protocol import (
     KIND_ERROR,
     KIND_REQUEST,
     KIND_RESPONSE,
+    PROTOCOL_VERSION,
     FrameDecoder,
     FrameError,
     encode_frame,
@@ -194,9 +212,9 @@ class WorkerBlockCache:
     just the path, so a rewritten dataset never serves stale bytes.
     Values are the raw block payloads exactly as shipped; byte
     accounting and recency run on the shared
-    :class:`~repro.engine.memory.EvictionIndex` ledger, and the
+    :class:`~repro.common.eviction.EvictionIndex` ledger, and the
     ``worker_block_cache_*`` counters land in a
-    :class:`~repro.engine.metrics.MetricsRegistry` (hits, misses,
+    :class:`~repro.common.metrics.MetricsRegistry` (hits, misses,
     evictions, fetched bytes).
     """
 
@@ -437,14 +455,13 @@ def _run_batch(kernel_blob, tasks):
     pickle are reported as pickling casualties rather than crashing
     the worker.
     """
-    from repro.engine.cluster import _run_pickled_task
-
     records = []
     failures = []
     for index, part_blob in sorted(tasks, key=lambda t: t[0]):
         try:
-            partition = pickle.loads(part_blob)
-            record = _run_pickled_task(kernel_blob, index, partition)
+            record = run_task(
+                pickle.loads(kernel_blob), index, pickle.loads(part_blob)
+            )
             record_blob = pickle.dumps(
                 record, protocol=pickle.HIGHEST_PROTOCOL
             )
@@ -697,9 +714,6 @@ class ShardWorker:
     # -- ops -----------------------------------------------------------
 
     def _op_hello(self, payload, connection):
-        from repro.engine.shm import attachment_cache_stats
-        from repro.net.protocol import PROTOCOL_VERSION
-
         with self._lock:
             stages, tasks = self._stages, self._tasks
         return {
@@ -719,8 +733,6 @@ class ShardWorker:
         return {"ok": True, "pid": os.getpid(), "closing": self.closing}
 
     def _op_attach(self, payload, connection):
-        from repro.engine.shm import attached_handle
-
         if not self.local_files:
             raise EngineError(
                 "worker runs with local_files disabled; blocks are "
@@ -741,8 +753,6 @@ class ShardWorker:
         }
 
     def _op_run_stage(self, payload, connection):
-        from repro.engine.shm import block_fetcher
-
         try:
             kernel_blob = _decode_blob(payload["kernel"])
             tasks = [
@@ -794,7 +804,7 @@ class ShardWorker:
 class ShardWorkerClient:
     """Blocking client a driver holds per remote shard worker.
 
-    One socket, used from one driver thread at a time (the cluster
+    One socket, used from one driver thread at a time (:class:`RemoteExecutor`
     routes each worker's batches through its own thread-pool slot).
     Connects lazily on first use and verifies the peer with
     ``worker_hello``.  While waiting for a ``run_stage`` answer the
@@ -802,7 +812,7 @@ class ShardWorkerClient:
     inline (:meth:`_serve`), counting ``blocks_shipped`` /
     ``bytes_shipped``.
 
-    ``healthy`` is the cluster's routing flag: :meth:`mark_dead` clears
+    ``healthy`` is the executor's routing flag: :meth:`mark_dead` clears
     it when a call times out or the connection drops, and the retry
     loop re-places the dead worker's shards onto the survivors.
     ``timeout`` (default ``REPRO_WORKER_TIMEOUT``, else 120 s) is the
@@ -853,9 +863,9 @@ class ShardWorkerClient:
     def mark_dead(self):
         """Flag the worker unusable and drop the connection.
 
-        The cluster's retry loop calls this on a timed-out or
+        The executor's retry loop calls this on a timed-out or
         connection-lost ``run_stage``; a dead client is skipped by all
-        further routing for the cluster's lifetime.
+        further routing for the executor's lifetime.
         """
         self.healthy = False
         self.close()
@@ -939,8 +949,6 @@ class ShardWorkerClient:
         ))
 
     def _serve_block_fetch(self, payload):
-        from repro.engine.shm import resolve_local_handle
-
         try:
             path = payload["path"]
             file_key = tuple(payload["file_key"])
@@ -966,7 +974,7 @@ class ShardWorkerClient:
             reply["meta"] = handle.wire_meta()
         return reply
 
-    # -- API the cluster consumes --------------------------------------
+    # -- API the executor consumes -------------------------------------
 
     def hello(self):
         return self._call("worker_hello", {})
@@ -977,7 +985,7 @@ class ShardWorkerClient:
         Returns True iff the worker answers in time — reconnecting
         first if the client has no live socket.  Never raises: a
         refused, lost or silent worker is simply ``False``, which is
-        what the cluster's health check wants to know.
+        what the executor's health check wants to know.
         """
         previous = self.timeout
         if timeout is not None:
@@ -1035,3 +1043,141 @@ class ShardWorkerClient:
 
     def __repr__(self):
         return "ShardWorkerClient(%s:%d)" % (self.host, self.port)
+
+
+class RemoteExecutor:
+    """The ``"remote"`` stage executor (:mod:`repro.engine.executors`):
+    pickled kernel + shard descriptors out, one ``run_stage`` call per
+    worker per round, ``(output, charges)`` records back in partition
+    order.
+
+    Routing is sticky by shard id among the live workers, and remote
+    stages always cross the wire (even a single shard), so every stage
+    counts as placed.  The lowest-index failing shard's exception
+    propagates; anything that cannot cross the wire (kernel, partition,
+    output or exception instance) makes the stage unshippable.
+
+    A worker that times out or drops its connection mid-stage is
+    marked dead (:meth:`ShardWorkerClient.mark_dead`) and its
+    unfinished shards re-place onto the surviving workers on the next
+    round — counted as a
+    :meth:`~repro.engine.placement.PlacementTracker.worker_failure`
+    — repeating until the stage resolves or no worker survives
+    (unshippable too).  Re-running a dead worker's shards is safe
+    at-most-once: a failed ``run_stage`` call merges *nothing* and
+    kernels are pure, so the retried result is bit-identical.  Clients
+    connect on the first stage; at most ``width`` calls are in flight.
+    """
+
+    def __init__(self, addresses, width, placement):
+        self._addresses = list(addresses)
+        self._width = width
+        self._placement = placement
+        self._clients = None
+        self._pool = None
+
+    def run(self, kernel, partitions):
+        self._placement.record_stage(True)
+        kernel_bytes = shippable(kernel)
+        blobs = [shippable(part) for part in partitions]
+        if self._clients is None:
+            self._clients = [ShardWorkerClient(a) for a in self._addresses]
+            self._pool = ThreadPoolExecutor(
+                max_workers=self._width, thread_name_prefix="repro-stage"
+            )
+        clients = self._clients
+        remaining = dict(enumerate(blobs))  # shard index -> blob
+        records = {}
+        failures = []
+        # Every extra round is caused either by a worker death (at most
+        # one per client) or by failure pruning (the lowest failing
+        # index strictly decreases), so this backstop never trips on a
+        # converging stage.
+        rounds_left = len(clients) + len(partitions) + 1
+        had_death = False
+        while remaining:
+            rounds_left -= 1
+            alive = [slot for slot, c in enumerate(clients) if c.healthy]
+            if had_death and alive:
+                # A death this stage makes the survivor list suspect
+                # (a partitioned network rarely takes exactly one
+                # host); probe before committing shards to a peer that
+                # would only time out too.
+                for slot in alive:
+                    if not clients[slot].heartbeat():
+                        clients[slot].mark_dead()
+                        self._placement.worker_failure()
+                alive = [slot for slot in alive if clients[slot].healthy]
+                had_death = False
+            if not alive or rounds_left < 0:
+                raise StageUnshippable
+            batches = {}  # slot -> [(shard index, blob)]
+            for i in sorted(remaining):
+                slot = alive[ShardMap.placement_for(i, len(alive))]
+                self._placement.record(i, slot)
+                batches.setdefault(slot, []).append((i, remaining[i]))
+            futures = {
+                slot: self._pool.submit(
+                    clients[slot].run_stage, kernel_bytes, batch
+                )
+                for slot, batch in batches.items()
+            }
+            for slot, future in futures.items():
+                try:
+                    worker_records, worker_failures = future.result()
+                except EngineError:
+                    # Timed out, refused or dropped mid-call: the
+                    # worker is dead to this stage.  Nothing of its
+                    # batch merged, so its shards stay in ``remaining``
+                    # and re-place onto the survivors next round.
+                    clients[slot].mark_dead()
+                    self._placement.worker_failure(
+                        [i for i, _blob in batches[slot]]
+                    )
+                    had_death = True
+                    continue
+                for i, record in worker_records.items():
+                    records[i] = record
+                    remaining.pop(i, None)
+                failures.extend(worker_failures)
+            if failures:
+                # The lowest-index-failure contract: shards *below* the
+                # lowest failure seen so far must still resolve (one of
+                # them may fail at an even lower index, which is the
+                # exception a serial run would surface); everything at
+                # or above it is moot.
+                lowest = min(f[0] for f in failures)
+                remaining = {
+                    i: blob for i, blob in remaining.items() if i < lowest
+                }
+        if failures:
+            if any(is_pickling or is_pickling_error(exc)
+                   for _i, exc, is_pickling in failures):
+                # An output or exception instance did not survive the
+                # wire: rerun locally, like process mode.
+                raise StageUnshippable
+            raise min(failures, key=lambda f: f[0])[1]
+        return [records[i] for i in range(len(partitions))]
+
+    def stats(self):
+        """Fleet health and block-shipping counters (none before the
+        first stage connects the clients)."""
+        clients = self._clients
+        if not clients:
+            return {}
+        return {
+            "healthy_workers": sum(1 for c in clients if c.healthy),
+            "blocks_shipped": sum(c.blocks_shipped for c in clients),
+            "bytes_shipped": sum(c.bytes_shipped for c in clients),
+        }
+
+    def close(self, wait=True):
+        for client in self._clients or ():
+            client.close()
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait)
+        if wait:
+            self._clients = self._pool = None
+
+
+register_executor(EXECUTOR_REMOTE, RemoteExecutor)

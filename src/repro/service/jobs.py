@@ -8,7 +8,7 @@ result (or exception) without re-executing anything.
 
 Timing fields are monotonic-clock stamps; :class:`JobMetrics` turns
 them into the queue-wait / run-time numbers the service aggregates into
-its :class:`~repro.engine.metrics.MetricsRegistry`.
+its :class:`~repro.common.metrics.MetricsRegistry`.
 """
 
 import itertools

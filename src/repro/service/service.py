@@ -21,7 +21,7 @@ miner (:class:`~repro.core.miner.Sirum`) or the SQL-driven miner
 (:class:`~repro.platforms.sql_sirum.SqlSirum`), optionally metered as a
 named platform sim; SQL queries run on one shared thread-safe
 :class:`~repro.sql.engine.SqlEngine`.  Per-job queue-wait and run-time
-aggregate into a :class:`~repro.engine.metrics.MetricsRegistry`
+aggregate into a :class:`~repro.common.metrics.MetricsRegistry`
 (phases ``"queue_wait"`` / ``"execute"`` / ``"budget_wait"`` plus
 counters), surfaced by :meth:`RuleMiningService.stats`.
 
@@ -46,16 +46,19 @@ import inspect
 import threading
 
 from repro.common.errors import ServiceClosedError, ServiceError
+from repro.common.metrics import MetricsRegistry
 from repro.core.codec import RowCodec
+from repro.core.config import variant_config
+from repro.core.measure import MeasureTransform
+from repro.core.miner import Sirum, make_default_cluster
+from repro.data.shm import attachment_cache_stats
+from repro.data.table import FileBackedTable
 from repro.engine.cluster import (
     EXECUTOR_REMOTE,
     EXECUTORS,
     default_parallelism,
+    resolve_knob,
 )
-from repro.core.config import variant_config
-from repro.core.measure import MeasureTransform
-from repro.core.miner import Sirum, make_default_cluster
-from repro.engine.metrics import MetricsRegistry
 from repro.service.budget import (
     ADMISSION_BUDGET,
     ADMISSION_POLICIES,
@@ -460,8 +463,9 @@ class RuleMiningService:
             return None
         grant = None
         if self._budget is not None:
-            requested = (self.config.engine_parallelism
-                         or default_parallelism())
+            requested = resolve_knob(
+                self.config.engine_parallelism, None, default_parallelism
+            )
             grant = self._budget.acquire(
                 requested, timeout=self.config.budget_wait_seconds
             )
@@ -671,13 +675,10 @@ class RuleMiningService:
         :class:`~repro.data.bufferpool.BufferPool`.  Either way the
         ``attachments`` entry carries this process's worker-side
         attachment-cache hit/miss counters
-        (:func:`repro.engine.shm.attachment_cache_stats`) — repeat
+        (:func:`repro.data.shm.attachment_cache_stats`) — repeat
         ``attached_handle``/``attached_segment`` hits are the
         observable payoff of placed execution.
         """
-        from repro.data.table import FileBackedTable
-        from repro.engine.shm import attachment_cache_stats
-
         with self._lock:
             handles = sorted(self._datasets.items())
         pools = {

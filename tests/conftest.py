@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
@@ -34,3 +37,88 @@ def cluster():
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def stage_threads():
+    """Live threads of any stage executor (shared, per-slot, remote)."""
+    return [t for t in threading.enumerate()
+            if t.name.startswith("repro-stage") and t.is_alive()]
+
+
+def child_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def live_workers():
+    """Identities of every stage thread and child process alive now."""
+    return {id(t) for t in stage_threads()} | child_pids()
+
+
+#: Every way a stage can physically run.  The named entries pin all
+#: three knobs explicitly, so the CI shards that set ``REPRO_*``
+#: defaults do not silently turn one mode into another; ``env`` pins
+#: nothing and is whatever mode those variables select (serial when
+#: none is set), which is what those shards re-run the suite for.
+EXECUTION_MODES = {
+    "serial": dict(parallelism=1, executor="thread", placed=False),
+    "thread": dict(parallelism=4, executor="thread", placed=False),
+    "process": dict(parallelism=4, executor="process", placed=False),
+    "placed-thread": dict(parallelism=4, executor="thread", placed=True),
+    "placed-process": dict(parallelism=4, executor="process", placed=True),
+    "remote": dict(executor="remote"),
+    "env": dict(),
+}
+
+
+class ExecutionMode:
+    """One entry of :data:`EXECUTION_MODES`, able to build clusters.
+
+    ``cluster(**kwargs)`` is :func:`make_default_cluster` in this mode
+    (extra keyword arguments pass through); the remote mode runs
+    against two in-process :class:`~repro.net.worker.ShardWorker`
+    instances started on first use.  Leaving the ``with`` block closes
+    every cluster built and stops the workers.
+    """
+
+    def __init__(self, name):
+        self.name = name
+        self.shard_workers = []
+        self._clusters = []
+
+    @property
+    def ships(self):
+        """True when kernels, partitions and outputs cross a pickle."""
+        return self._clusters[-1].uses_processes
+
+    def cluster(self, **kwargs):
+        knobs = dict(EXECUTION_MODES[self.name])
+        if self.name == "remote":
+            if not self.shard_workers:
+                from repro.net.worker import ShardWorker
+
+                self.shard_workers = [ShardWorker().start() for _ in range(2)]
+            knobs["workers"] = [w.address for w in self.shard_workers]
+        kwargs.setdefault("num_executors", 2)
+        kwargs.setdefault("cores_per_executor", 2)
+        cluster = make_default_cluster(**knobs, **kwargs)
+        self._clusters.append(cluster)
+        return cluster
+
+    def close(self):
+        for cluster in self._clusters:
+            cluster.close()
+        for worker in self.shard_workers:
+            worker.stop()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+@pytest.fixture(params=list(EXECUTION_MODES))
+def execution_modes(request):
+    """The test runs once per execution mode; see :class:`ExecutionMode`."""
+    with ExecutionMode(request.param) as mode:
+        yield mode

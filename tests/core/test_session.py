@@ -57,12 +57,12 @@ class TestStages:
         session = MiningSession(cluster, flights, num_partitions=2)
 
         def kernel(tc, part):
-            return tc
+            return part.num_rows
 
         first = session.run_over_data(kernel)
         second = session.run_over_data(kernel)
-        assert sum(tc.disk_bytes for tc in first.outputs) > 0
-        assert sum(tc.disk_bytes for tc in second.outputs) == 0
+        assert sum(tc.disk_bytes for tc in first.tasks) > 0
+        assert sum(tc.disk_bytes for tc in second.tasks) == 0
 
     def test_shuffle_data_charges_partition_bytes(self, flights, cluster):
         session = MiningSession(cluster, flights, num_partitions=2)

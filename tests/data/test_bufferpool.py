@@ -12,7 +12,7 @@ from repro.data.bufferpool import (
 )
 from repro.data.colfile import ColFileHandle, write_colfile
 from repro.data.generators import flight_table
-from repro.engine.metrics import MetricsRegistry
+from repro.common.metrics import MetricsRegistry
 
 
 @pytest.fixture

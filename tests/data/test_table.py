@@ -190,7 +190,7 @@ class TestFileBackedTable:
             np.testing.assert_array_equal(a.measure, b.measure)
 
     def test_shared_partitions_are_mmap_backed(self, colpath):
-        from repro.engine.shm import MmapTableBlock
+        from repro.data.shm import MmapTableBlock
 
         table = Table.open_colfile(colpath)
         blocks = table.partition_blocks(3, shared=True)

@@ -8,6 +8,7 @@ deliberately one-directional: docs may say *more* than the code
 (prose, examples), but the code may not grow a knob the docs miss.
 """
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -212,6 +213,60 @@ class TestArchitecture:
             assert resolves(dotted.split(".")[1:]), (
                 "docs/ARCHITECTURE.md names missing module %s" % dotted
             )
+
+    def test_imports_point_down_the_layer_map(self, architecture_md):
+        # The layer-map block is the spec: each row names the packages
+        # of one layer, top row highest.  Every import under src/repro
+        # — function-local ones included — must stay inside its own
+        # package or point at a strictly lower row.
+        block = re.search(r"## Layer map.*?```\n(.*?)```", architecture_md,
+                          re.S).group(1)
+        rows = [re.findall(r"repro\.(\w+)", line)
+                for line in block.splitlines()]
+        rows = [row for row in rows if row]
+        rank = {package: len(rows) - i
+                for i, row in enumerate(rows) for package in row}
+
+        def package_of(parts):
+            # `repro.cli` and the package root are files, not packages.
+            return parts[0] if parts and parts[0] in rank else "__init__"
+
+        upward = []
+        for path in sorted(SRC.rglob("*.py")):
+            relative = path.relative_to(SRC)
+            importer = relative.parts[0] if len(relative.parts) > 1 \
+                else relative.stem
+            assert importer in rank, (
+                "src/repro/%s is in no row of docs/ARCHITECTURE.md's "
+                "layer map" % relative
+            )
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    assert node.level == 0, (
+                        "%s:%d uses a relative import" % (path, node.lineno)
+                    )
+                    targets = [node.module]
+                    if node.module == "repro":
+                        targets = ["repro.%s" % a.name for a in node.names]
+                else:
+                    continue
+                for target in targets:
+                    parts = target.split(".")
+                    if parts[0] != "repro":
+                        continue
+                    imported = package_of(parts[1:])
+                    if imported != importer \
+                            and rank[imported] >= rank[importer]:
+                        upward.append("%s:%d imports %s (%s is not below %s)"
+                                      % (path.relative_to(REPO_ROOT),
+                                         node.lineno, target, imported,
+                                         importer))
+        assert not upward, (
+            "imports pointing up (or sideways in) the layer map:\n  "
+            + "\n  ".join(upward)
+        )
 
     def test_stats_sections_exist(self, architecture_md):
         # The walkthrough's stats() pointers must be real sections.

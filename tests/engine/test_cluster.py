@@ -192,17 +192,19 @@ class TestParallelismPrecedence:
         assert ClusterContext().parallelism == 1
 
     def test_resolve_parallelism_helper(self, monkeypatch):
-        from repro.engine.cluster import resolve_parallelism
+        # The one precedence chain every knob resolves through.
+        from repro.engine.cluster import default_parallelism, resolve_knob
 
         monkeypatch.setenv("REPRO_PARALLELISM", "7")
-        grant = _StubGrant(granted=2)
-        assert resolve_parallelism(4, grant) == 4
-        assert resolve_parallelism(None, grant) == 2
-        assert resolve_parallelism(None, None) == 7
+        assert resolve_knob(4, 2, default_parallelism) == 4
+        assert resolve_knob(None, 2, default_parallelism) == 2
+        assert resolve_knob(None, None, default_parallelism) == 7
         monkeypatch.delenv("REPRO_PARALLELISM")
-        assert resolve_parallelism(None, None) == 1
+        assert resolve_knob(None, None, default_parallelism) == 1
+        # Falsy is still explicit: only None defers.
+        assert resolve_knob(False, True, lambda: True) is False
         with pytest.raises(EngineError):
-            resolve_parallelism(0, None)
+            ClusterContext(parallelism=0)
 
     def test_close_releases_grant_once(self):
         grant = _StubGrant(granted=2)

@@ -1,7 +1,7 @@
 """Tests for the LRU partition cache (thesis §4.5 memory behaviour)."""
 
 from repro.engine.memory import CacheManager
-from repro.engine.metrics import MetricsRegistry
+from repro.common.metrics import MetricsRegistry
 
 
 def make_cache(capacity):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.metrics import MetricsRegistry
+from repro.common.metrics import MetricsRegistry
 
 
 class TestPhases:

@@ -9,7 +9,6 @@ full mining run, and through the service — plus the pool-lifecycle
 guarantee that no worker threads or processes outlive a job.
 """
 
-import multiprocessing
 import os
 import threading
 import time
@@ -27,6 +26,13 @@ from repro.engine.cluster import (
     default_parallelism,
 )
 from repro.engine.cost import ClusterSpec, CostModel
+from tests.conftest import (
+    EXECUTION_MODES,
+    ExecutionMode,
+    child_pids,
+    live_workers,
+    stage_threads,
+)
 
 
 def make_cluster(parallelism=1, executor=None, **kwargs):
@@ -47,16 +53,8 @@ def make_cluster(parallelism=1, executor=None, **kwargs):
         disk_byte_seconds=1e-6,
     )
     return ClusterContext(spec, cost, parallelism=parallelism,
-                          executor=executor)
-
-
-def _stage_threads():
-    return [t for t in threading.enumerate()
-            if t.name.startswith("repro-stage") and t.is_alive()]
-
-
-def _child_pids():
-    return {p.pid for p in multiprocessing.active_children()}
+                          executor=executor,
+                          placed=kwargs.pop("placed", None))
 
 
 def _double_kernel(tc, part):
@@ -126,10 +124,12 @@ class TestParallelismKnob:
         cluster.close()
 
     def test_context_manager_closes_pool(self):
+        before = live_workers()
         with make_cluster(parallelism=3) as cluster:
             result = cluster.run_stage(lambda tc, p: p * 2, range(6))
+            assert live_workers() - before  # the pool really existed
         assert result.outputs == [0, 2, 4, 6, 8, 10]
-        assert cluster._pool is None
+        assert live_workers() <= before
 
 
 class TestParallelStage:
@@ -265,20 +265,16 @@ class TestProcessStage:
             assert cluster.metrics.counter("tasks") == 8
 
     def test_metrics_identical_to_serial_and_thread(self):
-        def workload(cluster):
-            with cluster:
-                def run():
-                    cluster.run_stage(_double_kernel, range(8),
-                                      shuffle_output=True)
-                    cluster.run_stage(_double_kernel, range(8))
-
-                run()
-                return cluster.metrics.snapshot()
-
-        serial = workload(make_cluster(parallelism=1))
-        thread = workload(make_cluster(parallelism=4, executor="thread"))
-        process = workload(make_cluster(parallelism=4, executor="process"))
-        assert serial == thread == process
+        snapshots = {}
+        for name in EXECUTION_MODES:
+            with ExecutionMode(name) as mode:
+                cluster = mode.cluster()
+                cluster.run_stage(_double_kernel, range(8),
+                                  shuffle_output=True)
+                cluster.run_stage(_double_kernel, range(8))
+                snapshots[name] = cluster.metrics.snapshot()
+        for name, snapshot in snapshots.items():
+            assert snapshot == snapshots["serial"], name
 
     def test_unpicklable_kernel_falls_back_to_threads(self):
         captured = []
@@ -314,13 +310,13 @@ class TestProcessStage:
             assert cluster.metrics.counter("tasks") == 4
 
     def test_close_is_idempotent_across_executor_kinds(self):
+        before = live_workers()
         cluster = make_cluster(parallelism=3, executor="process")
         cluster.run_stage(_double_kernel, range(6))
         cluster.run_stage(lambda tc, p: p, range(6))  # thread fallback
         cluster.close()
         cluster.close()
-        assert cluster._pool is None
-        assert cluster._process_pool is None
+        assert live_workers() <= before
 
 
 class TestFailureSemantics:
@@ -363,21 +359,23 @@ class TestFailureSemantics:
 
     def test_exception_message_parity_across_modes(self):
         seen = {}
-        for parallelism, executor in [(1, "thread"), (4, "thread"),
-                                      (4, "process")]:
-            with make_cluster(parallelism=parallelism,
-                              executor=executor) as cluster:
+        for name in EXECUTION_MODES:
+            with ExecutionMode(name) as mode:
                 with pytest.raises(ValueError) as excinfo:
-                    cluster.run_stage(_boom_kernel, range(6))
-                seen[(parallelism, executor)] = (
+                    mode.cluster().run_stage(_boom_kernel, range(6))
+                seen[name] = (
                     type(excinfo.value).__name__, str(excinfo.value)
                 )
-        assert len(set(seen.values())) == 1
+        assert len(set(seen.values())) == 1, seen
 
     def test_lowest_failing_partition_wins_in_parallel(self):
         # Partitions 1 and 3 both fail; serial surfaces partition 1
         # (it runs first), and parallel modes must match even when
         # partition 3's task finishes failing earlier in wall time.
+        # The kernel is a closure, so the modes that ship kernels get
+        # here through their thread fallback — which owes the same
+        # contract (tests/engine/test_executors.py covers the shipped
+        # path with a picklable kernel).
         def kernel(tc, part):
             if part == 1:
                 time.sleep(0.02)
@@ -386,11 +384,11 @@ class TestFailureSemantics:
                 raise ValueError("boom in partition 3")
             return part
 
-        for parallelism in (1, 4):
-            with make_cluster(parallelism=parallelism) as cluster:
+        for name in EXECUTION_MODES:
+            with ExecutionMode(name) as mode:
                 with pytest.raises(ValueError,
                                    match="boom in partition 1"):
-                    cluster.run_stage(kernel, range(6))
+                    mode.cluster().run_stage(kernel, range(6))
 
 
 class TestPoolLifecycle:
@@ -398,39 +396,39 @@ class TestPoolLifecycle:
 
     def test_mine_closes_internal_thread_pool(self):
         table = synthetic_table(num_rows=600)
-        before = set(id(t) for t in _stage_threads())
+        before = set(id(t) for t in stage_threads())
         mine(table, k=2, sample_size=16, seed=0, parallelism=4)
-        after = set(id(t) for t in _stage_threads())
+        after = set(id(t) for t in stage_threads())
         assert after <= before
 
     def test_mine_closes_internal_process_pool(self):
         table = synthetic_table(num_rows=600)
-        before = _child_pids()
+        before = child_pids()
         mine(table, k=2, sample_size=16, seed=0, parallelism=2,
              executor="process")
-        assert _child_pids() <= before
+        assert child_pids() <= before
 
     def test_explore_cube_closes_internal_cluster(self):
         from repro.apps import explore_cube
 
         table = synthetic_table(num_rows=400)
-        before = set(id(t) for t in _stage_threads())
+        before = set(id(t) for t in stage_threads())
         explore_cube(table, k=2, parallelism=4)
-        assert set(id(t) for t in _stage_threads()) <= before
+        assert set(id(t) for t in stage_threads()) <= before
 
     def test_service_job_closes_engine_cluster(self):
         from repro.service import RuleMiningService, ServiceConfig
 
         table = synthetic_table(num_rows=600)
-        before = set(id(t) for t in _stage_threads())
+        before = set(id(t) for t in stage_threads())
         with RuleMiningService(ServiceConfig(
             num_workers=2, engine_parallelism=4,
         )) as service:
             service.register_dataset("syn", table)
             service.mine("syn", k=2, sample_size=16, seed=0, timeout=60.0)
             # The job's cluster pool dies with the job, not the service.
-            assert set(id(t) for t in _stage_threads()) <= before
-        assert set(id(t) for t in _stage_threads()) <= before
+            assert set(id(t) for t in stage_threads()) <= before
+        assert set(id(t) for t in stage_threads()) <= before
 
     def test_streaming_context_manager_closes_cluster(self, monkeypatch):
         from repro.streaming import IncrementalSirum
@@ -439,25 +437,26 @@ class TestPoolLifecycle:
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         table = synthetic_table(num_rows=900)
         batches = [table.slice(i * 300, (i + 1) * 300) for i in range(3)]
-        before = set(id(t) for t in _stage_threads())
+        before = set(id(t) for t in stage_threads())
         config = variant_config("optimized", k=2, sample_size=16, seed=0)
         with IncrementalSirum(config) as miner:
             for batch in batches:
                 miner.process(batch)
-        assert set(id(t) for t in _stage_threads()) <= before
+        assert set(id(t) for t in stage_threads()) <= before
 
     def test_streaming_leaves_caller_supplied_cluster_open(self):
         from repro.streaming import IncrementalSirum
 
+        before = live_workers()
         cluster = make_default_cluster(parallelism=4)
         config = variant_config("optimized", k=2, sample_size=16, seed=0)
         with IncrementalSirum(config, cluster=cluster) as miner:
             miner.process(synthetic_table(num_rows=300))
-        # The caller owns this cluster: its pool (whichever executor
+        # The caller owns this cluster: its workers (whichever executor
         # kind the environment selected) must survive the exit.
-        assert (cluster._pool is not None
-                or cluster._process_pool is not None)
+        assert live_workers() - before
         cluster.close()
+        assert live_workers() <= before
 
     def test_streaming_close_is_idempotent(self):
         from repro.streaming import IncrementalSirum
@@ -553,47 +552,32 @@ class TestMiningBitIdentity:
                 == results[("process", 4)])
 
     def test_mining_identical_across_placement_modes(self):
-        """Serial, placed threads, placed processes and placed remote
-        workers — one result, bit for bit.
+        """Every execution mode — serial, shared pools, placed
+        threads, placed processes, remote workers — one result, bit
+        for bit.
 
         Placed runs use as many workers as the job has partitions, so
         every stage takes the placed path (pool i is pinned to shard
         i); the remote run ships shards to two loopback workers.
         """
         from repro.bench.harness import mining_results_identical
-        from repro.net.worker import ShardWorker
 
         table = synthetic_table()
-
-        def run(**cluster_kwargs):
-            cluster = make_default_cluster(
-                num_executors=2, cores_per_executor=2, **cluster_kwargs
-            )
-            try:
-                config = variant_config("optimized", k=4, sample_size=24,
-                                        seed=3)
-                result = Sirum(config).mine(table, cluster=cluster)
-                return result, cluster.placement_stats()
-            finally:
-                cluster.close()
-
-        serial, _ = run(parallelism=1)
-        thread_placed, thread_stats = run(parallelism=4, executor="thread",
-                                          placed=True)
-        process_placed, process_stats = run(parallelism=4,
-                                            executor="process", placed=True)
-        with ShardWorker() as w1, ShardWorker() as w2:
-            remote_placed, remote_stats = run(
-                executor="remote", workers=[w1.address, w2.address],
-            )
-            assert w1.stats()["stages"] > 0
-            assert w2.stats()["stages"] > 0
-        assert mining_results_identical(serial, thread_placed)
-        assert mining_results_identical(serial, process_placed)
-        assert mining_results_identical(serial, remote_placed)
+        config = variant_config("optimized", k=4, sample_size=24, seed=3)
+        results, placement = {}, {}
+        for name in EXECUTION_MODES:
+            with ExecutionMode(name) as mode:
+                cluster = mode.cluster()
+                results[name] = Sirum(config).mine(table, cluster=cluster)
+                placement[name] = cluster.placement_stats()
+                for worker in mode.shard_workers:
+                    assert worker.stats()["stages"] > 0
+        for name, result in results.items():
+            assert mining_results_identical(results["serial"], result), name
         # The placed runs really pinned shards: every stage placed,
         # and repeat visits to a pinned worker counted as hits.
-        for stats in (thread_stats, process_stats, remote_stats):
+        for name in ("placed-thread", "placed-process", "remote"):
+            stats = placement[name]
             assert stats["placed_stages"] > 0
             assert stats["unplaced_stages"] == 0
             assert stats["affinity_hits"] > 0
@@ -602,8 +586,7 @@ class TestMiningBitIdentity:
     def test_placed_degrades_to_unplaced_when_workers_are_short(self):
         # 2 workers cannot own 4 shards each: the stage must run on
         # the shared (unplaced) pool and the tracker must say so.
-        with make_cluster(parallelism=2) as cluster:
-            cluster.placed = True
+        with make_cluster(parallelism=2, placed=True) as cluster:
             result = cluster.run_stage(lambda tc, p: p * 2, range(4))
             assert result.outputs == [0, 2, 4, 6]
             stats = cluster.placement_stats()

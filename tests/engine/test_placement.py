@@ -14,13 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import DataError, EngineError
-from repro.engine.cluster import resolve_parallelism, resolve_placement
-from repro.engine.placement import (
-    PlacementTracker,
-    Shard,
-    ShardMap,
-    default_placement,
-)
+from repro.data.shardmap import Shard, ShardMap
+from repro.engine.cluster import ClusterContext
+from repro.engine.placement import PlacementTracker, default_placement
 from repro.service.budget import EngineBudget
 
 
@@ -173,27 +169,24 @@ class TestPlacementResolution:
         monkeypatch.setenv("REPRO_PLACEMENT", "1")
         budget = EngineBudget(max_engine_workers=4)
         grant = budget.acquire(2)
-        try:
-            assert resolve_placement(False, grant) is False
-            assert resolve_placement(True, None) is True
-        finally:
-            grant.release()
+        with ClusterContext(placed=False, budget_grant=grant) as cluster:
+            assert cluster.placed is False
+        assert grant.released  # the cluster owned it
+        assert ClusterContext(placed=True).placed is True
 
     def test_placed_grant_turns_placement_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_PLACEMENT", raising=False)
         budget = EngineBudget(max_engine_workers=4)
         grant = budget.acquire(2)
-        try:
-            assert grant.slots  # budget grants carry slot ids
-            assert resolve_placement(None, grant) is True
-        finally:
-            grant.release()
+        assert grant.slots  # budget grants carry slot ids
+        with ClusterContext(budget_grant=grant) as cluster:
+            assert cluster.placed is True
 
     def test_env_is_the_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLACEMENT", "1")
-        assert resolve_placement(None, None) is True
+        assert ClusterContext().placed is True
         monkeypatch.delenv("REPRO_PLACEMENT", raising=False)
-        assert resolve_placement(None, None) is False
+        assert ClusterContext().placed is False
 
 
 class TestParallelismPrecedence:
@@ -202,34 +195,34 @@ class TestParallelismPrecedence:
     def test_explicit_beats_grant(self):
         budget = EngineBudget(max_engine_workers=8)
         grant = budget.acquire(4)
-        try:
-            assert resolve_parallelism(2, grant) == 2
-        finally:
-            grant.release()
+        with ClusterContext(parallelism=2, budget_grant=grant) as cluster:
+            assert cluster.parallelism == 2
 
     def test_placed_grant_contributes_its_slot_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLELISM", "7")
         budget = EngineBudget(max_engine_workers=8)
         grant = budget.acquire(3)
-        try:
-            assert len(grant.slots) == grant.granted == 3
-            assert resolve_parallelism(None, grant) == 3
-        finally:
-            grant.release()
+        assert len(grant.slots) == grant.granted == 3
+        with ClusterContext(budget_grant=grant) as cluster:
+            assert cluster.parallelism == 3
 
     def test_grant_without_slots_contributes_granted(self, monkeypatch):
         class BareGrant:
             granted = 5
             slots = ()
 
+            def release(self):
+                pass
+
         monkeypatch.setenv("REPRO_PARALLELISM", "7")
-        assert resolve_parallelism(None, BareGrant()) == 5
+        with ClusterContext(budget_grant=BareGrant()) as cluster:
+            assert cluster.parallelism == 5
 
     def test_env_then_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLELISM", "6")
-        assert resolve_parallelism(None, None) == 6
+        assert ClusterContext().parallelism == 6
         monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
-        assert resolve_parallelism(None, None) == 1
+        assert ClusterContext().parallelism == 1
 
 
 class TestPlacementTracker:

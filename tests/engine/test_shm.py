@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.data.generators import SyntheticSpec, generate
-from repro.engine.shm import (
+from repro.data.shm import (
     MmapTableBlock,
     SharedArray,
     SharedArrayPack,
@@ -212,7 +212,7 @@ class TestMmapTableBlocks:
     def test_rewritten_file_is_refused(self, tmp_path):
         from repro.common.errors import DataError
         from repro.data.colfile import write_colfile
-        from repro.engine import shm
+        from repro.data import shm
 
         table, file_table, path = self._file_backed(tmp_path)
         block = pickle.loads(

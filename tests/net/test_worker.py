@@ -1,7 +1,7 @@
 """Remote shard worker: loopback execution of real placed shards.
 
 A :class:`~repro.net.worker.ShardWorker` on 127.0.0.1 receives pickled
-kernels plus :class:`~repro.engine.shm.MmapTableBlock` shard
+kernels plus :class:`~repro.data.shm.MmapTableBlock` shard
 descriptors of a real colfile and executes them through the same task
 body process-pool workers use — so these tests drive the entire remote
 leg end-to-end over real sockets: attach, stage batches, charge
@@ -138,45 +138,6 @@ class TestRunStage:
         assert "boom on shard 0" in str(exc)
 
 
-class TestRemoteMining:
-    def test_remote_cluster_matches_serial_on_a_colfile(self, file_table,
-                                                        flights, worker):
-        def run(table, **cluster_kwargs):
-            cluster = make_default_cluster(
-                num_executors=2, cores_per_executor=2, **cluster_kwargs
-            )
-            try:
-                config = variant_config("optimized", k=3, sample_size=16,
-                                        seed=0)
-                return Sirum(config).mine(table, cluster=cluster)
-            finally:
-                cluster.close()
-
-        serial = run(flights, parallelism=1)
-        remote = run(file_table, executor="remote",
-                     workers=[worker.address])
-        assert [tuple(m.rule.values) for m in serial.rule_set] == [
-            tuple(m.rule.values) for m in remote.rule_set
-        ]
-        assert np.array_equal(serial.lambdas, remote.lambdas)
-        assert serial.kl_trace == remote.kl_trace
-        assert serial.metrics == remote.metrics
-        assert worker.stats()["stages"] > 0
-
-def _slow_once_kernel(tc, part):
-    """Sleeps on its first-ever invocation (module global), so exactly
-    one worker of a fleet hangs past a short client deadline."""
-    import time
-
-    if _SLOW_ONCE and _SLOW_ONCE.pop() == "armed":
-        time.sleep(1.5)
-    tc.add_records(1)
-    return part * 10
-
-
-_SLOW_ONCE = []
-
-
 def _mine(table, **cluster_kwargs):
     cluster = make_default_cluster(
         num_executors=2, cores_per_executor=2, **cluster_kwargs
@@ -196,6 +157,30 @@ def _assert_identical(a, b):
     assert np.array_equal(a.lambdas, b.lambdas)
     assert a.kl_trace == b.kl_trace
     assert a.metrics == b.metrics
+
+
+class TestRemoteMining:
+    def test_remote_cluster_matches_serial_on_a_colfile(self, file_table,
+                                                        flights, worker):
+        serial, _ = _mine(flights, parallelism=1)
+        remote, _ = _mine(file_table, executor="remote",
+                          workers=[worker.address])
+        _assert_identical(serial, remote)
+        assert worker.stats()["stages"] > 0
+
+
+def _slow_once_kernel(tc, part):
+    """Sleeps on its first-ever invocation (module global), so exactly
+    one worker of a fleet hangs past a short client deadline."""
+    import time
+
+    if _SLOW_ONCE and _SLOW_ONCE.pop() == "armed":
+        time.sleep(1.5)
+    tc.add_records(1)
+    return part * 10
+
+
+_SLOW_ONCE = []
 
 
 class TestHeartbeat:
@@ -470,6 +455,51 @@ class TestWorkerFailure:
         finally:
             cluster.close()
         _assert_identical(serial, remote)
+
+    def test_survivors_are_probed_after_a_death(self, monkeypatch):
+        # Three workers, two shards: w1 dies holding shard 1 and the
+        # idle w2 is dead too.  The heartbeat probe must find that out
+        # *before* shard 1 is re-placed, so w2 never sees a batch.
+        probed, staged = [], []
+        heartbeat = ShardWorkerClient.heartbeat
+        run_stage = ShardWorkerClient.run_stage
+
+        def spy_heartbeat(client, timeout=5.0):
+            probed.append(client.port)
+            return heartbeat(client, timeout=0.5)
+
+        def spy_run_stage(client, kernel_bytes, batch):
+            staged.append(client.port)
+            return run_stage(client, kernel_bytes, batch)
+
+        monkeypatch.setattr(ShardWorkerClient, "heartbeat", spy_heartbeat)
+        monkeypatch.setattr(ShardWorkerClient, "run_stage", spy_run_stage)
+        workers = [ShardWorker().start() for _ in range(3)]
+        try:
+            cluster = make_default_cluster(
+                executor="remote", workers=[w.address for w in workers],
+            )
+            try:
+                assert cluster.run_stage(
+                    _identity_kernel, [0, 1]
+                ).outputs == [0, 1]
+                workers[1].stop()
+                workers[2].stop()
+                del staged[:]
+                assert cluster.run_stage(
+                    _identity_kernel, [0, 1]
+                ).outputs == [0, 1]
+                pstats = cluster.placement_stats()
+            finally:
+                cluster.close()
+        finally:
+            for worker in workers:
+                worker.stop()
+        assert set(probed) == {workers[0].port, workers[2].port}
+        assert workers[2].port not in staged
+        assert pstats["worker_failures"] == 2
+        assert pstats["healthy_workers"] == 1
+        assert cluster.fallback_stages == 0
 
     def test_kernel_failure_contract_survives_a_death(self):
         # Worker death and a kernel failure in the same stage: the
