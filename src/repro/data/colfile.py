@@ -107,6 +107,73 @@ def write_colfile(table, path, block_rows=DEFAULT_BLOCK_ROWS):
     return stats
 
 
+def views_over(buffer, offset, rows, num_dimensions):
+    """Zero-copy (columns, measure) views of one block's payload.
+
+    ``buffer[offset:]`` holds the block region layout
+    ``[int64[rows] × num_dimensions | float64[rows]]``.
+    """
+    columns = [
+        np.frombuffer(buffer, dtype=np.int64, count=rows,
+                      offset=offset + 8 * j * rows)
+        for j in range(num_dimensions)
+    ]
+    measure = np.frombuffer(
+        buffer, dtype=np.float64, count=rows,
+        offset=offset + 8 * num_dimensions * rows,
+    )
+    return columns, measure
+
+
+def read_row_range(start, stop, num_rows, block_rows, num_dimensions,
+                   block_buffers):
+    """(columns, measure) for rows [start, stop) of a blocked colfile.
+
+    ``block_buffers(first, last)`` returns one ``(buffer, offset)`` per
+    block ``first..last``: where that block's payload starts.  It is
+    the only thing that differs between readers — offsets into one
+    mmap (:class:`ColFileHandle`) or one bytes object per shipped block
+    (:class:`~repro.net.worker.RemoteColFile`) — so both return the
+    same bytes by construction.  A range inside one block is a
+    zero-copy view of that block's buffer; a range spanning blocks
+    concatenates the per-block slices (one read-only copy of just that
+    range).
+    """
+    if not 0 <= start <= stop <= num_rows:
+        raise DataError(
+            "row range [%d, %d) out of bounds for %d rows"
+            % (start, stop, num_rows)
+        )
+    if start == stop:
+        empty_dims = [np.zeros(0, dtype=np.int64)
+                      for _ in range(num_dimensions)]
+        return empty_dims, np.zeros(0, dtype=np.float64)
+    first = start // block_rows
+    last = (stop - 1) // block_rows
+    dim_parts = [[] for _ in range(num_dimensions)]
+    measure_parts = []
+    for index, (buffer, offset) in enumerate(block_buffers(first, last),
+                                             first):
+        b_start = index * block_rows
+        b_stop = min(b_start + block_rows, num_rows)
+        columns, measure = views_over(
+            buffer, offset, b_stop - b_start, num_dimensions
+        )
+        lo = max(start, b_start) - b_start
+        hi = min(stop, b_stop) - b_start
+        for j, col in enumerate(columns):
+            dim_parts[j].append(col[lo:hi])
+        measure_parts.append(measure[lo:hi])
+    if first == last:
+        return [parts[0] for parts in dim_parts], measure_parts[0]
+    out_columns = [np.concatenate(parts) for parts in dim_parts]
+    out_measure = np.concatenate(measure_parts)
+    for col in out_columns:
+        col.setflags(write=False)
+    out_measure.setflags(write=False)
+    return out_columns, out_measure
+
+
 class ColFileHandle:
     """An open columnar file: parsed metadata plus mmap'd block region.
 
@@ -216,6 +283,13 @@ class ColFileHandle:
             raise DataError(
                 "%s footer disagrees with header row count" % self.path
             )
+        # Readers locate a row's block by ``row // block_rows``.
+        if self.block_map.bounds[:-1] != list(
+                range(0, self.num_rows, self.block_rows)):
+            raise DataError(
+                "%s has blocks that are not block_rows=%d rows each"
+                % (self.path, self.block_rows)
+            )
         if pos + self.num_rows * self.row_bytes != footer_start - footer_len:
             raise DataError(
                 "%s is truncated (block region size mismatch)" % self.path
@@ -241,18 +315,15 @@ class ColFileHandle:
         handle is open.  Callers that outlive the handle must copy.
         """
         start, stop = self.block_range(index)
-        rows = stop - start
-        base = self.data_offset + start * self.row_bytes
-        columns = []
-        for j in range(len(self.dimensions)):
-            columns.append(np.frombuffer(
-                self._mm, dtype=np.int64, count=rows, offset=base + 8 * j * rows
-            ))
-        measure = np.frombuffer(
-            self._mm, dtype=np.float64, count=rows,
-            offset=base + 8 * len(self.dimensions) * rows,
-        )
-        return columns, measure
+        return views_over(self._mm, self._block_offset(index), stop - start,
+                          len(self.dimensions))
+
+    def _block_offset(self, index):
+        return self.data_offset + self.block_range(index)[0] * self.row_bytes
+
+    def _mapped_blocks(self, first, last):
+        return [(self._mm, self._block_offset(index))
+                for index in range(first, last + 1)]
 
     def block_raw_bytes(self, index):
         """The exact on-disk bytes of block ``index``'s payload region.
@@ -263,9 +334,8 @@ class ColFileHandle:
         from these bytes gets arrays bit-identical to a local mmap
         (see :class:`~repro.net.worker.RemoteColFile`).
         """
-        start, stop = self.block_range(index)
-        base = self.data_offset + start * self.row_bytes
-        return bytes(self._mm[base:base + (stop - start) * self.row_bytes])
+        base = self._block_offset(index)
+        return bytes(self._mm[base:base + self.block_nbytes(index)])
 
     def wire_meta(self):
         """Layout facts a remote reader needs to interpret raw blocks."""
@@ -298,38 +368,10 @@ class ColFileHandle:
         just that range).  This is what mmap-backed partition blocks
         resolve through in process workers.
         """
-        if not 0 <= start <= stop <= self.num_rows:
-            raise DataError(
-                "row range [%d, %d) out of bounds for %d rows"
-                % (start, stop, self.num_rows)
-            )
-        if start == stop:
-            empty_dims = [np.zeros(0, dtype=np.int64)
-                          for _ in self.dimensions]
-            return empty_dims, np.zeros(0, dtype=np.float64)
-        first = start // self.block_rows
-        last = (stop - 1) // self.block_rows
-        if first == last:
-            b_start, _ = self.block_range(first)
-            columns, measure = self.block_views(first)
-            lo, hi = start - b_start, stop - b_start
-            return [col[lo:hi] for col in columns], measure[lo:hi]
-        dim_parts = [[] for _ in self.dimensions]
-        measure_parts = []
-        for index in range(first, last + 1):
-            b_start, b_stop = self.block_range(index)
-            columns, measure = self.block_views(index)
-            lo = max(start, b_start) - b_start
-            hi = min(stop, b_stop) - b_start
-            for j, col in enumerate(columns):
-                dim_parts[j].append(col[lo:hi])
-            measure_parts.append(measure[lo:hi])
-        out_columns = [np.concatenate(parts) for parts in dim_parts]
-        out_measure = np.concatenate(measure_parts)
-        for col in out_columns:
-            col.setflags(write=False)
-        out_measure.setflags(write=False)
-        return out_columns, out_measure
+        return read_row_range(
+            start, stop, self.num_rows, self.block_rows,
+            len(self.dimensions), self._mapped_blocks,
+        )
 
     # ------------------------------------------------------------------
     # Predicate pushdown

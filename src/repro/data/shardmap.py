@@ -132,28 +132,21 @@ class ShardMap:
 
     @classmethod
     def build(cls, num_rows, num_shards, version=0, bytes_per_row=1,
-              align=1, clamp=True):
+              align=1):
         """Evenly split ``num_rows`` into ``num_shards`` shards.
 
         With ``align=1`` the boundaries are exactly the engine's
         historical formula ``n * i // num_shards`` (row counts differing
         by at most one); a larger ``align`` rounds every interior
         boundary down to a multiple of it — block-aligned shards whose
-        last shard absorbs the remainder.  With ``clamp`` (the table
-        partitioning contract) ``num_shards`` is clamped to
-        ``[1, num_rows]`` and an empty table yields an empty map;
-        without it exactly ``num_shards`` shards come back, empty ones
-        included (the RDD layer's contract — ``parallelize`` keeps the
-        partition count the caller asked for).
+        last shard absorbs the remainder.  ``num_shards`` is limited to
+        ``[1, num_rows]`` and an empty table yields an empty map.
         """
         num_rows = int(num_rows)
         num_shards = int(num_shards)
-        if clamp:
-            if num_rows == 0:
-                return cls((), 0, version=version, align=align)
-            num_shards = max(1, min(num_shards, num_rows))
-        elif num_shards < 1:
-            raise EngineError("a shard map needs at least one shard")
+        if num_rows == 0:
+            return cls((), 0, version=version, align=align)
+        num_shards = max(1, min(num_shards, num_rows))
         bounds = [num_rows * i // num_shards for i in range(num_shards + 1)]
         if align > 1:
             bounds = [(b // align) * align for b in bounds[:-1]] + [num_rows]

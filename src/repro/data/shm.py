@@ -48,61 +48,66 @@ _ALIGNMENT = 64
 #: segments arrive (streaming workloads create a segment per batch).
 _ATTACHMENT_CAP = 8
 
-_attachments = OrderedDict()  # segment name -> SharedMemory, LRU order
-_attachments_lock = threading.Lock()
 _register_patch_lock = threading.Lock()
 
-#: Process-local hit/miss counters for the two attachment caches.
-#: These are the observable record of placement affinity: a worker
-#: pinned to the same shards stage after stage resolves every block
-#: through a cached handle (hits), while shards bouncing across
-#: workers re-open and re-verify per move (misses).  Counters live in
-#: whichever process resolves the block — the driver for serial and
-#: thread stages, each pool worker for process stages.
-_cache_stats_lock = threading.Lock()
-_segment_hits = 0
-_segment_misses = 0
-_handle_hits = 0
-_handle_misses = 0
 
+class _AttachmentCache:
+    """A bounded per-process LRU of open attachments, counting hits.
 
-def _count_segment(hit):
-    global _segment_hits, _segment_misses
-    with _cache_stats_lock:
-        if hit:
-            _segment_hits += 1
-        else:
-            _segment_misses += 1
+    ``opener(key)`` runs outside the lock — it maps a segment or a
+    file, and raises for a key that must not be attached.  Of two
+    threads racing to open one key, the loser's attachment goes to
+    ``closer`` and both get the winner's; ``closer`` also takes
+    whatever falls off the cold end past :data:`_ATTACHMENT_CAP`.
 
+    The hit/miss counters are the observable record of placement
+    affinity: a worker pinned to the same shards stage after stage
+    resolves every block through a cached attachment (hits), while
+    shards bouncing across workers re-open and re-verify per move
+    (misses).  They live in whichever process resolves the block — the
+    driver for serial and thread stages, each pool worker for process
+    stages.
+    """
 
-def _count_handle(hit):
-    global _handle_hits, _handle_misses
-    with _cache_stats_lock:
-        if hit:
-            _handle_hits += 1
-        else:
-            _handle_misses += 1
+    def __init__(self, opener, closer):
+        self._open = opener
+        self._close = closer
+        self._lock = threading.Lock()
+        self.entries = OrderedDict()  # key -> attachment, LRU order
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key):
+        with self._lock:
+            entry = self.entries.get(key)
+            if entry is not None:
+                self.entries.move_to_end(key)
+                self.hits += 1
+                return entry
+            self.misses += 1
+        entry = self._open(key)
+        with self._lock:
+            racing = self.entries.get(key)
+            if racing is not None:
+                self._close(entry)
+                return racing
+            self.entries[key] = entry
+            while len(self.entries) > _ATTACHMENT_CAP:
+                _, stale = self.entries.popitem(last=False)
+                self._close(stale)
+            return entry
 
 
 def attachment_cache_stats():
     """This process's attachment-cache counters, one dict."""
-    with _cache_stats_lock:
-        return {
-            "segment_hits": _segment_hits,
-            "segment_misses": _segment_misses,
-            "handle_hits": _handle_hits,
-            "handle_misses": _handle_misses,
-            "segments_cached": len(_attachments),
-            "handles_cached": len(_handles),
-        }
-
-
-def reset_attachment_cache_stats():
-    """Zero the counters (benchmarks isolate phases with this)."""
-    global _segment_hits, _segment_misses, _handle_hits, _handle_misses
-    with _cache_stats_lock:
-        _segment_hits = _segment_misses = 0
-        _handle_hits = _handle_misses = 0
+    return {
+        "segment_hits": _segments.hits,
+        "segment_misses": _segments.misses,
+        "handle_hits": _handles.hits,
+        "handle_misses": _handles.misses,
+        "segments_cached": len(_segments.entries),
+        "handles_cached": len(_handles.entries),
+    }
 
 
 def _noop_register(name, rtype):
@@ -141,30 +146,30 @@ def _close_quietly(segment):
         pass
 
 
+_segments = _AttachmentCache(_attach_segment, _close_quietly)
+
+
 def attached_segment(name):
     """The (cached) attachment of segment ``name`` in this process."""
-    with _attachments_lock:
-        segment = _attachments.get(name)
-        if segment is not None:
-            _attachments.move_to_end(name)
-            _count_segment(hit=True)
-            return segment
-    _count_segment(hit=False)
-    segment = _attach_segment(name)
-    with _attachments_lock:
-        racing = _attachments.get(name)
-        if racing is not None:
-            _close_quietly(segment)
-            return racing
-        _attachments[name] = segment
-        while len(_attachments) > _ATTACHMENT_CAP:
-            _, stale = _attachments.popitem(last=False)
-            _close_quietly(stale)
-        return segment
+    return _segments.get(name)
 
 
-_handles = OrderedDict()  # (path, file_key) -> ColFileHandle, LRU order
-_handles_lock = threading.Lock()
+def _open_verified_handle(key):
+    from repro.data.colfile import ColFileHandle  # colfile imports table imports us
+
+    path, file_key = key
+    handle = ColFileHandle(path)
+    if tuple(handle.file_key) != file_key:
+        handle.close()
+        raise DataError(
+            "columnar file %s changed on disk since the block was "
+            "created (size/mtime mismatch)" % path
+        )
+    return handle
+
+
+_handles = _AttachmentCache(_open_verified_handle,
+                            lambda handle: handle.close())
 
 
 def attached_handle(path, file_key):
@@ -176,33 +181,7 @@ def attached_handle(path, file_key):
     if no live views reference them (``ColFileHandle.close`` keeps the
     map alive otherwise).
     """
-    from repro.data.colfile import ColFileHandle  # colfile imports table imports us
-
-    key = (str(path), tuple(file_key))
-    with _handles_lock:
-        handle = _handles.get(key)
-        if handle is not None:
-            _handles.move_to_end(key)
-            _count_handle(hit=True)
-            return handle
-    _count_handle(hit=False)
-    handle = ColFileHandle(path)
-    if tuple(handle.file_key) != key[1]:
-        handle.close()
-        raise DataError(
-            "columnar file %s changed on disk since the block was "
-            "created (size/mtime mismatch)" % path
-        )
-    with _handles_lock:
-        racing = _handles.get(key)
-        if racing is not None:
-            handle.close()
-            return racing
-        _handles[key] = handle
-        while len(_handles) > _ATTACHMENT_CAP:
-            _, stale = _handles.popitem(last=False)
-            stale.close()
-        return handle
+    return _handles.get((str(path), tuple(file_key)))
 
 
 # ----------------------------------------------------------------------

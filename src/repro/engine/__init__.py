@@ -12,13 +12,8 @@ makes the thesis's scalability figures reproducible on one machine.
 Main entry points:
 
 - :class:`~repro.engine.cluster.ClusterContext` — executors, memory,
-  stages, broadcast variables;
-- :class:`~repro.engine.rdd.RDD` — eager map / filter / flatMap /
-  mapPartitions / reduceByKey / join / collect, one metered stage per
-  transformation;
-- :class:`~repro.engine.lazy.LazyRDD` — lineage DAG with pipelined
-  narrow stages, persistence and lineage-based fault recovery (how
-  Spark actually executes, §2.6.3);
+  broadcast variables, and ``run_stage``, the one stage API: a kernel
+  over partitions, metered as one stage;
 - :class:`~repro.engine.cost.CostModel` and
   :class:`~repro.engine.cost.ClusterSpec` — tunable rates and topology,
   including straggler factors and speculative execution (§5.7.2).
@@ -28,19 +23,14 @@ from repro.common.metrics import MetricsRegistry
 from repro.data.shardmap import Shard, ShardMap
 from repro.engine.cost import CostModel, ClusterSpec
 from repro.engine.cluster import ClusterContext
-from repro.engine.lazy import DAGScheduler, LazyRDD
 from repro.engine.placement import PlacementTracker
-from repro.engine.rdd import RDD
 from repro.engine.task import TaskContext
 
 __all__ = [
     "CostModel",
     "ClusterSpec",
     "ClusterContext",
-    "DAGScheduler",
-    "LazyRDD",
     "PlacementTracker",
-    "RDD",
     "Shard",
     "ShardMap",
     "TaskContext",

@@ -240,8 +240,6 @@ class ClusterContext:
             ),
             PoolExecutor(EXECUTOR_THREAD, self.parallelism, self.placement),
         )
-        self._sample_epoch = 0
-        self._sample_lock = threading.Lock()
 
     @property
     def uses_processes(self):
@@ -301,18 +299,6 @@ class ClusterContext:
             # process is exiting: release inline so no waiter is left
             # deadlocked; the cap is moot at this point.
             grant.release()
-
-    def next_sample_seed(self):
-        """A deterministic per-call seed for sampling operators.
-
-        Successive calls yield distinct seeds (so repeated ``sample``
-        calls draw different rows) while the sequence itself is a pure
-        function of the cluster spec's seed — reruns reproduce.
-        Thread-safe, like the cluster's other shared state.
-        """
-        with self._sample_lock:
-            self._sample_epoch += 1
-            return int(self.spec.seed) * 1_000_003 + self._sample_epoch
 
     # ------------------------------------------------------------------
     # Placement

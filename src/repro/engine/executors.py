@@ -62,8 +62,8 @@ class StageUnshippable(Exception):
 def shippable(obj):
     """``obj`` pickled for a worker, or :class:`StageUnshippable`.
 
-    Closures and other unpicklable kernels or partition elements (the
-    lazy/RDD layers accept arbitrary user functions and data) cannot
+    Closures and other unpicklable kernels or partition elements
+    (``run_stage`` accepts arbitrary user functions and data) cannot
     cross a process boundary.
     """
     try:

@@ -56,6 +56,7 @@ from repro.common.errors import (
     ServiceClosedError,
     ServiceError,
     TenantQuotaError,
+    from_wire,
     to_wire,
 )
 from repro.common.metrics import MetricsRegistry
@@ -661,8 +662,6 @@ class ServiceServer:
         if not job.ok:
             # Re-raise the job's own typed error so the client sees the
             # same exception type an in-process caller would.
-            from repro.common.errors import from_wire
-
             raise from_wire(job.error_payload)
         return {
             "job_id": job.job_id,

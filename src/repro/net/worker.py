@@ -71,8 +71,6 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from repro.common.errors import (
     DataError,
     EngineError,
@@ -82,6 +80,7 @@ from repro.common.errors import (
 )
 from repro.common.eviction import EvictionIndex
 from repro.common.metrics import MetricsRegistry
+from repro.data.colfile import read_row_range
 from repro.data.shardmap import ShardMap
 from repro.data.shm import (
     attached_handle,
@@ -282,14 +281,13 @@ class RemoteColFile:
     The shared-nothing counterpart of
     :class:`~repro.data.colfile.ColFileHandle`: block payloads arrive
     as the raw bytes the driver mmaps (via ``block_fetch`` on the stage
-    connection), column views are rebuilt with ``np.frombuffer`` at the
-    same offsets, and :meth:`read_rows` reproduces the handle's
-    block-boundary semantics — single-block ranges are zero-copy views
-    of the cached bytes, spanning ranges concatenate exactly the same
-    per-block slices — so remote arrays are bit-identical to a local
-    mmap.  Missing blocks for one ``read_rows`` call are fetched in a
-    single round trip and cached in the worker's
-    :class:`WorkerBlockCache`.
+    connection) and :meth:`read_rows` hands them to the same
+    :func:`~repro.data.colfile.read_row_range` the handle reads its
+    mmap through, so remote arrays are bit-identical to a local mmap.
+    What is remote lives here: the meta fetch, the length check on
+    received bytes, and the worker's :class:`WorkerBlockCache` —
+    missing blocks for one ``read_rows`` call are fetched in a single
+    round trip.
     """
 
     def __init__(self, path, file_key, cache, connection, meta=None,
@@ -355,17 +353,19 @@ class RemoteColFile:
             )
         return fetched
 
-    # -- block math (mirrors ColFileHandle) ----------------------------
+    # -- blocks through the cache --------------------------------------
 
-    def block_range(self, index):
+    def _block_nbytes(self, index):
         start = index * self.block_rows
-        return start, min(start + self.block_rows, self.num_rows)
+        rows = min(start + self.block_rows, self.num_rows) - start
+        return rows * self.row_bytes
 
-    def _block_bytes(self, first, last):
-        """Raw bytes for blocks ``first..last``, through the cache."""
+    def _block_buffers(self, first, last):
+        """``(bytes, 0)`` per block ``first..last``, through the cache."""
+        indices = range(first, last + 1)
         got = {}
         wanted = []
-        for index in range(first, last + 1):
+        for index in indices:
             data = self._cache.get((self.path, self.file_key, index))
             if data is None:
                 wanted.append(index)
@@ -373,69 +373,24 @@ class RemoteColFile:
                 got[index] = data
         if wanted:
             for index, data in self._fetch_blocks(wanted).items():
-                start, stop = self.block_range(index)
-                if len(data) != (stop - start) * self.row_bytes:
+                if len(data) != self._block_nbytes(index):
                     raise ProtocolError(
                         "block %d of %s arrived with %d bytes, expected %d"
                         % (index, self.path, len(data),
-                           (stop - start) * self.row_bytes)
+                           self._block_nbytes(index))
                     )
                 self._cache.put((self.path, self.file_key, index), data)
                 got[index] = data
-        return got
-
-    def _views(self, index, data):
-        """(columns, measure) views over one block's raw bytes."""
-        start, stop = self.block_range(index)
-        rows = stop - start
-        columns = []
-        for j in range(self.num_dimensions):
-            columns.append(np.frombuffer(
-                data, dtype=np.int64, count=rows, offset=8 * j * rows
-            ))
-        measure = np.frombuffer(
-            data, dtype=np.float64, count=rows,
-            offset=8 * self.num_dimensions * rows,
-        )
-        return columns, measure
+        return [(got[index], 0) for index in indices]
 
     def read_rows(self, start, stop):
         """(columns, measure) for [start, stop); see ColFileHandle."""
         if self.num_rows is None:
             self.fetch_meta()
-        if not 0 <= start <= stop <= self.num_rows:
-            raise DataError(
-                "row range [%d, %d) out of bounds for %d rows"
-                % (start, stop, self.num_rows)
-            )
-        if start == stop:
-            empty_dims = [np.zeros(0, dtype=np.int64)
-                          for _ in range(self.num_dimensions)]
-            return empty_dims, np.zeros(0, dtype=np.float64)
-        first = start // self.block_rows
-        last = (stop - 1) // self.block_rows
-        blocks = self._block_bytes(first, last)
-        if first == last:
-            b_start, _ = self.block_range(first)
-            columns, measure = self._views(first, blocks[first])
-            lo, hi = start - b_start, stop - b_start
-            return [col[lo:hi] for col in columns], measure[lo:hi]
-        dim_parts = [[] for _ in range(self.num_dimensions)]
-        measure_parts = []
-        for index in range(first, last + 1):
-            b_start, b_stop = self.block_range(index)
-            columns, measure = self._views(index, blocks[index])
-            lo = max(start, b_start) - b_start
-            hi = min(stop, b_stop) - b_start
-            for j, col in enumerate(columns):
-                dim_parts[j].append(col[lo:hi])
-            measure_parts.append(measure[lo:hi])
-        out_columns = [np.concatenate(parts) for parts in dim_parts]
-        out_measure = np.concatenate(measure_parts)
-        for col in out_columns:
-            col.setflags(write=False)
-        out_measure.setflags(write=False)
-        return out_columns, out_measure
+        return read_row_range(
+            start, stop, self.num_rows, self.block_rows,
+            self.num_dimensions, self._block_buffers,
+        )
 
     def __repr__(self):
         return "RemoteColFile(%r, key=%r)" % (self.path, self.file_key)

@@ -32,8 +32,8 @@ def make_platform_cluster(name, num_executors=16, **kwargs):
     return factory(num_executors=num_executors, **kwargs)
 
 
-def make_sql_engine(platform, num_executors=16, vectorized=True,
-                    catalog=None, **cluster_kwargs):
+def make_sql_engine(platform, num_executors=16, catalog=None,
+                    **cluster_kwargs):
     """A :class:`~repro.sql.engine.SqlEngine` metered as platform ``name``.
 
     Returns ``(engine, cluster)``: every SQL operator the engine runs
@@ -49,9 +49,7 @@ def make_sql_engine(platform, num_executors=16, vectorized=True,
     cluster = make_platform_cluster(
         platform, num_executors=num_executors, **cluster_kwargs
     )
-    engine = SqlEngine(
-        catalog=catalog, cluster=cluster, vectorized=vectorized
-    )
+    engine = SqlEngine(catalog=catalog, cluster=cluster)
     return engine, cluster
 
 

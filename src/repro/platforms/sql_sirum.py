@@ -77,14 +77,9 @@ class SqlSirum:
         Optional :class:`~repro.engine.cluster.ClusterContext`; when
         given, every SQL operator charges its cost regime per batch,
         making runs comparable with the platform benchmarks of §5.2.
-    vectorized:
-        Execute through the engine's columnar batch path (default).
-        ``False`` selects the row-at-a-time reference interpreter —
-        results are identical, only speed differs.
     """
 
-    def __init__(self, k=10, epsilon=0.01, cluster=None, optimize_plans=True,
-                 vectorized=True):
+    def __init__(self, k=10, epsilon=0.01, cluster=None, optimize_plans=True):
         if k < 1:
             raise ConfigError("k must be at least 1")
         if epsilon <= 0:
@@ -93,7 +88,6 @@ class SqlSirum:
         self.epsilon = epsilon
         self._cluster = cluster
         self._optimize = optimize_plans
-        self._vectorized = vectorized
         #: Number of SQL statements issued by the last mine() call.
         self.queries_issued = 0
 
@@ -106,7 +100,6 @@ class SqlSirum:
         engine = SqlEngine(
             cluster=self._cluster,
             optimize_plans=self._optimize,
-            vectorized=self._vectorized,
         )
         self.queries_issued = 0
         dims = list(table.schema.dimensions)

@@ -13,13 +13,14 @@ surface those platforms provide, end to end:
 - :mod:`repro.sql.planner` / :mod:`repro.sql.optimizer` — translation
   to a logical plan and rule-based rewrites (predicate pushdown,
   projection pruning, constant folding);
-- :mod:`repro.sql.vectorized` — the default physical executor: every
+- :mod:`repro.sql.vectorized` — the physical executor: every
   operator runs over NumPy column batches with NULLs as validity
   masks, metered per batch through the cluster cost model when run via
   a platform simulator;
-- :mod:`repro.sql.executor` — the row-at-a-time reference interpreter
-  (``SqlEngine(vectorized=False)``), which defines the semantics the
-  vectorized path must reproduce exactly;
+- :mod:`repro.sql.scalar` — one-row evaluation of bound expressions:
+  the optimizer's constant folding and the executor's per-lane
+  fallbacks (the row-at-a-time plan interpreter that defines the
+  semantics is the test oracle in ``tests/sql/oracle.py``);
 - :class:`repro.sql.engine.SqlEngine` — the facade, with a
   statement-level LRU plan cache and a ``prepare()`` /
   ``execute_prepared()`` API so repeated statements skip

@@ -1,9 +1,8 @@
 """Catalog: named relations visible to the SQL engine.
 
-A relation is a list of column names plus its data, held in *both* of
-the engine's physical forms on demand: row tuples (the reference
-interpreter) and NumPy column batches (the vectorized executor).
-Either form can be the source of truth — ``Relation(columns, rows)``
+A relation is a list of column names plus its data, held in *both*
+physical forms on demand: row tuples (what ``register_rows`` is given)
+and NumPy column batches (what the executor scans).  Either form can be the source of truth — ``Relation(columns, rows)``
 materializes columns lazily, :meth:`Relation.from_columns` materializes
 rows lazily — and each conversion is computed once and cached, so
 repeated queries against the same relation never re-convert.

@@ -5,10 +5,8 @@
     >>> engine.query("SELECT a, SUM(m) FROM t GROUP BY a ORDER BY a").rows
     [('x', 1.0), ('y', 2.0)]
 
-Execution is vectorized by default: plans run over NumPy column batches
-(:mod:`repro.sql.vectorized`).  ``SqlEngine(vectorized=False)`` selects
-the row-at-a-time reference interpreter instead; both produce identical
-results.
+Execution is vectorized: plans run over NumPy column batches
+(:mod:`repro.sql.vectorized`).
 
 Repeated statements skip parse → plan → optimize through a
 statement-level LRU plan cache keyed by SQL text.  Cached plans are
@@ -37,7 +35,6 @@ import threading
 from collections import OrderedDict
 
 from repro.sql.catalog import Catalog
-from repro.sql.executor import Executor
 from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
@@ -85,19 +82,15 @@ class SqlEngine:
         per operator batch (platform metering).
     optimize_plans:
         Apply the rule-based optimizer (default True).
-    vectorized:
-        Execute over NumPy column batches (default).  ``False`` selects
-        the row-at-a-time reference interpreter.
     plan_cache_size:
         Maximum number of cached statement plans (0 disables caching).
     """
 
     def __init__(self, catalog=None, cluster=None, optimize_plans=True,
-                 vectorized=True, plan_cache_size=128):
+                 plan_cache_size=128):
         self.catalog = catalog or Catalog()
         self._cluster = cluster
         self._optimize = optimize_plans
-        self._vectorized = vectorized
         self._plan_cache = OrderedDict()  # sql_text -> (catalog_version, plan)
         self._plan_cache_size = plan_cache_size
         self.plan_cache_hits = 0
@@ -198,8 +191,5 @@ class SqlEngine:
             return statement._plan
 
     def _run(self, logical):
-        if self._vectorized:
-            batch, names = VectorizedExecutor(self._cluster).run(logical)
-            return ResultSet.from_batch(names, batch)
-        rows, names = Executor(self._cluster).run(logical)
-        return ResultSet(names, rows)
+        batch, names = VectorizedExecutor(self._cluster).run(logical)
+        return ResultSet.from_batch(names, batch)

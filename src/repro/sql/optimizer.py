@@ -16,7 +16,7 @@ The optimizer is idempotent; ``optimize(optimize(p))`` equals
 
 from repro.sql import plan as p
 from repro.sql.errors import SqlExecutionError
-from repro.sql.executor import evaluate
+from repro.sql.scalar import evaluate
 
 
 def optimize(node):

@@ -1,17 +1,16 @@
 """Logical plan nodes.
 
 The planner compiles an AST into a tree of these operators; the
-optimizer rewrites the tree; an executor interprets it bottom-up —
-either over row tuples (:mod:`repro.sql.executor`) or over NumPy
-column batches (:mod:`repro.sql.vectorized`, the default).  Plan trees
+optimizer rewrites the tree; the executor interprets it bottom-up
+over NumPy column batches (:mod:`repro.sql.vectorized`).  Plan trees
 are immutable once optimized, which is what makes the engine's
-statement plan cache safe: a cached tree can be re-executed by either
-executor any number of times.
+statement plan cache safe: a cached tree can be re-executed any number
+of times.
 
 Expressions inside plan nodes are *bound* expressions — column
-references resolved to integer slots of the child's output row (or
-batch column indices; the two executors share the slot space) — so
-execution never does name lookup per row.
+references resolved to integer slots of the child's output row (the
+batch's column indices) — so execution never does name lookup per
+row.
 
 Bound expression forms (tuples, cheap to build and match on):
 

@@ -1,8 +1,7 @@
 """Query result container.
 
-A :class:`ResultSet` is constructed either from row tuples (the row
-interpreter) or directly from a column batch (the vectorized executor,
-via :meth:`ResultSet.from_batch`).  Batch-backed results keep the
+A :class:`ResultSet` is constructed either from row tuples or directly
+from a column batch (the executor, via :meth:`ResultSet.from_batch`).  Batch-backed results keep the
 columns and materialize row tuples only when ``rows`` is first touched,
 so columnar consumers — ``column()``, ``column_array()``, ``len()`` —
 never pay a per-row conversion.

@@ -1,15 +1,15 @@
 """Vectorized physical execution of bound logical plans.
 
-The default execution path of :class:`~repro.sql.engine.SqlEngine`:
-every operator works on NumPy column batches
+The execution path of :class:`~repro.sql.engine.SqlEngine`: every
+operator works on NumPy column batches
 (:class:`~repro.sql.columns.Batch`) instead of Python row tuples, so
 scans, filters, projections, sorts and aggregations run as a handful of
 array operations per batch rather than an interpreter loop per row.
 
-Semantics are defined by the row interpreter in
-:mod:`repro.sql.executor` — it stays available via
-``SqlEngine(vectorized=False)`` and the parity suite asserts both paths
-produce identical results.  The subtle points preserved here:
+Semantics are defined by the row-at-a-time plan interpreter this
+executor replaced; it is the test oracle in ``tests/sql/oracle.py``,
+and the parity suite asserts this executor reproduces its results
+exactly.  The subtle points preserved here:
 
 - SQL three-valued NULL logic is carried as validity masks; operations
   only touch valid lanes, so NULL placeholders never leak into values;
@@ -22,10 +22,10 @@ produce identical results.  The subtle points preserved here:
 - groups and DISTINCT rows surface in first-occurrence order, matching
   the row interpreter's dict-based iteration order.
 
-Joins materialize their children to rows and reuse the row
-interpreter's join loops: the issue's hot path (scan → filter →
-aggregate → sort) is fully columnar, while join semantics stay defined
-in exactly one place.
+Joins materialize their children to rows and run the row
+interpreter's join loops over :func:`repro.sql.scalar.evaluate`: the
+hot path (scan → filter → aggregate → sort) is fully columnar, joins
+are not yet.
 
 One deliberate divergence: NaN *group keys*.  The row interpreter's
 dict keying is object-identity-dependent there (the same NaN object
@@ -36,8 +36,8 @@ accumulators so NaN-skipping matches the reference exactly.
 
 Cluster metering is per batch: each operator issues one
 :meth:`charge` for the whole batch it touched, with the same totals as
-the row interpreter charges row by row, so platform-sim benchmarks are
-unaffected by the choice of executor.
+the row interpreter charges row by row, so platform-sim benchmarks
+read the same as they did under it.
 """
 
 import numpy as np
@@ -53,7 +53,7 @@ from repro.sql.columns import (
     scatter_columns,
 )
 from repro.sql.errors import SqlExecutionError
-from repro.sql.executor import evaluate, output_names
+from repro.sql.scalar import evaluate, output_names
 from repro.sql.functions import (
     VECTORIZED_AGGREGATES,
     group_avg,
@@ -172,7 +172,7 @@ class VectorizedExecutor:
         return Batch([c.slice(start, stop) for c in batch.columns], n)
 
     # ------------------------------------------------------------------
-    # Joins (materialized through the row interpreter's loops)
+    # Joins (materialized to rows)
     # ------------------------------------------------------------------
 
     def _exec_hashjoin(self, node):

@@ -54,11 +54,9 @@ def live_workers():
     return {id(t) for t in stage_threads()} | child_pids()
 
 
-#: Every way a stage can physically run.  The named entries pin all
-#: three knobs explicitly, so the CI shards that set ``REPRO_*``
-#: defaults do not silently turn one mode into another; ``env`` pins
-#: nothing and is whatever mode those variables select (serial when
-#: none is set), which is what those shards re-run the suite for.
+#: Every way a stage can physically run.  The local entries pin all
+#: three knobs explicitly, so ``REPRO_*`` defaults in the environment
+#: do not silently turn one mode into another.
 EXECUTION_MODES = {
     "serial": dict(parallelism=1, executor="thread", placed=False),
     "thread": dict(parallelism=4, executor="thread", placed=False),
@@ -66,7 +64,6 @@ EXECUTION_MODES = {
     "placed-thread": dict(parallelism=4, executor="thread", placed=True),
     "placed-process": dict(parallelism=4, executor="process", placed=True),
     "remote": dict(executor="remote"),
-    "env": dict(),
 }
 
 

@@ -63,14 +63,6 @@ class TestShardMapProperties:
         for shard in list(shard_map)[:-1]:
             assert shard.stop % align == 0
 
-    @given(st.integers(0, 2000), st.integers(1, 32))
-    @settings(max_examples=100, deadline=None)
-    def test_unclamped_keeps_the_requested_count(self, num_rows,
-                                                 num_shards):
-        shard_map = ShardMap.build(num_rows, num_shards, clamp=False)
-        assert len(shard_map) == num_shards
-        assert_bijection(shard_map, num_rows)
-
     @given(st.lists(st.integers(1, 64), min_size=1, max_size=20))
     @settings(max_examples=100, deadline=None)
     def test_from_block_rows_tiles_the_blocks(self, block_rows):
@@ -108,10 +100,6 @@ class TestShardMapValidation:
     def test_misaligned_interior_boundary_rejected(self):
         with pytest.raises(EngineError, match="alignment"):
             ShardMap([Shard(0, 0, 3), Shard(1, 3, 8)], 8, align=4)
-
-    def test_unclamped_zero_shards_rejected(self):
-        with pytest.raises(EngineError, match="at least one shard"):
-            ShardMap.build(10, 0, clamp=False)
 
     def test_placement_for_is_sticky_modulo(self):
         shard_map = ShardMap.build(100, 8)

@@ -220,6 +220,62 @@ class TestMmapTableBlocks:
         )
         # Rewrite the file with different contents (and size).
         write_colfile(table.slice(0, 100), path, block_rows=16)
-        shm._handles.clear()  # fresh attachment, as in a new worker
+        shm._handles.entries.clear()  # fresh attachment, as in a new worker
         with pytest.raises(DataError):
             block.columns
+
+
+class TestAttachmentCache:
+    """The one open-outside-the-lock LRU both attachment caches use."""
+
+    def test_loser_of_an_open_race_is_closed(self):
+        import threading
+
+        from repro.data.shm import _AttachmentCache
+
+        barrier = threading.Barrier(2, timeout=10.0)
+        closed = []
+
+        def opener(key):
+            barrier.wait()  # both threads are past the miss check
+            return object()
+
+        cache = _AttachmentCache(opener, closed.append)
+        got = []
+        threads = [threading.Thread(target=lambda: got.append(cache.get("k")))
+                   for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert got[0] is got[1] is cache.entries["k"]
+        assert len(closed) == 1 and closed[0] is not got[0]
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert cache.get("k") is got[0]
+        assert (cache.hits, cache.misses) == (1, 2)
+
+    def test_cold_entries_are_closed_past_the_cap(self):
+        from repro.data import shm
+
+        closed = []
+        cache = shm._AttachmentCache(lambda key: "open-%d" % key,
+                                     closed.append)
+        for key in range(shm._ATTACHMENT_CAP):
+            cache.get(key)
+        cache.get(0)                        # 0 is now the warmest
+        cache.get(shm._ATTACHMENT_CAP)      # one past the cap
+        assert closed == ["open-1"]
+        assert list(cache.entries)[-2:] == [0, shm._ATTACHMENT_CAP]
+
+    def test_refused_key_is_not_cached(self):
+        from repro.data.shm import _AttachmentCache
+
+        def opener(key):
+            raise ValueError("refused")
+
+        cache = _AttachmentCache(opener, lambda entry: None)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                cache.get("k")
+        assert (cache.hits, cache.misses, len(cache.entries)) == (0, 2, 0)

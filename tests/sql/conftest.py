@@ -4,6 +4,8 @@ import pytest
 
 from repro.sql import SqlEngine
 
+from .oracle import RowOracleEngine
+
 #: (Day, Origin, Destination, Delay) — thesis Table 1.1.
 FLIGHT_ROWS = [
     ("Fri", "SF", "London", 20.0),
@@ -27,10 +29,10 @@ FLIGHT_ROWS = [
 def engine(request):
     """An engine with the flight table plus a small lookup relation.
 
-    Parametrized over both execution paths, so every engine-level test
-    doubles as a vectorized/row-interpreter parity check.
+    Parametrized over the shipped executor and the test-side row
+    oracle, so every engine-level test doubles as a parity check.
     """
-    eng = SqlEngine(vectorized=request.param == "vectorized")
+    eng = SqlEngine() if request.param == "vectorized" else RowOracleEngine()
     eng.catalog.register_rows(
         "flights", ["day", "origin", "dest", "delay"], FLIGHT_ROWS
     )

@@ -1,10 +1,11 @@
-"""Row-at-a-time physical execution of bound logical plans.
+"""Test-only reference executor: the row-at-a-time plan interpreter.
 
-This is the *reference* interpreter: it defines the engine's SQL
-semantics and stays available as the ``SqlEngine(vectorized=False)``
-fallback, while :mod:`repro.sql.vectorized` is the default execution
-path over NumPy column batches.  The parity suite asserts both paths
-produce identical results.
+This interpreter defines the engine's SQL semantics.  It shipped as
+``repro.sql.executor.Executor`` until the vectorized executor became
+the only one in ``src/``; it lives here so ``tests/sql`` can hold the
+shipped executor to it (``test_parity.py``, and every test using the
+``engine`` fixture's ``rows`` param).  Nothing under ``src/`` imports
+it.
 
 The executor interprets a plan bottom-up over materialized row lists.
 Rows are plain tuples; NULL is ``None``.  Three-valued logic follows
@@ -12,13 +13,15 @@ SQL: comparisons with NULL yield NULL, ``AND``/``OR`` short-circuit
 through UNKNOWN, and WHERE keeps only rows whose predicate is TRUE.
 
 When a :class:`~repro.engine.cluster.ClusterContext` is supplied, each
-operator charges the cost model for the rows it touches, so SQL-driven
-SIRUM runs are metered on the same scale as the operator-based engine.
+operator charges the cost model for the rows it touches, so the
+vectorized executor's per-batch charges can be compared with these
+per-row ones.
 """
 
-from repro.sql.errors import SqlExecutionError
+from repro.sql.engine import SqlEngine
 from repro.sql.functions import make_aggregate
-from repro.sql import plan as plan_nodes
+from repro.sql.result import ResultSet
+from repro.sql.scalar import evaluate, output_names
 
 
 class Executor:
@@ -194,176 +197,6 @@ class Executor:
         return out
 
 
-# ----------------------------------------------------------------------
-# Expression evaluation
-# ----------------------------------------------------------------------
-
-
-def evaluate(expr, row):
-    """Evaluate a bound expression against one row tuple."""
-    tag = expr[0]
-    if tag == "col":
-        return row[expr[1]]
-    if tag == "const":
-        return expr[1]
-    if tag == "cmp":
-        return _compare(expr[1], evaluate(expr[2], row), evaluate(expr[3], row))
-    if tag == "arith":
-        return _arithmetic(expr[1], evaluate(expr[2], row), evaluate(expr[3], row))
-    if tag == "and":
-        left = evaluate(expr[1], row)
-        if left is False:
-            return False
-        right = evaluate(expr[2], row)
-        if right is False:
-            return False
-        if left is None or right is None:
-            return None
-        return True
-    if tag == "or":
-        left = evaluate(expr[1], row)
-        if left is True:
-            return True
-        right = evaluate(expr[2], row)
-        if right is True:
-            return True
-        if left is None or right is None:
-            return None
-        return False
-    if tag == "not":
-        value = evaluate(expr[1], row)
-        return None if value is None else (not value)
-    if tag == "neg":
-        value = evaluate(expr[1], row)
-        return None if value is None else -value
-    if tag == "isnull":
-        value = evaluate(expr[1], row)
-        return (value is not None) if expr[2] else (value is None)
-    if tag == "in":
-        value = evaluate(expr[1], row)
-        if value is None:
-            return None
-        hit = value in expr[2]
-        return (not hit) if expr[3] else hit
-    if tag == "in_exprs":
-        value = evaluate(expr[1], row)
-        if value is None:
-            return None
-        saw_null = False
-        for item in expr[2]:
-            candidate = evaluate(item, row)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                return False if expr[3] else True
-        if saw_null:
-            return None
-        return True if expr[3] else False
-    if tag == "between":
-        value = evaluate(expr[1], row)
-        low = evaluate(expr[2], row)
-        high = evaluate(expr[3], row)
-        if value is None or low is None or high is None:
-            return None
-        hit = low <= value <= high
-        return (not hit) if expr[4] else hit
-    if tag == "case":
-        for condition, result in expr[1]:
-            if evaluate(condition, row) is True:
-                return evaluate(result, row)
-        return evaluate(expr[2], row)
-    if tag == "cast":
-        return _cast(evaluate(expr[1], row), expr[2])
-    if tag == "call":
-        fn, null_aware, args = expr[1], expr[2], expr[3]
-        values = [evaluate(a, row) for a in args]
-        if not null_aware and any(v is None for v in values):
-            return None
-        try:
-            return fn(*values)
-        except SqlExecutionError:
-            raise
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise SqlExecutionError("function call failed: %s" % exc) from exc
-    if tag == "grouping":
-        # Resolved by the Aggregate operator: bits live after the
-        # aggregate results.  The planner only emits this tag inside a
-        # Project directly above an Aggregate.
-        raise SqlExecutionError("GROUPING() used outside an aggregate context")
-    raise SqlExecutionError("unknown expression tag %r" % tag)
-
-
-def _compare(op, left, right):
-    if left is None or right is None:
-        return None
-    try:
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError as exc:
-        raise SqlExecutionError(
-            "cannot compare %r with %r" % (left, right)
-        ) from exc
-    raise SqlExecutionError("unknown comparison %r" % op)
-
-
-def _arithmetic(op, left, right):
-    if op == "||":
-        if left is None or right is None:
-            return None
-        return str(left) + str(right)
-    if left is None or right is None:
-        return None
-    try:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise SqlExecutionError("division by zero")
-            if isinstance(left, int) and isinstance(right, int):
-                return left / right  # SQL float division, PostgreSQL-style
-            return left / right
-        if op == "%":
-            if right == 0:
-                raise SqlExecutionError("modulo by zero")
-            return left % right
-    except TypeError as exc:
-        raise SqlExecutionError(
-            "bad operands for %s: %r, %r" % (op, left, right)
-        ) from exc
-    raise SqlExecutionError("unknown operator %r" % op)
-
-
-def _cast(value, type_name):
-    if value is None:
-        return None
-    try:
-        if type_name == "INTEGER":
-            return int(value)
-        if type_name == "FLOAT":
-            return float(value)
-        if type_name == "TEXT":
-            return str(value)
-    except (TypeError, ValueError) as exc:
-        raise SqlExecutionError(
-            "cannot cast %r to %s" % (value, type_name)
-        ) from exc
-    raise SqlExecutionError("unknown cast type %r" % type_name)
-
-
 class _NullLast:
     """Sort wrapper placing NULLs last in ascending order."""
 
@@ -388,17 +221,9 @@ def _sort_key(value, ascending):
     return _NullLast(value, value is None)
 
 
-def output_names(node):
-    """Output column names of a plan subtree (shared by both executors)."""
-    if isinstance(node, plan_nodes.Project):
-        return list(node.names)
-    if isinstance(node, plan_nodes.Scan):
-        return [node.relation.columns[i] for i in node.column_slots]
-    children = node.children()
-    if children:
-        return output_names(children[0])
-    return []
+class RowOracleEngine(SqlEngine):
+    """A :class:`SqlEngine` whose plans run through the row interpreter."""
 
-
-#: Backwards-compatible alias (pre-vectorization name).
-_output_names = output_names
+    def _run(self, logical):
+        rows, names = Executor(self._cluster).run(logical)
+        return ResultSet(names, rows)

@@ -1,7 +1,7 @@
 """Property-based parity: vectorized executor vs row interpreter.
 
-The row interpreter (``SqlEngine(vectorized=False)``) defines the
-engine's semantics; these tests generate tables with NULLs and queries
+The row interpreter (:mod:`tests.sql.oracle`) defines the engine's
+semantics; these tests generate tables with NULLs and queries
 spanning filters, expressions, aggregation, grouping sets, sorting and
 limits, and assert the vectorized path returns *identical* output —
 same rows, same order, same column names, same NULL placement, same
@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sql import SqlEngine
 from repro.sql.errors import SqlError
+
+from .oracle import RowOracleEngine
 
 DAY = st.one_of(st.none(), st.sampled_from(["Mon", "Tue", "Wed", "Thu"]))
 CITY = st.one_of(st.none(), st.sampled_from(["SF", "LA", "NY"]))
@@ -71,8 +73,8 @@ QUERIES = [
 
 def _engines(rows):
     columns = ["a", "b", "k", "m"]
-    row_engine = SqlEngine(vectorized=False)
-    vec_engine = SqlEngine(vectorized=True)
+    row_engine = RowOracleEngine()
+    vec_engine = SqlEngine()
     row_engine.catalog.register_rows("t", columns, rows)
     vec_engine.catalog.register_rows("t", columns, rows)
     return row_engine, vec_engine
@@ -118,8 +120,8 @@ class TestEdgeCaseParity:
     produced different results (or errors) on the two paths."""
 
     def _pair(self, columns, rows):
-        row_engine = SqlEngine(vectorized=False)
-        vec_engine = SqlEngine(vectorized=True)
+        row_engine = RowOracleEngine()
+        vec_engine = SqlEngine()
         for engine in (row_engine, vec_engine):
             engine.catalog.register_rows("t", columns, rows)
         return row_engine, vec_engine
