@@ -24,13 +24,8 @@ from repro.data.generators import (
     susy_table,
     tlc_table,
 )
-from repro.engine.cluster import (
-    ClusterContext,
-    default_executor,
-    default_parallelism,
-)
+from repro.engine.cluster import ClusterContext
 from repro.engine.cost import ClusterSpec, CostModel
-from repro.engine.placement import default_placement
 
 _DATASETS = {
     "income": income_table,
@@ -74,17 +69,15 @@ def make_cluster(
     parallelism=None,
     executor=None,
     budget_grant=None,
-    placed=None,
     workers=None,
 ):
     """The benchmarks' default cluster (a scaled-down thesis cluster).
 
     ``parallelism`` sets the real worker count partition kernels run
-    on and ``executor`` the pool kind (None defers to a
-    ``budget_grant``'s granted degree when one is given, then to
-    ``REPRO_PARALLELISM`` / ``REPRO_EXECUTOR``); ``placed`` pins shards
-    to workers (None defers to ``REPRO_PLACEMENT``) and ``workers``
-    lists remote shard-worker addresses for ``executor="remote"``.
+    on and ``executor`` the pool kind (None means a ``budget_grant``'s
+    granted degree when one is given, else serial, on threads);
+    ``workers`` lists remote shard-worker addresses for
+    ``executor="remote"``.
     Simulated metrics are identical across settings, only wall-clock
     changes.
     """
@@ -98,7 +91,7 @@ def make_cluster(
     )
     return ClusterContext(spec, CostModel(), parallelism=parallelism,
                           executor=executor, budget_grant=budget_grant,
-                          placed=placed, workers=workers)
+                          workers=workers)
 
 
 def run_variant(table, variant, cluster=None, prior_rules=None,
@@ -148,18 +141,10 @@ def mining_results_identical(a, b):
 def json_result_line(tag, payload):
     """One machine-readable benchmark result line, tagged for grepping.
 
-    Every line records the engine execution mode — ``executor`` kind,
-    ``parallelism``, whether execution was ``placement``-pinned and the
-    ``shards`` the workload partitioned into (None when the benchmark
-    didn't record one) — so result files from differently-configured
-    runs stay interpretable; explicit keys in ``payload`` win over the
-    environment-derived defaults.
+    A benchmark that varies the engine execution mode records it in
+    ``payload`` (``executor``, ``parallelism``, ``shards``), so result
+    files from differently-configured runs stay interpretable.
     """
-    payload = dict(payload)
-    payload.setdefault("executor", default_executor())
-    payload.setdefault("parallelism", default_parallelism())
-    payload.setdefault("placement", default_placement())
-    payload.setdefault("shards", None)
     return "%s %s" % (tag, json.dumps(payload))
 
 

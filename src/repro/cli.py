@@ -25,8 +25,8 @@ statistics; with ``--listen HOST:PORT`` it instead serves the dataset
 over the framed network protocol (:mod:`repro.net`) until interrupted,
 draining in-flight jobs on shutdown.  The ``shard-worker`` subcommand
 runs one remote shard-execution worker (:mod:`repro.net.worker`) that
-``mine --shard-workers`` drivers pin placed shards to — trusted
-networks only, since it executes pickled kernels.
+``mine --shard-workers`` drivers route shards to — trusted networks
+only, since it executes pickled kernels.
 """
 
 import argparse
@@ -72,14 +72,13 @@ def build_parser():
         sub.add_argument(
             "--parallelism", type=int, default=None,
             help="worker threads running partition kernels (default: "
-                 "REPRO_PARALLELISM or serial); results are identical "
-                 "across settings",
+                 "serial); results are identical across settings",
         )
         sub.add_argument(
             "--executor", choices=["thread", "process"], default=None,
             help="worker pool kind for parallel kernels (default: "
-                 "REPRO_EXECUTOR or thread); process sidesteps the GIL "
-                 "for pure-Python kernels, results are identical",
+                 "thread); process sidesteps the GIL for pure-Python "
+                 "kernels, results are identical",
         )
         if name == "explore":
             sub.add_argument(
@@ -138,27 +137,21 @@ def build_parser():
     serve.add_argument(
         "--parallelism", type=int, default=None,
         help="worker threads inside each mining job's cluster engine "
-             "(intra-request parallelism; default: REPRO_PARALLELISM "
-             "or serial)",
+             "(intra-request parallelism; default: serial)",
     )
     serve.add_argument(
         "--executor", choices=["thread", "process", "remote"],
         default=None,
         help="pool kind for each mining job's engine workers "
-             "(default: REPRO_EXECUTOR or thread); 'remote' runs "
-             "every job on --shard-workers",
+             "(default: thread); 'remote' runs every job on "
+             "--shard-workers",
     )
     serve.add_argument(
         "--max-engine-workers", type=int, default=None,
         help="machine-wide engine-worker budget shared by all "
-             "concurrent jobs (default: the host's core count)",
-    )
-    serve.add_argument(
-        "--admission", choices=["budget", "oversubscribe"],
-        default="budget",
-        help="'budget' (default) caps aggregate engine workers at "
-             "--max-engine-workers, degrading busy jobs toward serial; "
-             "'oversubscribe' gives every job its full --parallelism",
+             "concurrent jobs, degrading busy jobs toward serial "
+             "(default: the host's core count; --workers x "
+             "--parallelism gives every job its full degree)",
     )
     serve.add_argument(
         "--shard-workers", metavar="HOST:PORT,...", default=None,
@@ -189,7 +182,7 @@ def build_parser():
     )
     worker = subparsers.add_parser(
         "shard-worker",
-        help="run one shard-execution worker for remote placed mining",
+        help="run one shard-execution worker for remote mining",
     )
     worker.add_argument(
         "--listen", metavar="HOST:PORT", default="127.0.0.1:0",
@@ -258,7 +251,6 @@ def _service_config(args):
         engine_parallelism=args.parallelism,
         engine_executor=args.executor,
         max_engine_workers=args.max_engine_workers,
-        admission=args.admission,
         shard_workers=shard_workers,
     )
 
@@ -392,17 +384,14 @@ def _run_serve(args, table, out):
         )
     )
     budget = stats["budget"]
-    if "max_engine_workers" in budget:
-        out.write(
-            "engine budget: %d workers, peak %d in use; %d grants "
-            "(%d degraded), %.3fs total wait\n" % (
-                budget["max_engine_workers"], budget["peak_in_use"],
-                budget["grants"], budget["degraded_grants"],
-                budget["total_wait_seconds"],
-            )
+    out.write(
+        "engine budget: %d workers, peak %d in use; %d grants "
+        "(%d degraded), %.3fs total wait\n" % (
+            budget["max_engine_workers"], budget["peak_in_use"],
+            budget["grants"], budget["degraded_grants"],
+            budget["total_wait_seconds"],
         )
-    else:
-        out.write("engine budget: disabled (admission=oversubscribe)\n")
+    )
     if args.compare_serial:
         serial = run_serial_reference(table, "data", requests)
         match = service_results_match(run["results"], serial["results"])

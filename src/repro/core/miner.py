@@ -216,19 +216,16 @@ def make_default_cluster(
     parallelism=None,
     executor=None,
     budget_grant=None,
-    placed=None,
     workers=None,
 ):
     """A small local cluster suitable for tests and examples.
 
     ``parallelism`` sets the number of real workers partition kernels
     execute on and ``executor`` the pool kind (``"thread"``,
-    ``"process"`` or ``"remote"``; None defers to a ``budget_grant``'s
-    granted degree when one is given, then to ``REPRO_PARALLELISM`` /
-    ``REPRO_EXECUTOR``); ``placed`` pins shards to workers (None
-    defers to ``REPRO_PLACEMENT``) and ``workers`` lists shard-worker
-    addresses for the remote executor.  Results and simulated metrics
-    are identical across settings.
+    ``"process"`` or ``"remote"``; None means a ``budget_grant``'s
+    granted degree when one is given, else serial, on threads);
+    ``workers`` lists shard-worker addresses for the remote executor.
+    Results and simulated metrics are identical across settings.
     """
     spec = ClusterSpec(
         num_executors=num_executors,
@@ -239,12 +236,11 @@ def make_default_cluster(
     )
     return ClusterContext(spec, cost_model or CostModel(),
                           parallelism=parallelism, executor=executor,
-                          budget_grant=budget_grant, placed=placed,
-                          workers=workers)
+                          budget_grant=budget_grant, workers=workers)
 
 
 def mine(table, k=10, variant="optimized", cluster=None, prior_rules=None,
-         parallelism=None, executor=None, placed=None, workers=None,
+         parallelism=None, executor=None, workers=None,
          **config_overrides):
     """One-call mining API.
 
@@ -253,9 +249,8 @@ def mine(table, k=10, variant="optimized", cluster=None, prior_rules=None,
     ``variant`` is a Table 4.2 preset name; extra keyword arguments
     override any :class:`SirumConfig` field.  ``parallelism`` and
     ``executor`` set the real worker count and pool kind of the
-    default cluster, ``placed`` pins shard ``i`` to worker ``i`` every
-    stage (sticky affinity), and ``workers`` lists shard-worker
-    addresses for ``executor="remote"`` (all ignored when an explicit
+    default cluster and ``workers`` lists shard-worker addresses for
+    ``executor="remote"`` (all ignored when an explicit
     ``cluster`` is passed, which the caller then owns).  An internally
     created cluster is closed before returning — no worker threads or
     processes outlive the call.
@@ -264,8 +259,7 @@ def mine(table, k=10, variant="optimized", cluster=None, prior_rules=None,
     owns_cluster = cluster is None
     if cluster is None:
         cluster = make_default_cluster(parallelism=parallelism,
-                                       executor=executor, placed=placed,
-                                       workers=workers)
+                                       executor=executor, workers=workers)
     try:
         return Sirum(config).mine(table, cluster=cluster,
                                   prior_rules=prior_rules)

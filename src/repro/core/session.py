@@ -86,7 +86,7 @@ class MiningSession:
         self.partitions = table.partition_blocks(num_partitions,
                                                  shared=shared)
         self.num_partitions = len(self.partitions)
-        # Bind the table's shard map to the cluster so placed execution
+        # Bind the table's shard map to the cluster so sticky routing
         # can attribute affinity (and detect dataset-version rebinds).
         cluster.bind_shard_map(table.shard_map(num_partitions))
         n = len(table)

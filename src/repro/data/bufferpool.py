@@ -21,9 +21,9 @@ capacity as pins are released.  Frames are keyed on the handle's
 blocks.
 """
 
-import os
 import threading
 
+from repro.common.env import positive_env_number
 from repro.common.errors import DataError
 from repro.common.eviction import EvictionIndex
 from repro.common.metrics import MetricsRegistry
@@ -34,21 +34,10 @@ CAPACITY_ENV_VAR = "REPRO_BUFFER_POOL_BYTES"
 
 def default_capacity_bytes():
     """Pool capacity from ``REPRO_BUFFER_POOL_BYTES`` (64 MiB default)."""
-    raw = os.environ.get(CAPACITY_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAPACITY_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DataError(
-            "%s must be an integer byte count, got %r"
-            % (CAPACITY_ENV_VAR, raw)
-        ) from None
-    if value < 1:
-        raise DataError(
-            "%s must be positive, got %d" % (CAPACITY_ENV_VAR, value)
-        )
-    return value
+    return positive_env_number(
+        CAPACITY_ENV_VAR, DEFAULT_CAPACITY_BYTES, int, DataError,
+        "an integer byte count", "positive",
+    )
 
 
 class BlockFrame:

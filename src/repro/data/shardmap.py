@@ -39,9 +39,9 @@ from repro.common.errors import EngineError
 class Shard:
     """One placed row range ``[start, stop)`` of a table.
 
-    ``shard_id`` doubles as the placement id: a placed cluster routes
-    shard i to the worker pinned to slot ``i % workers``, so the id is
-    the whole addressing scheme — no lookup table travels with tasks.
+    ``shard_id`` doubles as the placement id: the remote executor
+    routes shard i to worker ``i % workers``, so the id is the whole
+    addressing scheme — no lookup table travels with tasks.
     """
 
     __slots__ = ("shard_id", "start", "stop", "size_bytes")
@@ -85,8 +85,8 @@ class ShardMap:
     or :meth:`from_block_rows` (one shard per storage block, the
     colfile's physical layout).  ``version`` is the dataset version the
     map was built against — a table that changes data gets a new
-    version, so stale maps are detectable (and a placed cluster counts
-    a *rebalance* when rebound across versions).
+    version, so stale maps are detectable (and a cluster counts a
+    *rebalance* when rebound across versions).
     """
 
     __slots__ = ("version", "num_rows", "align", "_shards")
@@ -218,8 +218,8 @@ class ShardMap:
     def placement_for(shard_id, num_workers):
         """Worker slot shard ``shard_id`` is pinned to (sticky modulo).
 
-        The one copy of the addressing scheme: every placed executor —
-        local slot pools and remote workers alike — routes through it.
+        The one copy of the addressing scheme: the remote executor
+        routes through it, over its live workers.
         """
         if num_workers < 1:
             raise EngineError("placement needs at least one worker")

@@ -60,13 +60,11 @@ class _AttachmentCache:
     ``closer`` and both get the winner's; ``closer`` also takes
     whatever falls off the cold end past :data:`_ATTACHMENT_CAP`.
 
-    The hit/miss counters are the observable record of placement
-    affinity: a worker pinned to the same shards stage after stage
-    resolves every block through a cached attachment (hits), while
-    shards bouncing across workers re-open and re-verify per move
-    (misses).  They live in whichever process resolves the block — the
-    driver for serial and thread stages, each pool worker for process
-    stages.
+    Keys name a segment or a ``(path, file_key)`` file, never a shard:
+    a process opens each once and every shard of it that lands there
+    afterwards is a hit, whichever worker ran it before.  The hit/miss
+    counters live in whichever process resolves the block — the driver
+    for serial and thread stages, each pool worker for process stages.
     """
 
     def __init__(self, opener, closer):

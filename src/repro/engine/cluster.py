@@ -40,38 +40,27 @@ instance that does not pickle; no surviving remote worker) reruns on a
 local thread pool instead, counted in
 ``ClusterContext.fallback_stages``.
 
-Every knob resolves through one precedence chain
-(:func:`resolve_knob`) — **explicit argument > budget grant >
-environment > default**.  The worker count takes ``parallelism``, then
-the *granted* degree of a ``budget_grant`` (an allocation from the
-service's :class:`~repro.service.budget.EngineBudget`), then
-``REPRO_PARALLELISM``, then serial — or, for a remote cluster, the
-size of its worker fleet.  The executor kind takes ``executor``, then
-``REPRO_EXECUTOR``, then threads.  Placement takes ``placed``, then a
-grant carrying slot ids, then ``REPRO_PLACEMENT``, then off.  A held
+Three arguments say where stages run.  ``executor`` is the kind
+(threads when not given); ``parallelism`` is the worker count — when
+not given, the *granted* degree of a ``budget_grant`` (an allocation
+from the service's :class:`~repro.service.budget.EngineBudget`), else
+the size of a remote cluster's worker fleet, else serial; ``workers``
+lists the shard-worker addresses ``executor="remote"`` runs on.  A held
 grant is released when the cluster closes — after its executors have
-joined, so slots return only once the workers they paid for are
+joined, so capacity returns only once the workers it paid for are
 actually gone.
 
-Placement
----------
-A placed cluster turns its worker pool into an *addressable topology*:
-shard i always runs on the worker
-:meth:`~repro.data.shardmap.ShardMap.placement_for` pins it to, so a
-worker sees the same shards stage after stage and its process-local
-attachment caches (:mod:`repro.data.shm`) stay hot across stages and
-coalesced jobs (:class:`~repro.engine.executors.PoolExecutor` has the
-mechanics; :meth:`ClusterContext.placement_stats` the counters).
-``executor="remote"`` extends the same routing across the wire, to
-shard workers at ``workers=[...]`` addresses.  That executor lives with
-the wire code and registers itself with
-:func:`~repro.engine.executors.register_executor`; nothing here
-imports it.
+The remote executor lives with the wire code and registers itself with
+:func:`~repro.engine.executors.register_executor`; nothing here imports
+it.  It routes shard i to the same worker stage after stage
+(:meth:`~repro.data.shardmap.ShardMap.placement_for`) and reports what
+that routing achieved to this cluster's
+:class:`~repro.engine.placement.PlacementTracker`
+(:meth:`ClusterContext.placement_stats`).
 """
 
 from contextlib import contextmanager
 import heapq
-import os
 import threading
 
 from repro.common.errors import EngineError
@@ -88,57 +77,12 @@ from repro.engine.executors import (
     make_executor,
 )
 from repro.engine.memory import CacheManager
-from repro.engine.placement import PlacementTracker, default_placement
+from repro.engine.placement import PlacementTracker
 from repro.engine.task import TaskContext
 
 
-def default_parallelism(unset=1):
-    """Worker count from ``REPRO_PARALLELISM`` (``unset`` when
-    unset/empty — serial, unless the caller's executor knows better)."""
-    value = os.environ.get("REPRO_PARALLELISM", "").strip()
-    if not value:
-        return unset
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise EngineError(
-            "REPRO_PARALLELISM must be an integer, got %r" % value
-        ) from None
-    if parsed < 1:
-        raise EngineError("REPRO_PARALLELISM must be at least 1")
-    return parsed
-
-
-def default_executor():
-    """Pool kind from ``REPRO_EXECUTOR`` (threads when unset/empty)."""
-    value = os.environ.get("REPRO_EXECUTOR", "").strip().lower()
-    if not value:
-        return EXECUTOR_THREAD
-    if value not in EXECUTORS:
-        raise EngineError(
-            "REPRO_EXECUTOR must be one of %s, got %r"
-            % (", ".join(EXECUTORS), value)
-        )
-    return value
-
-
-def resolve_knob(explicit, grant_value, env_default):
-    """One knob under the one precedence chain.
-
-    Explicit argument > what a budget grant contributes >
-    ``env_default()`` (the knob's environment variable, else its
-    default).  ``None`` means "no opinion" at either of the first two
-    levels; the environment is read only when both pass.
-    """
-    if explicit is not None:
-        return explicit
-    if grant_value is not None:
-        return grant_value
-    return env_default()
-
-
 def _close_then_release(executors, grant):
-    """Join the executors, *then* return the budget slots they held."""
+    """Join the executors, *then* return the budget capacity they held."""
     for executor in executors:
         executor.close()
     if grant is not None:
@@ -170,15 +114,13 @@ class ClusterContext:
     ``"remote"``; see the module docstring).  ``budget_grant`` is an
     engine-worker allocation from a
     :class:`~repro.service.budget.EngineBudget`; when ``parallelism``
-    is not given explicitly the *granted* degree is used, and the grant
-    is released when this cluster closes.  With neither, the
-    ``REPRO_PARALLELISM`` / ``REPRO_EXECUTOR`` environment variables
-    resolve the defaults.
+    is not given the *granted* degree is used, and the grant is
+    released when this cluster closes.
     """
 
     def __init__(self, spec=None, cost_model=None, hdfs=None,
                  parallelism=None, executor=None, budget_grant=None,
-                 placed=None, workers=None):
+                 workers=None):
         self.spec = spec or ClusterSpec()
         self.cost = cost_model or CostModel()
         self.hdfs = hdfs or SimulatedHdfs()
@@ -187,7 +129,7 @@ class ClusterContext:
         #: The budget allocation backing this cluster's workers (if
         #: any); released on close, on every completion/abort path.
         self.budget_grant = budget_grant
-        self.executor = resolve_knob(executor, None, default_executor)
+        self.executor = EXECUTOR_THREAD if executor is None else executor
         if self.executor not in EXECUTORS:
             raise EngineError(
                 "executor must be one of %s, got %r"
@@ -205,27 +147,17 @@ class ClusterContext:
             raise EngineError(
                 "worker addresses are only valid with executor='remote'"
             )
-        # What a grant contributes: its *granted* degree — what the
-        # machine-wide budget actually allocated, not what the job
-        # asked for — and, when it carries slot ids (a *placed* grant;
-        # the budget keeps their count equal to ``granted``), placement.
-        slots = tuple(getattr(budget_grant, "slots", ()) or ())
-        granted = None
-        if budget_grant is not None:
-            granted = len(slots) or budget_grant.granted
-        # With nothing else claiming a degree, a remote cluster is as
-        # wide as its worker fleet; a local one is serial.
-        self.parallelism = int(resolve_knob(
-            parallelism, granted,
-            lambda: default_parallelism(unset=len(self.workers) or 1),
-        ))
+        if parallelism is None:
+            # A grant contributes its *granted* degree — what the
+            # machine-wide budget actually allocated, not what the job
+            # asked for.  With nothing claiming a degree, a remote
+            # cluster is as wide as its worker fleet; a local one is
+            # serial.
+            parallelism = (budget_grant.granted if budget_grant is not None
+                           else len(self.workers) or 1)
+        self.parallelism = int(parallelism)
         if self.parallelism < 1:
             raise EngineError("parallelism must be at least 1")
-        #: Placed execution: shard i runs on the worker pinned to it
-        #: every stage (see the module docstring).
-        self.placed = bool(resolve_knob(
-            placed, True if slots else None, default_placement
-        ))
         self.placement = PlacementTracker()
         #: Stages the executor could not ship and that reran on local
         #: threads.  A plain attribute, not a metrics counter —
@@ -234,11 +166,9 @@ class ClusterContext:
         #: Where stages run, and the local threads a stage the first
         #: cannot ship reruns on.  Both start workers lazily.
         self._executors = (
-            make_executor(
-                self.executor, self.parallelism, self.placement,
-                placed=self.placed, slot_ids=slots, workers=self.workers,
-            ),
-            PoolExecutor(EXECUTOR_THREAD, self.parallelism, self.placement),
+            make_executor(self.executor, self.parallelism, self.placement,
+                          self.workers),
+            PoolExecutor(EXECUTOR_THREAD, self.parallelism),
         )
 
     @property
@@ -262,9 +192,9 @@ class ClusterContext:
 
         Every worker thread, process and connection this cluster
         started is gone when this returns.  A budget grant backing the
-        cluster is released last — slots return to the machine-wide
-        budget only after the workers they paid for have actually
-        exited.
+        cluster is released last — capacity returns to the
+        machine-wide budget only after the workers it paid for have
+        actually exited.
         """
         grant, self.budget_grant = self.budget_grant, None
         _close_then_release(self._executors, grant)
@@ -285,8 +215,8 @@ class ClusterContext:
             for executor in executors:
                 executor.close(wait=False)
             return
-        # A leaked cluster must not return its slots while the workers
-        # they paid for may still be running — the budget's aggregate
+        # A leaked cluster must not return its capacity while the workers
+        # it paid for may still be running — the budget's aggregate
         # cap would be transiently violated.  Join on a helper thread,
         # then release.
         try:
@@ -305,7 +235,7 @@ class ClusterContext:
     # ------------------------------------------------------------------
 
     def bind_shard_map(self, shard_map):
-        """Bind placement to ``shard_map`` — the affinity scope.
+        """Bind the tracker to ``shard_map`` — the affinity scope.
 
         Callers that partition through a
         :class:`~repro.data.shardmap.ShardMap` (the mining session
@@ -317,9 +247,8 @@ class ClusterContext:
         self.placement.bind(shard_map)
 
     def placement_stats(self):
-        """Placement topology and affinity counters, one dict."""
+        """Worker topology and affinity counters, one dict."""
         stats = self.placement.stats()
-        stats["enabled"] = bool(self.placed)
         stats["executor"] = self.executor
         stats["workers"] = (
             len(self.workers) if self.executor == EXECUTOR_REMOTE

@@ -26,7 +26,6 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import wait as _wait_futures
 import pickle
 
-from repro.data.shardmap import ShardMap
 from repro.engine.task import run_task
 
 #: Supported worker-pool kinds for parallel stage execution.
@@ -45,14 +44,13 @@ def register_executor(kind, factory):
     _registered[kind] = factory
 
 
-def make_executor(kind, width, placement, placed=False, slot_ids=(),
-                  workers=()):
+def make_executor(kind, width, placement, workers=()):
     """The executor a cluster of ``kind`` and ``width`` runs stages on."""
     if kind in _registered:
         return _registered[kind](workers, width, placement)
     if width < 2:
         return SerialExecutor()
-    return PoolExecutor(kind, width, placement, placed, slot_ids)
+    return PoolExecutor(kind, width)
 
 
 class StageUnshippable(Exception):
@@ -133,71 +131,41 @@ class SerialExecutor:
 
 
 class PoolExecutor(SerialExecutor):
-    """``width`` thread or process workers, shared or one per slot.
+    """``width`` thread or process workers behind one stdlib pool.
 
-    Unplaced stages run on one shared pool.  A *placed* executor also
-    keeps an addressable topology — stdlib pools cannot route a task
-    to a chosen worker, so it holds one single-worker pool per slot
-    and submits shard i to pool
-    :meth:`~repro.data.shardmap.ShardMap.placement_for` ``(i, width)``.
-    That path engages only when every shard can own a worker
-    (``len(partitions) <= width``); pinning a worker to several shards
-    would serialize them behind each other, so a wider stage degrades
-    to the shared pool.  Workers spawn lazily on first submit, so
-    unused slots cost nothing.
-
-    ``slot_ids`` are the machine-wide slot ids of a placed budget
-    grant: two clusters holding the same slots report the same worker
-    identities to the tracker.  Without them the local index serves.
+    The pool starts on the first stage wide enough to need it, so a
+    cluster that only ever runs single-partition stages starts no
+    worker.
     """
 
-    def __init__(self, kind, width, placement, placed=False, slot_ids=()):
+    def __init__(self, kind, width):
         self._kind = kind
         self._width = width
-        self._placement = placement
-        self._placed = placed
-        self._slot_ids = tuple(slot_ids) or tuple(range(width))
-        self._shared = None
-        self._slots = []
+        self._pool = None
 
-    def _pool(self, workers, thread_name):
-        if self._kind == EXECUTOR_PROCESS:
-            return ProcessPoolExecutor(max_workers=workers)
-        return ThreadPoolExecutor(max_workers=workers,
-                                  thread_name_prefix=thread_name)
-
-    def _submit_all(self, task, kernel, partitions, pinned):
-        if not pinned:
-            if self._shared is None:
-                self._shared = self._pool(self._width, "repro-stage")
-            return [self._shared.submit(task, kernel, i, part)
-                    for i, part in enumerate(partitions)]
-        if not self._slots:
-            self._slots = [self._pool(1, "repro-stage-slot%d" % i)
-                           for i in range(self._width)]
-        futures = []
-        for i, part in enumerate(partitions):
-            slot = ShardMap.placement_for(i, self._width)
-            self._placement.record(
-                i, self._slot_ids[slot % len(self._slot_ids)]
-            )
-            futures.append(self._slots[slot].submit(task, kernel, i, part))
-        return futures
+    def _submit_all(self, task, kernel, partitions):
+        if self._pool is None:
+            if self._kind == EXECUTOR_PROCESS:
+                self._pool = ProcessPoolExecutor(max_workers=self._width)
+            else:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self._width,
+                    thread_name_prefix="repro-stage",
+                )
+        return [self._pool.submit(task, kernel, i, part)
+                for i, part in enumerate(partitions)]
 
     def run(self, kernel, partitions):
         if len(partitions) < 2:
             return super().run(kernel, partitions)
-        pinned = self._placed and len(partitions) <= self._width
-        if self._placed:
-            self._placement.record_stage(pinned)
         if self._kind != EXECUTOR_PROCESS:
             return _collect_in_order(
-                self._submit_all(run_task, kernel, partitions, pinned)
+                self._submit_all(run_task, kernel, partitions)
             )
         kernel_bytes = shippable(kernel)
         try:
             return _collect_in_order(self._submit_all(
-                _run_pickled_task, kernel_bytes, partitions, pinned
+                _run_pickled_task, kernel_bytes, partitions
             ))
         except BaseException as exc:
             if not is_pickling_error(exc):
@@ -213,11 +181,7 @@ class PoolExecutor(SerialExecutor):
             raise StageUnshippable from exc
 
     def close(self, wait=True):
-        pools = list(self._slots)
-        if self._shared is not None:
-            pools.append(self._shared)
-        for pool in pools:
-            pool.shutdown(wait=wait)
-        if wait:
-            self._shared = None
-            self._slots = []
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait)
+            if wait:
+                self._pool = None

@@ -1,49 +1,29 @@
-"""Placement: which worker a shard runs on, and how sticky that is.
+"""Placement: how sticky the shard → worker routing turned out to be.
 
 A table's row ranges are assigned to shard ids by the data layer's
-:class:`~repro.data.shardmap.ShardMap`; a placed cluster routes shard i
-to the worker pinned to it (:meth:`ShardMap.placement_for
-<repro.data.shardmap.ShardMap.placement_for>`).  :class:`PlacementTracker`
-records the worker↔shard affinity that routing achieves: kernel i
-routed to the worker pinned to shard i is an affinity *hit* (that
-worker's mmap/attachment caches are already hot); a shard landing on a
-different worker than last time is a *miss*; a cluster rebound to a
-different dataset version is a *rebalance*.
+:class:`~repro.data.shardmap.ShardMap`, and the remote executor routes
+shard i to the shard worker :meth:`ShardMap.placement_for
+<repro.data.shardmap.ShardMap.placement_for>` pins it to, so a worker
+sees the same row ranges stage after stage and the blocks it fetched
+for them stay useful.  :class:`PlacementTracker` records what that
+routing achieved: shard i landing on the worker it last ran on is an
+affinity *hit*; a first touch, or a shard landing somewhere else, is a
+*miss*; a cluster rebound to a different dataset version, or a worker
+death that forces shards onto survivors, is a *rebalance*.  Local pools
+have no addressable workers and record nothing.
 """
 
-import os
 import threading
-
-from repro.common.errors import EngineError
-
-
-def default_placement():
-    """Placement preference from ``REPRO_PLACEMENT`` (off when unset).
-
-    Truthy spellings (``1``/``true``/``yes``/``on``) request placed
-    execution; unset, empty and falsy spellings leave it off.
-    """
-    value = os.environ.get("REPRO_PLACEMENT", "").strip().lower()
-    if value in ("", "0", "false", "no", "off"):
-        return False
-    if value in ("1", "true", "yes", "on"):
-        return True
-    raise EngineError(
-        "REPRO_PLACEMENT must be a boolean spelling, got %r" % value
-    )
 
 
 class PlacementTracker:
     """Driver-side record of worker↔shard affinity (thread-safe).
 
-    A placed cluster routes shard i to slot ``i % workers`` every
-    stage, so once a shard has landed somewhere, every later stage of
-    the same job — and every coalesced job reusing the cluster — finds
-    that worker's attachment caches hot.  The tracker observes exactly
-    that: first touch of a shard is a *miss*, a repeat on the same slot
-    is a *hit*, and rebinding the cluster to a different dataset
-    version is a *rebalance* (the affinity table resets — old pins are
-    meaningless against new data).
+    First touch of a shard is a *miss*, a repeat on the same worker is
+    a *hit*, and rebinding the cluster to a different dataset version
+    is a *rebalance* (the affinity table resets — old pins are
+    meaningless against new data).  ``placed_stages`` counts the stages
+    that were routed by shard id at all.
     """
 
     def __init__(self):
@@ -56,7 +36,6 @@ class PlacementTracker:
         self.rebalances = 0
         self.worker_failures = 0
         self.placed_stages = 0
-        self.unplaced_stages = 0
 
     def bind(self, shard_map):
         """Bind the tracker to ``shard_map``'s version; count rebalances."""
@@ -93,12 +72,10 @@ class PlacementTracker:
             for shard_id in shard_ids:
                 self._slots.pop(shard_id, None)
 
-    def record_stage(self, placed):
+    def record_stage(self):
+        """Count one stage whose shards were routed by shard id."""
         with self._lock:
-            if placed:
-                self.placed_stages += 1
-            else:
-                self.unplaced_stages += 1
+            self.placed_stages += 1
 
     def stats(self):
         """One dict of placement counters, for ``stats()["placement"]``."""
@@ -114,5 +91,4 @@ class PlacementTracker:
                 "rebalances": self.rebalances,
                 "worker_failures": self.worker_failures,
                 "placed_stages": self.placed_stages,
-                "unplaced_stages": self.unplaced_stages,
             }

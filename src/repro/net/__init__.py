@@ -11,7 +11,7 @@ See :mod:`repro.net.protocol` for the wire format and
 :mod:`repro.net.server` for the serving architecture.
 """
 
-from repro.net.client import AsyncServiceClient, RemoteJob, ServiceClient
+from repro.net.client import RemoteJob, ServiceClient
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     KIND_ERROR,
@@ -34,7 +34,6 @@ from repro.net.wire import result_from_wire, result_to_wire
 from repro.net.worker import ShardWorker, ShardWorkerClient
 
 __all__ = [
-    "AsyncServiceClient",
     "DEFAULT_MAX_FRAME_BYTES",
     "Frame",
     "FrameDecoder",

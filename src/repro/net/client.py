@@ -1,7 +1,7 @@
-"""Clients for the framed protocol: blocking and asyncio flavors.
+"""Client for the framed protocol.
 
-:class:`ServiceClient` is the workhorse — a plain-socket blocking
-client whose methods mirror the in-process service façade
+:class:`ServiceClient` is a plain-socket blocking client whose methods
+mirror the in-process service façade
 (``submit_mine`` / ``submit_query`` / ``mine`` / ``query`` / ``poll``
 / ``result`` / ``stats``) and raise the *same typed exceptions* a
 local caller would (the server ships them as stable wire codes, see
@@ -16,13 +16,8 @@ Every protocol op is safe to retry — submissions land on the server's
 coalescer/result cache rather than re-executing, and job ids remain
 addressable across connections because the server's job registry is
 global, not per-session.
-
-:class:`AsyncServiceClient` is the asyncio mirror for callers already
-inside an event loop (no retry loop; awaitable methods, same wire
-behaviour).
 """
 
-import asyncio
 import itertools
 import socket
 import time
@@ -286,121 +281,3 @@ class ServiceClient:
                 self._events.append({"type": "goaway", **frame.payload})
             # RESPONSE/ERROR frames with no waiter are stale; drop them.
         return self._events.popleft()
-
-
-class AsyncServiceClient:
-    """Asyncio mirror of :class:`ServiceClient` (no retry loop).
-
-    Usage::
-
-        client = await AsyncServiceClient.connect(host, port, tenant="a")
-        result = await client.mine("flights", k=3)
-        await client.close()
-    """
-
-    def __init__(self, reader, writer, tenant=None,
-                 max_frame_bytes=DEFAULT_MAX_FRAME_BYTES):
-        self._reader = reader
-        self._writer = writer
-        self.tenant = tenant
-        self.max_frame_bytes = max_frame_bytes
-        self.goaway_received = False
-        self._request_ids = itertools.count(1)
-        self._events = deque()
-        self._frames = deque()
-        self._decoder = FrameDecoder(max_frame_bytes)
-
-    @classmethod
-    async def connect(cls, host, port, tenant=None,
-                      max_frame_bytes=DEFAULT_MAX_FRAME_BYTES):
-        reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer, tenant=tenant,
-                     max_frame_bytes=max_frame_bytes)
-        if tenant is not None:
-            await client._call("hello", {"tenant": tenant})
-        return client
-
-    async def close(self):
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def _call(self, op, payload):
-        request_id = next(self._request_ids)
-        body = dict(payload)
-        body["op"] = op
-        self._writer.write(
-            encode_frame(KIND_REQUEST, request_id, body,
-                         self.max_frame_bytes)
-        )
-        await self._writer.drain()
-        while True:
-            frame = await self._read_frame()
-            if frame.kind == KIND_EVENT:
-                self._events.append({"type": "event", **frame.payload})
-                continue
-            if frame.kind == KIND_GOAWAY:
-                self.goaway_received = True
-                self._events.append({"type": "goaway", **frame.payload})
-                continue
-            if frame.request_id != request_id:
-                continue
-            if frame.kind == KIND_ERROR:
-                raise from_wire(frame.payload)
-            return frame.payload
-
-    async def _read_frame(self):
-        while True:
-            if self._frames:
-                event = self._frames.popleft()
-                if isinstance(event, FrameError):
-                    raise event.exception
-                return event
-            data = await self._reader.read(64 * 1024)
-            if not data:
-                raise EOFError("server closed the connection")
-            self._frames.extend(self._decoder.feed(data))
-
-    async def submit_mine(self, dataset, priority=None,
-                          deadline_seconds=None, **params):
-        payload = {"dataset": dataset, "params": params}
-        if priority is not None:
-            payload["priority"] = priority
-        if deadline_seconds is not None:
-            payload["deadline_seconds"] = deadline_seconds
-        return await self._call("submit_mine", payload)
-
-    async def submit_query(self, sql, priority=None,
-                           deadline_seconds=None):
-        payload = {"sql": sql}
-        if priority is not None:
-            payload["priority"] = priority
-        if deadline_seconds is not None:
-            payload["deadline_seconds"] = deadline_seconds
-        return await self._call("submit_query", payload)
-
-    async def poll(self, job_id):
-        return await self._call("poll", {"job_id": job_id})
-
-    async def result(self, job_id, timeout=None):
-        payload = {"job_id": job_id}
-        if timeout is not None:
-            payload["timeout"] = timeout
-        response = await self._call("result", payload)
-        return result_from_wire(response["result"])
-
-    async def mine(self, dataset, timeout=None, **params):
-        submitted = await self.submit_mine(dataset, **params)
-        return await self.result(submitted["job_id"], timeout=timeout)
-
-    async def query(self, sql, timeout=None):
-        submitted = await self.submit_query(sql)
-        return await self.result(submitted["job_id"], timeout=timeout)
-
-    async def stats(self):
-        return await self._call("stats", {})
-
-    async def subscribe(self, subscribe=True):
-        return await self._call("stream", {"subscribe": subscribe})

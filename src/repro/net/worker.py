@@ -1,6 +1,6 @@
 """Remote shard worker: one placed shard executing on another host.
 
-The placement layer makes a shard addressable — an
+The shard map makes a shard addressable — an
 :class:`~repro.data.shm.MmapTableBlock` is ``(path, file_key, row
 range)``, which any process that can *reach the bytes* can resolve.
 This module is the network leg of that story: a :class:`ShardWorker`
@@ -71,6 +71,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.common.env import positive_env_number
 from repro.common.errors import (
     DataError,
     EngineError,
@@ -131,21 +132,10 @@ def default_block_cache_bytes():
 
     Unset/empty means :data:`DEFAULT_BLOCK_CACHE_BYTES`.
     """
-    value = os.environ.get("REPRO_WORKER_BLOCK_CACHE_BYTES", "").strip()
-    if not value:
-        return DEFAULT_BLOCK_CACHE_BYTES
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise EngineError(
-            "REPRO_WORKER_BLOCK_CACHE_BYTES must be an integer, got %r"
-            % value
-        ) from None
-    if parsed < 1:
-        raise EngineError(
-            "REPRO_WORKER_BLOCK_CACHE_BYTES must be at least 1"
-        )
-    return parsed
+    return positive_env_number(
+        "REPRO_WORKER_BLOCK_CACHE_BYTES", DEFAULT_BLOCK_CACHE_BYTES, int,
+        EngineError, "an integer", "at least 1",
+    )
 
 
 def default_worker_timeout():
@@ -155,19 +145,10 @@ def default_worker_timeout():
     the driver's hang detector: a worker that does not answer within
     it is treated as dead and its shards are re-placed.
     """
-    value = os.environ.get("REPRO_WORKER_TIMEOUT", "").strip()
-    if not value:
-        return DEFAULT_WORKER_TIMEOUT
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise EngineError(
-            "REPRO_WORKER_TIMEOUT must be a number of seconds, got %r"
-            % value
-        ) from None
-    if parsed <= 0:
-        raise EngineError("REPRO_WORKER_TIMEOUT must be positive")
-    return parsed
+    return positive_env_number(
+        "REPRO_WORKER_TIMEOUT", DEFAULT_WORKER_TIMEOUT, float,
+        EngineError, "a number of seconds", "positive",
+    )
 
 
 def _encode_blob(data):
@@ -580,9 +561,7 @@ class ShardWorker:
     Runs its accept loop on a daemon thread (``start`` returns once the
     socket is bound, so the bound ``port`` is immediately usable with
     ``host='127.0.0.1', port=0`` in tests).  Each connection is served
-    by its own thread; stage batches within a connection run serially,
-    which is exactly the single-worker-pool semantics placed execution
-    pins shards with.
+    by its own thread; stage batches within a connection run serially.
 
     ``block_cache_bytes`` bounds the worker-local cache of colfile
     blocks fetched from the driver (default
@@ -1032,7 +1011,7 @@ class RemoteExecutor:
         self._pool = None
 
     def run(self, kernel, partitions):
-        self._placement.record_stage(True)
+        self._placement.record_stage()
         kernel_bytes = shippable(kernel)
         blobs = [shippable(part) for part in partitions]
         if self._clients is None:

@@ -21,7 +21,12 @@ PLATFORMS = {
 
 
 def make_platform_cluster(name, num_executors=16, **kwargs):
-    """Build a :class:`ClusterContext` configured as platform ``name``."""
+    """Build a :class:`ClusterContext` configured as platform ``name``.
+
+    A platform is a cost regime, not an execution mode: whatever
+    ``parallelism`` / ``executor`` / ``workers`` / ``budget_grant``
+    arrive in ``kwargs`` reach the cluster unchanged.
+    """
     try:
         factory = PLATFORMS[name]
     except KeyError:

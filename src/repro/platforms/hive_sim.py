@@ -20,9 +20,7 @@ def hive_cluster(
     cores_per_executor=8,
     executor_memory_bytes=4 * 1024,
     seed=7,
-    parallelism=None,
-    executor=None,
-    budget_grant=None,
+    **mode,
 ):
     spec = ClusterSpec(
         num_executors=num_executors,
@@ -48,5 +46,4 @@ def hive_cluster(
         shuffle_byte_seconds=2e-6 + 4e-6 * (HDFS_REPLICATION + 1),
         disk_byte_seconds=1.2e-5,
     )
-    return ClusterContext(spec, cost, parallelism=parallelism,
-                          executor=executor, budget_grant=budget_grant)
+    return ClusterContext(spec, cost, **mode)

@@ -12,8 +12,7 @@ from repro.engine.cluster import ClusterContext
 from repro.engine.cost import ClusterSpec, CostModel
 
 
-def postgres_cluster(num_executors=1, seed=7, parallelism=None,
-                     executor=None, budget_grant=None, **_ignored):
+def postgres_cluster(num_executors=1, seed=7, **mode):
     """PostgreSQL runs single-node regardless of ``num_executors``."""
     spec = ClusterSpec(
         num_executors=1,
@@ -35,5 +34,4 @@ def postgres_cluster(num_executors=1, seed=7, parallelism=None,
         broadcast_byte_seconds=0.0,
         disk_byte_seconds=8e-6,
     )
-    return ClusterContext(spec, cost, parallelism=parallelism,
-                          executor=executor, budget_grant=budget_grant)
+    return ClusterContext(spec, cost, **mode)

@@ -11,15 +11,15 @@ def spark_cluster(
     storage_fraction=0.6,
     straggler_sigma=0.0,
     seed=7,
-    parallelism=None,
-    executor=None,
-    budget_grant=None,
+    **mode,
 ):
     """A Spark-like cluster: many cores, cached RDD partitions.
 
     Default memory is scaled down from the paper's 45 GB/executor in
     the same proportion as the datasets; benchmarks override it when a
-    figure needs a memory-constrained run.
+    figure needs a memory-constrained run.  ``mode`` is forwarded to
+    :class:`ClusterContext` (see
+    :func:`~repro.platforms.base.make_platform_cluster`).
     """
     spec = ClusterSpec(
         num_executors=num_executors,
@@ -29,5 +29,4 @@ def spark_cluster(
         straggler_sigma=straggler_sigma,
         seed=seed,
     )
-    return ClusterContext(spec, CostModel(), parallelism=parallelism,
-                          executor=executor, budget_grant=budget_grant)
+    return ClusterContext(spec, CostModel(), **mode)

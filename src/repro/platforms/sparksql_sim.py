@@ -19,9 +19,7 @@ def sparksql_cluster(
     cores_per_executor=8,
     executor_memory_bytes=256 * 1024**2,
     seed=7,
-    parallelism=None,
-    executor=None,
-    budget_grant=None,
+    **mode,
 ):
     spec = ClusterSpec(
         num_executors=num_executors,
@@ -41,5 +39,4 @@ def sparksql_cluster(
         task_launch_seconds=base.task_launch_seconds,
         stage_overhead_seconds=base.stage_overhead_seconds * PLAN_INEFFICIENCY,
     )
-    return ClusterContext(spec, cost, parallelism=parallelism,
-                          executor=executor, budget_grant=budget_grant)
+    return ClusterContext(spec, cost, **mode)

@@ -10,13 +10,7 @@
 See :mod:`repro.service.service` for the architecture overview.
 """
 
-from repro.service.budget import (
-    ADMISSION_BUDGET,
-    ADMISSION_OVERSUBSCRIBE,
-    ADMISSION_POLICIES,
-    BudgetGrant,
-    EngineBudget,
-)
+from repro.service.budget import BudgetGrant, EngineBudget
 from repro.service.cache import ResultCache
 from repro.service.fingerprint import mining_fingerprint, sql_fingerprint
 from repro.service.jobs import (
@@ -35,9 +29,6 @@ from repro.service.service import (
 )
 
 __all__ = [
-    "ADMISSION_BUDGET",
-    "ADMISSION_OVERSUBSCRIBE",
-    "ADMISSION_POLICIES",
     "BudgetGrant",
     "DatasetHandle",
     "EngineBudget",

@@ -35,15 +35,20 @@ via context manager, or through the cluster that carries it
 ``close()``, which the service's job runners invoke in ``finally`` on
 every completion *and* abort path).
 
-With ``remote_workers`` the budget also tracks shard-worker capacity
-on other hosts, turning the single-host worker budget into a small
-cluster scheduler: when the local pool cannot admit a job, the grant
-*spills* — it is placed entirely onto free remote workers instead
+Local capacity is a count: local pool workers are interchangeable, so
+a grant says how many the job may run, not which.  With
+``remote_workers`` the budget also tracks shard-worker capacity on
+other hosts, and those *are* addressable: when the local pool cannot
+admit a job, the grant *spills* — it holds free remote workers instead
 (``grant.remote_addresses`` names them), and the service builds the
-job's cluster with ``executor="remote"``.  Grants never mix hosts
-with local slots: a stage runs either on this host's pools or on
-shard workers, and determinism (above) makes the choice unobservable
-in results.
+job's cluster with ``executor="remote"`` on exactly those addresses.
+Grants never mix hosts with local workers: a stage runs either on this
+host's pools or on shard workers, and determinism (above) makes the
+choice unobservable in results.
+
+There is no way to switch the budget off: a service that wants every
+job at its full requested degree regardless of load sets
+``max_engine_workers = num_workers * engine_parallelism``.
 """
 
 import os
@@ -53,11 +58,6 @@ import time
 from collections import deque
 
 from repro.common.errors import BudgetExhaustedError, ServiceError
-
-#: Admission policies for :class:`~repro.service.service.ServiceConfig`.
-ADMISSION_BUDGET = "budget"
-ADMISSION_OVERSUBSCRIBE = "oversubscribe"
-ADMISSION_POLICIES = (ADMISSION_BUDGET, ADMISSION_OVERSUBSCRIBE)
 
 
 def default_max_engine_workers():
@@ -69,26 +69,23 @@ def default_max_engine_workers():
 
 
 class BudgetGrant:
-    """One job's slot allocation; release exactly once when the job ends.
+    """One job's allocation; release exactly once when the job ends.
 
-    Grants are *placed*: ``slots`` names the machine-wide worker slot
-    ids (``0 .. max_engine_workers - 1``) this job holds, lowest-free
-    first, so ``len(slots) == granted``.  A cluster built on a placed
-    grant pins shard i to slot ``slots[i % granted]`` — sticky
-    worker↔shard affinity across stages and coalesced jobs.  Slots
-    return to the budget's free pool on release.
+    ``granted`` is the degree the job may run at.  A local grant holds
+    that many of the budget's interchangeable local workers; a
+    *spilled* one holds the shard workers named in
+    ``remote_addresses`` (``len(remote_addresses) == granted``).
     """
 
-    __slots__ = ("requested", "granted", "wait_seconds", "slots",
+    __slots__ = ("requested", "granted", "wait_seconds",
                  "remote_addresses", "_budget", "_lock", "_released")
 
     def __init__(self, budget, requested, granted, wait_seconds,
-                 slots=(), remote_addresses=()):
+                 remote_addresses=()):
         self._budget = budget
         self.requested = requested
         self.granted = granted
         self.wait_seconds = wait_seconds
-        self.slots = tuple(slots)
         self.remote_addresses = tuple(remote_addresses)
         self._lock = threading.Lock()
         self._released = False
@@ -101,7 +98,7 @@ class BudgetGrant:
     @property
     def spilled(self):
         """True when the grant holds remote shard workers, not local
-        slots — the job should run with ``executor="remote"`` against
+        ones — the job should run with ``executor="remote"`` against
         :attr:`remote_addresses`."""
         return bool(self.remote_addresses)
 
@@ -110,7 +107,7 @@ class BudgetGrant:
         return self._released
 
     def release(self):
-        """Return the slots to the budget (idempotent)."""
+        """Return the allocation to the budget (idempotent)."""
         with self._lock:
             if self._released:
                 return False
@@ -125,10 +122,10 @@ class BudgetGrant:
         self.release()
 
     def __repr__(self):
-        return "BudgetGrant(requested=%d, granted=%d, slots=%r, " \
+        return "BudgetGrant(requested=%d, granted=%d, remote=%r, " \
             "wait=%.4fs%s)" % (
-                self.requested, self.granted, self.slots, self.wait_seconds,
-                ", released" if self._released else "",
+                self.requested, self.granted, self.remote_addresses,
+                self.wait_seconds, ", released" if self._released else "",
             )
 
 
@@ -147,8 +144,8 @@ class EngineBudget:
     remote_workers:
         Shard-worker addresses (``"host:port"``) on other hosts.  Each
         is one slot of *spill* capacity: a job the local pool cannot
-        admit is granted free remote workers instead of blocking, so
-        placed grants span hosts (see module doc).
+        admit is granted free remote workers instead of blocking (see
+        module doc).
     """
 
     def __init__(self, max_engine_workers=None, min_parallelism=1,
@@ -169,17 +166,10 @@ class EngineBudget:
         self.remote_workers = tuple(str(w) for w in remote_workers)
         self._cond = threading.Condition()
         self._in_use = 0
-        self._remote_in_use = 0
-        # Free placed slot ids, kept sorted so grants take the lowest
-        # ids first — a job re-acquiring after a release tends to get
-        # the same slots back, which keeps worker caches warm.  Remote
-        # workers continue the id space above the local slots: slot
-        # ``L + j`` is ``remote_workers[j]``.
-        self._free_slots = list(range(self.max_engine_workers))
-        self._free_remote = list(range(
-            self.max_engine_workers,
-            self.max_engine_workers + len(self.remote_workers),
-        ))
+        # Free shard workers, kept in configured order so spills take
+        # the first free ones — a job spilling after a release tends to
+        # get the same workers back, whose block caches are warm.
+        self._free_remote = list(self.remote_workers)
         self._waiters = deque()  # FIFO admission: no barging past the head
         self._grants = 0
         self._degraded_grants = 0
@@ -239,24 +229,17 @@ class EngineBudget:
                 remote_addresses = ()
                 if self._available_locked() >= floor:
                     granted = min(requested, self._available_locked())
-                    slots = tuple(self._free_slots[:granted])
-                    del self._free_slots[:granted]
                     self._in_use += granted
                     self._peak_in_use = max(self._peak_in_use,
                                             self._in_use)
                 else:
                     # Spill: the local pool is exhausted but remote
-                    # shard workers are free — place the whole grant
+                    # shard workers are free — put the whole grant
                     # there (all-remote, never mixed; a cluster runs
                     # one executor).
                     granted = min(requested, len(self._free_remote))
-                    slots = tuple(self._free_remote[:granted])
+                    remote_addresses = tuple(self._free_remote[:granted])
                     del self._free_remote[:granted]
-                    self._remote_in_use += granted
-                    remote_addresses = tuple(
-                        self.remote_workers[s - self.max_engine_workers]
-                        for s in slots
-                    )
                     self._spilled_grants += 1
                 self._grants += 1
                 if granted < requested:
@@ -272,20 +255,15 @@ class EngineBudget:
                 # now be at the head with slots available.
                 self._cond.notify_all()
         return BudgetGrant(self, requested, granted, wait_seconds,
-                           slots=slots, remote_addresses=remote_addresses)
+                           remote_addresses=remote_addresses)
 
     def _release(self, grant):
         with self._cond:
-            local = [s for s in grant.slots
-                     if s < self.max_engine_workers]
-            remote = [s for s in grant.slots
-                      if s >= self.max_engine_workers]
-            self._in_use -= len(local)
-            self._remote_in_use -= len(remote)
-            self._free_slots.extend(local)
-            self._free_slots.sort()
-            self._free_remote.extend(remote)
-            self._free_remote.sort()
+            if grant.spilled:
+                self._free_remote.extend(grant.remote_addresses)
+                self._free_remote.sort(key=self.remote_workers.index)
+            else:
+                self._in_use -= grant.granted
             self._releases += 1
             self._cond.notify_all()
 
@@ -323,7 +301,8 @@ class EngineBudget:
                 "waiting": len(self._waiters),
                 "peak_in_use": self._peak_in_use,
                 "remote_workers": len(self.remote_workers),
-                "remote_in_use": self._remote_in_use,
+                "remote_in_use": (len(self.remote_workers)
+                                  - len(self._free_remote)),
                 "remote_available": len(self._free_remote),
                 "grants": self._grants,
                 "degraded_grants": self._degraded_grants,

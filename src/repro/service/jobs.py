@@ -32,13 +32,13 @@ class JobMetrics:
         "job_id", "label", "priority", "queue_wait_seconds",
         "run_seconds", "cache_hit", "coalesced",
         "requested_parallelism", "granted_parallelism",
-        "budget_wait_seconds", "placement_slots",
+        "budget_wait_seconds",
     )
 
     def __init__(self, job_id, label, priority, queue_wait_seconds,
                  run_seconds, cache_hit, coalesced,
                  requested_parallelism=None, granted_parallelism=None,
-                 budget_wait_seconds=None, placement_slots=None):
+                 budget_wait_seconds=None):
         self.job_id = job_id
         self.label = label
         self.priority = priority
@@ -48,14 +48,11 @@ class JobMetrics:
         self.coalesced = coalesced
         #: Engine-worker degree the job asked the budget for, what it
         #: was actually granted, and how long it waited for the grant.
-        #: All None when the job ran without budget admission (SQL
-        #: jobs, cache hits, admission="oversubscribe").
+        #: All None when the job built no cluster (SQL jobs, cache
+        #: hits).
         self.requested_parallelism = requested_parallelism
         self.granted_parallelism = granted_parallelism
         self.budget_wait_seconds = budget_wait_seconds
-        #: Engine-worker slot ids the budget placed the job on (one
-        #: per granted worker); None without budget admission.
-        self.placement_slots = placement_slots
 
     def snapshot(self):
         return {
@@ -69,7 +66,6 @@ class JobMetrics:
             "requested_parallelism": self.requested_parallelism,
             "granted_parallelism": self.granted_parallelism,
             "budget_wait_seconds": self.budget_wait_seconds,
-            "placement_slots": self.placement_slots,
         }
 
     def __repr__(self):
@@ -275,7 +271,6 @@ class JobHandle:
             requested_parallelism=budget.get("requested"),
             granted_parallelism=budget.get("granted"),
             budget_wait_seconds=budget.get("wait_seconds"),
-            placement_slots=budget.get("slots"),
         )
 
     def __repr__(self):

@@ -29,17 +29,22 @@ A fourth mechanism keeps the two parallelism axes from multiplying:
 **engine-worker budgeting** (:mod:`repro.service.budget`).  Each
 mining job's simulated cluster runs real engine workers
 (``engine_parallelism``), and with ``num_workers`` jobs in flight the
-naive product oversubscribes the host.  Under
-``ServiceConfig(admission="budget")`` (the default) every job acquires
-its engine workers from one machine-wide
+naive product oversubscribes the host.  Every job acquires its engine
+workers from one machine-wide
 :class:`~repro.service.budget.EngineBudget` capped at
 ``max_engine_workers``: the granted degree shrinks toward
 ``min_engine_parallelism`` (serial, by default) when the machine is
 busy and re-expands as running jobs release their slots, so the
 aggregate never exceeds the cap.  Granted-vs-requested degree and
 budget-wait time land in each job's :class:`JobMetrics` and the
-service counters.  ``admission="oversubscribe"`` restores the old
-N x M behaviour.
+service counters.
+
+Where a job's stages run is decided once, from its grant
+(:meth:`RuleMiningService._job_cluster`): a spilled grant runs on the
+shard workers it names, a service configured with
+``engine_executor="remote"`` on ``shard_workers``, anything else on
+the configured local executor at the granted degree — the same for a
+plain job and one metered as a ``platform=`` sim.
 """
 
 import inspect
@@ -53,17 +58,8 @@ from repro.core.measure import MeasureTransform
 from repro.core.miner import Sirum, make_default_cluster
 from repro.data.shm import attachment_cache_stats
 from repro.data.table import FileBackedTable
-from repro.engine.cluster import (
-    EXECUTOR_REMOTE,
-    EXECUTORS,
-    default_parallelism,
-    resolve_knob,
-)
-from repro.service.budget import (
-    ADMISSION_BUDGET,
-    ADMISSION_POLICIES,
-    EngineBudget,
-)
+from repro.engine.cluster import EXECUTOR_REMOTE, EXECUTORS
+from repro.service.budget import EngineBudget
 from repro.service.cache import ResultCache
 from repro.service.fingerprint import mining_fingerprint, sql_fingerprint
 from repro.service.jobs import PRIORITY_NORMAL, Job, JobHandle
@@ -97,7 +93,7 @@ class ServiceConfig:
                  default_priority=PRIORITY_NORMAL,
                  default_deadline_seconds=None,
                  engine_parallelism=None, engine_executor=None,
-                 max_engine_workers=None, admission=ADMISSION_BUDGET,
+                 max_engine_workers=None,
                  min_engine_parallelism=1, budget_wait_seconds=None,
                  shard_workers=None):
         if num_workers < 1:
@@ -109,11 +105,6 @@ class ServiceConfig:
         if engine_executor is not None and engine_executor not in EXECUTORS:
             raise ServiceError(
                 "engine_executor must be one of %s" % ", ".join(EXECUTORS)
-            )
-        if admission not in ADMISSION_POLICIES:
-            raise ServiceError(
-                "admission must be one of %s, got %r"
-                % (", ".join(ADMISSION_POLICIES), admission)
             )
         if max_engine_workers is not None and max_engine_workers < 1:
             raise ServiceError("max_engine_workers must be at least 1")
@@ -134,24 +125,19 @@ class ServiceConfig:
         self.default_deadline_seconds = default_deadline_seconds
         #: Workers of each mining job's simulated-cluster engine
         #: (intra-request parallelism, on top of the worker pool's
-        #: cross-request concurrency).  None defers to REPRO_PARALLELISM.
-        #: Under ``admission="budget"`` this is the degree each job
-        #: *requests*; the budget may grant less.
+        #: cross-request concurrency).  None means serial.  This is the
+        #: degree each job *requests*; the budget may grant less.
         self.engine_parallelism = engine_parallelism
-        #: Pool kind those engine workers run on ("thread"/"process");
-        #: None defers to REPRO_EXECUTOR.
+        #: Pool kind those engine workers run on ("thread"/"process"/
+        #: "remote"); None means threads.
         self.engine_executor = engine_executor
         #: Machine-wide engine-worker cap shared by all concurrent jobs
-        #: (None: the host's usable core count).  Only meaningful with
-        #: ``admission="budget"``.
+        #: (None: the host's usable core count): the aggregate degree
+        #: never exceeds it, jobs degrade toward serial or wait when
+        #: the machine is busy.  ``num_workers * engine_parallelism``
+        #: gives every job its full requested degree regardless of
+        #: load.
         self.max_engine_workers = max_engine_workers
-        #: ``"budget"`` (default): jobs acquire engine workers from a
-        #: shared :class:`~repro.service.budget.EngineBudget` — the
-        #: aggregate degree never exceeds ``max_engine_workers``, jobs
-        #: degrade toward serial or wait when the machine is busy.
-        #: ``"oversubscribe"``: the pre-budget behaviour — every job
-        #: gets its full requested degree regardless of load.
-        self.admission = admission
         #: Smallest degree the budget ever grants (degrade floor).
         self.min_engine_parallelism = min_engine_parallelism
         #: Bound on how long a job may wait for budget slots before
@@ -159,10 +145,9 @@ class ServiceConfig:
         self.budget_wait_seconds = budget_wait_seconds
         #: Remote shard-worker addresses ("host:port").  Required with
         #: ``engine_executor="remote"`` (every job runs on them); with
-        #: a local executor they are *spill* capacity — under
-        #: ``admission="budget"`` a job the local pool cannot admit is
-        #: granted remote workers and runs with ``executor="remote"``
-        #: instead of queuing.
+        #: a local executor they are *spill* capacity — a job the local
+        #: pool cannot admit is granted remote workers and runs with
+        #: ``executor="remote"`` instead of queuing.
         self.shard_workers = (
             tuple(str(w) for w in shard_workers) if shard_workers else ()
         )
@@ -215,64 +200,38 @@ class RuleMiningService:
     config:
         A :class:`ServiceConfig`; defaults are sized for tests/examples.
     make_cluster:
-        Zero-argument factory for the simulated cluster each operator
-        mining job runs on (fresh per job so metrics don't interleave).
+        Factory for the simulated cluster each operator mining job
+        runs on (fresh per job so metrics don't interleave), called as
+        ``make_cluster(budget_grant=grant)``; the cluster it returns
+        owns the grant and releases it on close.  Default: a
+        :func:`~repro.core.miner.make_default_cluster` in the mode the
+        grant and the config decide.
     """
 
     def __init__(self, config=None, make_cluster=None):
         self.config = config or ServiceConfig()
         self.engine = SqlEngine()
         self.catalog = self.engine.catalog
-        if self.config.admission == ADMISSION_BUDGET:
-            # With a local executor, configured shard workers are the
-            # budget's spill capacity; with engine_executor="remote"
-            # every job already runs on them, so there is nothing to
-            # spill *to*.
-            spill_workers = (
-                () if self.config.engine_executor == EXECUTOR_REMOTE
-                else self.config.shard_workers
-            )
-            self._budget = EngineBudget(
-                max_engine_workers=self.config.max_engine_workers,
-                min_parallelism=self.config.min_engine_parallelism,
-                remote_workers=spill_workers,
-            )
-        else:
-            self._budget = None
-        if make_cluster is None:
-            parallelism = self.config.engine_parallelism
-            executor = self.config.engine_executor
-            shard_workers = self.config.shard_workers
-
-            def make_cluster(budget_grant=None):
-                # Under budget admission the configured parallelism was
-                # the *request*; the grant carries the degree actually
-                # allocated and the cluster releases it on close.  A
-                # *spilled* grant holds remote shard workers instead of
-                # local slots — the job runs on them.
-                if budget_grant is not None and budget_grant.spilled:
-                    return make_default_cluster(
-                        executor=EXECUTOR_REMOTE,
-                        workers=list(budget_grant.remote_addresses),
-                        budget_grant=budget_grant,
-                    )
-                return make_default_cluster(
-                    parallelism=(None if budget_grant is not None
-                                 else parallelism),
-                    executor=executor, budget_grant=budget_grant,
-                    workers=(list(shard_workers)
-                             if executor == EXECUTOR_REMOTE else None),
-                )
-
-        self._make_cluster = make_cluster
-        if self._budget is not None and not _accepts_budget_grant(
+        # With a local executor, configured shard workers are the
+        # budget's spill capacity; with engine_executor="remote" every
+        # job already runs on them, so there is nothing to spill *to*.
+        spill_workers = (
+            () if self.config.engine_executor == EXECUTOR_REMOTE
+            else self.config.shard_workers
+        )
+        self._budget = EngineBudget(
+            max_engine_workers=self.config.max_engine_workers,
+            min_parallelism=self.config.min_engine_parallelism,
+            remote_workers=spill_workers,
+        )
+        if make_cluster is not None and not _accepts_budget_grant(
                 make_cluster):
             raise ServiceError(
-                "admission='budget' needs a make_cluster factory that "
-                "accepts a budget_grant keyword (the grant carries the "
-                "allocated degree and must be released when the cluster "
-                "closes); pass admission='oversubscribe' to opt out"
+                "make_cluster must accept a budget_grant keyword (the "
+                "grant carries the allocated degree and must be released "
+                "when the cluster closes)"
             )
+        self._make_cluster = make_cluster
         self._scheduler = JobScheduler(
             num_workers=self.config.num_workers,
             max_queue_depth=self.config.max_queue_depth,
@@ -295,9 +254,6 @@ class RuleMiningService:
             "rebalances": 0,
             "worker_failures": 0,
             "placed_stages": 0,
-            "unplaced_stages": 0,
-            "placed_jobs": 0,
-            "unplaced_jobs": 0,
         }
         self._closed = False
 
@@ -379,8 +335,8 @@ class RuleMiningService:
         def runner():
             # The job owns its cluster: close it however the job ends,
             # or every parallel mining job would leak a live worker
-            # pool (the result only keeps a metrics snapshot) — and,
-            # under budget admission, its engine-worker slots.
+            # pool (the result only keeps a metrics snapshot) — and its
+            # engine-worker slots.
             cluster = self._job_cluster(
                 platform, metered=engine == "operators",
                 budget_info=budget_info,
@@ -448,57 +404,55 @@ class RuleMiningService:
     # ------------------------------------------------------------------
 
     def _job_cluster(self, platform, metered=True, budget_info=None):
-        """Build one job's engine cluster, under budget admission.
+        """Build one job's engine cluster on a budget grant.
 
-        With the budget enabled, acquiring the engine-worker grant
-        happens *here*, on the job's worker thread — a job blocked on
-        slots holds a service worker but no engine workers, and the
-        machine-wide aggregate degree stays within the budget.  The
-        grant travels inside the cluster and is released by
-        ``cluster.close()`` on every completion and abort path (the
-        runners close in ``finally``).  SQL jobs build no cluster and
-        spawn no engine workers, so they bypass the budget.
+        Acquiring the engine-worker grant happens *here*, on the job's
+        worker thread — a job blocked on slots holds a service worker
+        but no engine workers, and the machine-wide aggregate degree
+        stays within the budget.  The grant travels inside the cluster
+        and is released by ``cluster.close()`` on every completion and
+        abort path (the runners close in ``finally``).  SQL jobs build
+        no cluster and spawn no engine workers, so they bypass the
+        budget.
         """
         if platform is None and not metered:
             return None
-        grant = None
-        if self._budget is not None:
-            requested = resolve_knob(
-                self.config.engine_parallelism, None, default_parallelism
+        grant = self._budget.acquire(
+            self.config.engine_parallelism or 1,
+            timeout=self.config.budget_wait_seconds,
+        )
+        if budget_info is not None:
+            budget_info.update(
+                requested=grant.requested,
+                granted=grant.granted,
+                wait_seconds=grant.wait_seconds,
+                spilled=grant.spilled,
+                remote_addresses=grant.remote_addresses,
             )
-            grant = self._budget.acquire(
-                requested, timeout=self.config.budget_wait_seconds
-            )
-            if budget_info is not None:
-                budget_info.update(
-                    requested=grant.requested,
-                    granted=grant.granted,
-                    wait_seconds=grant.wait_seconds,
-                    slots=grant.slots,
-                    spilled=grant.spilled,
-                    remote_addresses=grant.remote_addresses,
-                )
         try:
+            if platform is None and self._make_cluster is not None:
+                return self._make_cluster(budget_grant=grant)
+            # Where this job's stages run: a spilled grant holds remote
+            # shard workers instead of local slots and the job runs on
+            # them; a remote service runs every job on its fleet;
+            # anything else runs on the configured local executor.  A
+            # platform sim changes the cost regime, not this.
+            if grant.spilled:
+                executor, workers = EXECUTOR_REMOTE, grant.remote_addresses
+            elif self.config.engine_executor == EXECUTOR_REMOTE:
+                executor, workers = EXECUTOR_REMOTE, self.config.shard_workers
+            else:
+                executor, workers = self.config.engine_executor, ()
+            mode = dict(parallelism=grant.granted, executor=executor,
+                        workers=list(workers), budget_grant=grant)
             if platform is not None:
                 from repro.platforms.base import make_platform_cluster
 
-                # Platform sims change the cost regime, not the real
-                # execution mode: the configured executor/parallelism
-                # (or the budget grant's degree) applies to them too.
-                return make_platform_cluster(
-                    platform,
-                    parallelism=(None if grant is not None
-                                 else self.config.engine_parallelism),
-                    executor=self.config.engine_executor,
-                    budget_grant=grant,
-                )
-            if grant is not None:
-                return self._make_cluster(budget_grant=grant)
-            return self._make_cluster()
+                return make_platform_cluster(platform, **mode)
+            return make_default_cluster(**mode)
         except BaseException:
             # The cluster never existed to release the grant for us.
-            if grant is not None:
-                grant.release()
+            grant.release()
             raise
 
     def _submit(self, key, runner, label, priority, deadline_seconds,
@@ -585,13 +539,8 @@ class RuleMiningService:
             totals = self._placement
             totals["shards"] = max(totals["shards"], stats.get("shards", 0))
             for field in ("affinity_hits", "affinity_misses", "rebalances",
-                          "worker_failures", "placed_stages",
-                          "unplaced_stages"):
+                          "worker_failures", "placed_stages"):
                 totals[field] += stats.get(field, 0)
-            if stats.get("enabled") and stats.get("placed_stages", 0):
-                totals["placed_jobs"] += 1
-            else:
-                totals["unplaced_jobs"] += 1
 
     # ------------------------------------------------------------------
     # Introspection and lifecycle
@@ -654,8 +603,8 @@ class RuleMiningService:
         """Shard-placement totals across every finished job cluster.
 
         Shard count (largest seen), affinity hit/miss counters with the
-        derived hit rate, rebalances, and how many stages/jobs ran
-        placed versus unplaced (see
+        derived hit rate, rebalances, worker failures and how many
+        stages were routed by shard id (see
         :class:`~repro.engine.placement.PlacementTracker`).
         """
         with self._lock:
@@ -675,9 +624,7 @@ class RuleMiningService:
         :class:`~repro.data.bufferpool.BufferPool`.  Either way the
         ``attachments`` entry carries this process's worker-side
         attachment-cache hit/miss counters
-        (:func:`repro.data.shm.attachment_cache_stats`) — repeat
-        ``attached_handle``/``attached_segment`` hits are the
-        observable payoff of placed execution.
+        (:func:`repro.data.shm.attachment_cache_stats`).
         """
         with self._lock:
             handles = sorted(self._datasets.items())
@@ -694,12 +641,8 @@ class RuleMiningService:
         }
 
     def budget_stats(self):
-        """Engine-worker budget state (admission policy + counters)."""
-        if self._budget is None:
-            return {"admission": self.config.admission}
-        stats = self._budget.stats()
-        stats["admission"] = self.config.admission
-        return stats
+        """Engine-worker budget state and counters."""
+        return self._budget.stats()
 
     def close(self, wait=True):
         """Stop admissions and (by default) drain queued jobs."""

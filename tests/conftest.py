@@ -40,7 +40,7 @@ def rng():
 
 
 def stage_threads():
-    """Live threads of any stage executor (shared, per-slot, remote)."""
+    """Live threads of any stage executor (local pool or remote)."""
     return [t for t in threading.enumerate()
             if t.name.startswith("repro-stage") and t.is_alive()]
 
@@ -54,15 +54,11 @@ def live_workers():
     return {id(t) for t in stage_threads()} | child_pids()
 
 
-#: Every way a stage can physically run.  The local entries pin all
-#: three knobs explicitly, so ``REPRO_*`` defaults in the environment
-#: do not silently turn one mode into another.
+#: Every way a stage can physically run.
 EXECUTION_MODES = {
-    "serial": dict(parallelism=1, executor="thread", placed=False),
-    "thread": dict(parallelism=4, executor="thread", placed=False),
-    "process": dict(parallelism=4, executor="process", placed=False),
-    "placed-thread": dict(parallelism=4, executor="thread", placed=True),
-    "placed-process": dict(parallelism=4, executor="process", placed=True),
+    "serial": dict(parallelism=1, executor="thread"),
+    "thread": dict(parallelism=4, executor="thread"),
+    "process": dict(parallelism=4, executor="process"),
     "remote": dict(executor="remote"),
 }
 

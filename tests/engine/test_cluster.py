@@ -167,7 +167,8 @@ class _StubGrant:
 
 
 class TestParallelismPrecedence:
-    """Explicit argument > budget grant > environment > serial default."""
+    """Explicit argument > budget grant > serial default; the
+    environment is not consulted."""
 
     def test_explicit_argument_beats_grant_and_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLELISM", "8")
@@ -183,28 +184,9 @@ class TestParallelismPrecedence:
         assert cluster.parallelism == 3
         cluster.close()
 
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLELISM", "6")
-        assert ClusterContext().parallelism == 6
-
     def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
+        monkeypatch.setenv("REPRO_PARALLELISM", "6")
         assert ClusterContext().parallelism == 1
-
-    def test_resolve_parallelism_helper(self, monkeypatch):
-        # The one precedence chain every knob resolves through.
-        from repro.engine.cluster import default_parallelism, resolve_knob
-
-        monkeypatch.setenv("REPRO_PARALLELISM", "7")
-        assert resolve_knob(4, 2, default_parallelism) == 4
-        assert resolve_knob(None, 2, default_parallelism) == 2
-        assert resolve_knob(None, None, default_parallelism) == 7
-        monkeypatch.delenv("REPRO_PARALLELISM")
-        assert resolve_knob(None, None, default_parallelism) == 1
-        # Falsy is still explicit: only None defers.
-        assert resolve_knob(False, True, lambda: True) is False
-        with pytest.raises(EngineError):
-            ClusterContext(parallelism=0)
 
     def test_close_releases_grant_once(self):
         grant = _StubGrant(granted=2)

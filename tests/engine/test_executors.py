@@ -141,7 +141,6 @@ class _RecordingGrant:
 
     def __init__(self, granted):
         self.granted = granted
-        self.slots = ()
         self.released = threading.Event()
         self.live_at_release = None
 
@@ -162,8 +161,7 @@ class TestGrantOutlivesWorkers:
     def test_close_joins_before_release(self):
         before = live_workers()
         grant = _RecordingGrant(granted=3)
-        cluster = ClusterContext(budget_grant=grant, executor="thread",
-                                 placed=False)
+        cluster = ClusterContext(budget_grant=grant, executor="thread")
         cluster.run_stage(_slow_kernel, range(3))
         assert live_workers() - before
         cluster.close()
@@ -173,8 +171,7 @@ class TestGrantOutlivesWorkers:
     def test_leaked_cluster_joins_before_release(self):
         before = live_workers()
         grant = _RecordingGrant(granted=3)
-        cluster = ClusterContext(budget_grant=grant, executor="thread",
-                                 placed=False)
+        cluster = ClusterContext(budget_grant=grant, executor="thread")
         cluster.run_stage(_slow_kernel, range(3))
         assert live_workers() - before
         del cluster  # never closed: __del__ must drain, then release

@@ -20,11 +20,7 @@ from repro.common.errors import EngineError
 from repro.core.config import variant_config
 from repro.core.miner import Sirum, make_default_cluster, mine
 from repro.data.generators import SyntheticSpec, generate
-from repro.engine.cluster import (
-    ClusterContext,
-    default_executor,
-    default_parallelism,
-)
+from repro.engine.cluster import ClusterContext
 from repro.engine.cost import ClusterSpec, CostModel
 from tests.conftest import (
     EXECUTION_MODES,
@@ -53,8 +49,7 @@ def make_cluster(parallelism=1, executor=None, **kwargs):
         disk_byte_seconds=1e-6,
     )
     return ClusterContext(spec, cost, parallelism=parallelism,
-                          executor=executor,
-                          placed=kwargs.pop("placed", None))
+                          executor=executor)
 
 
 def _double_kernel(tc, part):
@@ -100,24 +95,9 @@ def synthetic_table(num_rows=2500, seed=11):
 
 class TestParallelismKnob:
     def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
-        assert default_parallelism() == 1
-        assert make_cluster(parallelism=None).parallelism == 1
-
-    def test_env_variable_sets_default(self, monkeypatch):
+        # Whatever the environment says: it is not consulted.
         monkeypatch.setenv("REPRO_PARALLELISM", "4")
-        assert default_parallelism() == 4
-        assert make_cluster(parallelism=None).parallelism == 4
-        # An explicit argument still wins over the environment.
-        assert make_cluster(parallelism=2).parallelism == 2
-
-    def test_env_variable_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLELISM", "zero")
-        with pytest.raises(EngineError):
-            default_parallelism()
-        monkeypatch.setenv("REPRO_PARALLELISM", "0")
-        with pytest.raises(EngineError):
-            default_parallelism()
+        assert make_cluster(parallelism=None).parallelism == 1
 
     def test_invalid_parallelism_rejected(self):
         with pytest.raises(EngineError):
@@ -229,21 +209,9 @@ class TestParallelStage:
 
 class TestExecutorKnob:
     def test_default_is_thread(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert default_executor() == "thread"
-        assert make_cluster(executor=None).executor == "thread"
-
-    def test_env_variable_sets_default(self, monkeypatch):
+        # Whatever the environment says: it is not consulted.
         monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        assert default_executor() == "process"
-        assert make_cluster(executor=None).executor == "process"
-        # An explicit argument still wins over the environment.
-        assert make_cluster(executor="thread").executor == "thread"
-
-    def test_env_variable_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "fibers")
-        with pytest.raises(EngineError):
-            default_executor()
+        assert make_cluster(executor=None).executor == "thread"
 
     def test_invalid_executor_rejected(self):
         with pytest.raises(EngineError):
@@ -403,8 +371,10 @@ class TestPoolLifecycle:
     def test_streaming_context_manager_closes_cluster(self, monkeypatch):
         from repro.streaming import IncrementalSirum
 
-        monkeypatch.setenv("REPRO_PARALLELISM", "4")
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        monkeypatch.setattr(
+            "repro.streaming.incremental.make_default_cluster",
+            lambda: make_default_cluster(parallelism=4),
+        )
         table = synthetic_table(num_rows=900)
         batches = [table.slice(i * 300, (i + 1) * 300) for i in range(3)]
         before = set(id(t) for t in stage_threads())
@@ -522,13 +492,11 @@ class TestMiningBitIdentity:
                 == results[("process", 4)])
 
     def test_mining_identical_across_placement_modes(self):
-        """Every execution mode — serial, shared pools, placed
-        threads, placed processes, remote workers — one result, bit
-        for bit.
+        """Every execution mode — serial, thread pool, process pool,
+        remote workers — one result, bit for bit.
 
-        Placed runs use as many workers as the job has partitions, so
-        every stage takes the placed path (pool i is pinned to shard
-        i); the remote run ships shards to two loopback workers.
+        The remote run ships shards to two loopback workers, sticky by
+        shard id.
         """
         from repro.bench.harness import mining_results_identical
 
@@ -544,24 +512,17 @@ class TestMiningBitIdentity:
                     assert worker.stats()["stages"] > 0
         for name, result in results.items():
             assert mining_results_identical(results["serial"], result), name
-        # The placed runs really pinned shards: every stage placed,
-        # and repeat visits to a pinned worker counted as hits.
-        for name in ("placed-thread", "placed-process", "remote"):
-            stats = placement[name]
-            assert stats["placed_stages"] > 0
-            assert stats["unplaced_stages"] == 0
-            assert stats["affinity_hits"] > 0
+        # The remote run really pinned shards: every stage routed by
+        # shard id, repeat visits to a worker counted as hits.  Local
+        # pools have no addressable workers and record nothing.
+        for name, stats in placement.items():
+            if name == "remote":
+                assert stats["placed_stages"] > 0
+                assert stats["affinity_hits"] > 0
+            else:
+                assert stats["placed_stages"] == 0
+                assert stats["affinity_hits"] == 0
             assert stats["rebalances"] == 0
-
-    def test_placed_degrades_to_unplaced_when_workers_are_short(self):
-        # 2 workers cannot own 4 shards each: the stage must run on
-        # the shared (unplaced) pool and the tracker must say so.
-        with make_cluster(parallelism=2, placed=True) as cluster:
-            result = cluster.run_stage(lambda tc, p: p * 2, range(4))
-            assert result.outputs == [0, 2, 4, 6]
-            stats = cluster.placement_stats()
-            assert stats["placed_stages"] == 0
-            assert stats["unplaced_stages"] == 1
 
     @pytest.mark.parametrize("engine_executor", ["thread", "process"])
     def test_service_results_identical_across_modes(self, engine_executor):

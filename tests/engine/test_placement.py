@@ -1,7 +1,7 @@
 """Placement subsystem: ShardMap invariants, precedence, affinity.
 
 The shard map is the one partition abstraction every layer consumes
-(table slicing, colfile blocks, shm/mmap block construction, placed
+(table slicing, colfile blocks, shm/mmap block construction, sticky
 routing), so its invariants are property-tested: shard ranges are a
 bijection over the table's rows — full coverage, no overlap, dense
 ordered ids — block-aligned except for the last shard, and the
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import DataError, EngineError
 from repro.data.shardmap import Shard, ShardMap
 from repro.engine.cluster import ClusterContext
-from repro.engine.placement import PlacementTracker, default_placement
+from repro.engine.placement import PlacementTracker
 from repro.service.budget import EngineBudget
 
 
@@ -141,44 +141,8 @@ class TestTableShardMap:
             table.shard_map(4)
 
 
-class TestPlacementResolution:
-    def test_default_placement_env_spellings(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLACEMENT", raising=False)
-        assert default_placement() is False
-        for value, expected in [("1", True), ("true", True), ("on", True),
-                                ("0", False), ("no", False), ("", False)]:
-            monkeypatch.setenv("REPRO_PLACEMENT", value)
-            assert default_placement() is expected
-        monkeypatch.setenv("REPRO_PLACEMENT", "sideways")
-        with pytest.raises(EngineError):
-            default_placement()
-
-    def test_explicit_beats_grant_and_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLACEMENT", "1")
-        budget = EngineBudget(max_engine_workers=4)
-        grant = budget.acquire(2)
-        with ClusterContext(placed=False, budget_grant=grant) as cluster:
-            assert cluster.placed is False
-        assert grant.released  # the cluster owned it
-        assert ClusterContext(placed=True).placed is True
-
-    def test_placed_grant_turns_placement_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLACEMENT", raising=False)
-        budget = EngineBudget(max_engine_workers=4)
-        grant = budget.acquire(2)
-        assert grant.slots  # budget grants carry slot ids
-        with ClusterContext(budget_grant=grant) as cluster:
-            assert cluster.placed is True
-
-    def test_env_is_the_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLACEMENT", "1")
-        assert ClusterContext().placed is True
-        monkeypatch.delenv("REPRO_PLACEMENT", raising=False)
-        assert ClusterContext().placed is False
-
-
 class TestParallelismPrecedence:
-    """Satellite: explicit arg > placed/budget grant > env > serial."""
+    """Explicit argument > budget grant > serial."""
 
     def test_explicit_beats_grant(self):
         budget = EngineBudget(max_engine_workers=8)
@@ -186,31 +150,13 @@ class TestParallelismPrecedence:
         with ClusterContext(parallelism=2, budget_grant=grant) as cluster:
             assert cluster.parallelism == 2
 
-    def test_placed_grant_contributes_its_slot_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLELISM", "7")
+    def test_grant_without_slots_contributes_granted(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLELISM", "7")  # not consulted
         budget = EngineBudget(max_engine_workers=8)
         grant = budget.acquire(3)
-        assert len(grant.slots) == grant.granted == 3
         with ClusterContext(budget_grant=grant) as cluster:
             assert cluster.parallelism == 3
-
-    def test_grant_without_slots_contributes_granted(self, monkeypatch):
-        class BareGrant:
-            granted = 5
-            slots = ()
-
-            def release(self):
-                pass
-
-        monkeypatch.setenv("REPRO_PARALLELISM", "7")
-        with ClusterContext(budget_grant=BareGrant()) as cluster:
-            assert cluster.parallelism == 5
-
-    def test_env_then_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLELISM", "6")
-        assert ClusterContext().parallelism == 6
-        monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
-        assert ClusterContext().parallelism == 1
+        assert grant.released  # the cluster owned it
 
 
 class TestPlacementTracker:
@@ -221,8 +167,7 @@ class TestPlacementTracker:
         tracker.record(0, 0)          # same slot again: hit
         tracker.record(1, 1)          # miss
         tracker.record(1, 2)          # moved slots: miss
-        tracker.record_stage(True)
-        tracker.record_stage(False)
+        tracker.record_stage()
         stats = tracker.stats()
         assert stats["shards"] == 4
         assert stats["affinity_hits"] == 1
@@ -230,7 +175,6 @@ class TestPlacementTracker:
         assert stats["affinity_hit_rate"] == pytest.approx(0.25)
         assert stats["rebalances"] == 0
         assert stats["placed_stages"] == 1
-        assert stats["unplaced_stages"] == 1
 
     def test_rebind_across_versions_counts_a_rebalance(self):
         tracker = PlacementTracker()

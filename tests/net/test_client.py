@@ -1,6 +1,5 @@
-"""Client behaviour: reconnect-and-retry, the async client, errors."""
+"""Client behaviour: reconnect-and-retry, typed errors."""
 
-import asyncio
 import socket
 
 import pytest
@@ -10,10 +9,9 @@ from repro.common.errors import (
     ServiceClosedError,
     ServiceError,
 )
-from repro.net import AsyncServiceClient, ServiceClient
+from repro.net import ServiceClient
 
 from .conftest import MINE_PARAMS
-from .test_server import assert_mining_results_identical
 
 
 class TestReconnect:
@@ -87,62 +85,3 @@ class TestErrorMapping:
         client = connect(server)
         with pytest.raises(ServiceError, match="engine"):
             client.submit_mine("flights", engine="quantum")
-
-
-class TestAsyncClient:
-    def test_async_mine_matches_sync(self, serve_stack, connect):
-        service, server = serve_stack()
-        reference = service.mine("flights", **MINE_PARAMS)
-
-        async def run():
-            client = await AsyncServiceClient.connect(
-                "127.0.0.1", server.port, tenant="async"
-            )
-            try:
-                result = await client.mine("flights", **MINE_PARAMS)
-                rows = await client.query(
-                    "SELECT COUNT(*) FROM flights"
-                )
-                stats = await client.stats()
-                return result, rows, stats
-            finally:
-                await client.close()
-
-        result, rows, stats = asyncio.run(run())
-        assert_mining_results_identical(reference, result)
-        assert rows.scalar() == 14
-        # Two submissions (the mine and the query), both attributed.
-        assert stats["net"]["tenants"]["async"]["submitted"] == 2
-
-    def test_async_submit_poll_result(self, serve_stack):
-        _, server = serve_stack()
-
-        async def run():
-            client = await AsyncServiceClient.connect(
-                "127.0.0.1", server.port
-            )
-            try:
-                submitted = await client.submit_mine("flights",
-                                                     **MINE_PARAMS)
-                while not (await client.poll(submitted["job_id"]))["done"]:
-                    await asyncio.sleep(0.02)
-                return await client.result(submitted["job_id"])
-            finally:
-                await client.close()
-
-        assert asyncio.run(run()) is not None
-
-    def test_async_errors_arrive_typed(self, serve_stack):
-        _, server = serve_stack()
-
-        async def run():
-            client = await AsyncServiceClient.connect(
-                "127.0.0.1", server.port
-            )
-            try:
-                with pytest.raises(ServiceError):
-                    await client.submit_mine("missing", **MINE_PARAMS)
-            finally:
-                await client.close()
-
-        asyncio.run(run())

@@ -12,6 +12,7 @@ stay bit-identical when the budget forces serial execution.
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import BudgetExhaustedError, ServiceError
 from repro.core.miner import mine
@@ -36,40 +37,53 @@ class TestEngineBudgetUnit:
         second.release()
         assert budget.in_use == 0
 
-    def test_grants_carry_disjoint_placement_slots(self):
-        budget = EngineBudget(max_engine_workers=6)
-        first = budget.acquire(3)
-        second = budget.acquire(2)
-        # One slot id per granted worker, machine-wide unique.
-        assert len(first.slots) == first.granted
-        assert len(second.slots) == second.granted
-        assert not set(first.slots) & set(second.slots)
-        assert set(first.slots) | set(second.slots) <= set(range(6))
-        first.release()
-        second.release()
-
-    def test_released_slots_come_back_lowest_first(self):
-        budget = EngineBudget(max_engine_workers=4)
-        first = budget.acquire(2)
-        assert first.slots == (0, 1)
-        second = budget.acquire(2)
-        assert second.slots == (2, 3)
-        first.release()
-        # A re-acquiring job gets the lowest free ids back — the same
-        # slots it likely held before, keeping worker caches warm.
-        third = budget.acquire(2)
-        assert third.slots == (0, 1)
-        second.release()
-        third.release()
-
-    def test_release_returns_slots_exactly_once(self):
-        budget = EngineBudget(max_engine_workers=2)
-        grant = budget.acquire(2)
-        grant.release()
-        grant.release()  # idempotent: no double-free of slot ids
-        follow_up = budget.acquire(2)
-        assert follow_up.slots == (0, 1)
-        follow_up.release()
+    @given(
+        st.integers(1, 6), st.integers(0, 3),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 8)), max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_acquire_release_sequences_keep_the_books(self, cap, num_remote,
+                                                      steps):
+        """Any interleaving of ``acquire(requested)`` and ``release``,
+        with and without spill capacity: the local count and the remote
+        addresses always add up, and everything comes back."""
+        remote = ["h%d:1" % i for i in range(num_remote)]
+        budget = EngineBudget(max_engine_workers=cap, remote_workers=remote)
+        live = []
+        for acquire, n in steps:
+            if acquire:
+                try:
+                    live.append(budget.acquire(n + 1, timeout=0))
+                except BudgetExhaustedError:
+                    # Nothing free on either side, and nothing held.
+                    assert budget.available == 0
+                    assert budget.stats()["remote_available"] == 0
+            elif live:
+                grant = live.pop(n % len(live))
+                assert grant.release() is True
+                before = budget.stats()
+                assert grant.release() is False  # returns nothing twice
+                assert budget.stats() == before
+            stats = budget.stats()
+            local = [g for g in live if not g.spilled]
+            spilled = [g for g in live if g.spilled]
+            assert budget.in_use + budget.available == cap
+            assert budget.in_use == sum(g.granted for g in local)
+            assert stats["peak_in_use"] <= cap
+            held = [a for g in spilled for a in g.remote_addresses]
+            assert len(held) == len(set(held))  # pairwise disjoint
+            assert set(held) <= set(remote)
+            assert all(len(g.remote_addresses) == g.granted
+                       for g in spilled)
+            assert stats["remote_in_use"] == len(held)
+            assert stats["remote_available"] == num_remote - len(held)
+        for grant in live:
+            assert grant.release() is True
+        stats = budget.stats()
+        assert (stats["in_use"], stats["available"]) == (0, cap)
+        assert stats["remote_available"] == num_remote
+        assert stats["releases"] == stats["grants"]
+        assert stats["waiting"] == 0
 
     def test_request_capped_by_capacity(self):
         budget = EngineBudget(max_engine_workers=2)
@@ -263,24 +277,6 @@ class TestServiceBudgetAdmission:
         assert stats["in_use"] == 0 and stats["waiting"] == 0
         assert stats["releases"] == CONCURRENT_JOBS
 
-    def test_oversubscribe_policy_bypasses_budget(self, flights):
-        gauge = _WorkerGauge()
-        service = RuleMiningService(
-            ServiceConfig(
-                num_workers=2, engine_parallelism=2,
-                admission="oversubscribe",
-            ),
-            make_cluster=_instrumented_factory(gauge, parallelism=2),
-        )
-        try:
-            service.register_dataset("flights", flights)
-            result = service.mine("flights", k=2, sample_size=16, seed=0,
-                                  timeout=60.0)
-        finally:
-            service.close()
-        assert len(result.rule_set) > 0
-        assert service.budget_stats() == {"admission": "oversubscribe"}
-
     def test_job_metrics_record_granted_vs_requested(self, flights):
         with RuleMiningService(ServiceConfig(
             num_workers=1, engine_parallelism=4, max_engine_workers=1,
@@ -379,16 +375,8 @@ class TestServiceBudgetAdmission:
                 ServiceConfig(num_workers=1),
                 make_cluster=lambda: ClusterContext(),
             )
-        # The same factory is fine when the budget is off.
-        service = RuleMiningService(
-            ServiceConfig(num_workers=1, admission="oversubscribe"),
-            make_cluster=lambda: ClusterContext(),
-        )
-        service.close()
 
     def test_config_validation(self):
-        with pytest.raises(ServiceError):
-            ServiceConfig(admission="besteffort")
         with pytest.raises(ServiceError):
             ServiceConfig(max_engine_workers=0)
         with pytest.raises(ServiceError):
@@ -450,10 +438,13 @@ class TestRemoteSpill:
         assert stats["remote_in_use"] == 2
         assert stats["remote_available"] == 1
         assert stats["spilled_grants"] == 1
-        # Slot ids continue above the local space and return on release.
-        assert all(s >= budget.max_engine_workers for s in spilled.slots)
         spilled.release()
         assert budget.stats()["remote_in_use"] == 0
+        # Released workers come back in configured order: the next
+        # spill gets the same ones, whose block caches are warm.
+        again = budget.acquire(3)
+        assert again.remote_addresses == ("h1:1", "h2:2", "h3:3")
+        again.release()
         local.release()
 
     def test_spilled_grant_clamps_to_free_remote_workers(self):
@@ -510,3 +501,87 @@ class TestRemoteSpill:
         assert budget["remote_workers"] == 1
         assert budget["spilled_grants"] == 1
         assert worker_stages > 0
+
+
+class TestPlatformJobsRunWhereTheGrantSays:
+    """A ``platform=`` sim changes the cost regime, not where stages
+    run: the grant and the configured executor decide that, through the
+    same mapping a plain job uses."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every ``(cluster, kwargs)`` ``make_platform_cluster`` built."""
+        import repro.platforms.base as base
+
+        clusters = []
+        real = base.make_platform_cluster
+
+        def recording(name, **kwargs):
+            cluster = real(name, **kwargs)
+            clusters.append((cluster, kwargs))
+            return cluster
+
+        monkeypatch.setattr(base, "make_platform_cluster", recording)
+        return clusters
+
+    def test_spilled_platform_job_runs_on_its_remote_workers(
+            self, flights, built):
+        from repro.net.worker import ShardWorker
+
+        kwargs = dict(k=3, sample_size=16, variant="optimized",
+                      platform="spark", timeout=60.0)
+        with ShardWorker() as worker:
+            with RuleMiningService(ServiceConfig(
+                num_workers=2, engine_parallelism=2, max_engine_workers=1,
+                shard_workers=[worker.address],
+            )) as service:
+                service.register_dataset("flights", flights)
+                local = service.mine("flights", seed=0, **kwargs)
+                # Another job holds the whole local pool: the next one
+                # must spill.
+                hold = service._budget.acquire(1)
+                try:
+                    spilled = service.mine("flights", seed=1, **kwargs)
+                finally:
+                    hold.release()
+                stats = service.stats()["budget"]
+                worker_stages = worker.stats()["stages"]
+        (first, _), (second, second_kwargs) = built
+        assert (first.executor, first.workers) == ("thread", [])
+        grant = second_kwargs["budget_grant"]
+        assert grant.spilled and stats["spilled_grants"] == 1
+        assert second.executor == "remote"
+        assert second.workers == list(grant.remote_addresses)
+        assert second.workers == [worker.address]
+        assert worker_stages > 0
+        assert stats["remote_in_use"] == 0 and stats["in_use"] == 0
+        assert len(local.rule_set) > 0 and len(spilled.rule_set) > 0
+
+    def test_remote_service_runs_platform_jobs_on_its_fleet(
+            self, flights, built):
+        import numpy as np
+
+        from repro.net.worker import ShardWorker
+
+        kwargs = dict(k=3, sample_size=16, seed=0, variant="optimized",
+                      timeout=60.0)
+        with ShardWorker() as worker:
+            with RuleMiningService(ServiceConfig(
+                num_workers=1, engine_executor="remote",
+                shard_workers=[worker.address],
+            )) as service:
+                service.register_dataset("flights", flights)
+                plain = service.mine("flights", **kwargs)
+                metered = service.mine("flights", platform="spark",
+                                       **kwargs)
+        (cluster, _), = built
+        assert cluster.executor == "remote"
+        assert cluster.workers == [worker.address]
+        # Same rules, lambdas, estimates and KL trace; the simulated
+        # seconds differ — that is what a platform sim is for.
+        assert [tuple(m.rule.values) for m in plain.rule_set] == [
+            tuple(m.rule.values) for m in metered.rule_set
+        ]
+        assert np.array_equal(plain.lambdas, metered.lambdas)
+        assert np.array_equal(plain.estimates, metered.estimates)
+        assert plain.kl_trace == metered.kl_trace
