@@ -19,7 +19,13 @@ forked worker inheriting the owner object never unlinks (the finalizer
 checks the owning PID).  Unlinking only removes the *name* — existing
 mappings, including worker attachments, stay valid until released.
 Workers cache a bounded number of attachments per process so repeated
-stages over the same table do not re-map it.
+stages over the same table do not re-map it — and since a service's
+pool children outlive its jobs, the cache stays warm from one job to
+the next.  That is safe only because a segment name is never reused
+while a cache could still hold it: names are built from the owner's
+pid and a process-wide counter (:func:`_next_segment_name`), not drawn
+at random, so a long-lived worker can never resolve a new segment's
+name to an old, unlinked segment's pages.
 
 File-backed tables skip shm entirely: :class:`MmapTableBlock` carries
 ``(path, file_key, row range)`` and workers resolve it against a
@@ -30,6 +36,7 @@ exact file state; a file rewritten between pickling and attachment is
 refused rather than silently misread.
 """
 
+import itertools
 import os
 import sys
 import threading
@@ -49,6 +56,32 @@ _ALIGNMENT = 64
 _ATTACHMENT_CAP = 8
 
 _register_patch_lock = threading.Lock()
+
+#: Segments this process has named so far.  A forked child inherits the
+#: count but not the pid, so its names differ from its parent's too.
+_segment_counter = itertools.count()
+
+
+def _next_segment_name():
+    """A segment name this process has never used: owner pid + counter.
+
+    Whoever attaches by name (pool children, which live and die under
+    one driver pid) may cache the attachment past the segment's life;
+    a name that cannot recur cannot be served stale.
+    """
+    return "repro-%d-%d" % (os.getpid(), next(_segment_counter))
+
+
+def _create_segment(size):
+    while True:
+        try:
+            return _shared_memory.SharedMemory(
+                name=_next_segment_name(), create=True, size=size
+            )
+        except FileExistsError:
+            # Left behind by a dead process that had our pid; not ours
+            # to remove, and the next name is as good.
+            continue
 
 
 class _AttachmentCache:
@@ -353,8 +386,7 @@ class SharedArrayPack:
             offset = -(-offset // _ALIGNMENT) * _ALIGNMENT
             specs.append((offset, a.dtype.str, a.shape))
             offset += a.nbytes
-        segment = _shared_memory.SharedMemory(create=True,
-                                              size=max(1, offset))
+        segment = _create_segment(max(1, offset))
         views = []
         for a, (off, dtype, shape) in zip(arrays, specs):
             view = np.ndarray(shape, dtype=np.dtype(dtype),

@@ -50,6 +50,15 @@ grant is released when the cluster closes — after its executors have
 joined, so capacity returns only once the workers it paid for are
 actually gone.
 
+A cluster joins what it *started*.  On its own, a process cluster
+starts its children at its first wide stage and they exit in
+``close()``.  Under a grant that lends a process pool (a local grant
+of the service's :class:`~repro.service.budget.EngineBudget` does: the
+budget owns the pool it budgets) the cluster's process stages run on
+the lent pool, at most ``parallelism`` batches at a time, and
+``close()`` leaves that pool running for the next job — releasing the
+grant is what hands the workers back.
+
 The remote executor lives with the wire code and registers itself with
 :func:`~repro.engine.executors.register_executor`; nothing here imports
 it.  It routes shard i to the same worker stage after stage
@@ -165,9 +174,12 @@ class ClusterContext:
         self.fallback_stages = 0
         #: Where stages run, and the local threads a stage the first
         #: cannot ship reruns on.  Both start workers lazily.
+        # A grant may lend the process pool its budget owns (grants
+        # are duck-typed here: the engine never imports the service).
         self._executors = (
             make_executor(self.executor, self.parallelism, self.placement,
-                          self.workers),
+                          self.workers,
+                          getattr(budget_grant, "process_pool", None)),
             PoolExecutor(EXECUTOR_THREAD, self.parallelism),
         )
 
@@ -191,10 +203,11 @@ class ClusterContext:
         """Join the executors, then release the grant (idempotent).
 
         Every worker thread, process and connection this cluster
-        started is gone when this returns.  A budget grant backing the
-        cluster is released last — capacity returns to the
-        machine-wide budget only after the workers it paid for have
-        actually exited.
+        *started* is gone when this returns; a process pool lent by
+        the grant is left running for its owner.  A budget grant
+        backing the cluster is released last — capacity returns to the
+        machine-wide budget only after the cluster has stopped using
+        the workers it paid for.
         """
         grant, self.budget_grant = self.budget_grant, None
         _close_then_release(self._executors, grant)

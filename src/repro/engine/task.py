@@ -106,3 +106,23 @@ def run_task(kernel, index, partition):
     tc = TaskContext(task_id=index, partition_id=index)
     output = kernel(tc, partition)
     return output, tc.charges()
+
+
+def run_batch(kernel, tasks):
+    """Run ascending ``(index, partition)`` pairs; stop at the first failure.
+
+    The one batch body for whatever runs several tasks per message — a
+    process-pool child and a remote shard worker.  Returns
+    ``(records, failure)``: the :func:`run_task` records of the tasks
+    that finished, in order, and ``(index, exception)`` of the first
+    one that did not (``None`` when all did).  Later tasks are not
+    started: the driver aborts the stage on any failure, and because
+    the pairs ascend, the reported index is the batch's lowest.
+    """
+    records = []
+    for index, partition in tasks:
+        try:
+            records.append(run_task(kernel, index, partition))
+        except BaseException as exc:  # noqa: BLE001 — shipped to driver
+            return records, (index, exc)
+    return records, None

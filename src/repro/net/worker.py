@@ -96,7 +96,7 @@ from repro.engine.executors import (
     register_executor,
     shippable,
 )
-from repro.engine.task import run_task
+from repro.engine.task import run_batch
 from repro.net.protocol import (
     KIND_ERROR,
     KIND_REQUEST,
@@ -385,44 +385,53 @@ class RemoteColFile:
 def _run_batch(kernel_blob, tasks):
     """Execute one ``run_stage`` batch; returns (records, failures).
 
-    Tasks run in ascending index order and the batch stops at the
-    first failure — the driver aborts the stage anyway, so later tasks
-    would be wasted work.  Output records and exceptions that do not
-    pickle are reported as pickling casualties rather than crashing
-    the worker.
+    The batch body is :func:`repro.engine.task.run_batch` — the kernel
+    unpickled once, tasks in ascending index order, stopping at the
+    first failure (the driver aborts the stage anyway, so later tasks
+    would be wasted work).  Each partition is unpickled inside its own
+    task.  Output records and exceptions that do not pickle are
+    reported as pickling casualties rather than crashing the worker.
     """
+    tasks = sorted(tasks, key=lambda t: t[0])
+    if not tasks:
+        return [], []
+    try:
+        kernel = pickle.loads(kernel_blob)
+    except BaseException as exc:  # noqa: BLE001 — shipped to driver
+        done, failure = [], (tasks[0][0], exc)
+    else:
+        done, failure = run_batch(
+            lambda tc, part_blob: kernel(tc, pickle.loads(part_blob)), tasks
+        )
     records = []
-    failures = []
-    for index, part_blob in sorted(tasks, key=lambda t: t[0]):
+    for (index, _blob), record in zip(tasks, done):
         try:
-            record = run_task(
-                pickle.loads(kernel_blob), index, pickle.loads(part_blob)
-            )
             record_blob = pickle.dumps(
                 record, protocol=pickle.HIGHEST_PROTOCOL
             )
         except BaseException as exc:  # noqa: BLE001 — shipped to driver
-            try:
-                exc_blob = pickle.dumps(
-                    exc, protocol=pickle.HIGHEST_PROTOCOL
-                )
-                pickle.loads(exc_blob)  # some instances dump but not load
-                failures.append({
-                    "index": index,
-                    "error": _encode_blob(exc_blob),
-                    "repr": repr(exc),
-                    "pickling": False,
-                })
-            except BaseException:
-                failures.append({
-                    "index": index,
-                    "error": None,
-                    "repr": repr(exc),
-                    "pickling": True,
-                })
+            failure = (index, exc)  # lower than any the loop stopped at
             break
         records.append({"index": index, "record": _encode_blob(record_blob)})
-    return records, failures
+    if failure is None:
+        return records, []
+    index, exc = failure
+    try:
+        exc_blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.loads(exc_blob)  # some instances dump but not load
+        return records, [{
+            "index": index,
+            "error": _encode_blob(exc_blob),
+            "repr": repr(exc),
+            "pickling": False,
+        }]
+    except BaseException:
+        return records, [{
+            "index": index,
+            "error": None,
+            "repr": repr(exc),
+            "pickling": True,
+        }]
 
 
 class _WorkerConnection(socketserver.BaseRequestHandler):

@@ -49,6 +49,19 @@ choice unobservable in results.
 There is no way to switch the budget off: a service that wants every
 job at its full requested degree regardless of load sets
 ``max_engine_workers = num_workers * engine_parallelism``.
+
+The budget also *owns* the local process workers it counts: one
+:class:`~repro.engine.executors.ProcessPool` of ``max_engine_workers``
+children, started by the first process-mode job and stopped by
+:meth:`EngineBudget.close`.  A local grant lends it
+(:attr:`BudgetGrant.process_pool`); the job's cluster runs at most
+``granted`` batches on it at a time and leaves it running, so grants
+summing to at most the cap means at most that many busy children —
+by construction, not by each job forking its own.  Children therefore
+outlive jobs (forked once, imports and attachment caches warm), and a
+child that dies costs the stage that saw it a rerun on threads and the
+budget one pool restart (``stats()["pool_restarts"]``), not the
+service.
 """
 
 import os
@@ -58,6 +71,7 @@ import time
 from collections import deque
 
 from repro.common.errors import BudgetExhaustedError, ServiceError
+from repro.engine.executors import ProcessPool
 
 
 def default_max_engine_workers():
@@ -105,6 +119,13 @@ class BudgetGrant:
     @property
     def released(self):
         return self._released
+
+    @property
+    def process_pool(self):
+        """The budget's process pool, lent to this job's cluster for
+        as long as it holds the grant (``None`` for a spilled grant:
+        it holds no local worker)."""
+        return None if self.spilled else self._budget._process_pool
 
     def release(self):
         """Return the allocation to the budget (idempotent)."""
@@ -171,6 +192,9 @@ class EngineBudget:
         # get the same workers back, whose block caches are warm.
         self._free_remote = list(self.remote_workers)
         self._waiters = deque()  # FIFO admission: no barging past the head
+        # The local workers this budget counts, for process-mode jobs:
+        # no child exists until one runs a stage on it.
+        self._process_pool = ProcessPool(self.max_engine_workers)
         self._grants = 0
         self._degraded_grants = 0
         self._spilled_grants = 0
@@ -310,7 +334,15 @@ class EngineBudget:
                 "releases": self._releases,
                 "timeouts": self._timeouts,
                 "total_wait_seconds": self._total_wait_seconds,
+                "pool_restarts": self._process_pool.restarts,
             }
+
+    def close(self, wait=True):
+        """Stop the process workers this budget owns (idempotent).
+
+        Jobs still running finish their process stages on threads.
+        """
+        self._process_pool.shutdown(wait=wait)
 
     def __repr__(self):
         with self._cond:

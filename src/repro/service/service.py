@@ -645,10 +645,13 @@ class RuleMiningService:
         return self._budget.stats()
 
     def close(self, wait=True):
-        """Stop admissions and (by default) drain queued jobs."""
+        """Stop admissions, (by default) drain queued jobs, then stop
+        the budget's process workers — with ``wait``, none is left
+        when this returns."""
         with self._lock:
             self._closed = True
         self._scheduler.close(wait=wait)
+        self._budget.close(wait=wait)
 
     def __enter__(self):
         return self

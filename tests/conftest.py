@@ -1,13 +1,19 @@
 """Shared fixtures for the test suite."""
 
+import gc
+import itertools
 import multiprocessing
+import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.miner import make_default_cluster
 from repro.data.generators import flight_table, gdelt_table, income_table
+from repro.data.shm import SharedArrayPack
 
 
 @pytest.fixture
@@ -49,9 +55,85 @@ def child_pids():
     return {p.pid for p in multiprocessing.active_children()}
 
 
+def kill_child_before_stage(cluster, nth, baseline=frozenset()):
+    """``SIGKILL`` one pool child just before ``cluster``'s ``nth``
+    ``run_stage`` call (children in ``baseline`` are someone else's)."""
+    run_stage = cluster.run_stage
+    calls = itertools.count(1)
+
+    def killing_run_stage(*args, **kwargs):
+        if next(calls) == nth:
+            os.kill(min(child_pids() - baseline), signal.SIGKILL)
+        return run_stage(*args, **kwargs)
+
+    cluster.run_stage = killing_run_stage
+    return cluster
+
+
+def mining_bytes(result):
+    """Everything a mining result must reproduce exactly, comparable."""
+    return (
+        [(tuple(m.rule.values), m.avg_measure, m.count, m.gain, m.iteration)
+         for m in result.rule_set],
+        result.lambdas.tobytes(), result.estimates.tobytes(),
+        list(result.kl_trace), result.simulated_seconds, result.metrics,
+    )
+
+
 def live_workers():
     """Identities of every stage thread and child process alive now."""
     return {id(t) for t in stage_threads()} | child_pids()
+
+
+def shm_entries():
+    """Shared-memory segments of this process that outlived their owner.
+
+    Segment names embed the creator's pid (``repro.data.shm``), so
+    other processes on the host cannot show up here.  A name whose
+    owning pack is still alive is not a leak — a table keeps the pack
+    a process or remote job made of it for as long as it lives, and
+    the pack unlinks when collected.
+    """
+    prefix = "repro-%d-" % os.getpid()
+    try:
+        entries = {name for name in os.listdir("/dev/shm")
+                   if name.startswith(prefix)}
+    except OSError:  # no /dev/shm on this platform
+        return set()
+    if entries:
+        entries -= {obj.name for obj in gc.get_objects()
+                    if isinstance(obj, SharedArrayPack) and obj._owner}
+    return entries
+
+
+def _leak_probes():
+    return {
+        "stage threads": {t.name for t in stage_threads()},
+        "child processes": child_pids(),
+        "/dev/shm entries": shm_entries(),
+    }
+
+
+@pytest.fixture
+def no_leaked_workers():
+    """Fail the test if it leaves a stage thread, a child process or a
+    shared-memory segment behind.
+
+    Dropped clusters and ``close(wait=False)`` wind their workers down
+    in the background, so what is left gets a few seconds to go.
+    """
+    before = _leak_probes()
+    yield
+    gc.collect()
+    deadline = time.monotonic() + 10.0
+    while True:
+        after = _leak_probes()
+        leaked = {what: sorted(after[what] - before[what])
+                  for what in after if after[what] - before[what]}
+        if not leaked or time.monotonic() > deadline:
+            break
+        time.sleep(0.02)
+    assert not leaked, "test left workers behind: %r" % leaked
 
 
 #: Every way a stage can physically run.

@@ -26,7 +26,9 @@ from tests.conftest import (
     EXECUTION_MODES,
     ExecutionMode,
     child_pids,
+    kill_child_before_stage,
     live_workers,
+    mining_bytes,
     stage_threads,
 )
 
@@ -544,6 +546,41 @@ class TestMiningBitIdentity:
             tuple(m.rule.values) for m in parallel.rule_set
         ]
         assert serial.metrics == parallel.metrics
+
+
+class TestProcessWidthsAndChildKills:
+    """``mine(..., executor="process")`` at every small width, on both
+    storage kinds, with and without losing a child mid-job, is the
+    serial run byte for byte."""
+
+    @pytest.mark.parametrize("kill", [False, True], ids=["clean", "kill"])
+    @pytest.mark.parametrize("storage", ["ram", "file"])
+    @pytest.mark.parametrize("parallelism", [2, 3, 4])
+    def test_identical_to_serial(self, parallelism, storage, kill, tmp_path):
+        from repro.data.colfile import write_colfile
+        from repro.data.table import Table
+
+        table = synthetic_table(num_rows=1500)
+        params = dict(k=3, sample_size=16, seed=2)
+        expected = mining_bytes(mine(table, parallelism=1, **params))
+        if storage == "file":
+            path = tmp_path / "syn.col"
+            write_colfile(table, path, block_rows=256)
+            table = Table.open_colfile(path)
+        before = child_pids()
+        cluster = make_default_cluster(parallelism=parallelism,
+                                       executor="process")
+        if kill:
+            kill_child_before_stage(cluster, 6, before)
+        try:
+            result = mine(table, cluster=cluster, **params)
+            assert cluster.fallback_stages == (1 if kill else 0)
+        finally:
+            cluster.close()
+            if storage == "file":
+                table.close()
+        assert mining_bytes(result) == expected
+        assert child_pids() <= before
 
 
 class TestFileBackedBitIdentity:

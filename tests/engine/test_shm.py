@@ -92,6 +92,61 @@ class TestSharedArrayPack:
             clone.arrays  # the segment name is gone
 
 
+class TestSegmentNames:
+    """A worker that outlives jobs caches attachments by segment name,
+    so a name must never come back for a different segment."""
+
+    def test_names_never_recur_and_embed_the_owner_pid(self):
+        import os
+
+        names = set()
+        for _ in range(10_000):
+            pack = SharedArrayPack.create([np.zeros(1)])
+            names.add(pack.name)
+            pack.unlink()
+        assert len(names) == 10_000
+        prefix = "repro-%d-" % os.getpid()
+        assert all(name.startswith(prefix) for name in names)
+
+    def test_cached_attachment_cannot_be_served_for_a_new_segment(self):
+        from repro.data import shm
+
+        old = SharedArrayPack.create([np.full(4, 1.0)])
+        stale = pickle.loads(pickle.dumps(old))
+        assert stale.arrays[0][0] == 1.0  # now in the attachment cache
+        old.unlink()
+        assert old.name in shm._segments.entries
+        new = SharedArrayPack.create([np.full(4, 2.0)])
+        try:
+            assert new.name != old.name
+            fresh = pickle.loads(pickle.dumps(new))
+            assert fresh.arrays[0][0] == 2.0
+        finally:
+            new.unlink()
+
+    def test_name_left_by_a_dead_process_is_skipped(self, monkeypatch):
+        import itertools
+        import os
+        from multiprocessing import shared_memory
+
+        from repro.data import shm
+
+        monkeypatch.setattr(shm, "_segment_counter", itertools.count(10**9))
+        squatter = shared_memory.SharedMemory(
+            name="repro-%d-%d" % (os.getpid(), 10**9), create=True, size=8
+        )
+        try:
+            pack = SharedArrayPack.create([np.arange(3)])
+            try:
+                assert pack.name == "repro-%d-%d" % (os.getpid(), 10**9 + 1)
+                assert np.array_equal(pack.arrays[0], np.arange(3))
+            finally:
+                pack.unlink()
+        finally:
+            squatter.close()
+            squatter.unlink()
+
+
 class TestSharedArray:
     def test_resolve_passthrough(self):
         plain = np.arange(5)

@@ -43,3 +43,8 @@ def deadline():
 @pytest.fixture(scope="module")
 def flights():
     return flight_table()
+
+
+@pytest.fixture(autouse=True)
+def _leak_guard(no_leaked_workers):
+    yield
