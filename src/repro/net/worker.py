@@ -35,6 +35,19 @@ mirroring the front-door server's convention):
   as a pickling casualty when it cannot (the driver then reruns the
   stage on its local thread pool, exactly like process mode).
 
+Bytes cross this channel as bytes.  Every pickle and every shipped
+block is a *blob* of its frame (``FLAG_BLOBS``,
+:mod:`repro.net.protocol`): raw segments after the JSON payload, which
+says only "this field is blob *i*" — ``run_stage`` requests
+(``kernel``, each task's ``partition``), ``run_stage`` replies (each
+``record``, a failure's ``error``) and ``block_fetch`` replies (each
+block's ``data``).  Receivers unpickle and read rows from views into
+the frame body; only the block cache, which outlives the frame, copies.
+A frame over ``WORKER_MAX_FRAME_BYTES`` in either direction makes the
+*stage* unshippable — the worker answers with a typed error and keeps
+the connection, the driver reruns that stage on threads — never the
+worker dead.
+
 Worker-initiated ops (``DRIVER_OPS`` — the *reverse* direction, sent
 while a ``run_stage`` is executing and answered by the driver's
 client from inside its own wait loop):
@@ -61,7 +74,6 @@ here; the front door (:mod:`repro.net.server`) stays the only
 untrusted-facing endpoint.
 """
 
-import base64
 import os
 import pickle
 import socket
@@ -75,6 +87,7 @@ from repro.common.env import positive_env_number
 from repro.common.errors import (
     DataError,
     EngineError,
+    FrameTooLargeError,
     ProtocolError,
     from_wire,
     to_wire,
@@ -151,15 +164,14 @@ def default_worker_timeout():
     )
 
 
-def _encode_blob(data):
-    return base64.b64encode(data).decode("ascii")
-
-
-def _decode_blob(text):
-    try:
-        return base64.b64decode(text.encode("ascii"))
-    except (AttributeError, ValueError) as exc:
-        raise ProtocolError("malformed pickle blob: %s" % exc) from None
+def _blob_at(blobs, index, field):
+    """The frame segment a payload field names, as a view into it."""
+    if type(index) is not int or not 0 <= index < len(blobs):
+        raise ProtocolError(
+            "%s names blob %r of a frame that carries %d"
+            % (field, index, len(blobs))
+        )
+    return blobs[index]
 
 
 def parse_address(address):
@@ -190,8 +202,10 @@ class WorkerBlockCache:
 
     Keys are ``(path, file_key, block_index)`` — the file *state*, not
     just the path, so a rewritten dataset never serves stale bytes.
-    Values are the raw block payloads exactly as shipped; byte
-    accounting and recency run on the shared
+    Values are the raw block payloads exactly as shipped, each its own
+    ``bytes`` (a block arrives as a view into a whole frame body, which
+    a cached view would keep alive); byte accounting and recency run on
+    the shared
     :class:`~repro.common.eviction.EvictionIndex` ledger, and the
     ``worker_block_cache_*`` counters land in a
     :class:`~repro.common.metrics.MetricsRegistry` (hits, misses,
@@ -230,7 +244,7 @@ class WorkerBlockCache:
             self.metrics.increment("worker_block_cache_fetched_bytes", size)
             if size > self.capacity_bytes:
                 return  # larger than the whole cache: never cached
-            self._blocks[key] = data
+            self._blocks[key] = bytes(data)
             self._index.add(key, size)
             while self._index.total_bytes > self.capacity_bytes:
                 victim = self._index.pop_coldest()
@@ -314,8 +328,9 @@ class RemoteColFile:
     # -- wire ----------------------------------------------------------
 
     def _fetch_blocks(self, indices):
-        """One ``block_fetch`` round trip; returns index -> raw bytes."""
-        reply = self._connection.call_back("block_fetch", {
+        """One ``block_fetch`` round trip; returns index -> raw bytes
+        (views into the reply frame)."""
+        reply, blobs = self._connection.call_back("block_fetch", {
             "path": self.path,
             "file_key": list(self.file_key),
             "blocks": [int(i) for i in indices],
@@ -325,7 +340,9 @@ class RemoteColFile:
             self._apply_meta(reply.get("meta") or {})
         fetched = {}
         for entry in reply.get("blocks", ()):
-            fetched[int(entry["index"])] = _decode_blob(entry["data"])
+            fetched[int(entry["index"])] = _blob_at(
+                blobs, entry["data"], "block_fetch data"
+            )
         missing = set(indices) - set(fetched)
         if missing:
             raise ProtocolError(
@@ -383,7 +400,8 @@ class RemoteColFile:
 
 
 def _run_batch(kernel_blob, tasks):
-    """Execute one ``run_stage`` batch; returns (records, failures).
+    """Execute one ``run_stage`` batch; returns (records, failures,
+    blobs) — the reply's two lists and the pickles they name by index.
 
     The batch body is :func:`repro.engine.task.run_batch` — the kernel
     unpickled once, tasks in ascending index order, stopping at the
@@ -394,7 +412,7 @@ def _run_batch(kernel_blob, tasks):
     """
     tasks = sorted(tasks, key=lambda t: t[0])
     if not tasks:
-        return [], []
+        return [], [], []
     try:
         kernel = pickle.loads(kernel_blob)
     except BaseException as exc:  # noqa: BLE001 — shipped to driver
@@ -403,8 +421,8 @@ def _run_batch(kernel_blob, tasks):
         done, failure = run_batch(
             lambda tc, part_blob: kernel(tc, pickle.loads(part_blob)), tasks
         )
-    records = []
-    for (index, _blob), record in zip(tasks, done):
+    records, blobs = [], []
+    for (index, _part), record in zip(tasks, done):
         try:
             record_blob = pickle.dumps(
                 record, protocol=pickle.HIGHEST_PROTOCOL
@@ -412,26 +430,27 @@ def _run_batch(kernel_blob, tasks):
         except BaseException as exc:  # noqa: BLE001 — shipped to driver
             failure = (index, exc)  # lower than any the loop stopped at
             break
-        records.append({"index": index, "record": _encode_blob(record_blob)})
+        records.append({"index": index, "record": len(blobs)})
+        blobs.append(record_blob)
     if failure is None:
-        return records, []
+        return records, [], blobs
     index, exc = failure
     try:
         exc_blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
         pickle.loads(exc_blob)  # some instances dump but not load
-        return records, [{
-            "index": index,
-            "error": _encode_blob(exc_blob),
-            "repr": repr(exc),
-            "pickling": False,
-        }]
     except BaseException:
         return records, [{
             "index": index,
             "error": None,
             "repr": repr(exc),
             "pickling": True,
-        }]
+        }], blobs
+    return records, [{
+        "index": index,
+        "error": len(blobs),
+        "repr": repr(exc),
+        "pickling": False,
+    }], blobs + [exc_blob]
 
 
 class _WorkerConnection(socketserver.BaseRequestHandler):
@@ -447,7 +466,7 @@ class _WorkerConnection(socketserver.BaseRequestHandler):
 
     def setup(self):
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.decoder = FrameDecoder(WORKER_MAX_FRAME_BYTES)
+        self.decoder = FrameDecoder(WORKER_MAX_FRAME_BYTES, blobs=True)
         self._events = deque()  # decoded, not yet processed
         self._callback_id = WORKER_CALLBACK_ID_BASE
 
@@ -493,7 +512,8 @@ class _WorkerConnection(socketserver.BaseRequestHandler):
         its own wait loop servicing exactly these (``DRIVER_OPS``).
         Frames for other request ids observed while waiting are stashed
         and handled after the running dispatch returns, so a
-        well-behaved driver loses nothing.
+        well-behaved driver loses nothing.  Returns the answer's
+        ``(payload, blobs)``.
         """
         self._callback_id += 1
         request_id = self._callback_id
@@ -522,7 +542,7 @@ class _WorkerConnection(socketserver.BaseRequestHandler):
                     continue
                 if event.kind == KIND_ERROR:
                     raise from_wire(event.payload)
-                return event.payload
+                return event.payload, event.blobs
         except OSError as exc:
             raise EngineError(
                 "driver connection lost during %s: %s" % (op, exc)
@@ -544,17 +564,25 @@ class _WorkerConnection(socketserver.BaseRequestHandler):
             ))
             return
         try:
-            response = handler(frame.payload, self)
+            response, blobs = handler(frame, self)
         except Exception as exc:  # typed errors cross as wire codes
             self._send(KIND_ERROR, frame.request_id, to_wire(exc))
             return
-        self._send(KIND_RESPONSE, frame.request_id, response)
+        self._send(KIND_RESPONSE, frame.request_id, response, blobs)
 
-    def _send(self, kind, request_id, payload):
+    def _send(self, kind, request_id, payload, blobs=()):
         try:
-            self.request.sendall(encode_frame(
-                kind, request_id, payload, WORKER_MAX_FRAME_BYTES
-            ))
+            frame = encode_frame(
+                kind, request_id, payload, WORKER_MAX_FRAME_BYTES, blobs
+            )
+        except ProtocolError as exc:
+            # An answer that cannot cross the wire (over the cap) is a
+            # typed error under its request id, not a dead connection:
+            # the driver reruns that stage locally and keeps the worker.
+            frame = encode_frame(KIND_ERROR, request_id, to_wire(exc),
+                                 WORKER_MAX_FRAME_BYTES)
+        try:
+            self.request.sendall(frame)
         except OSError:
             pass  # driver went away mid-answer; connection loop exits
 
@@ -656,7 +684,7 @@ class ShardWorker:
 
     # -- ops -----------------------------------------------------------
 
-    def _op_hello(self, payload, connection):
+    def _op_hello(self, frame, connection):
         with self._lock:
             stages, tasks = self._stages, self._tasks
         return {
@@ -668,22 +696,22 @@ class ShardWorker:
             "local_files": self.local_files,
             "attachments": attachment_cache_stats(),
             "block_cache": self.block_cache.stats(),
-        }
+        }, ()
 
-    def _op_heartbeat(self, payload, connection):
+    def _op_heartbeat(self, frame, connection):
         """Minimal liveness probe: no caches touched, no locks held
         beyond the counter read — answers even while stages grind."""
-        return {"ok": True, "pid": os.getpid(), "closing": self.closing}
+        return {"ok": True, "pid": os.getpid(), "closing": self.closing}, ()
 
-    def _op_attach(self, payload, connection):
+    def _op_attach(self, frame, connection):
         if not self.local_files:
             raise EngineError(
                 "worker runs with local_files disabled; blocks are "
                 "fetched from the driver, there is nothing to attach"
             )
         try:
-            path = payload["path"]
-            file_key = payload["file_key"]
+            path = frame.payload["path"]
+            file_key = frame.payload["file_key"]
         except KeyError as exc:
             raise ProtocolError(
                 "worker_attach needs %s" % exc
@@ -693,13 +721,17 @@ class ShardWorker:
             "ok": True,
             "num_rows": handle.num_rows,
             "num_blocks": handle.num_blocks,
-        }
+        }, ()
 
-    def _op_run_stage(self, payload, connection):
+    def _op_run_stage(self, frame, connection):
+        payload, blobs = frame.payload, frame.blobs
         try:
-            kernel_blob = _decode_blob(payload["kernel"])
+            kernel_blob = _blob_at(
+                blobs, payload["kernel"], "run_stage kernel"
+            )
             tasks = [
-                (int(task["index"]), _decode_blob(task["partition"]))
+                (int(task["index"]),
+                 _blob_at(blobs, task["partition"], "run_stage partition"))
                 for task in payload["tasks"]
             ]
         except (KeyError, TypeError) as exc:
@@ -711,11 +743,11 @@ class ShardWorker:
             return self._remote_source(connection, path, file_key)
 
         with block_fetcher(fetch, local_files=self.local_files):
-            records, failures = _run_batch(kernel_blob, tasks)
+            records, failures, pickles = _run_batch(kernel_blob, tasks)
         with self._lock:
             self._stages += 1
             self._tasks += len(records)
-        return {"records": records, "failures": failures}
+        return {"records": records, "failures": failures}, pickles
 
     def _remote_source(self, connection, path, file_key):
         """A :class:`RemoteColFile` for one unresolvable mmap block.
@@ -788,9 +820,9 @@ class ShardWorkerClient:
                 % (self.host, self.port, exc)
             ) from exc
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._decoder = FrameDecoder(WORKER_MAX_FRAME_BYTES)
+        self._decoder = FrameDecoder(WORKER_MAX_FRAME_BYTES, blobs=True)
         hello = self._roundtrip("worker_hello", {})
-        if not hello.get("ok"):
+        if not hello.payload.get("ok"):
             raise EngineError(
                 "shard worker %s:%d refused hello" % (self.host, self.port)
             )
@@ -821,15 +853,19 @@ class ShardWorkerClient:
 
     # -- request/response ----------------------------------------------
 
-    def _roundtrip(self, op, payload):
+    def _roundtrip(self, op, payload, blobs=()):
+        """Send one request; the answering frame (payload and blobs)."""
         self._request_id += 1
         request_id = self._request_id
         body = dict(payload)
         body["op"] = op
-        self._sock.sendall(encode_frame(
-            KIND_REQUEST, request_id, body, WORKER_MAX_FRAME_BYTES
-        ))
+        frame = encode_frame(
+            KIND_REQUEST, request_id, body, WORKER_MAX_FRAME_BYTES, blobs
+        )
+        # Before the send: a heartbeat's short deadline must not be the
+        # one the next (largest) request goes out under.
         self._sock.settimeout(self.timeout)
+        self._sock.sendall(frame)
         while True:
             try:
                 data = self._sock.recv(1 << 20)
@@ -855,12 +891,12 @@ class ShardWorkerClient:
                     continue
                 if event.kind == KIND_ERROR:
                     raise from_wire(event.payload)
-                return event.payload
+                return event
 
-    def _call(self, op, payload):
+    def _call(self, op, payload, blobs=()):
         self._connect()
         try:
-            return self._roundtrip(op, payload)
+            return self._roundtrip(op, payload, blobs)
         except (ConnectionError, EOFError, OSError) as exc:
             self.close()
             raise EngineError(
@@ -874,22 +910,21 @@ class ShardWorkerClient:
         """Answer one worker-initiated request (``DRIVER_OPS``)."""
         op = frame.payload.get("op")
         try:
-            if op == "block_fetch":
-                payload = self._serve_block_fetch(frame.payload)
-            else:
+            if op != "block_fetch":
                 raise ProtocolError(
                     "unknown worker-initiated op %r" % op
                 )
+            payload, blobs = self._serve_block_fetch(frame.payload)
+            answer = encode_frame(
+                KIND_RESPONSE, frame.request_id, payload,
+                WORKER_MAX_FRAME_BYTES, blobs,
+            )
         except Exception as exc:  # typed errors cross as wire codes
-            self._sock.sendall(encode_frame(
+            answer = encode_frame(
                 KIND_ERROR, frame.request_id, to_wire(exc),
                 WORKER_MAX_FRAME_BYTES,
-            ))
-            return
-        self._sock.sendall(encode_frame(
-            KIND_RESPONSE, frame.request_id, payload,
-            WORKER_MAX_FRAME_BYTES,
-        ))
+            )
+        self._sock.sendall(answer)
 
     def _serve_block_fetch(self, payload):
         try:
@@ -901,7 +936,7 @@ class ShardWorkerClient:
                 "malformed block_fetch payload: %s" % exc
             ) from None
         handle = resolve_local_handle(path, file_key)
-        blocks = []
+        blocks, blobs = [], []
         for index in indices:
             if not 0 <= index < handle.num_blocks:
                 raise DataError(
@@ -909,18 +944,19 @@ class ShardWorkerClient:
                     % (index, path, handle.num_blocks)
                 )
             data = handle.block_raw_bytes(index)
-            blocks.append({"index": index, "data": _encode_blob(data)})
+            blocks.append({"index": index, "data": len(blobs)})
+            blobs.append(data)
             self.blocks_shipped += 1
             self.bytes_shipped += len(data)
         reply = {"blocks": blocks}
         if payload.get("want_meta"):
             reply["meta"] = handle.wire_meta()
-        return reply
+        return reply, blobs
 
     # -- API the executor consumes -------------------------------------
 
     def hello(self):
-        return self._call("worker_hello", {})
+        return self._call("worker_hello", {}).payload
 
     def heartbeat(self, timeout=5.0):
         """Liveness probe under its own (short) deadline.
@@ -934,7 +970,7 @@ class ShardWorkerClient:
         if timeout is not None:
             self.timeout = timeout
         try:
-            return bool(self._call("heartbeat", {}).get("ok"))
+            return bool(self._call("heartbeat", {}).payload.get("ok"))
         except EngineError:
             return False
         finally:
@@ -944,7 +980,7 @@ class ShardWorkerClient:
         """Pre-open/verify a colfile on the worker (warm its mmap)."""
         return self._call("worker_attach", {
             "path": str(path), "file_key": list(file_key),
-        })
+        }).payload
 
     def run_stage(self, kernel_bytes, batch):
         """Run ``[(index, partition_blob), ...]`` on the worker.
@@ -954,26 +990,27 @@ class ShardWorkerClient:
         ``(index, exception, is_pickling)`` for the batch's first
         failing task (empty on success).
         """
-        reply = self._call("run_stage", {
-            "kernel": _encode_blob(kernel_bytes),
+        answer = self._call("run_stage", {
+            "kernel": 0,
             "tasks": [
-                {"index": index, "partition": _encode_blob(blob)}
-                for index, blob in batch
+                {"index": index, "partition": position}
+                for position, (index, _part) in enumerate(batch, 1)
             ],
-        })
+        }, [kernel_bytes] + [blob for _index, blob in batch])
+        reply, blobs = answer.payload, answer.blobs
         records = {}
         for entry in reply.get("records", ()):
             records[int(entry["index"])] = pickle.loads(
-                _decode_blob(entry["record"])
+                _blob_at(blobs, entry["record"], "run_stage record")
             )
         failures = []
         for entry in reply.get("failures", ()):
             exc = None
             pickling = bool(entry.get("pickling"))
-            blob = entry.get("error")
-            if blob is not None and not pickling:
+            if entry.get("error") is not None and not pickling:
+                blob = _blob_at(blobs, entry["error"], "run_stage error")
                 try:
-                    exc = pickle.loads(_decode_blob(blob))
+                    exc = pickle.loads(blob)
                 except BaseException:
                     pickling = True
             if exc is None and not pickling:
@@ -997,8 +1034,9 @@ class RemoteExecutor:
     Routing is sticky by shard id among the live workers, and remote
     stages always cross the wire (even a single shard), so every stage
     counts as placed.  The lowest-index failing shard's exception
-    propagates; anything that cannot cross the wire (kernel, partition,
-    output or exception instance) makes the stage unshippable.
+    propagates; anything that cannot cross the wire (a kernel,
+    partition, output or exception instance that does not pickle, a
+    frame over the channel's cap) makes the stage unshippable.
 
     A worker that times out or drops its connection mid-stage is
     marked dead (:meth:`ShardWorkerClient.mark_dead`) and its
@@ -1065,9 +1103,16 @@ class RemoteExecutor:
                 )
                 for slot, batch in batches.items()
             }
+            oversized = False
             for slot, future in futures.items():
                 try:
                     worker_records, worker_failures = future.result()
+                except FrameTooLargeError:
+                    # A request or an answer over the frame cap: the
+                    # worker is fine and its connection in step, the
+                    # stage is what cannot cross.
+                    oversized = True
+                    continue
                 except EngineError:
                     # Timed out, refused or dropped mid-call: the
                     # worker is dead to this stage.  Nothing of its
@@ -1083,6 +1128,10 @@ class RemoteExecutor:
                     records[i] = record
                     remaining.pop(i, None)
                 failures.extend(worker_failures)
+            if oversized:
+                # Raised only here, with every call of the round back:
+                # the next stage must find no client mid-call.
+                raise StageUnshippable
             if failures:
                 # The lowest-index-failure contract: shards *below* the
                 # lowest failure seen so far must still resolve (one of
@@ -1095,9 +1144,11 @@ class RemoteExecutor:
                 }
         if failures:
             if any(is_pickling or is_pickling_error(exc)
+                   or isinstance(exc, FrameTooLargeError)
                    for _i, exc, is_pickling in failures):
-                # An output or exception instance did not survive the
-                # wire: rerun locally, like process mode.
+                # An output, an exception instance or a shard's shipped
+                # blocks did not survive the wire: rerun locally, like
+                # process mode.
                 raise StageUnshippable
             raise min(failures, key=lambda f: f[0])[1]
         return [records[i] for i in range(len(partitions))]

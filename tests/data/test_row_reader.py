@@ -3,13 +3,11 @@
 ``repro.data.colfile.read_row_range`` turns a row range into block
 slices for :class:`~repro.data.colfile.ColFileHandle` (one mmap, an
 offset per block) and :class:`~repro.net.worker.RemoteColFile` (one
-``bytes`` per shipped block).  The property here is that both shapes
+buffer per shipped block).  The property here is that both shapes
 return exactly ``source[start:stop]``; the remote reader's own checks
 (received length, meta, range) are driven through a scripted
 connection.
 """
-
-import base64
 
 import numpy as np
 import pytest
@@ -112,13 +110,16 @@ class _ScriptedDriver:
         assert op == "block_fetch"
         self.fetched.append(list(payload["blocks"]))
         reply = {"blocks": [
-            {"index": i, "data": base64.b64encode(self._tamper(
-                i, self._handle.block_raw_bytes(i))).decode("ascii")}
-            for i in payload["blocks"]
+            {"index": i, "data": position}
+            for position, i in enumerate(payload["blocks"])
         ]}
         if payload["want_meta"]:
             reply["meta"] = self._meta
-        return reply
+        # Blobs reach the reader as views into one frame body.
+        return reply, [
+            memoryview(self._tamper(i, self._handle.block_raw_bytes(i)))
+            for i in payload["blocks"]
+        ]
 
 
 @pytest.fixture
@@ -172,15 +173,31 @@ class TestRemoteChecks:
         )
         with pytest.raises(ProtocolError, match="block 1 .* arrived with"):
             remote.read_rows(0, 14)
+        # Refused before it was cached, in raw block bytes.
+        assert remote._cache.get((remote.path, remote.file_key, 1)) is None
+        assert (remote._cache.stats()["fetched_bytes"]
+                == handle.block_nbytes(0))
+
+    def test_cached_blocks_are_bytes_the_cache_owns(self, handle):
+        # The driver double hands out views, as a decoded frame does;
+        # what the cache keeps must not be one of them.
+        remote, _ = _remote(handle)
+        remote.read_rows(0, 14)
+        cached = list(remote._cache._blocks.values())
+        assert [type(data) for data in cached] == [bytes] * 4
+        raw = sum(handle.block_nbytes(i) for i in range(4))
+        assert sum(len(data) for data in cached) == raw
+        stats = remote._cache.stats()
+        assert stats["resident_bytes"] == stats["fetched_bytes"] == raw
 
     def test_unanswered_block_is_a_protocol_error(self, handle):
         remote, driver = _remote(handle)
         answer = driver.call_back
 
         def drop_block_two(op, payload, timeout=None):
-            reply = answer(op, payload, timeout)
+            reply, blobs = answer(op, payload, timeout)
             reply["blocks"] = [e for e in reply["blocks"] if e["index"] != 2]
-            return reply
+            return reply, blobs
 
         driver.call_back = drop_block_two
         with pytest.raises(ProtocolError, match=r"without blocks \[2\]"):

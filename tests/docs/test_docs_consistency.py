@@ -146,6 +146,7 @@ class TestProtocolOps:
                 "docs/protocol.md is missing the frame-kind row for "
                 "%s = %d" % (name, value)
             )
+        assert "`FLAG_BLOBS = %#06x`" % net_protocol.FLAG_BLOBS in protocol_md
         mib = net_protocol.DEFAULT_MAX_FRAME_BYTES // (1024 * 1024)
         assert "%d MiB" % mib in protocol_md
         worker_mib = net_worker.WORKER_MAX_FRAME_BYTES // (1024 * 1024)

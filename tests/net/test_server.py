@@ -385,6 +385,35 @@ class TestWireErrors:
                 if not tail:
                     break
 
+    def test_blob_frame_refused_at_the_front_door(self, serve_stack):
+        # FLAG_BLOBS belongs to the shard-worker channel; the front
+        # door defines no op that takes bytes and refuses the bit like
+        # any other reserved flag — typed, and the connection survives.
+        from repro.net.protocol import FLAG_BLOBS, KIND_RESPONSE
+
+        _, server = serve_stack()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5.0) as sock:
+            blob_frame = encode_frame(KIND_REQUEST, 7, {"op": "stats"},
+                                      blobs=[b"\x00\x01raw"])
+            assert struct.unpack_from(">H", blob_frame, 2) == (FLAG_BLOBS,)
+            sock.sendall(blob_frame
+                         + encode_frame(KIND_REQUEST, 8, {"op": "stats"}))
+            decoder = FrameDecoder()
+            events = []
+            while len(events) < 2:
+                data = sock.recv(65536)
+                assert data, "server hung up on a refused frame"
+                events.extend(decoder.feed(data))
+            by_id = {event.request_id: event for event in events}
+            assert by_id[7].kind == KIND_ERROR
+            assert by_id[7].payload["error"] == "ProtocolError"
+            assert by_id[7].payload["message"] == (
+                "reserved flags must be zero, got 0x1"
+            )
+            assert by_id[8].kind == KIND_RESPONSE
+            assert by_id[8].payload["net"]["protocol_errors"] >= 1
+
     def test_non_request_frame_from_client_rejected(self, serve_stack):
         from repro.net.protocol import KIND_RESPONSE
 

@@ -10,17 +10,31 @@ against a serial run.
 """
 
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.common.errors import DataError, EngineError, ProtocolError
+import repro.net.worker as worker_module
+from repro.common.errors import (
+    DataError,
+    EngineError,
+    FrameTooLargeError,
+    ProtocolError,
+)
 from repro.core.config import variant_config
 from repro.core.miner import Sirum, make_default_cluster
 from repro.data.colfile import write_colfile
-from repro.data.generators import flight_table
+from repro.data.generators import flight_table, income_table
 from repro.data.table import Table
-from repro.net.worker import ShardWorker, ShardWorkerClient, parse_address
+from repro.engine.executors import StageUnshippable
+from repro.net.worker import (
+    RemoteExecutor,
+    ShardWorker,
+    ShardWorkerClient,
+    parse_address,
+)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +152,93 @@ class TestRunStage:
         assert "boom on shard 0" in str(exc)
 
 
+#: Blob references no frame carrying two blobs can satisfy.
+BAD_BLOB_REFERENCES = [-1, 2, "0", True, None, 1.0]
+
+
+class TestBlobReferences:
+    """A payload field that holds bytes holds a blob *index*; one that
+    names a blob the frame does not carry is a typed protocol error on
+    whichever side reads it, never an ``IndexError`` in a handler —
+    each case below runs on the connection the previous one left."""
+
+    @pytest.mark.parametrize("field", ["kernel", "partition"])
+    def test_run_stage_request(self, client, field):
+        blobs = [pickle.dumps(_identity_kernel), pickle.dumps(7)]
+        for bad in BAD_BLOB_REFERENCES:
+            payload = {"kernel": 0,
+                       "tasks": [{"index": 0, "partition": 1}]}
+            if field == "kernel":
+                payload["kernel"] = bad
+            else:
+                payload["tasks"][0]["partition"] = bad
+            with pytest.raises(ProtocolError,
+                               match="run_stage %s names blob" % field):
+                client._call("run_stage", payload, blobs)
+        with pytest.raises(ProtocolError, match="carries 0"):
+            client._call("run_stage", {"kernel": 0, "tasks": []})
+        # Still in step: the well-formed request runs.
+        records, failures = client.run_stage(blobs[0], [(0, blobs[1])])
+        assert (records[0][0], failures) == (7, [])
+
+    def test_run_stage_reply(self, client, monkeypatch):
+        for bad in BAD_BLOB_REFERENCES:
+            monkeypatch.setattr(
+                worker_module, "_run_batch",
+                lambda kernel_blob, tasks, bad=bad: (
+                    [{"index": 0, "record": bad}], [], [b"a", b"b"]
+                ),
+            )
+            with pytest.raises(ProtocolError,
+                               match="run_stage record names blob"):
+                client.run_stage(pickle.dumps(_identity_kernel),
+                                 [(0, pickle.dumps(7))])
+            if bad is None:
+                continue   # a failure's "error": null is legitimate
+            monkeypatch.setattr(
+                worker_module, "_run_batch",
+                lambda kernel_blob, tasks, bad=bad: ([], [{
+                    "index": 0, "error": bad, "repr": "x",
+                    "pickling": False,
+                }], [b"a", b"b"]),
+            )
+            with pytest.raises(ProtocolError,
+                               match="run_stage error names blob"):
+                client.run_stage(pickle.dumps(_identity_kernel),
+                                 [(0, pickle.dumps(7))])
+        assert client.hello()["ok"]
+
+    def test_block_fetch_reply(self, file_table, monkeypatch):
+        serve = ShardWorkerClient._serve_block_fetch
+        lie = []
+
+        def lying_serve(client, payload):
+            reply, blobs = serve(client, payload)
+            for entry in reply["blocks"]:
+                entry["data"] = lie[-1]
+            return reply, (blobs + [b"", b""])[:2]
+
+        monkeypatch.setattr(ShardWorkerClient, "_serve_block_fetch",
+                            lying_serve)
+        (block,) = file_table.partition_blocks(1, shared=True)
+        with ShardWorker(local_files=False) as worker:
+            with ShardWorkerClient(worker.address) as client:
+                for bad in BAD_BLOB_REFERENCES:
+                    lie.append(bad)
+                    records, failures = client.run_stage(
+                        pickle.dumps(_sum_kernel),
+                        [(0, pickle.dumps(block))],
+                    )
+                    assert records == {}
+                    ((index, exc, is_pickling),) = failures
+                    assert (index, is_pickling) == (0, False)
+                    assert isinstance(exc, ProtocolError)
+                    assert "block_fetch data names blob" in str(exc)
+            # Nothing a lying reply named was cached.
+            assert worker.stats()["block_cache"]["blocks"] == 0
+            assert worker.stats()["stages"] == len(BAD_BLOB_REFERENCES)
+
+
 def _mine(table, **cluster_kwargs):
     cluster = make_default_cluster(
         num_executors=2, cores_per_executor=2, **cluster_kwargs
@@ -197,6 +298,29 @@ class TestHeartbeat:
         client.heartbeat(timeout=0.25)
         assert client.timeout == before
 
+    def test_next_request_is_sent_under_its_own_deadline(self, client):
+        # The probe's short deadline must not stay on the socket: the
+        # request after a heartbeat is a re-placed run_stage, the
+        # largest frame on the channel, and a survivor slow to drain it
+        # would read as a second death.
+        class SpySocket:
+            def __init__(self, sock):
+                self._sock = sock
+                self.send_deadlines = []
+
+            def sendall(self, data):
+                self.send_deadlines.append(self._sock.gettimeout())
+                return self._sock.sendall(data)
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+        client.hello()
+        spy = client._sock = SpySocket(client._sock)
+        assert client.heartbeat(timeout=0.05) is True
+        assert client.hello()["ok"]
+        assert spy.send_deadlines == [0.05, client.timeout]
+
     def test_mark_dead_flags_and_disconnects(self, client):
         client.hello()
         client.mark_dead()
@@ -251,6 +375,21 @@ class TestWorkerBlockCache:
         cache.put(("f", (1, 2), 0), bytes(100))
         assert cache.stats()["blocks"] == 0
         assert cache.stats()["fetched_bytes"] == 100
+
+    def test_a_view_is_stored_as_its_own_bytes(self):
+        # Blocks arrive as views into a whole frame body; a cached view
+        # would pin that body and ``resident_bytes`` would undercount.
+        from repro.net.worker import WorkerBlockCache
+
+        cache = WorkerBlockCache(capacity_bytes=1024)
+        body = bytearray(b"x" * 50 + b"block-0000" + b"y" * 50)
+        with memoryview(body) as view:
+            cache.put(("f", (1, 2), 0), view[50:60])
+        body[50:60] = b"overwrite!"   # the frame body is not the cache's
+        cached = cache.get(("f", (1, 2), 0))
+        assert type(cached) is bytes
+        assert cached == b"block-0000"
+        assert cache.stats()["resident_bytes"] == 10
 
     def test_env_override_and_validation(self, monkeypatch):
         from repro.net.worker import default_block_cache_bytes
@@ -359,6 +498,33 @@ class TestBlockShipping:
             assert measure.tobytes() == block.measure.tobytes()
             for remote_col, local_col in zip(cols, block.columns):
                 assert remote_col.tobytes() == local_col.tobytes()
+
+
+    def test_cached_blocks_are_raw_bytes_the_cache_owns(self, flights,
+                                                        tmp_path):
+        # One read_rows over four blocks: one block_fetch reply whose
+        # four blobs are views into a single frame body.
+        path = tmp_path / "flights.col"
+        write_colfile(flights, path, block_rows=4)   # 4 + 4 + 4 + 2 rows
+        file_table = Table.open_colfile(path)
+        (block,) = file_table.partition_blocks(1, shared=True)
+        with ShardWorker(local_files=False) as worker:
+            with ShardWorkerClient(worker.address) as client:
+                records, failures = client.run_stage(
+                    pickle.dumps(_raw_read_kernel),
+                    [(0, pickle.dumps(block))],
+                )
+                shipped = (client.blocks_shipped, client.bytes_shipped)
+            cached = list(worker.block_cache._blocks.values())
+            stats = worker.stats()["block_cache"]
+        assert failures == []
+        assert records[0][0][1].tobytes() == flights.measure.tobytes()
+        handle = file_table._handle
+        raw = sum(handle.block_nbytes(i) for i in range(handle.num_blocks))
+        assert shipped == (4, raw)
+        assert [type(data) for data in cached] == [bytes] * 4
+        assert sum(len(data) for data in cached) == raw
+        assert stats["resident_bytes"] == stats["fetched_bytes"] == raw
 
 
 def _raw_read_kernel(tc, part):
@@ -531,3 +697,129 @@ class TestWorkerFailure:
 
 def _boom_block_kernel(tc, part):
     raise ValueError("boom on shard %d" % part)
+
+
+def _big_output_kernel(tc, part):
+    """A few bytes in, 800 KB out."""
+    tc.add_records(1)
+    return np.full(100_000, float(part))
+
+
+def _slow_sum_kernel(tc, part):
+    """Sum of the partition; slow where the partition is small."""
+    if np.size(part) == 1:
+        time.sleep(0.3)
+    tc.add_records(1)
+    return float(np.sum(part))
+
+
+class TestFrameCap:
+    """A frame over the cap is an unshippable *stage* — one rerun on
+    the driver's threads — not a dead worker, and not a failed job."""
+
+    CAP = 200_000
+
+    @pytest.fixture
+    def fleet(self, monkeypatch):
+        # Before any decoder exists: both ends read the cap from here.
+        monkeypatch.setattr(worker_module, "WORKER_MAX_FRAME_BYTES",
+                            self.CAP)
+        workers = [ShardWorker(local_files=False).start()
+                   for _ in range(2)]
+        cluster = make_default_cluster(
+            num_executors=2, cores_per_executor=2, executor="remote",
+            workers=[w.address for w in workers],
+        )
+        yield cluster, workers
+        cluster.close()
+        for worker in workers:
+            worker.stop()
+
+    def _assert_one_fallback_then_remote_again(self, cluster, workers):
+        pstats = cluster.placement_stats()
+        assert cluster.fallback_stages == 1
+        assert pstats["worker_failures"] == 0
+        assert pstats["healthy_workers"] == 2
+        # The *next* stage crosses the wire again, on the same fleet.
+        before = [w.stats()["stages"] for w in workers]
+        assert cluster.run_stage(
+            _identity_kernel, [1, 2, 3, 4]
+        ).outputs == [1, 2, 3, 4]
+        assert [w.stats()["stages"] for w in workers] == [
+            n + 1 for n in before
+        ]
+        assert cluster.fallback_stages == 1
+
+    def test_over_cap_reply_is_a_typed_error_on_a_live_connection(
+            self, monkeypatch):
+        monkeypatch.setattr(worker_module, "WORKER_MAX_FRAME_BYTES",
+                            self.CAP)
+        with ShardWorker() as worker:
+            with ShardWorkerClient(worker.address) as client:
+                with pytest.raises(FrameTooLargeError):
+                    client.run_stage(pickle.dumps(_big_output_kernel),
+                                     [(0, pickle.dumps(3))])
+                assert client.hello()["stages"] == 1
+                assert client._request_id == 3   # one connection, kept
+
+    def test_over_cap_reply_reruns_the_stage_locally(self, fleet):
+        cluster, workers = fleet
+        serial = make_default_cluster(parallelism=1)
+        expected = serial.run_stage(_big_output_kernel, [1, 2, 3, 4])
+        result = cluster.run_stage(_big_output_kernel, [1, 2, 3, 4])
+        for ours, theirs in zip(result.outputs, expected.outputs):
+            assert ours.tobytes() == theirs.tobytes()
+        self._assert_one_fallback_then_remote_again(cluster, workers)
+
+    def test_over_cap_request_reruns_the_stage_locally(self, fleet,
+                                                       monkeypatch):
+        cluster, workers = fleet
+        in_flight = [0]
+        at_fallback = []
+        lock = threading.Lock()
+        run_stage = ShardWorkerClient.run_stage
+        run = RemoteExecutor.run
+
+        def counting_run_stage(client, kernel_bytes, batch):
+            with lock:
+                in_flight[0] += 1
+            try:
+                return run_stage(client, kernel_bytes, batch)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        def spying_run(executor, kernel, partitions):
+            try:
+                return run(executor, kernel, partitions)
+            except StageUnshippable:
+                at_fallback.append(in_flight[0])
+                raise
+
+        monkeypatch.setattr(ShardWorkerClient, "run_stage",
+                            counting_run_stage)
+        monkeypatch.setattr(RemoteExecutor, "run", spying_run)
+        # Shard 0 (800 KB) cannot be framed, which its client finds out
+        # at once; shard 1's call is still running on the other worker.
+        partitions = [np.arange(100_000, dtype=np.float64), np.ones(1)]
+        result = cluster.run_stage(_slow_sum_kernel, partitions)
+        assert result.outputs == [float(np.sum(partitions[0])), 1.0]
+        # No client was handed back to the cluster mid-call.
+        assert at_fallback == [0]
+        self._assert_one_fallback_then_remote_again(cluster, workers)
+
+    def test_over_cap_block_shipment_reruns_the_stage_locally(
+            self, fleet, tmp_path):
+        # Kernel, partitions and outputs are tiny; what cannot cross is
+        # the worker's block_fetch answer (3 000 rows x 80 B per shard).
+        cluster, workers = fleet
+        table = income_table(num_rows=6000, seed=3)
+        path = tmp_path / "income.col"
+        write_colfile(table, path, block_rows=512)
+        blocks = Table.open_colfile(path).partition_blocks(2, shared=True)
+        result = cluster.run_stage(_sum_kernel, blocks)
+        assert result.outputs == [
+            float(np.sum(table.measure[:3000])),
+            float(np.sum(table.measure[3000:])),
+        ]
+        self._assert_one_fallback_then_remote_again(cluster, workers)
