@@ -3,10 +3,20 @@
 Three classic rewrites, each preserving results exactly:
 
 - **predicate pushdown** — Filter directly above a Scan folds into the
-  scan, so non-qualifying rows are dropped during the table read;
-- **projection pruning** — a Scan only materializes columns some
-  ancestor actually references (wide tables are the thesis's setting,
-  so unread dimension columns are pure overhead);
+  scan, so non-qualifying rows are dropped during the table read.  It
+  stops at a join: a ``WHERE`` over a join stays a Filter above it.
+  Moving a conjunct below the join would evaluate it on every row of
+  one side instead of on the joined rows, and the executor's contract
+  is that data-dependent errors surface for exactly the rows the row
+  interpreter reaches — so that step needs its own lane argument and
+  is not taken here;
+- **projection pruning** — one top-down pass carries the set of output
+  slots each parent reads through Filter / Sort / Limit, resets it at
+  Project / Aggregate, splits it at a join's left width (adding the
+  join's own keys and residual) and narrows every Scan to what is left,
+  so a scan under a join materializes only the columns some ancestor
+  references (wide tables are the thesis's setting, so unread dimension
+  columns are pure overhead).  It never moves a predicate;
 - **constant folding** — bound sub-expressions with no column inputs
   are evaluated once at plan time.
 
@@ -129,39 +139,88 @@ def _push_down_predicates(node):
 
 
 def _prune_scan_columns(node):
-    """Narrow every Scan to the columns its consumers reference.
-
-    Only the straightforward case is rewritten: a Scan whose immediate
-    parent chain consists of Filter / Project nodes.  Join children are
-    left at full width (their slot spaces are interleaved and the
-    payoff is small at this scale).
-    """
-    if isinstance(node, (p.Project, p.Aggregate, p.Filter, p.Sort,
-                         p.Limit, p.Distinct)):
-        child = node.children()[0] if node.children() else None
-        if isinstance(child, p.Scan) and isinstance(node, p.Project):
-            # The scan's predicate is evaluated against the *full*
-            # relation row before projection, so only the Project's own
-            # references decide which columns the scan must emit.
-            used = set()
-            for expr in node.exprs:
-                _collect_columns(expr, used)
-            full = child.column_slots
-            kept = [slot for i, slot in enumerate(full) if i in used]
-            if len(kept) < len(full):
-                remap = {
-                    old_index: new_index
-                    for new_index, old_index in enumerate(
-                        i for i in range(len(full)) if i in used
-                    )
-                }
-                child.column_slots = kept
-                node.exprs = [_remap_columns(e, remap) for e in node.exprs]
-    for child_name in ("child", "left", "right"):
-        child = getattr(node, child_name, None)
-        if isinstance(child, p.PlanNode):
-            setattr(node, child_name, _prune_scan_columns(child))
+    """Narrow every Scan to the columns its consumers reference."""
+    _prune(node, set(range(node.output_width)))
     return node
+
+
+def _prune(node, required):
+    """Narrow the scans under ``node`` to what is read; returns a slot remap.
+
+    ``required`` holds the output slots of ``node`` its parent reads.
+    One top-down walk carries that set to every Scan; on the way back
+    each node rewrites its own expressions through the ``{old slot: new
+    slot}`` remap of its (now narrower) child and returns the remap of
+    its own output.  A scan's predicate indexes the full relation row,
+    so it never decides what the scan emits.
+    """
+    if isinstance(node, p.Scan):
+        kept = sorted(required)
+        node.column_slots = [node.column_slots[i] for i in kept]
+        return {old: new for new, old in enumerate(kept)}
+    if isinstance(node, (p.HashJoin, p.CrossJoin)):
+        return _prune_join(node, required)
+    if isinstance(node, p.Distinct):
+        # Every column takes part in row equality.
+        return _prune(node.child, set(range(node.child.output_width)))
+    if isinstance(node, p.Limit):
+        return _prune(node.child, required)
+    if isinstance(node, p.Filter):
+        remap = _prune(node.child, required | _columns_of([node.predicate]))
+        node.predicate = _remap_columns(node.predicate, remap)
+        return remap
+    if isinstance(node, p.Sort):
+        remap = _prune(node.child, required | _columns_of(node.keys))
+        node.keys = [_remap_columns(k, remap) for k in node.keys]
+        return remap
+    # Project and Aggregate emit a fixed layout computed from their own
+    # expressions: what the parent reads does not narrow them, and the
+    # child owes them exactly what those expressions reference.
+    if isinstance(node, p.Project):
+        remap = _prune(node.child, _columns_of(node.exprs))
+        node.exprs = [_remap_columns(e, remap) for e in node.exprs]
+    elif isinstance(node, p.Aggregate):
+        args = [arg for _name, arg, _distinct in node.agg_specs if arg is not None]
+        remap = _prune(node.child, _columns_of(node.group_exprs + args))
+        node.group_exprs = [_remap_columns(e, remap) for e in node.group_exprs]
+        node.agg_specs = [
+            (name, None if arg is None else _remap_columns(arg, remap), distinct)
+            for name, arg, distinct in node.agg_specs
+        ]
+    return {slot: slot for slot in range(node.output_width)}
+
+
+def _prune_join(node, required):
+    """Split ``required`` at the left width, add what the join itself reads."""
+    is_hash = isinstance(node, p.HashJoin)
+    condition = node.residual if is_hash else node.condition
+    left_width = node.left.output_width
+    needed = required | _columns_of([condition])
+    left_needed = {slot for slot in needed if slot < left_width}
+    right_needed = {slot - left_width for slot in needed if slot >= left_width}
+    if is_hash:
+        left_needed |= _columns_of(node.left_keys)
+        right_needed |= _columns_of(node.right_keys)
+    left_remap = _prune(node.left, left_needed)
+    right_remap = _prune(node.right, right_needed)
+    remap = dict(left_remap)
+    for old, new in right_remap.items():
+        remap[left_width + old] = node.left.output_width + new
+    if is_hash:
+        node.left_keys = [_remap_columns(k, left_remap) for k in node.left_keys]
+        node.right_keys = [_remap_columns(k, right_remap) for k in node.right_keys]
+        node.residual = _remap_columns(node.residual, remap)
+    else:
+        node.condition = _remap_columns(node.condition, remap)
+    return remap
+
+
+def _columns_of(exprs):
+    """Every column slot referenced by a list of bound expressions."""
+    used = set()
+    for expr in exprs:
+        _collect_columns(expr, used)
+    return used
 
 
 def _collect_columns(expr, out):

@@ -1,9 +1,10 @@
 """Scalar evaluation of bound expressions, one row at a time.
 
-The optimizer folds constant subexpressions with :func:`evaluate`, and
-the vectorized executor calls it for the per-lane fallbacks and the
-join loops; :func:`output_names` names a plan's result columns.  Rows
-are plain tuples; NULL is ``None``.  Three-valued logic follows SQL:
+The optimizer folds constant subexpressions with :func:`evaluate` (the
+row-interpreter oracle in ``tests/sql/oracle.py`` runs whole plans
+through it; the shipped executor does not call it);
+:func:`output_names` names a plan's result columns.  Rows are plain
+tuples; NULL is ``None``.  Three-valued logic follows SQL:
 comparisons with NULL yield NULL and ``AND``/``OR`` short-circuit
 through UNKNOWN.
 """

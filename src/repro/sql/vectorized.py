@@ -22,17 +22,33 @@ exactly.  The subtle points preserved here:
 - groups and DISTINCT rows surface in first-occurrence order, matching
   the row interpreter's dict-based iteration order.
 
-Joins materialize their children to rows and run the row
-interpreter's join loops over :func:`repro.sql.scalar.evaluate`: the
-hot path (scan → filter → aggregate → sort) is fully columnar, joins
-are not yet.
+Joins are columnar too: a join computes ``(left_idx, right_idx)`` index
+arrays and gathers both children's columns through them.  The contract
+a hash join keeps with the row interpreter's build-dict/probe loop:
 
-One deliberate divergence: NaN *group keys*.  The row interpreter's
-dict keying is object-identity-dependent there (the same NaN object
-groups together, distinct NaN objects split); this path follows
-PostgreSQL instead — all NaN keys form one group via np.unique.  NaN
-aggregate *inputs* are not affected: MIN/MAX fall back to the
-accumulators so NaN-skipping matches the reference exactly.
+- each key position is factorized *jointly* over build and probe
+  values under Python equality — ``np.unique`` within one numeric
+  dtype, a dict for ``object`` columns and for two sides of different
+  dtypes — so ``1 = 1.0 = TRUE`` joins and a big int never rounds;
+- a row with a NULL in any key joins nothing;
+- pairs surface in probe-row order, then build-row order within a key
+  (the build side is stable-sorted by code and each probe row expands
+  to its ``searchsorted`` run), so ``SUM`` over a join adds in the
+  same order and is bit-identical;
+- the residual (and a cross join's condition) is evaluated on exactly
+  the pairs the loop reaches — the key-matched pairs, or every pair of
+  the product — so its data-dependent errors surface identically.
+
+One deliberate divergence: NaN *keys*, where the row interpreter's
+dict keying is object-identity-dependent.  For group keys it groups
+the same NaN object together and splits distinct ones; this path
+follows PostgreSQL instead — all NaN keys form one group via
+np.unique.  For join keys it pairs a NaN only with the very same
+object (a self-join matches each NaN row to itself, two tables never
+match); this path follows the engine's own ``=`` — NaN equals nothing,
+so a NaN key never joins, whatever the column's dtype.  NaN aggregate
+*inputs* are not affected: MIN/MAX fall back to the accumulators so
+NaN-skipping matches the reference exactly.
 
 Cluster metering is per batch: each operator issues one
 :meth:`charge` for the whole batch it touched, with the same totals as
@@ -53,7 +69,7 @@ from repro.sql.columns import (
     scatter_columns,
 )
 from repro.sql.errors import SqlExecutionError
-from repro.sql.scalar import evaluate, output_names
+from repro.sql.scalar import output_names
 from repro.sql.functions import (
     VECTORIZED_AGGREGATES,
     group_avg,
@@ -97,11 +113,12 @@ class VectorizedExecutor:
     def _exec_scan(self, node):
         relation = node.relation
         columns, n = relation.column_data()
-        batch = Batch(columns, n)
+        # The predicate's slots index the relation, so it sees the full
+        # batch; only the emitted columns are gathered.
+        out = Batch([columns[i] for i in node.column_slots], n)
         if node.predicate is not None:
-            keep = strict_true(eval_expr(node.predicate, batch))
-            batch = batch.take(np.nonzero(keep)[0])
-        out = Batch([batch.columns[i] for i in node.column_slots], batch.n)
+            keep = strict_true(eval_expr(node.predicate, Batch(columns, n)))
+            out = out.take(np.nonzero(keep)[0])
         self._charge(n, ops=out.n)
         return out
 
@@ -172,41 +189,32 @@ class VectorizedExecutor:
         return Batch([c.slice(start, stop) for c in batch.columns], n)
 
     # ------------------------------------------------------------------
-    # Joins (materialized to rows)
+    # Joins
     # ------------------------------------------------------------------
 
     def _exec_hashjoin(self, node):
-        left_rows = self._execute(node.left).to_rows()
-        right_rows = self._execute(node.right).to_rows()
-        build = {}
-        for row in right_rows:
-            key = tuple(evaluate(k, row) for k in node.right_keys)
-            if any(v is None for v in key):
-                continue  # NULL never joins
-            build.setdefault(key, []).append(row)
-        out = []
-        for row in left_rows:
-            key = tuple(evaluate(k, row) for k in node.left_keys)
-            if any(v is None for v in key):
-                continue
-            for match in build.get(key, ()):
-                joined = row + match
-                if node.residual is None or evaluate(node.residual, joined) is True:
-                    out.append(joined)
-        self._charge(len(left_rows) + len(right_rows), ops=len(out))
-        return _rows_to_batch(out, node.output_width)
+        left = self._execute(node.left)
+        right = self._execute(node.right)
+        left_idx, right_idx = _equi_join_pairs(
+            [eval_expr(k, left) for k in node.left_keys],
+            [eval_expr(k, right) for k in node.right_keys],
+        )
+        joined = _gather_pairs(left, right, left_idx, right_idx, node.residual)
+        self._charge(left.n + right.n, ops=joined.n)
+        return joined
 
     def _exec_crossjoin(self, node):
-        left_rows = self._execute(node.left).to_rows()
-        right_rows = self._execute(node.right).to_rows()
-        out = []
-        for left in left_rows:
-            for right in right_rows:
-                joined = left + right
-                if node.condition is None or evaluate(node.condition, joined) is True:
-                    out.append(joined)
-        self._charge(len(left_rows) * max(len(right_rows), 1), ops=len(out))
-        return _rows_to_batch(out, node.output_width)
+        left = self._execute(node.left)
+        right = self._execute(node.right)
+        joined = _gather_pairs(
+            left,
+            right,
+            np.repeat(np.arange(left.n), right.n),
+            np.tile(np.arange(right.n), left.n),
+            node.condition,
+        )
+        self._charge(left.n * max(right.n, 1), ops=joined.n)
+        return joined
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -277,25 +285,25 @@ class VectorizedExecutor:
         return Batch(merged, sum(b.n for b in set_batches))
 
 
-def _rows_to_batch(rows, width):
-    columns = [
-        column_from_values([row[i] for row in rows]) for i in range(width)
-    ]
-    return Batch(columns, len(rows))
-
-
 def _null_like(col, n):
     """An all-NULL column with the dtype of ``col`` (CUBE wildcards)."""
     return Column(np.zeros(n, dtype=col.values.dtype), np.zeros(n, dtype=bool))
 
 
 # ----------------------------------------------------------------------
-# Grouping
+# Key codes: grouping and equi-joins
 # ----------------------------------------------------------------------
 
 
 def _factorize(col):
-    """Per-row codes of one key column; NULLs share one extra code."""
+    """Per-row codes of one key column: ``(codes, cardinality, uniques)``.
+
+    Values are coded under Python equality, ``uniques[code]`` being the
+    value (``np.unique`` over one numeric dtype; a dict over ``object``
+    values, so ``1``, ``1.0`` and ``True`` share a code exactly as they
+    share a dict slot).  NULLs share the one extra code
+    ``len(uniques)``.
+    """
     values = col.values
     n = len(values)
     codes = np.zeros(n, dtype=np.int64)
@@ -316,16 +324,40 @@ def _factorize(col):
                 code = len(code_of)
                 code_of[value] = code
             inverse[i] = code
-        num_uniques = len(code_of)
+        uniques = list(code_of)
     else:
         uniques, inverse = np.unique(subset, return_inverse=True)
-        num_uniques = len(uniques)
     if valid_idx is None:
         codes = np.asarray(inverse, dtype=np.int64)
-        return codes, num_uniques
-    codes[:] = num_uniques  # NULL lanes
+        return codes, len(uniques), uniques
+    codes[:] = len(uniques)  # NULL lanes
     codes[valid_idx] = inverse
-    return codes, num_uniques + 1
+    return codes, len(uniques) + 1, uniques
+
+
+#: Largest mixed-radix span folded without re-densifying; one more
+#: multiply by a cardinality below 2**31 cannot leave int64.
+_MAX_CODE_SPAN = 2**62
+
+
+def _fold_codes(parts, n):
+    """One int64 code per row from per-column ``(codes, cardinality)``.
+
+    Rows get equal codes exactly when every column's codes are equal.
+    The fold is the mixed-radix ``combined * cardinality + codes``; its
+    span is the *product* of the cardinalities, so before a multiply
+    that could pass int64 the codes so far are re-densified to at most
+    ``n`` distinct values — a wrap would silently merge distinct keys.
+    """
+    combined = np.zeros(n, dtype=np.int64)
+    span = 1  # exclusive bound of ``combined``, as an exact Python int
+    for codes, cardinality in parts:
+        if span * cardinality > _MAX_CODE_SPAN:
+            dense, combined = np.unique(combined, return_inverse=True)
+            span = len(dense)
+        combined = combined * cardinality + codes
+        span *= cardinality
+    return combined
 
 
 def _group_codes(key_columns, n):
@@ -340,10 +372,7 @@ def _group_codes(key_columns, n):
             np.zeros(1, dtype=np.int64),
             1,
         )
-    combined = np.zeros(n, dtype=np.int64)
-    for col in key_columns:
-        codes, cardinality = _factorize(col)
-        combined = combined * cardinality + codes
+    combined = _fold_codes([_factorize(col)[:2] for col in key_columns], n)
     uniques, first, inverse = np.unique(
         combined, return_index=True, return_inverse=True
     )
@@ -351,6 +380,74 @@ def _group_codes(key_columns, n):
     rank = np.empty(len(uniques), dtype=np.int64)
     rank[by_first_seen] = np.arange(len(uniques))
     return rank[inverse], first[by_first_seen], len(uniques)
+
+
+def _never_equal(uniques):
+    """Mask of float NaNs among a key's unique values (``NaN = NaN`` is false)."""
+    if isinstance(uniques, np.ndarray):
+        if uniques.dtype == np.float64:
+            return np.isnan(uniques)
+        return np.zeros(len(uniques), dtype=bool)
+    return np.fromiter(
+        (isinstance(u, float) and u != u for u in uniques),
+        dtype=bool,
+        count=len(uniques),
+    )
+
+
+def _equi_join_pairs(probe_keys, build_keys):
+    """``(probe_idx, build_idx)`` of every row pair equal on all keys.
+
+    Each key position is factorized jointly over build and probe values,
+    so a pair matches exactly when the row interpreter's build dict
+    would find it; rows with a NULL or NaN key match nothing.  Pairs
+    come in probe-row order, then build-row order within a key — the
+    order a probe loop over ``dict.setdefault(key, []).append(row)``
+    emits, which keeps float sums over a join bit-identical.
+    """
+    n_build = len(build_keys[0])
+    n = n_build + len(probe_keys[0])
+    joinable = np.ones(n, dtype=bool)
+    parts = []
+    for build_col, probe_col in zip(build_keys, probe_keys):
+        codes, cardinality, uniques = _factorize(
+            concat_columns([build_col, probe_col])
+        )
+        dead = np.ones(cardinality, dtype=bool)  # the NULL code stays dead
+        dead[: len(uniques)] = _never_equal(uniques)
+        joinable &= ~dead[codes]
+        parts.append((codes, cardinality))
+    combined = _fold_codes(parts, n)
+    build_rows = np.nonzero(joinable[:n_build])[0]
+    probe_rows = np.nonzero(joinable[n_build:])[0]
+    by_code = np.argsort(combined[build_rows], kind="stable")
+    build_rows = build_rows[by_code]
+    build_codes = combined[build_rows]
+    probe_codes = combined[n_build + probe_rows]
+    first = np.searchsorted(build_codes, probe_codes, side="left")
+    counts = np.searchsorted(build_codes, probe_codes, side="right") - first
+    probe_idx = np.repeat(probe_rows, counts)
+    # Each probe row's matches are the run build_rows[first : first + count].
+    run_start = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    build_idx = build_rows[np.arange(len(probe_idx)) + run_start]
+    return probe_idx, build_idx
+
+
+def _gather_pairs(left, right, left_idx, right_idx, condition):
+    """Batch of ``left[left_idx] + right[right_idx]`` rows passing ``condition``.
+
+    The condition is evaluated on exactly the given pairs, so its
+    data-dependent errors surface for the pairs the row interpreter's
+    join loop reaches and no others.
+    """
+    joined = Batch(
+        left.take(left_idx).columns + right.take(right_idx).columns,
+        len(left_idx),
+    )
+    if condition is not None:
+        keep = strict_true(eval_expr(condition, joined))
+        joined = joined.take(np.nonzero(keep)[0])
+    return joined
 
 
 def _aggregate_column(spec, arg_col, codes, num_groups):

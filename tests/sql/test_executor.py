@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.sql import SqlEngine
 from repro.sql.errors import SqlAnalysisError, SqlExecutionError
+
+from .oracle import RowOracleEngine
 
 
 class TestProjection:
@@ -251,6 +254,73 @@ class TestJoins:
             "ON f.dest = r.city AND f.delay > 10"
         )
         assert result.scalar() == 5
+
+
+class TestJoinMetering:
+    """Joins charge a metering cluster what the row interpreter charges."""
+
+    SQL = [
+        "SELECT f.dest, r.region FROM flights f JOIN regions r "
+        "ON f.dest = r.city AND f.delay > 10",
+        "SELECT COUNT(*) FROM flights f CROSS JOIN regions r "
+        "WHERE f.dest = r.city",
+        "SELECT f.day FROM flights f JOIN regions r ON f.delay < 10",
+    ]
+
+    @pytest.mark.parametrize("sql", SQL)
+    def test_join_charges_equal_the_oracle(self, sql):
+        from repro.core.miner import make_default_cluster
+        from tests.sql.conftest import FLIGHT_ROWS
+
+        charged = []
+        for engine_class in (RowOracleEngine, SqlEngine):
+            cluster = make_default_cluster()
+            engine = engine_class(cluster=cluster)
+            engine.catalog.register_rows(
+                "flights", ["day", "origin", "dest", "delay"], FLIGHT_ROWS
+            )
+            engine.catalog.register_rows(
+                "regions", ["city", "region"], [("London", "EU"), ("LA", "US")]
+            )
+            engine.query(sql)
+            charged.append(cluster.metrics.simulated_seconds)
+        assert charged[0] > 0
+        assert charged[1] == charged[0]
+
+
+class TestKeyCodeOverflow:
+    """Five 65 536-value key columns span 2**80 combined codes.
+
+    Folded in int64 without a check, the leading column's weight is
+    65536**4 = 2**64 = 0: ``(1,0,0,0,0)`` and ``(0,0,0,0,0)`` collide.
+    """
+
+    NAMES = ["a", "b", "c", "d", "e"]
+
+    def _engine(self):
+        diagonal = np.arange(65536, dtype=np.int64)
+        first = np.append(diagonal, 1)
+        rest = np.append(diagonal, 0)
+        engine = SqlEngine()
+        engine.catalog.register_columns(
+            "t", self.NAMES, [first, rest, rest, rest, rest]
+        )
+        engine.catalog.register_rows("probe", self.NAMES, [(0, 0, 0, 0, 0)])
+        return engine
+
+    def test_group_by_keeps_every_distinct_key(self):
+        result = self._engine().query(
+            "SELECT a, b, c, d, e, COUNT(*) FROM t GROUP BY a, b, c, d, e"
+        )
+        assert len(result) == 65537
+        assert set(result.column("count")) == {1}
+
+    def test_multi_key_join_matches_only_equal_keys(self):
+        result = self._engine().query(
+            "SELECT t.a FROM probe p JOIN t ON p.a = t.a AND p.b = t.b "
+            "AND p.c = t.c AND p.d = t.d AND p.e = t.e"
+        )
+        assert result.rows == [(0,)]
 
 
 class TestOrderLimitDistinct:

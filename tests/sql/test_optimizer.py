@@ -7,6 +7,7 @@ from repro.sql import plan as p
 from repro.sql.optimizer import fold_expr, optimize
 
 from tests.sql.conftest import FLIGHT_ROWS
+from tests.sql.test_parity import QUERIES
 
 
 def both_engines():
@@ -75,6 +76,99 @@ class TestProjectionPruning:
         assert root.child.column_slots == [0, 1, 2, 3]
 
 
+class TestPruningThroughOperators:
+    """The required-slot set travels down to every Scan."""
+
+    JOIN = (
+        "SELECT r.region, COUNT(*), SUM(f.delay) FROM flights f "
+        "JOIN regions r ON f.origin = r.city WHERE f.day = 'Mon' "
+        "GROUP BY r.region"
+    )
+
+    def test_scans_narrow_under_a_join(self, engine):
+        # origin is the key, day the WHERE column, delay the SUM input;
+        # dest is read by nothing.  The WHERE stays above the join.
+        text = engine.explain(self.JOIN)
+        assert "Scan(flights cols=[0, 1, 3])" in text
+        assert "Scan(regions cols=[0, 1])" in text
+        assert "filtered" not in text
+        assert engine.query(self.JOIN).rows == [
+            ("US", 2, 12.0), ("ASIA", 1, 6.0), ("EU", 1, 4.0),
+        ]
+
+    def test_residual_and_keys_keep_their_columns(self, engine):
+        root = engine.plan(
+            "SELECT f.day FROM flights f JOIN regions r "
+            "ON f.dest = r.city AND f.delay > 10"
+        )
+        join = root.child
+        assert join.left.column_slots == [0, 2, 3]
+        assert join.right.column_slots == [0]
+        assert join.left_keys == [("col", 1)]
+        assert join.right_keys == [("col", 0)]
+        assert join.residual == ("cmp", ">", ("col", 2), ("const", 10))
+
+    def test_cross_join_side_read_by_nothing_emits_no_columns(self, engine):
+        text = engine.explain("SELECT f.dest FROM flights f CROSS JOIN regions r")
+        assert "Scan(flights cols=[2])" in text
+        assert "Scan(regions cols=[])" in text
+
+    def test_three_way_join_remaps_through_both_levels(self, engine):
+        sql = (
+            "SELECT a.day FROM flights a JOIN flights b ON a.dest = b.origin "
+            "JOIN regions r ON b.dest = r.city AND a.delay > b.delay"
+        )
+        text = engine.explain(sql)
+        assert "Scan(flights cols=[0, 2, 3])" in text
+        assert "Scan(flights cols=[1, 2, 3])" in text
+        assert "Scan(regions cols=[0])" in text
+        plain = SqlEngine(optimize_plans=False)
+        plain.catalog = engine.catalog
+        assert engine.query(sql).rows == plain.query(sql).rows
+
+    def test_star_over_a_join_prunes_nothing(self, engine):
+        text = engine.explain(
+            "SELECT * FROM flights f JOIN regions r ON f.dest = r.city"
+        )
+        assert "Scan(flights cols=[0, 1, 2, 3])" in text
+        assert "Scan(regions cols=[0, 1])" in text
+
+    def test_scan_narrows_under_aggregate(self, engine):
+        text = engine.explain("SELECT day, AVG(delay) FROM flights GROUP BY day")
+        assert "Scan(flights cols=[0, 3])" in text
+
+    def test_filtered_count_scan_emits_no_columns(self, engine):
+        sql = "SELECT COUNT(*) FROM flights WHERE delay > 5"
+        assert "Scan(flights cols=[] filtered)" in engine.explain(sql)
+        assert engine.query(sql).scalar() == 10
+
+    def test_scan_narrows_under_sort(self, engine):
+        # The hidden sort key rides a widened Project under the Sort.
+        text = engine.explain("SELECT dest FROM flights ORDER BY delay")
+        assert "Sort" in text
+        assert "Scan(flights cols=[2, 3])" in text
+
+    def test_having_reads_the_aggregate_not_the_scan(self, engine):
+        sql = (
+            "SELECT day, COUNT(*) c FROM flights GROUP BY day "
+            "HAVING SUM(delay) > 30 ORDER BY day"
+        )
+        assert "Scan(flights cols=[0, 3])" in engine.explain(sql)
+        assert engine.query(sql).rows == [("Fri", 2), ("Sat", 2)]
+
+
+class TestCachedJoinPlan:
+    def test_plan_cached_join_reexecutes_to_the_same_rows(self, engine):
+        # Pruning rewrites the join's slots in place, once, at plan
+        # time; running the cached tree again must not re-narrow it.
+        sql = TestPruningThroughOperators.JOIN
+        first = engine.query(sql).rows
+        assert engine.query(sql).rows == first
+        assert engine.plan_cache_info["hits"] == 1
+        statement = engine.prepare(sql)
+        assert statement.execute().rows == statement.execute().rows == first
+
+
 class TestConstantFolding:
     def test_arithmetic_folds(self):
         assert fold_expr(("arith", "+", ("const", 1), ("const", 2))) == (
@@ -127,6 +221,41 @@ class TestIdempotency:
         once = engine.plan(sql)
         twice = optimize(once)
         assert twice.explain() == once.explain()
+
+
+def _structure(node):
+    """A plan tree as nested tuples: every field that is not a relation."""
+    fields = {
+        name: value
+        for name, value in vars(node).items()
+        if not isinstance(value, p.PlanNode) and name != "relation"
+    }
+    return (
+        type(node).__name__,
+        sorted(fields.items()),
+        [_structure(child) for child in node.children()],
+    )
+
+
+class TestStructuralIdempotency:
+    """``explain()`` hides expressions; compare the trees themselves."""
+
+    SQL = QUERIES + [
+        "SELECT r.b, COUNT(*), SUM(l.m) FROM t l JOIN t r ON l.a = r.a "
+        "WHERE l.k > 0 GROUP BY r.b",
+        "SELECT l.a FROM t l JOIN t r ON l.a = r.a AND l.k < r.k",
+        "SELECT l.a FROM t l CROSS JOIN t r WHERE l.k < r.k ORDER BY r.m",
+    ]
+
+    @pytest.mark.parametrize("sql", SQL)
+    def test_optimize_twice_is_structurally_once(self, sql):
+        engine = SqlEngine()
+        engine.catalog.register_rows(
+            "t", ["a", "b", "k", "m"], [("Mon", "SF", 1, 2.0)]
+        )
+        once = engine.plan(sql)
+        before = _structure(once)
+        assert _structure(optimize(once)) == before
 
 
 class TestExplain:

@@ -168,6 +168,194 @@ class TestEdgeCaseParity:
         assert vec_e.query("SELECT SUM(m) FROM t").scalar() == 3.0
 
 
+# ----------------------------------------------------------------------
+# Joins
+# ----------------------------------------------------------------------
+
+#: Key-column value pools by dtype kind; "mixed" columns come out as
+#: ``object`` arrays holding ``1``, ``1.0`` and ``True`` side by side.
+_NAN = float("nan")
+KEY_VALUES = {
+    "int": [0, 1, 2, 3],
+    "float": [0.0, 1.0, 2.0, 2.5, _NAN],
+    "bool": [True, False],
+    "text": ["a", "b", "1"],
+    "mixed": [0, 1, 1.0, True, 2.5, "a", _NAN],
+}
+#: (left, right) key kinds: every same-kind pair, plus the cross-dtype
+#: pairs whose values can be equal (and one, int/text, that never are).
+KEY_KIND_PAIRS = [(kind, kind) for kind in sorted(KEY_VALUES)] + [
+    ("int", "float"), ("int", "bool"), ("bool", "float"), ("int", "text"),
+    ("int", "mixed"), ("mixed", "float"), ("bool", "mixed"), ("mixed", "text"),
+]
+JOIN_COLUMNS = ["k", "j", "m", "z"]
+
+#: FROM clauses over tables ``l`` and ``r`` (every shape below reads
+#: both qualifiers).  NaN-able ``k`` is only ever matched *across* the
+#: two tables: matching a NaN against the very same object is the one
+#: documented divergence (see ``TestJoinEdgeCases``).
+JOIN_SOURCES = {
+    "one_key": "l JOIN r ON l.k = r.k",
+    "two_keys": "l JOIN r ON l.k = r.k AND l.j = r.j",
+    "residual": "l JOIN r ON l.k = r.k AND l.m > r.m",
+    "residual_may_divide_by_zero": "l JOIN r ON l.k = r.k AND l.m / r.z > 1",
+    "cross": "l CROSS JOIN r",
+    "cross_with_condition": "l JOIN r ON l.m < r.m",
+    "three_way": "l JOIN r ON l.k = r.k JOIN l x ON r.j = x.j",
+    "self_join": "l JOIN l r ON l.j = r.j",
+}
+
+JOIN_SHAPES = [
+    "SELECT * FROM %s",
+    "SELECT l.k, r.k, r.m, l.z + r.z FROM %s",
+    "SELECT l.j, COUNT(*), SUM(r.m), MIN(l.m) FROM %s GROUP BY l.j",
+    "SELECT r.j, COUNT(*), SUM(l.m) FROM %s WHERE l.z = 1 GROUP BY r.j",
+    "SELECT l.j, r.j, l.m FROM %s ORDER BY l.j DESC, r.m LIMIT 15",
+    "SELECT DISTINCT l.j, r.z FROM %s",
+]
+
+
+def _join_rows(kind):
+    """0-40 rows of (k, j, m, z): NULLs everywhere, few distinct keys."""
+    row = st.tuples(
+        st.sampled_from(KEY_VALUES[kind] + [None]),
+        st.sampled_from([0, 1, None]),
+        MEASURE,
+        st.sampled_from([0, 1, 2, None]),
+    )
+    # Sizes are drawn uniformly: hypothesis' own list sizes stay near
+    # zero, where duplicate and NaN keys on both sides are rare.  Each
+    # NaN cell gets its own object: the oracle's dict keying matches a
+    # NaN to *itself*, so a shared object would join there.
+    return st.integers(min_value=0, max_value=40).flatmap(
+        lambda n: st.lists(row, min_size=n, max_size=n)
+    ).map(
+        lambda rows: [
+            tuple(float("nan") if v is _NAN else v for v in r) for r in rows
+        ]
+    )
+
+
+def _typed(outcome):
+    """An outcome with every cell tagged by type and NaN made comparable."""
+    kind, columns, rows = outcome
+    if rows is None:
+        return outcome
+    return kind, columns, [
+        tuple(
+            (type(v).__name__, "nan" if v != v else v) for v in row
+        )
+        for row in rows
+    ]
+
+
+def _join_engines(left_rows, right_rows):
+    engines = RowOracleEngine(), SqlEngine()
+    for engine in engines:
+        engine.catalog.register_rows("l", JOIN_COLUMNS, left_rows)
+        engine.catalog.register_rows("r", JOIN_COLUMNS, right_rows)
+    return engines
+
+
+@pytest.mark.parametrize("source", sorted(JOIN_SOURCES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_join_matches_row_interpreter(source, data):
+    """Joins return the oracle's columns, rows *in order* and error type."""
+    left_kind, right_kind = data.draw(st.sampled_from(KEY_KIND_PAIRS))
+    left_rows = data.draw(_join_rows(left_kind))
+    right_rows = data.draw(_join_rows(right_kind))
+    sql = data.draw(st.sampled_from(JOIN_SHAPES)) % JOIN_SOURCES[source]
+    row_engine, vec_engine = _join_engines(left_rows, right_rows)
+    assert _typed(_outcome(vec_engine, sql)) == _typed(
+        _outcome(row_engine, sql)
+    )
+
+
+class TestJoinEdgeCases:
+    """Join rules the generated cases cover only by chance."""
+
+    def _both(self, sql, left_rows, right_rows, columns=("k", "m")):
+        outcomes = []
+        for engine in (RowOracleEngine(), SqlEngine()):
+            engine.catalog.register_rows("l", list(columns), left_rows)
+            engine.catalog.register_rows("r", list(columns), right_rows)
+            outcomes.append(_typed(_outcome(engine, sql)))
+        assert outcomes[1] == outcomes[0]
+        return outcomes[1]
+
+    def test_residual_runs_on_matched_pairs_only(self):
+        # r's second row would divide by zero, but its key matches
+        # nothing, so the residual never sees it on either path.
+        outcome = self._both(
+            "SELECT l.k, r.m FROM l JOIN r ON l.k = r.k AND l.m / r.m > 1",
+            [(1, 5.0)],
+            [(1, 2.0), (2, 0.0)],
+        )
+        assert outcome[2] == [(("int", 1), ("float", 2.0))]
+
+    def test_residual_error_on_a_matched_pair_surfaces(self):
+        outcome = self._both(
+            "SELECT l.k FROM l JOIN r ON l.k = r.k AND l.m / r.m > 1",
+            [(1, 5.0)],
+            [(1, 0.0)],
+        )
+        assert outcome[:2] == ("error", "SqlExecutionError")
+
+    def test_keys_join_under_python_equality_across_dtypes(self):
+        # int64 probe column against float64 and bool build columns:
+        # 1 = 1.0 = TRUE, as in the oracle's dict.
+        for right_rows in ([(1.0, 0.0), (2.5, 0.0)], [(True, 0.0)]):
+            outcome = self._both(
+                "SELECT l.k, r.k FROM l JOIN r ON l.k = r.k",
+                [(1, 0.0), (2, 0.0)],
+                right_rows,
+            )
+            assert len(outcome[2]) == 1
+            assert outcome[2][0][0] == ("int", 1)
+
+    def test_big_int_keys_join_exactly(self):
+        outcome = self._both(
+            "SELECT COUNT(*) FROM l JOIN r ON l.k = r.k",
+            [(2**70, 0.0), (2**70 + 1, 0.0), (2**53 + 1, 0.0)],
+            [(2**70, 0.0), (float(2**53), 0.0)],
+        )
+        assert outcome[2] == [(("int", 1),)]
+
+    def test_duplicates_pair_in_probe_then_build_order(self):
+        outcome = self._both(
+            "SELECT l.m, r.m FROM l JOIN r ON l.k = r.k",
+            [("a", 1.0), ("b", 2.0), ("a", 3.0)],
+            [("a", 10.0), ("b", 20.0), ("a", 30.0)],
+        )
+        assert [tuple(v for _t, v in row) for row in outcome[2]] == [
+            (1.0, 10.0), (1.0, 30.0), (2.0, 20.0), (3.0, 10.0), (3.0, 30.0),
+        ]
+
+    def test_nan_keys_never_join_across_tables(self):
+        outcome = self._both(
+            "SELECT COUNT(*) FROM l JOIN r ON l.k = r.k",
+            [(float("nan"), 0.0), (1.0, 0.0)],
+            [(float("nan"), 0.0), (1.0, 0.0)],
+        )
+        assert outcome[2] == [(("int", 1),)]
+
+    @pytest.mark.parametrize("other", [2.0, "x"], ids=["float64", "object"])
+    def test_nan_key_does_not_join_itself(self, other):
+        # The documented divergence: the oracle's dict finds a NaN key
+        # by object identity, so a self-join pairs each NaN row with
+        # itself there.  The shipped executor follows its own ``=``
+        # (NaN = NaN is false) whatever the column's dtype.
+        engine = SqlEngine()
+        engine.catalog.register_rows(
+            "t", ["k"], [(float("nan"),), (1.0,), (other,)]
+        )
+        sql = "SELECT COUNT(*) FROM t a JOIN t b ON a.k = b.k"
+        assert engine.query(sql).scalar() == 2
+        cross = "SELECT COUNT(*) FROM t a CROSS JOIN t b WHERE a.k = b.k"
+        assert engine.query(cross).scalar() == 2
+
+
 @given(rows=ROWS)
 @settings(max_examples=25, deadline=None)
 def test_prepared_statement_matches_query(rows):
