@@ -5,10 +5,13 @@ Architecture
 The server runs one asyncio event loop on its own thread (the service
 itself is thread-based and blocking).  Each connection is a
 :class:`ClientSession`; each request frame dispatches as its own task,
-so a blocking ``result`` wait never stalls the connection's read loop.
-Blocking service waits happen on a dedicated thread pool via
-``run_in_executor`` — one waiter per distinct in-flight job, polling
-``JobHandle.result`` so a server shutdown can abandon the wait.
+so a ``result`` wait never stalls the connection's read loop.
+No thread waits on a job: the server adds a done callback to each job
+it admits, and the job's own completion — on the service thread that
+finished it — serializes the outcome once and hands it to the loop,
+which retires the job and wakes every ``result`` fetcher.  A small
+fixed codec pool takes what would otherwise block the loop: serializing
+a job already done at admission (a cache hit) and ``service.stats()``.
 
 Multi-tenancy
 -------------
@@ -22,12 +25,13 @@ ever sees the request.
 
 Protocol-level coalescing
 -------------------------
-The server keys every submission by the service's own canonical
-fingerprint (:mod:`repro.service.fingerprint`) plus the dataset
-version, and concurrent identical requests — *from any connection* —
-attach to one :class:`ServerJob` (one service submission, one result
-serialization) instead of each entering the scheduler.  Hits surface
-as ``stats()["net"]["coalesce_hits"]``.
+Which requests are the same is the service's decision alone: every
+submission goes to ``service.submit_*``, and a handle the service
+coalesced carries its leader's job id.  The server keys its
+:class:`ServerJob` table on that id, so concurrent identical requests
+— *from any connection* — attach to one :class:`ServerJob` (one
+execution, one result serialization).  Hits surface as
+``stats()["net"]["coalesce_hits"]``.
 
 Drain
 -----
@@ -47,7 +51,7 @@ import asyncio
 import itertools
 import threading
 
-from collections import Counter, OrderedDict
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.common.errors import (
@@ -73,7 +77,6 @@ from repro.net.protocol import (
     encode_frame,
 )
 from repro.net.wire import result_to_wire, sanitize
-from repro.service.fingerprint import mining_fingerprint, sql_fingerprint
 from repro.service.jobs import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
@@ -88,6 +91,14 @@ PRIORITY_CLASSES = {
 }
 
 DEFAULT_TENANT = "default"
+
+#: Finished jobs kept addressable for late ``result`` fetches (e.g.
+#: after a client reconnects); the oldest completion is evicted first.
+COMPLETED_JOB_RETENTION = 1024
+
+#: Threads serializing cache-hit replies and ``stats()`` snapshots off
+#: the loop; both are short and GIL-bound.
+CODEC_THREADS = 2
 
 #: Capabilities this server advertises in its ``hello`` response, so a
 #: client can discover surface without probing: ``stats.placement``
@@ -127,9 +138,7 @@ class NetConfig:
     """Tunables for :class:`ServiceServer`."""
 
     def __init__(self, host="127.0.0.1", port=0, tenants=None,
-                 default_tenant=None, max_frame_bytes=DEFAULT_MAX_FRAME_BYTES,
-                 completed_job_retention=1024, waiter_threads=32,
-                 waiter_poll_seconds=0.25):
+                 default_tenant=None, max_frame_bytes=DEFAULT_MAX_FRAME_BYTES):
         self.host = host
         #: Port 0 binds an ephemeral port; read it back from
         #: ``ServiceServer.port`` after ``start()``.
@@ -139,16 +148,6 @@ class NetConfig:
         self.tenants = dict(tenants or {})
         self.default_tenant = default_tenant or TenantPolicy()
         self.max_frame_bytes = max_frame_bytes
-        #: Finished jobs kept addressable for late ``result`` fetches
-        #: (e.g. after a client reconnects); oldest evicted first.
-        self.completed_job_retention = completed_job_retention
-        #: Threads for blocking result waits; more in-flight distinct
-        #: jobs than this only delays completion *notifications*, never
-        #: the jobs themselves.
-        self.waiter_threads = waiter_threads
-        #: Wait-loop poll interval — the latency bound on noticing a
-        #: server shutdown from inside a blocking wait.
-        self.waiter_poll_seconds = waiter_poll_seconds
 
     def policy_for(self, tenant):
         return self.tenants.get(tenant, self.default_tenant)
@@ -157,37 +156,34 @@ class NetConfig:
 class ServerJob:
     """One distinct in-flight (or retained finished) wire job.
 
-    Many submissions — across connections and tenants — may attach to
-    one ServerJob; ``attached`` counts them per tenant so quota release
-    on completion mirrors quota charge on submission.  ``handle`` is
-    the service's job handle while the job runs and None once it has
-    finished: a retained finished job keeps only its serialised
-    payload, not the ``MiningResult`` behind the handle as well.
+    Keyed by the service's job id.  Many submissions — across
+    connections and tenants — may attach to one ServerJob; ``attached``
+    counts them per tenant so quota release on completion mirrors quota
+    charge on submission.  ``handle`` is the service's job handle while
+    the job runs and None once it has finished: a retained finished job
+    keeps only its serialised ``payload``, not the ``MiningResult``
+    behind the handle as well.
     """
 
     __slots__ = (
-        "job_id", "key", "handle", "label", "done_event", "ok",
-        "result_payload", "error_payload", "attached", "finished",
-        "cache_hit", "coalesced",
+        "job_id", "handle", "label", "done_event", "ok", "payload",
+        "attached", "finished", "cache_hit",
     )
 
-    def __init__(self, job_id, key, handle, label):
-        self.job_id = job_id
-        self.key = key
+    def __init__(self, handle, label):
+        self.job_id = handle.job_id
         self.handle = handle
         self.label = label
         self.done_event = asyncio.Event()
         self.ok = None
-        self.result_payload = None
-        self.error_payload = None
+        self.payload = None          # wire form of the result, or error
         self.attached = Counter()
         self.finished = False
         self.cache_hit = handle.cache_hit
-        self.coalesced = handle.coalesced
 
 
 class ClientSession:
-    """Per-connection state: tenant, in-flight jobs, stream flag."""
+    """Per-connection state: tenant, unfinished jobs, stream flag."""
 
     __slots__ = (
         "session_id", "tenant", "writer", "write_lock", "subscribed",
@@ -218,19 +214,18 @@ class ServiceServer:
         self._started = threading.Event()
         self._start_error = None
         self._shutdown = None        # asyncio.Event, created on the loop
-        self._stop_waiters = threading.Event()
         self._draining = False
         self._stopped = False
         self._sessions = {}
+        self._tasks = set()          # the loop holds tasks only weakly
         self._session_ids = itertools.count(1)
-        self._jobs = OrderedDict()   # job_id -> ServerJob (insert order)
-        self._inflight_keys = {}     # coalesce key -> ServerJob
+        self._jobs = {}              # job_id -> ServerJob
+        self._finished = deque()     # finished job ids, oldest first
         self._tenant_inflight = Counter()
         self._tenant_counters = {}   # tenant -> Counter of event names
         self._metrics = MetricsRegistry()
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.waiter_threads,
-            thread_name_prefix="net-waiter",
+            max_workers=CODEC_THREADS, thread_name_prefix="net-codec",
         )
 
     # ------------------------------------------------------------------
@@ -302,7 +297,6 @@ class ServiceServer:
         if self._thread is None or self._stopped:
             return
         self._stopped = True
-        self._stop_waiters.set()
         try:
             self.service.unregister_stats_section("net")
         except ServiceError:
@@ -376,9 +370,7 @@ class ServiceServer:
                         continue
                     # Each request runs as its own task so a blocking
                     # `result` wait never stalls this read loop.
-                    asyncio.ensure_future(
-                        self._dispatch(session, event)
-                    )
+                    self._spawn(self._dispatch(session, event))
         except (ConnectionError, OSError):
             pass  # abrupt disconnect: jobs keep running (see below)
         except asyncio.CancelledError:
@@ -389,6 +381,11 @@ class ServiceServer:
             pass
         finally:
             await self._close_session(session)
+
+    def _spawn(self, coroutine):
+        task = asyncio.ensure_future(coroutine)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     async def _close_session(self, session):
         if session.closed:
@@ -465,16 +462,6 @@ class ServiceServer:
         if not isinstance(dataset, str):
             raise ProtocolError("submit_mine needs a dataset name")
         params = dict(payload.get("params") or {})
-        handle = self.service.dataset(dataset)  # typed error if unknown
-        fingerprint = mining_fingerprint(
-            variant=params.get("variant", "optimized"),
-            engine=params.get("engine", "operators"),
-            platform=params.get("platform"),
-            k=params.get("k", 10),
-            **{k: v for k, v in params.items()
-               if k not in ("variant", "engine", "platform", "k")}
-        )
-        key = ("mine", dataset, handle.version, fingerprint)
 
         def submit(priority, deadline_seconds):
             return self.service.submit_mine(
@@ -482,23 +469,21 @@ class ServiceServer:
                 deadline_seconds=deadline_seconds, **params
             )
 
-        return self._admit(session, payload, key, "mine:%s" % dataset,
-                           submit)
+        return self._admit(session, payload, "mine:%s" % dataset, submit)
 
     async def _op_submit_query(self, session, payload):
         sql = payload.get("sql")
         if not isinstance(sql, str):
             raise ProtocolError("submit_query needs sql text")
-        key = ("sql", self.service.catalog.version, sql_fingerprint(sql))
 
         def submit(priority, deadline_seconds):
             return self.service.submit_query(
                 sql, priority=priority, deadline_seconds=deadline_seconds
             )
 
-        return self._admit(session, payload, key, "sql", submit)
+        return self._admit(session, payload, "sql", submit)
 
-    def _admit(self, session, payload, key, label, submit):
+    def _admit(self, session, payload, label, submit):
         """Shared submission path: quota, coalescing, service handoff."""
         if self._draining:
             raise ServiceClosedError("server is draining; job rejected")
@@ -524,30 +509,31 @@ class ServiceServer:
             # class, never raise it above.
             priority = max(priority, PRIORITY_CLASSES[requested])
         deadline_seconds = payload.get("deadline_seconds")
-        net_coalesced = False
-        job = self._inflight_keys.get(key)
-        if job is not None and not job.finished:
-            # Protocol-level coalescing: land on the in-flight job
-            # without another trip through the service's scheduler.
-            net_coalesced = True
+        handle = submit(priority, deadline_seconds)
+        # A coalesced handle carries its leader's id: when this server
+        # already tracks that job, the submission attaches to it.
+        job = self._jobs.get(handle.job_id)
+        net_coalesced = job is not None
+        if net_coalesced:
             self._metrics.increment("net_coalesce_hits")
         else:
-            service_handle = submit(priority, deadline_seconds)
-            job = ServerJob(service_handle.job_id, key, service_handle,
-                            label)
-            self._jobs[job.job_id] = job
-            self._inflight_keys[key] = job
-            asyncio.ensure_future(self._wait_job(job))
-            self._trim_finished_jobs()
-        job.attached[tenant] += 1
-        self._tenant_inflight[tenant] += 1
-        session.jobs.add(job.job_id)
+            job = self._jobs[handle.job_id] = ServerJob(handle, label)
+            handle.add_done_callback(lambda: self._on_job_done(job))
+            if deadline_seconds is not None and not handle.done():
+                # Nobody may be blocked in `result` to notice a queued
+                # job's start deadline lapse; this timer is.
+                self._loop.call_later(deadline_seconds + 0.005,
+                                      self._expire, job)
+        if not job.finished:  # else: caught its leader mid-completion
+            job.attached[tenant] += 1
+            self._tenant_inflight[tenant] += 1
+            session.jobs.add(job.job_id)
         self._tenant_counter(tenant)["submitted"] += 1
         self._metrics.increment("net_jobs_submitted")
         return {
             "job_id": job.job_id,
-            "cache_hit": job.cache_hit,
-            "coalesced": bool(job.coalesced or net_coalesced),
+            "cache_hit": handle.cache_hit,
+            "coalesced": handle.coalesced,
             "net_coalesced": net_coalesced,
         }
 
@@ -557,71 +543,64 @@ class ServiceServer:
             counter = self._tenant_counters[tenant] = Counter()
         return counter
 
-    def _trim_finished_jobs(self):
-        retention = self.config.completed_job_retention
-        finished = [
-            job_id for job_id, job in self._jobs.items() if job.finished
-        ]
-        for job_id in finished[:max(0, len(finished) - retention)]:
-            del self._jobs[job_id]
-
     # ------------------------------------------------------------------
-    # Job completion (waiter thread -> loop thread)
+    # Job completion (completing thread -> loop thread)
     # ------------------------------------------------------------------
 
-    def _blocking_result(self, handle):
-        """Wait for a service job on a waiter thread, abandonable."""
-        poll = self.config.waiter_poll_seconds
-        while True:
-            if self._stop_waiters.is_set():
-                raise ServiceClosedError(
-                    "server stopped while waiting for job"
-                )
-            try:
-                return handle.result(timeout=poll)
-            except ResultTimeoutError:
-                continue
+    def _expire(self, job):
+        if job.handle is not None:
+            job.handle.expire()
 
-    async def _wait_job(self, job):
-        loop = asyncio.get_running_loop()
+    def _on_job_done(self, job):
+        """``job.handle``'s done callback: serialize the outcome — once,
+        never on the loop thread — and hand it to the loop to retire.
+
+        Runs on the service thread that completed the job, or on the
+        loop thread itself when the handle was already done at
+        admission (a cache hit), which takes one hop to the codec pool.
+        """
+        if threading.current_thread() is self._thread:
+            self._executor.submit(self._on_job_done, job)
+            return
+        result, exception = job.handle.outcome()
+        ok, payload = exception is None, None
         try:
-            result = await loop.run_in_executor(
-                self._executor, self._blocking_result, job.handle
-            )
-            # Serialize once, off the loop; every fetcher reuses it.
-            job.result_payload = await loop.run_in_executor(
-                self._executor, result_to_wire, result
-            )
-            job.ok = True
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            job.ok = False
-            job.error_payload = to_wire(exc)
+            payload = result_to_wire(result) if ok else to_wire(exception)
+        except Exception as exc:
+            ok, payload = False, to_wire(exc)
+        try:
+            self._loop.call_soon_threadsafe(self._retire, job, ok, payload)
+        except RuntimeError:
+            pass  # stop() closed the loop: nobody is left to tell
+
+    def _retire(self, job, ok, payload):
         # Single-threaded from here (loop thread): retire atomically.
+        job.ok, job.payload = ok, payload
         job.finished = True
         job.handle = None
-        if self._inflight_keys.get(job.key) is job:
-            del self._inflight_keys[job.key]
         for tenant, count in job.attached.items():
             self._tenant_inflight[tenant] -= count
             if self._tenant_inflight[tenant] <= 0:
                 del self._tenant_inflight[tenant]
         job.done_event.set()
         self._metrics.increment(
-            "net_jobs_completed" if job.ok else "net_jobs_failed"
+            "net_jobs_completed" if ok else "net_jobs_failed"
         )
+        self._finished.append(job.job_id)
+        if len(self._finished) > COMPLETED_JOB_RETENTION:
+            del self._jobs[self._finished.popleft()]
         event = {
             "event": "job_done",
             "job_id": job.job_id,
             "label": job.label,
-            "ok": job.ok,
+            "ok": ok,
         }
-        if not job.ok:
-            event["error"] = job.error_payload
-        for session in list(self._sessions.values()):
+        if not ok:
+            event["error"] = payload
+        for session in self._sessions.values():
+            session.jobs.discard(job.job_id)
             if session.subscribed:
-                await self._send(session, KIND_EVENT, 0, event)
+                self._spawn(self._send(session, KIND_EVENT, 0, event))
 
     # ------------------------------------------------------------------
     # Remaining ops
@@ -633,8 +612,7 @@ class ServiceServer:
             raise ServiceError(
                 "unknown job id %r (finished jobs are retained for the "
                 "last %d completions)" % (
-                    payload.get("job_id"),
-                    self.config.completed_job_retention,
+                    payload.get("job_id"), COMPLETED_JOB_RETENTION,
                 )
             )
         return job
@@ -662,10 +640,10 @@ class ServiceServer:
         if not job.ok:
             # Re-raise the job's own typed error so the client sees the
             # same exception type an in-process caller would.
-            raise from_wire(job.error_payload)
+            raise from_wire(job.payload)
         return {
             "job_id": job.job_id,
-            "result": job.result_payload,
+            "result": job.payload,
             "cache_hit": job.cache_hit,
         }
 
@@ -703,11 +681,7 @@ class ServiceServer:
         # GOAWAY idle connections: no in-flight jobs of theirs remain
         # undelivered and they aren't waiting on a stream.
         for session in list(self._sessions.values()):
-            inflight = [
-                job_id for job_id in session.jobs
-                if job_id in self._jobs and not self._jobs[job_id].finished
-            ]
-            if not inflight and not session.subscribed:
+            if not session.jobs and not session.subscribed:
                 session.goaway_sent = True
                 await self._send(session, KIND_GOAWAY, 0,
                                  {"reason": "draining"})

@@ -9,16 +9,16 @@ needs it flat.
 
 :class:`EngineBudget` treats total engine workers as one machine-wide
 resource.  Each job *requests* a degree (its configured
-``parallelism``) and is *granted* a degree between ``min_parallelism``
-and the request, never exceeding what is left of
-``max_engine_workers``:
+``parallelism``) and is *granted* a degree between 1 and the request,
+never exceeding what is left of ``max_engine_workers`` — a job
+degrades all the way to serial rather than wait:
 
-- while at least ``min_parallelism`` slots are free, admission is
-  immediate and the grant is clamped to the free slots (a job asking
-  for 4 when 2 are free runs with 2 — *degraded*, possibly to serial);
-- when fewer than ``min_parallelism`` slots are free the request
-  *blocks* (FIFO, no barging) until running jobs release slots, so the
-  aggregate degree never exceeds the budget;
+- while a slot is free, admission is immediate and the grant is
+  clamped to the free slots (a job asking for 4 when 2 are free runs
+  with 2 — *degraded*, possibly to serial);
+- when no slot is free the request *blocks* (FIFO, no barging) until
+  running jobs release slots, so the aggregate degree never exceeds
+  the budget;
 - releases wake the queue head first, and a request that arrives after
   a release is granted against the replenished pool — queued jobs
   *re-expand* instead of being pinned at their degraded degree.
@@ -158,10 +158,6 @@ class EngineBudget:
     max_engine_workers:
         Total engine-worker slots across all concurrent jobs; ``None``
         means the host's usable core count.
-    min_parallelism:
-        The smallest degree a job is ever granted (default 1 —
-        degrade all the way to serial rather than block, as long as a
-        single slot is free).  Must not exceed the capacity.
     remote_workers:
         Shard-worker addresses (``"host:port"``) on other hosts.  Each
         is one slot of *spill* capacity: a job the local pool cannot
@@ -169,21 +165,12 @@ class EngineBudget:
         module doc).
     """
 
-    def __init__(self, max_engine_workers=None, min_parallelism=1,
-                 remote_workers=()):
+    def __init__(self, max_engine_workers=None, remote_workers=()):
         if max_engine_workers is None:
             max_engine_workers = default_max_engine_workers()
         if max_engine_workers < 1:
             raise ServiceError("max_engine_workers must be at least 1")
-        if min_parallelism < 1:
-            raise ServiceError("min_parallelism must be at least 1")
-        if min_parallelism > max_engine_workers:
-            raise ServiceError(
-                "min_parallelism (%d) cannot exceed max_engine_workers (%d)"
-                % (min_parallelism, max_engine_workers)
-            )
         self.max_engine_workers = int(max_engine_workers)
-        self.min_parallelism = int(min_parallelism)
         self.remote_workers = tuple(str(w) for w in remote_workers)
         self._cond = threading.Condition()
         self._in_use = 0
@@ -209,15 +196,14 @@ class EngineBudget:
         """Block until a degree can be granted; returns a :class:`BudgetGrant`.
 
         ``requested`` is the job's desired parallelism; the grant is
-        ``min(requested, free_slots)``, never below
-        ``min(requested, min_parallelism)``.  ``timeout`` bounds the
-        wait in seconds; on expiry :class:`BudgetExhaustedError`
+        ``min(requested, free_slots)``, at least 1.  ``timeout`` bounds
+        the wait in seconds; on expiry :class:`BudgetExhaustedError`
         raises and no slots are held.
 
-        Local slots are preferred.  When fewer than the floor are free
-        but enough *remote* workers are, the grant spills: it holds
-        free remote workers instead (``grant.spilled``), keeping the
-        job admitted instead of queued behind the local pool.
+        Local slots are preferred.  When none is free but a *remote*
+        worker is, the grant spills: it holds free remote workers
+        instead (``grant.spilled``), keeping the job admitted instead
+        of queued behind the local pool.
         """
         requested = int(requested)
         if requested < 1:
@@ -225,7 +211,6 @@ class EngineBudget:
         # The request is recorded as asked — a job wanting 4 on a
         # capacity-1 budget is *degraded* to 1, and should read as
         # such — but no grant can exceed what exists.
-        floor = min(requested, self.min_parallelism)
         started = time.monotonic()
         deadline = None if timeout is None else started + timeout
         ticket = object()
@@ -233,8 +218,8 @@ class EngineBudget:
             self._waiters.append(ticket)
             try:
                 while not (self._waiters[0] is ticket
-                           and (self._available_locked() >= floor
-                                or len(self._free_remote) >= floor)):
+                           and (self._available_locked() >= 1
+                                or self._free_remote)):
                     remaining = (
                         None if deadline is None
                         else deadline - time.monotonic()
@@ -251,7 +236,7 @@ class EngineBudget:
                         )
                     self._cond.wait(remaining)
                 remote_addresses = ()
-                if self._available_locked() >= floor:
+                if self._available_locked() >= 1:
                     granted = min(requested, self._available_locked())
                     self._in_use += granted
                     self._peak_in_use = max(self._peak_in_use,
@@ -319,7 +304,6 @@ class EngineBudget:
         with self._cond:
             return {
                 "max_engine_workers": self.max_engine_workers,
-                "min_parallelism": self.min_parallelism,
                 "in_use": self._in_use,
                 "available": self._available_locked(),
                 "waiting": len(self._waiters),

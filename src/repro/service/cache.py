@@ -1,4 +1,4 @@
-"""Versioned result cache: LRU capacity bound plus optional TTL.
+"""Versioned result cache with an LRU capacity bound.
 
 Generalizes the SQL engine's plan cache (PR 1) from plans to full
 request results.  Keys are tuples whose shape the service controls —
@@ -9,62 +9,43 @@ new request keys to the new version, and stale entries simply become
 unreachable until LRU eviction (or an explicit
 :meth:`ResultCache.invalidate_dataset`) reclaims them.
 
-TTL bounds staleness for time-sensitive deployments; ``ttl_seconds
-= None`` (the default) trusts version invalidation alone, which is
-exact for this engine because every data change goes through the
-catalog.
+There is no time-based expiry: version invalidation is exact for this
+engine, because every data change goes through the catalog.
 """
 
 import threading
-import time
 from collections import OrderedDict
 
 
 class ResultCache:
-    """Thread-safe TTL + LRU mapping of request keys to results."""
+    """Thread-safe LRU mapping of request keys to results."""
 
-    def __init__(self, capacity=256, ttl_seconds=None, clock=time.monotonic):
+    def __init__(self, capacity=256):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be None or positive")
         self.capacity = capacity
-        self.ttl_seconds = ttl_seconds
-        self._clock = clock
-        self._entries = OrderedDict()  # key -> (expires_at | None, value)
+        self._entries = OrderedDict()  # key -> value
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.expirations = 0
 
     def get(self, key):
         """``(hit, value)`` — a miss returns ``(False, None)``."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return False, None
-            expires_at, value = entry
-            if expires_at is not None and self._clock() >= expires_at:
-                del self._entries[key]
-                self.expirations += 1
+            if key not in self._entries:
                 self.misses += 1
                 return False, None
             self._entries.move_to_end(key)
             self.hits += 1
-            return True, value
+            return True, self._entries[key]
 
     def put(self, key, value):
         """Insert/overwrite ``key``; evicts LRU entries over capacity."""
         if self.capacity == 0:
             return
-        expires_at = (
-            None if self.ttl_seconds is None
-            else self._clock() + self.ttl_seconds
-        )
         with self._lock:
-            self._entries[key] = (expires_at, value)
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -108,8 +89,6 @@ class ResultCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "expirations": self.expirations,
                 "size": len(self._entries),
                 "max_size": self.capacity,
-                "ttl_seconds": self.ttl_seconds,
             }

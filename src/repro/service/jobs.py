@@ -6,12 +6,17 @@ exists per *distinct* in-flight request — coalesced duplicates receive
 extra :class:`JobHandle` views onto the same job, so they share its
 result (or exception) without re-executing anything.
 
+A job announces its own completion (:meth:`Job.add_done_callback`):
+the service publishes to its cache and the network front door notifies
+its clients from the same mechanism — nothing polls a job.
+
 Timing fields are monotonic-clock stamps; :class:`JobMetrics` turns
 them into the queue-wait / run-time numbers the service aggregates into
 its :class:`~repro.common.metrics.MetricsRegistry`.
 """
 
 import itertools
+import logging
 import threading
 import time
 
@@ -84,20 +89,18 @@ class Job:
     ``deadline_seconds`` is a start deadline: if the job is still
     queued when it expires, the scheduler fails it with
     :class:`~repro.common.errors.DeadlineExceededError` instead of
-    running it.  ``on_done(job)`` is invoked exactly once, after the
-    completion state is set but before waiters wake (the service uses
-    it to retire in-flight registry entries and fold in metrics).
+    running it.
     """
 
     __slots__ = (
         "job_id", "fn", "label", "priority", "deadline",
         "submitted_at", "started_at", "finished_at",
-        "result", "exception", "on_done", "budget_info",
-        "_event", "_done_lock", "_completed",
+        "result", "exception", "budget_info",
+        "_event", "_done_lock", "_callbacks",
     )
 
     def __init__(self, fn, label="job", priority=PRIORITY_NORMAL,
-                 deadline_seconds=None, on_done=None):
+                 deadline_seconds=None):
         self.job_id = next(_job_ids)
         self.fn = fn
         self.label = label
@@ -111,20 +114,21 @@ class Job:
         self.finished_at = None
         self.result = None
         self.exception = None
-        self.on_done = on_done
         #: Filled by the runner when the job acquires an engine-worker
         #: budget grant: requested/granted degree and wait seconds.
         self.budget_info = {}
         self._event = threading.Event()
         self._done_lock = threading.Lock()
-        self._completed = False
+        #: Done callbacks; None once the job has completed.
+        self._callbacks = []
 
     # -- completion ----------------------------------------------------
     #
     # Completion is once-only: a job may be failed concurrently by a
     # deadline watcher while a worker finishes it (or vice versa); the
-    # first completion wins and later attempts are ignored, so on_done
-    # fires exactly once and waiters observe one consistent outcome.
+    # first completion wins and later attempts are ignored, so every
+    # done callback fires exactly once and waiters observe one
+    # consistent outcome.
 
     def finish(self, result):
         """Record success; returns False if the job was already done."""
@@ -136,16 +140,39 @@ class Job:
 
     def _complete(self, result, exception):
         with self._done_lock:
-            if self._completed:
+            if self._callbacks is None:
                 return False
-            self._completed = True
+            callbacks, self._callbacks = self._callbacks, None
             self.result = result
             self.exception = exception
             self.finished_at = time.monotonic()
-        if self.on_done is not None:
-            self.on_done(self)
+        for fn in callbacks:  # outside the lock: they take other locks
+            self._run_callback(fn)
         self._event.set()
         return True
+
+    def add_done_callback(self, fn):
+        """Call ``fn()`` exactly once when the job completes.
+
+        It runs on the completing thread, in registration order, after
+        the outcome is set and before waiters wake — or at once, on the
+        caller's thread, if the job has already completed.  A callback
+        that raises is logged and otherwise ignored: later callbacks
+        still run and the job's outcome does not change.
+        """
+        with self._done_lock:
+            if self._callbacks is not None:
+                self._callbacks.append(fn)
+                return
+        self._run_callback(fn)
+
+    def _run_callback(self, fn):
+        try:
+            fn()
+        except Exception:
+            logging.getLogger(__name__).exception(
+                "done callback of %r raised", self
+            )
 
     def done(self):
         return self._event.is_set()
@@ -214,15 +241,35 @@ class JobHandle:
     def done(self):
         return self._job.done()
 
+    def add_done_callback(self, fn):
+        """See :meth:`Job.add_done_callback`."""
+        self._job.add_done_callback(fn)
+
+    def outcome(self):
+        """``(result, exception)`` without blocking — for done
+        callbacks, which run before ``result()`` waiters wake."""
+        return self._job.result, self._job.exception
+
+    def expire(self):
+        """Fail the job iff it is still queued past its start deadline.
+
+        (If a worker picks the job up at that same instant, completion
+        is once-only — whichever outcome lands first is reported.)
+        """
+        job = self._job
+        if (job.deadline is not None and job.started_at is None
+                and time.monotonic() > job.deadline):
+            job.fail(DeadlineExceededError(
+                "job %r missed its start deadline after %.3fs queued"
+                % (job.label, job.queue_wait_seconds)
+            ))
+
     def result(self, timeout=None):
         """The job's result, blocking up to ``timeout`` seconds.
 
-        A waiter does not sleep past the job's own start deadline: if
-        the deadline lapses while the job is still queued, the job is
-        failed here with :class:`DeadlineExceededError` immediately,
-        instead of blocking until a worker eventually pops it.  (If a
-        worker picks the job up at that same instant, completion is
-        once-only — whichever outcome lands first is the one reported.)
+        A waiter does not sleep past the job's own start deadline: it
+        wakes then and :meth:`expire` fails a job that is still queued,
+        instead of blocking until a worker eventually pops it.
         """
         job = self._job
         waited_until = None if timeout is None else time.monotonic() + timeout
@@ -241,14 +288,8 @@ class JobHandle:
                 )
             if job.wait(wait_for):
                 break
-            if (job.deadline is not None and job.started_at is None
-                    and time.monotonic() > job.deadline):
-                job.fail(DeadlineExceededError(
-                    "job %r missed its start deadline after %.3fs queued"
-                    % (job.label, job.queue_wait_seconds)
-                ))
-                break
-            if (waited_until is not None
+            self.expire()
+            if (not job.done() and waited_until is not None
                     and time.monotonic() >= waited_until):
                 raise ResultTimeoutError(
                     "timed out after %.3fs waiting for %r" % (timeout, job)

@@ -11,7 +11,7 @@ datasets — so the service optimizes for exactly that shape:
 2. **Coalescing** — identical in-flight requests (same dataset version
    and canonical fingerprint, :mod:`repro.service.fingerprint`) share
    one execution; duplicates get extra handles onto the same job.
-3. **Versioned result cache** — completed results live in a TTL + LRU
+3. **Versioned result cache** — completed results live in an LRU
    cache (:mod:`repro.service.cache`) keyed by the catalog/dataset
    version counter, so re-registering a dataset structurally
    invalidates every cached result computed from its old contents.
@@ -33,11 +33,10 @@ naive product oversubscribes the host.  Every job acquires its engine
 workers from one machine-wide
 :class:`~repro.service.budget.EngineBudget` capped at
 ``max_engine_workers``: the granted degree shrinks toward
-``min_engine_parallelism`` (serial, by default) when the machine is
-busy and re-expands as running jobs release their slots, so the
-aggregate never exceeds the cap.  Granted-vs-requested degree and
-budget-wait time land in each job's :class:`JobMetrics` and the
-service counters.
+serial when the machine is busy and re-expands as running jobs release
+their slots, so the aggregate never exceeds the cap.
+Granted-vs-requested degree and budget-wait time land in each job's
+:class:`JobMetrics` and the service counters.
 
 Where a job's stages run is decided once, from its grant
 (:meth:`RuleMiningService._job_cluster`): a spilled grant runs on the
@@ -89,13 +88,9 @@ class ServiceConfig:
     """Tunables for :class:`RuleMiningService`."""
 
     def __init__(self, num_workers=4, max_queue_depth=64,
-                 cache_capacity=256, cache_ttl_seconds=None,
-                 default_priority=PRIORITY_NORMAL,
-                 default_deadline_seconds=None,
-                 engine_parallelism=None, engine_executor=None,
-                 max_engine_workers=None,
-                 min_engine_parallelism=1, budget_wait_seconds=None,
-                 shard_workers=None):
+                 cache_capacity=256, engine_parallelism=None,
+                 engine_executor=None, max_engine_workers=None,
+                 budget_wait_seconds=None, shard_workers=None):
         if num_workers < 1:
             raise ServiceError("num_workers must be at least 1")
         if max_queue_depth < 1:
@@ -108,8 +103,6 @@ class ServiceConfig:
             )
         if max_engine_workers is not None and max_engine_workers < 1:
             raise ServiceError("max_engine_workers must be at least 1")
-        if min_engine_parallelism < 1:
-            raise ServiceError("min_engine_parallelism must be at least 1")
         if budget_wait_seconds is not None and budget_wait_seconds <= 0:
             raise ServiceError("budget_wait_seconds must be positive")
         if engine_executor == EXECUTOR_REMOTE and not shard_workers:
@@ -120,9 +113,6 @@ class ServiceConfig:
         self.num_workers = num_workers
         self.max_queue_depth = max_queue_depth
         self.cache_capacity = cache_capacity
-        self.cache_ttl_seconds = cache_ttl_seconds
-        self.default_priority = default_priority
-        self.default_deadline_seconds = default_deadline_seconds
         #: Workers of each mining job's simulated-cluster engine
         #: (intra-request parallelism, on top of the worker pool's
         #: cross-request concurrency).  None means serial.  This is the
@@ -138,8 +128,6 @@ class ServiceConfig:
         #: gives every job its full requested degree regardless of
         #: load.
         self.max_engine_workers = max_engine_workers
-        #: Smallest degree the budget ever grants (degrade floor).
-        self.min_engine_parallelism = min_engine_parallelism
         #: Bound on how long a job may wait for budget slots before
         #: failing with BudgetExhaustedError (None: wait indefinitely).
         self.budget_wait_seconds = budget_wait_seconds
@@ -221,7 +209,6 @@ class RuleMiningService:
         )
         self._budget = EngineBudget(
             max_engine_workers=self.config.max_engine_workers,
-            min_parallelism=self.config.min_engine_parallelism,
             remote_workers=spill_workers,
         )
         if make_cluster is not None and not _accepts_budget_grant(
@@ -236,10 +223,7 @@ class RuleMiningService:
             num_workers=self.config.num_workers,
             max_queue_depth=self.config.max_queue_depth,
         )
-        self._cache = ResultCache(
-            capacity=self.config.cache_capacity,
-            ttl_seconds=self.config.cache_ttl_seconds,
-        )
+        self._cache = ResultCache(capacity=self.config.cache_capacity)
         self._datasets = {}
         self._inflight = {}  # key -> Job
         self._lock = threading.Lock()
@@ -309,7 +293,7 @@ class RuleMiningService:
     # ------------------------------------------------------------------
 
     def submit_mine(self, dataset, k=10, variant="optimized",
-                    priority=None, deadline_seconds=None,
+                    priority=PRIORITY_NORMAL, deadline_seconds=None,
                     engine="operators", platform=None, **config_overrides):
         """Enqueue a mining request; returns a :class:`JobHandle`.
 
@@ -367,7 +351,8 @@ class RuleMiningService:
             version_current, budget_info=budget_info,
         )
 
-    def submit_query(self, sql_text, priority=None, deadline_seconds=None):
+    def submit_query(self, sql_text, priority=PRIORITY_NORMAL,
+                     deadline_seconds=None):
         """Enqueue a SQL request against the shared engine/catalog.
 
         Cached results key on the *catalog-wide* version (a query may
@@ -457,10 +442,6 @@ class RuleMiningService:
 
     def _submit(self, key, runner, label, priority, deadline_seconds,
                 version_current, budget_info=None):
-        if priority is None:
-            priority = self.config.default_priority
-        if deadline_seconds is None:
-            deadline_seconds = self.config.default_deadline_seconds
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("service is closed")
@@ -475,7 +456,12 @@ class RuleMiningService:
                 self._metrics.increment("coalesce_hits")
                 return JobHandle(leader, coalesced=True)
 
-            def on_done(job, key=key):
+            job = Job(
+                runner, label=label, priority=priority,
+                deadline_seconds=deadline_seconds,
+            )
+
+            def on_done():
                 with self._lock:
                     # Publish to the cache *before* retiring the
                     # in-flight entry, inside one locked section:
@@ -508,10 +494,9 @@ class RuleMiningService:
                     else:
                         self._metrics.increment("jobs_failed")
 
-            job = Job(
-                runner, label=label, priority=priority,
-                deadline_seconds=deadline_seconds, on_done=on_done,
-            )
+            # Registered first, so it runs before any callback a
+            # caller adds to the handle: by then the result is cached.
+            job.add_done_callback(on_done)
             if budget_info is not None:
                 # The runner and the job share one dict, so grant
                 # numbers surface in JobHandle.metrics() and on_done.

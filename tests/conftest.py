@@ -109,6 +109,9 @@ def shm_entries():
 def _leak_probes():
     return {
         "stage threads": {t.name for t in stage_threads()},
+        "front-door threads": {t.name for t in threading.enumerate()
+                               if t.name.startswith("net-")
+                               and t.is_alive()},
         "child processes": child_pids(),
         "/dev/shm entries": shm_entries(),
     }
@@ -116,8 +119,9 @@ def _leak_probes():
 
 @pytest.fixture
 def no_leaked_workers():
-    """Fail the test if it leaves a stage thread, a child process or a
-    shared-memory segment behind.
+    """Fail the test if it leaves a stage thread, a front-door thread
+    (server loop, codec pool), a child process or a shared-memory
+    segment behind.
 
     Dropped clusters and ``close(wait=False)`` wind their workers down
     in the background, so what is left gets a few seconds to go.

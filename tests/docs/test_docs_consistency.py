@@ -284,6 +284,18 @@ class TestArchitecture:
                 "service.stats() does not return" % section
             )
 
+    def test_readme_layout_lists_every_package(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Layout", 1)[1]
+        listed = set(re.findall(r"^\| `src/repro/(\w+)`", table, re.M))
+        packages = {path.parent.name
+                    for path in SRC.glob("*/__init__.py")}
+        assert listed == packages, (
+            "README.md's Layout table and src/repro/ disagree: "
+            "unlisted %s, stale %s"
+            % (sorted(packages - listed), sorted(listed - packages))
+        )
+
     def test_readme_links_docs(self):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         for name in ("docs/ARCHITECTURE.md", "docs/protocol.md",

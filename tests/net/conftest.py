@@ -30,6 +30,11 @@ def flights():
     return flight_table()
 
 
+@pytest.fixture(autouse=True)
+def _leak_guard(no_leaked_workers):
+    yield
+
+
 @pytest.fixture
 def serve_stack(flights):
     """Factory booting (service, server) pairs, torn down afterwards."""

@@ -1,12 +1,16 @@
-"""Graceful shutdown: drain mode must lose zero accepted jobs."""
+"""Job completion reaching the wire, and graceful shutdown: drain mode
+must lose zero accepted jobs."""
 
+import logging
 import socket
 import threading
 import time
 
 import pytest
 
-from repro.common.errors import ServiceClosedError
+from repro.common.errors import DeadlineExceededError, ServiceClosedError
+from repro.net import TenantPolicy
+from repro.net.server import CODEC_THREADS
 
 from .conftest import MINE_PARAMS
 from .test_server import assert_mining_results_identical
@@ -17,6 +21,70 @@ def wait_until(predicate, timeout=5.0, what="condition"):
     while not predicate():
         assert time.monotonic() < deadline, "%s never held" % what
         time.sleep(0.01)
+
+
+class TestCompletion:
+    """A job announces its own completion; nothing waits per job."""
+
+    @pytest.fixture
+    def stack(self, serve_stack):
+        """One service worker, and room for 64 jobs in flight."""
+        return serve_stack(
+            num_workers=1, default_tenant=TenantPolicy(max_inflight=64))
+
+    def test_cache_hit_is_not_stuck_behind_32_running_jobs(
+            self, stack, connect, worker_gate):
+        service, server = stack
+        client = connect(server)
+        client.mine("flights", **MINE_PARAMS)  # prime the result cache
+        gate = worker_gate(service)
+        queued = [client.submit_mine("flights", k=3, sample_size=16,
+                                     seed=100 + i) for i in range(32)]
+        hit = client.submit_mine("flights", **MINE_PARAMS)
+        assert hit.cache_hit
+        # The result exists; delivering it needs nothing the 32 hold.
+        assert hit.result(timeout=1.0) is not None
+        gate.set()
+        for job in queued:
+            assert job.result(timeout=30.0) is not None
+
+    def test_no_thread_per_inflight_job(self, stack, connect,
+                                        worker_gate):
+        service, server = stack
+        gate = worker_gate(service)
+        client = connect(server)
+        client.stats()
+        before = set(threading.enumerate())
+        queued = [client.submit_mine("flights", k=3, sample_size=16,
+                                     seed=200 + i) for i in range(64)]
+        assert client.stats()["net"]["tenants"]["default"]["inflight"] == 64
+        grown = [t.name for t in set(threading.enumerate()) - before]
+        assert all(name.startswith("net-codec") for name in grown), grown
+        assert len(grown) <= CODEC_THREADS
+        gate.set()
+        for job in queued:
+            assert job.result(timeout=30.0) is not None
+
+    def test_start_deadline_enforced_with_no_client_waiting(
+            self, stack, connect, worker_gate):
+        service, server = stack
+        worker_gate(service)
+        watcher = connect(server)
+        watcher.subscribe()
+        submitter = connect(server)
+        submitted = time.monotonic()
+        job = submitter.submit_mine("flights", deadline_seconds=0.2,
+                                    **MINE_PARAMS)
+        # Nobody is blocked in `result`: the server itself notices the
+        # queued job's deadline lapse, and says so.
+        event = watcher.next_event(timeout=5.0)
+        assert 0.2 <= time.monotonic() - submitted < 2.0
+        assert event["job_id"] == job.job_id
+        assert not event["ok"]
+        assert event["error"]["error"] == "DeadlineExceededError"
+        with pytest.raises(DeadlineExceededError):
+            job.result(timeout=5.0)
+        assert service.stats()["jobs"]["failed"] == 1
 
 
 class TestDrain:
@@ -156,7 +224,7 @@ class TestStop:
 
     def test_stop_with_blocked_result_waiters_does_not_hang(
             self, serve_stack, connect, worker_gate):
-        """Waiter threads blocked in result() must not wedge stop()."""
+        """Clients blocked in a `result` op must not wedge stop()."""
         service, server = serve_stack(num_workers=1)
         gate = worker_gate(service)
         client = connect(server)
@@ -179,3 +247,23 @@ class TestStop:
         gate.set()
         waiter.join(10.0)
         assert not waiter.is_alive()
+
+    def test_stop_with_running_jobs_ignores_their_late_completion(
+            self, serve_stack, connect, worker_gate, caplog):
+        service, server = serve_stack(num_workers=1)
+        gate = worker_gate(service)
+        client = connect(server)
+        client.submit_mine("flights", **MINE_PARAMS)
+        client.submit_query("SELECT COUNT(*) FROM flights")
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 15.0
+        # The jobs finish after their front door is gone: each one's
+        # completion callback finds the loop closed and returns.
+        with caplog.at_level(logging.ERROR, logger="repro.service.jobs"):
+            gate.set()
+            wait_until(
+                lambda: service.stats()["jobs"]["completed"] == 2,
+                timeout=20.0, what="orphaned jobs finishing",
+            )
+        assert not caplog.records, caplog.text

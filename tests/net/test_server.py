@@ -201,6 +201,72 @@ class TestCoalescing:
         # One service job served both submissions.
         assert service.stats()["jobs"]["completed"] == 1
 
+    def test_spelled_out_defaults_coalesce_with_omitted_ones(
+            self, serve_stack, connect, worker_gate):
+        """Which requests are the same is the service's call alone —
+        the front door holds no copy of ``submit_mine``'s defaults."""
+        service, server = serve_stack(num_workers=1)
+        gate = worker_gate(service)
+        terse = connect(server).submit_mine(
+            "flights", sample_size=16, seed=0)
+        explicit = connect(server).submit_mine(
+            "flights", k=10, variant="optimized", engine="operators",
+            sample_size=16, seed=0)
+        assert explicit.job_id == terse.job_id
+        assert explicit.net_coalesced and explicit.coalesced
+        gate.set()
+        assert_mining_results_identical(terse.result(timeout=20.0),
+                                        explicit.result(timeout=20.0))
+        assert service.stats()["jobs"]["completed"] == 1
+
+    def test_wire_submission_coalesces_onto_an_in_process_job(
+            self, serve_stack, connect, worker_gate):
+        service, server = serve_stack(num_workers=1)
+        gate = worker_gate(service)
+        local = service.submit_mine("flights", **MINE_PARAMS)
+        client = connect(server)
+        remote = client.submit_mine("flights", **MINE_PARAMS)
+        # The service coalesced it onto a leader this server was not
+        # tracking: same job id, but not a protocol-level hit.
+        assert remote.job_id == local.job_id
+        assert remote.coalesced and not remote.net_coalesced
+        again = connect(server).submit_mine("flights", **MINE_PARAMS)
+        assert again.job_id == local.job_id and again.net_coalesced
+        assert client.stats()["net"]["coalesce_hits"] == 1
+        gate.set()
+        assert_mining_results_identical(local.result(timeout=20.0),
+                                        remote.result(timeout=20.0))
+        stats = client.stats()
+        assert stats["jobs"]["completed"] == 1
+        assert stats["net"]["jobs_completed"] == 1
+        assert stats["net"]["tenants"]["default"]["inflight"] == 0
+
+    def test_coalescing_onto_a_finished_job_charges_no_quota(
+            self, serve_stack, connect, worker_gate, monkeypatch):
+        """A leader caught mid-completion — this server has retired it,
+        the service has not yet — is attached to without a quota charge
+        nothing would ever release."""
+        from repro.service import JobHandle
+
+        service, server = serve_stack(num_workers=1)
+        gate = worker_gate(service)
+        client = connect(server)
+        first = client.submit_mine("flights", **MINE_PARAMS)
+        leader = server._jobs[first.job_id].handle._job
+        gate.set()
+        first.result(timeout=20.0)
+        monkeypatch.setattr(
+            service, "submit_mine",
+            lambda *args, **kwargs: JobHandle(leader, coalesced=True))
+        late = client.submit_mine("flights", **MINE_PARAMS)
+        assert late.job_id == first.job_id and late.net_coalesced
+        assert_mining_results_identical(first.result(timeout=5.0),
+                                        late.result(timeout=5.0))
+        net = client.stats()["net"]
+        assert net["tenants"]["default"]["inflight"] == 0
+        assert net["tenants"]["default"]["submitted"] == 2
+        assert not next(iter(server._sessions.values())).jobs
+
     def test_acceptance_eight_clients_two_tenants(self, serve_stack,
                                                   connect, flights):
         """ISSUE acceptance: 8 concurrent wire clients, 2 tenants —
@@ -211,15 +277,16 @@ class TestCoalescing:
             tenants={"a": TenantPolicy(max_inflight=1),
                      "b": TenantPolicy(max_inflight=8)},
         )
-        reference = service.mine("flights", **MINE_PARAMS)
         results = [None] * 8
         rejections = [0] * 8
         errors = []
+        connected = threading.Barrier(8)
 
         def run_client(i):
             tenant = "a" if i % 2 == 0 else "b"
             try:
                 client = connect(server, tenant=tenant)
+                connected.wait(30.0)
                 for attempt in range(60):
                     try:
                         job = client.submit_mine("flights", **MINE_PARAMS)
@@ -240,6 +307,10 @@ class TestCoalescing:
             thread.join(60.0)
         assert not errors, errors
         assert all(result is not None for result in results)
+        # The reference comes after the concurrent phase: primed, every
+        # request would be a finished cache hit with nothing in flight
+        # to coalesce on.
+        reference = service.mine("flights", **MINE_PARAMS)
         for result in results:
             assert_mining_results_identical(reference, result)
         net = service.stats()["net"]
@@ -293,6 +364,47 @@ class TestDisconnects:
 
 
 class TestFinishedJobRetention:
+    def test_session_tracks_only_unfinished_jobs(self, serve_stack,
+                                                 connect):
+        _, server = serve_stack()
+        client = connect(server)
+        for i in range(200):
+            client.query("SELECT COUNT(*) + %d FROM flights" % (i % 7))
+        (session,) = server._sessions.values()
+        assert len(session.jobs) == 0
+        assert client.stats()["net"]["jobs_completed"] == 200
+
+    def test_oldest_finished_jobs_are_evicted_past_retention(
+            self, serve_stack, connect, worker_gate, monkeypatch):
+        from repro.net import server as server_module
+
+        monkeypatch.setattr(server_module, "COMPLETED_JOB_RETENTION", 3)
+        service, server = serve_stack(num_workers=1)
+        client = connect(server)
+        queries = ["SELECT COUNT(*) + %d FROM flights" % i
+                   for i in range(1, 6)]
+        for sql in queries:
+            client.query(sql)  # prime the result cache
+        gate = worker_gate(service)
+        held = client.submit_query("SELECT COUNT(*) FROM flights")
+        hits = []
+        for sql in queries:
+            hits.append(client.submit_query(sql))
+            assert hits[-1].cache_hit
+            hits[-1].result(timeout=20.0)
+        # The last three completions stay, and the unfinished job.
+        assert sorted(server._jobs) == (
+            [held.job_id] + [hit.job_id for hit in hits[2:]])
+        with pytest.raises(ServiceError, match="retained for the last 3"):
+            hits[0].result(timeout=5.0)
+        assert hits[4].result(timeout=5.0).scalar() == 14 + 5
+        # Retention counts completions, not submissions: the oldest
+        # job finishing last is the newest completion, and fetchable.
+        gate.set()
+        assert held.result(timeout=20.0).scalar() == 14
+        assert sorted(server._jobs) == (
+            [held.job_id] + [hit.job_id for hit in hits[3:]])
+
     def test_finished_job_keeps_payload_but_not_the_result(
             self, serve_stack, connect, worker_gate):
         """A retained finished job is its serialised payload only: the
@@ -311,7 +423,7 @@ class TestFinishedJobRetention:
         del handle
         assert server_job.finished
         assert server_job.handle is None
-        assert server_job.result_payload is not None
+        assert server_job.ok and server_job.payload is not None
         gc.collect()
         assert result_ref() is not None  # the one-entry cache holds it
         # A different request evicts it from the one-entry cache ...

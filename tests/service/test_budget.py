@@ -112,29 +112,6 @@ class TestEngineBudgetUnit:
         got[0].release()
         assert budget.in_use == 0
 
-    def test_min_parallelism_is_the_degrade_floor(self, deadline):
-        budget = EngineBudget(max_engine_workers=4, min_parallelism=2)
-        holder = budget.acquire(3)
-        assert holder.granted == 3
-        # One free slot is below the floor of 2: the request must
-        # block rather than accept a sub-floor degree.
-        got = []
-        waiter = threading.Thread(
-            target=lambda: got.append(budget.acquire(4)), daemon=True
-        )
-        waiter.start()
-        while budget.waiting == 0:
-            deadline.remaining()
-        assert not got
-        holder.release()
-        waiter.join(deadline.remaining())
-        assert got and got[0].granted == 4
-        got[0].release()
-        # A request below the floor keeps its own (smaller) floor.
-        small = budget.acquire(1)
-        assert small.granted == 1
-        small.release()
-
     def test_timeout_raises_and_holds_nothing(self):
         budget = EngineBudget(max_engine_workers=1)
         holder = budget.acquire(1)
@@ -163,10 +140,6 @@ class TestEngineBudgetUnit:
     def test_validation(self):
         with pytest.raises(ServiceError):
             EngineBudget(max_engine_workers=0)
-        with pytest.raises(ServiceError):
-            EngineBudget(max_engine_workers=4, min_parallelism=0)
-        with pytest.raises(ServiceError):
-            EngineBudget(max_engine_workers=2, min_parallelism=3)
         with pytest.raises(ServiceError):
             EngineBudget(max_engine_workers=4).acquire(0)
 
@@ -379,8 +352,6 @@ class TestServiceBudgetAdmission:
     def test_config_validation(self):
         with pytest.raises(ServiceError):
             ServiceConfig(max_engine_workers=0)
-        with pytest.raises(ServiceError):
-            ServiceConfig(min_engine_parallelism=0)
         with pytest.raises(ServiceError):
             ServiceConfig(budget_wait_seconds=0)
 

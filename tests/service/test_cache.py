@@ -1,19 +1,8 @@
-"""Tests for the versioned TTL + LRU result cache."""
+"""Tests for the versioned LRU result cache."""
 
 import threading
 
 from repro.service import ResultCache
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
 
 
 class TestLru:
@@ -48,25 +37,6 @@ class TestLru:
         assert len(cache) == 1
 
 
-class TestTtl:
-    def test_entry_expires_after_ttl(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=4, ttl_seconds=10.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(9.9)
-        assert cache.get("a") == (True, 1)
-        clock.advance(0.2)
-        assert cache.get("a") == (False, None)
-        assert cache.expirations == 1
-
-    def test_no_ttl_never_expires(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=4, ttl_seconds=None, clock=clock)
-        cache.put("a", 1)
-        clock.advance(1e9)
-        assert cache.get("a") == (True, 1)
-
-
 class TestInvalidation:
     def test_invalidate_dataset_drops_matching_keys(self):
         cache = ResultCache(capacity=8)
@@ -88,7 +58,7 @@ class TestInvalidation:
 
 class TestStats:
     def test_info_counts(self):
-        cache = ResultCache(capacity=2, ttl_seconds=5.0)
+        cache = ResultCache(capacity=2)
         cache.get("a")
         cache.put("a", 1)
         cache.get("a")
@@ -97,7 +67,7 @@ class TestStats:
         assert info["misses"] == 1
         assert info["size"] == 1
         assert info["max_size"] == 2
-        assert info["ttl_seconds"] == 5.0
+        assert info["evictions"] == 0
 
 
 class TestThreadSafety:
