@@ -9,6 +9,10 @@ orders of magnitude faster than lexicographic row sorting.
 A codec fits whenever the summed per-attribute bit widths stay within
 63 bits (true for every thesis dataset: 29–38 bits).  Callers fall back
 to row-matrix grouping otherwise (:func:`group_rows_fallback`).
+
+A group-by of the mining loop is a :class:`GroupPlan` (who is summed
+into which group, in which order — estimate-independent, kept by the
+job across iterations) applied to a weight vector.
 """
 
 import numpy as np
@@ -133,24 +137,124 @@ def sort_groups(composite, bits):
     return sorted_keys[starts], group_ids, positions, counts
 
 
-def group_packed(keys, weight_columns, key_bits=None):
-    """Group packed keys, summing each weight column per distinct key.
+def plan_groups(keys, key_bits=None):
+    """Group packed keys: ``(unique_keys, group_ids, positions)``.
 
-    Returns ``(unique_keys, sums)`` where ``sums`` has one row per
-    weight column aligned with ``unique_keys``; every group is summed
-    in ascending input position.  With ``key_bits`` (keys lie in
+    Summand ``i`` of the canonical order is input element
+    ``positions[i]`` and belongs to group ``group_ids[i]``; every group
+    sums in ascending input position.  With ``key_bits`` (keys lie in
     ``[0, 2**key_bits)``) and room for the positions the grouping is
-    one key sort (:func:`sort_groups`), byte-identical to the
-    ``np.unique`` path.
+    one key sort (:func:`sort_groups`); otherwise ``np.unique`` does it
+    and ``positions`` is None — the summands are the input as it
+    stands.  Same bytes either way.
     """
     bits = position_bits(key_bits, keys.size)
     if bits is None:
         uniq, group_ids = np.unique(keys, return_inverse=True)
-        group_ids = group_ids.ravel()
-    else:
-        uniq, group_ids, positions, _ = sort_groups(
-            (keys << bits) | np.arange(keys.size), bits
+        return uniq, group_ids.ravel(), None
+    uniq, group_ids, positions, _ = sort_groups(
+        (keys << bits) | np.arange(keys.size), bits
+    )
+    return uniq, group_ids, positions
+
+
+def index_dtype(bound):
+    """Narrowest of uint16 / int32 / int64 holding indices below ``bound``."""
+    if bound <= 1 << 16:
+        return np.uint16
+    if bound <= 1 << 31:
+        return np.int32
+    return np.int64
+
+
+class GroupPlan:
+    """The estimate-independent half of one group-by of the mining loop.
+
+    Keys, group boundaries and summation order of the LCA, ancestor and
+    merge group-bys are functions of the partition, the sample and the
+    codec; between iterations only the ``SUM(m-hat)`` column moves.  A
+    plan keeps the rest: the distinct ``keys``; per summand of the
+    canonical order its group (``group_ids``) and the input element it
+    reads (``sources``, None when the summands are the input as it
+    stands); the ``(g, 3)`` aggregate table with ``SUM(m)`` and the
+    count already summed (``fixed``); and the group-by's
+    data-dependent tally (agreements, emitted instances).
+    :meth:`apply` is then one gather and one ``np.bincount`` over
+    exactly the weight vector, grouped by exactly the ids, a one-shot
+    group-by would sum — identical bytes.
+
+    A job retains plans across iterations (see
+    :func:`repro.engine.task.job_slot`), so the arrays are read-only —
+    an in-place write raises instead of corrupting a later iteration —
+    and the index arrays take the narrowest dtype that holds them.
+    """
+
+    __slots__ = ("keys", "group_ids", "sources", "fixed", "tally")
+
+    def __init__(self, keys, group_ids, sources, sum_m, counts, tally=0):
+        self.keys = keys
+        self.group_ids = group_ids.astype(index_dtype(keys.size))
+        self.sources = (
+            None if sources is None
+            else sources.astype(index_dtype(sum_m.size))
         )
+        self.tally = tally
+        self.fixed = np.zeros((keys.size, 3), dtype=np.float64)
+        self.fixed[:, 0] = self._sums(sum_m)
+        self.fixed[:, 2] = self._sums(counts)
+        for array in (self.keys, self.group_ids, self.sources, self.fixed):
+            if array is not None:
+                array.setflags(write=False)
+
+    def _sums(self, weights):
+        if self.sources is not None:
+            # ``take``, not ``weights[...]``: fancy indexing first widens
+            # a narrow index array, at three times the cost.
+            weights = weights.take(self.sources)
+        return np.bincount(
+            self.group_ids, weights=weights, minlength=self.keys.size
+        )
+
+    def apply(self, sum_mhat):
+        """The ``(g, 3)`` aggregates with ``sum_mhat`` summed per group."""
+        aggs = self.fixed.copy()
+        aggs[:, 1] = self._sums(sum_mhat)
+        return aggs
+
+    @property
+    def nbytes(self):
+        return sum(
+            array.nbytes
+            for array in (self.keys, self.group_ids, self.sources, self.fixed)
+            if array is not None
+        )
+
+
+def planned(state, build, *args):
+    """``build(*args)``, kept in ``state`` when there is one.
+
+    ``state`` is a job slot (:func:`repro.engine.task.job_slot`) or
+    None.  There is one path: an empty, evicted or absent slot means
+    "build", and iteration 1 is plan-then-apply like every other.
+    """
+    if state is None:
+        return build(*args)
+    plan = state.get()
+    if plan is None:
+        plan = build(*args)
+        state.put(plan)
+    return plan
+
+
+def group_packed(keys, weight_columns, key_bits=None):
+    """Group packed keys, summing each weight column per distinct key.
+
+    Returns ``(unique_keys, sums)`` where ``sums`` has one row per
+    weight column aligned with ``unique_keys``; see
+    :func:`plan_groups` for the order each group is summed in.
+    """
+    uniq, group_ids, positions = plan_groups(keys, key_bits)
+    if positions is not None:
         weight_columns = [w[positions] for w in weight_columns]
     sums = [
         np.bincount(group_ids, weights=w, minlength=uniq.size)

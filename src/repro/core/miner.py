@@ -31,7 +31,7 @@ from repro.core.index import SampleInvertedIndex
 from repro.core.rct import iterative_scale_rct, unique_coverage
 from repro.core.result import MinedRule, MiningResult, RuleSet
 from repro.core.rule import Rule
-from repro.core.codec import RowCodec, group_packed
+from repro.core.codec import GroupPlan, RowCodec, plan_groups, planned
 from repro.core.lattice_packed import (
     generate_ancestors_packed,
     match_counts_packed,
@@ -49,6 +49,7 @@ from repro.core.session import MiningSession
 from repro.data.shm import resolve as shm_resolve
 from repro.engine.cluster import ClusterContext
 from repro.engine.cost import ClusterSpec, CostModel
+from repro.engine.task import job_slot
 
 #: Serialized size estimate of one combiner-output (rule, aggregates)
 #: pair — a packed rule key plus aggregate deltas.
@@ -70,6 +71,12 @@ VARIANTS = dict(VARIANT_FLAGS)
 # the serial driver loop, the thread pool, or a process-pool worker.
 # Session-wide arrays arrive either directly or as shared-memory
 # descriptors (process mode) and are resolved via ``shm_resolve``.
+#
+# The packed kernels are pure up to a job-scoped memo: ``job`` is the
+# session's token, and under it the process that runs a task keeps the
+# task's estimate-independent plan (``repro.engine.task.job_slot``,
+# keyed by stage, round and partition index), so iterations 2..k redo
+# only the SUM(m-hat) column.  A lost memo rebuilds.
 # ----------------------------------------------------------------------
 
 
@@ -80,14 +87,17 @@ def _scan_kernel(tc, part):
 
 
 def _prune_kernel(tc, part, measure, estimates, sample_rows, codec,
-                  sample_index, packed):
+                  sample_index, packed, job=None):
     """Per-partition LCA aggregation over the candidate-pruning sample."""
     measure = shm_resolve(measure)[part.start:part.stop]
     estimates = shm_resolve(estimates)[part.start:part.stop]
     if packed:
+        # The columns go in unread: with the plan retained a
+        # file-backed partition faults no block in.
         return lca_aggregates_packed(
-            part.columns, measure, estimates, sample_rows, codec,
+            lambda: part.columns, measure, estimates, sample_rows, codec,
             index=sample_index, tc=tc,
+            state=job_slot(job, ("prune", 0, tc.partition_id)),
         )
     if sample_index is not None:
         return lca_aggregates_fast(
@@ -101,11 +111,13 @@ def _prune_kernel(tc, part, measure, estimates, sample_rows, codec,
     # narrow dependency) -- no shuffle here.
 
 
-def _ancestor_packed_kernel(tc, chunk, codec, group, weighted):
+def _ancestor_packed_kernel(tc, chunk, codec, group, weighted, job=None,
+                            round_index=0):
     """Vectorized ancestor generation over one packed (keys, aggs) chunk."""
     in_keys, in_aggs = chunk
     out_keys, out_aggs, emitted = generate_ancestors_packed(
         in_keys, in_aggs, codec, group=group, instance_weighted=weighted,
+        state=job_slot(job, ("ancestors", round_index, tc.partition_id)),
     )
     tc.add_ops(emitted * EMIT_UNITS)
     # Combiner output is candidate-scale: its shuffle is negligible at
@@ -145,11 +157,13 @@ def _ancestor_dict_kernel(tc, chunk, group, weighted):
     return partial_aggs, emitted
 
 
-def _match_counts_packed_kernel(tc, bounds, keys, sample_keys, codec):
+def _match_counts_packed_kernel(tc, bounds, keys, sample_keys, codec,
+                                job=None):
     """Packed-key sample-multiplicity counts for one candidate chunk."""
     start, stop = bounds
     counts = match_counts_packed(
-        shm_resolve(keys)[start:stop], sample_keys, codec
+        shm_resolve(keys)[start:stop], sample_keys, codec,
+        state=job_slot(job, ("match", 0, tc.partition_id)),
     )
     tc.add_light_ops((stop - start) * (sample_keys.size + 1))
     return counts
@@ -511,6 +525,7 @@ class Sirum:
                 codec=codec,
                 sample_index=sample_index,
                 packed=packed,
+                job=session.job,
             )
             stage = session.run_over_data(
                 prune_kernel,
@@ -553,18 +568,23 @@ class Sirum:
                 chunks = _chunk_arrays(keys, aggs, session.num_partitions)
             kernel = partial(
                 _ancestor_packed_kernel, codec=codec, group=group,
-                weighted=round_index == 0,
+                weighted=round_index == 0, job=session.job,
+                round_index=round_index,
             )
             stage = cluster.run_stage(
                 kernel, chunks, name="ancestor_generation",
             )
-            emitted_total += sum(e for _, _, e in stage.outputs)
-            all_keys = np.concatenate([k for k, _, _ in stage.outputs])
-            all_aggs = np.concatenate([a for _, a, _ in stage.outputs])
-            keys, sums = group_packed(
-                all_keys, list(all_aggs.T), key_bits=codec.total_bits
+            # The reduce-side merge is a group-by like the kernels':
+            # its plan stays with the driver, its apply is one bincount.
+            plan = planned(
+                job_slot(session.job, ("merge", round_index, 0)),
+                _merge_plan, stage.outputs, codec.total_bits,
             )
-            aggs = np.stack(sums, axis=1)
+            keys = plan.keys
+            aggs = plan.apply(
+                np.concatenate([a[:, 1] for _, a, _ in stage.outputs])
+            )
+            emitted_total += plan.tally
         return keys, aggs, emitted_total
 
     def _score_candidates_packed(self, cluster, session, keys, aggs,
@@ -575,7 +595,7 @@ class Sirum:
         with session.shared_ref(keys) as keys_ref:
             kernel = partial(
                 _match_counts_packed_kernel, keys=keys_ref,
-                sample_keys=sample_keys, codec=codec,
+                sample_keys=sample_keys, codec=codec, job=session.job,
             )
             stage = cluster.run_stage(kernel, chunk_bounds, name="gain")
         multiplicities = np.concatenate(stage.outputs)
@@ -854,6 +874,21 @@ def _fit_rules(table, rules, config):
         max_iterations=config.max_scaling_iterations,
     )
     return transform.transformed, result.estimates, transform
+
+
+def _merge_plan(outputs, key_bits):
+    """The estimate-independent half of one ancestor round's merge.
+
+    ``outputs`` are the round's ``(keys, aggs, emitted)`` task outputs
+    in partition order; the tally is the round's emission count.
+    """
+    all_keys = np.concatenate([k for k, _, _ in outputs])
+    all_aggs = np.concatenate([a for _, a, _ in outputs])
+    uniq, group_ids, positions = plan_groups(all_keys, key_bits)
+    return GroupPlan(
+        uniq, group_ids, positions, all_aggs[:, 0], all_aggs[:, 2],
+        sum(e for _, _, e in outputs),
+    )
 
 
 def _chunk_dict(mapping, num_chunks):

@@ -19,15 +19,28 @@ Both are vectorized via the packed-row codec (grouping by int64 key);
 they differ in the *metered* operation counts, which is what separates
 them on a cluster: the baseline charges |s| * d comparisons per data
 tuple, the fast path d index lookups plus one write per agreement.
+
+The grouping is **plan, then apply**.  The LCA keys, their groups, the
+order pairs are summed in, ``SUM(m)``, the counts and the agreement
+tally are functions of (partition columns, sample, codec);
+:func:`_lca_plan` derives them once and a job keeps the plan where the
+kernel runs (:func:`repro.engine.task.job_slot`).  What an iteration
+recomputes — the first included — is ``SUM(m-hat)``: one gather of the
+block's estimates by the plan's rows and one ``np.bincount``.  No plan
+to hand (no job, an evicted or lost slot) means it is built; there is
+no second, plan-free implementation in this module — the one-shot
+reference lives in ``tests/core/oracles.py``.
 """
 
 import numpy as np
 
 from repro.common.errors import DataError
 from repro.core.codec import (
+    GroupPlan,
     RowCodec,
-    group_packed,
     group_rows_fallback,
+    plan_groups,
+    planned,
     position_bits,
     sort_groups,
 )
@@ -54,21 +67,26 @@ def draw_sample_rows(table, size, rng):
     return [sample.encoded_row(i) for i in range(len(sample))]
 
 
-def _lca_groups_packed(columns, measure, estimates, sample, codec):
-    """Vectorized LCA grouping over packed keys.
+def _lca_plan(columns, measure, sample, codec):
+    """The estimate-independent half of the LCA grouping.
 
     Builds, for every (tuple, sample-row) pair, the packed LCA key in
     one vectorized sweep per attribute, then groups all |s| * n keys at
-    once.  Returns ``(keys, aggs, agreements)`` where ``aggs`` is an
-    (g, 3) array of (sum_m, sum_mhat, count) and ``agreements`` counts
+    once.  Returns a :class:`~repro.core.codec.GroupPlan` whose
+    ``sources`` are the pairs' block rows and whose ``tally`` counts
     agreeing (tuple, sample, attribute) triples — the fast path's
     data-dependent work.
 
     Pairs are summed in (sample i, row t) order.  When ``i`` and ``t``
     fit in bit fields beside the key they seed the key matrix and one
     plain sort groups the pairs (:func:`~repro.core.codec.sort_groups`);
-    otherwise ``group_packed`` does, over tiled weights.  Same bytes.
+    otherwise ``np.unique`` does, over the pairs as tiled.  Same bytes.
+    ``columns`` may be a zero-argument callable returning the columns:
+    only a plan build calls it, so a file-backed block whose plan is
+    retained faults nothing in.
     """
+    if callable(columns):
+        columns = columns()
     n = measure.size
     s = sample.shape[0]
     bits = position_bits(codec.total_bits, s, n)
@@ -86,20 +104,26 @@ def _lca_groups_packed(columns, measure, estimates, sample, codec):
         packed += agree * term
     keys = packed.ravel()
     if bits is None:
-        weights = [
-            np.tile(measure, s),
-            np.tile(estimates, s),
-            np.ones(n * s, dtype=np.float64),
-        ]
-        uniq, sums = group_packed(keys, weights)
-        return uniq, np.stack(sums, axis=1), agreements
-    uniq, group_ids, positions, counts = sort_groups(keys, bits)
-    rows = positions & ((1 << row_bits) - 1)
-    aggs = np.empty((uniq.size, 3), dtype=np.float64)
-    aggs[:, 0] = np.bincount(group_ids, weights=measure[rows])
-    aggs[:, 1] = np.bincount(group_ids, weights=estimates[rows])
-    aggs[:, 2] = counts
-    return uniq, aggs, agreements
+        uniq, group_ids, _ = plan_groups(keys)
+        rows = np.tile(np.arange(n), s)
+    else:
+        uniq, group_ids, positions, _ = sort_groups(keys, bits)
+        rows = positions & ((1 << row_bits) - 1)
+    return GroupPlan(uniq, group_ids, rows, measure, np.ones(n), agreements)
+
+
+def _lca_groups_packed(columns, measure, estimates, sample, codec,
+                       state=None):
+    """Vectorized LCA grouping over packed keys: plan, then apply.
+
+    Returns ``(keys, aggs, agreements)`` where ``aggs`` is an (g, 3)
+    array of (sum_m, sum_mhat, count).  The plan comes from ``state``
+    (a job slot) when it holds one, else :func:`_lca_plan` builds it —
+    and ``state`` keeps it, so a job's later iterations redo only the
+    ``SUM(m-hat)`` column.
+    """
+    plan = planned(state, _lca_plan, columns, measure, sample, codec)
+    return plan.keys, plan.apply(estimates), plan.tally
 
 
 def _lca_groups(columns, measure, estimates, sample, codec):
@@ -137,27 +161,28 @@ def _lca_groups(columns, measure, estimates, sample, codec):
 
 
 def lca_aggregates_packed(columns, measure, estimates, sample_rows, codec,
-                          index=None, tc=None):
+                          index=None, tc=None, state=None):
     """Packed-key LCA aggregation (the miner's hot path).
 
     Returns ``(keys, aggs)`` — distinct packed LCA keys and their
     (sum_m, sum_mhat, count) rows.  Metering matches
     :func:`lca_aggregates_baseline` when ``index`` is None and
     :func:`lca_aggregates_fast` when the inverted index is supplied.
+    ``state`` and a callable ``columns`` are :func:`_lca_plan`'s.
     """
     if not codec.fits:
         raise DataError("packed LCA aggregation requires a fitting codec")
     sample = np.asarray(sample_rows, dtype=np.int64)
     keys, aggs, agreements = _lca_groups_packed(
-        columns, measure, estimates, sample, codec
+        columns, measure, estimates, sample, codec, state
     )
     if tc is not None:
         pairs = measure.size * sample.shape[0]
         tc.add_ops(pairs * PAIR_BASE_UNITS)
         if index is None:
-            tc.add_ops(pairs * len(columns))
+            tc.add_ops(pairs * codec.arity)
         else:
-            tc.add_ops(measure.size * len(columns) + agreements)
+            tc.add_ops(measure.size * codec.arity + agreements)
         tc.add_records(measure.size)
     return keys, aggs
 

@@ -18,6 +18,7 @@ from repro.core.measure import MeasureTransform
 from repro.core.rct import BitMatrix
 from repro.data.shm import SharedArray
 from repro.data.table import TableBlock
+from repro.engine.task import drop_job, open_job
 
 #: A partition kernel's input: one contiguous block of the table as
 #: NumPy column views (see :meth:`repro.data.table.Table.partition_blocks`).
@@ -118,6 +119,10 @@ class MiningSession:
         self.bit_matrix = BitMatrix(n)
         #: Boolean coverage masks per selected rule.
         self.masks = []
+        #: The token kernels keep this job's estimate-independent plans
+        #: under, wherever they run (:func:`repro.engine.task.job_slot`);
+        #: minted last, so a failed construction has opened nothing.
+        self.job = open_job()
 
     @property
     def num_rows(self):
@@ -164,13 +169,15 @@ class MiningSession:
             shared.unlink()
 
     def close(self):
-        """Release session-owned shared-memory segments (idempotent).
+        """Release what the session owns (idempotent).
 
-        Unlinks the measure/estimates segments this session created;
-        the table's column pack is table-owned and outlives the session
-        (concurrent jobs on the same dataset share it).  Serial and
-        thread modes hold no shared memory, making this a no-op.
+        Drops the plans this process kept for the job, and unlinks the
+        measure/estimates segments this session created; the table's
+        column pack is table-owned and outlives the session (concurrent
+        jobs on the same dataset share it).  Serial and thread modes
+        hold no shared memory.
         """
+        drop_job(self.job)
         for shared in (self._shared_measure, self._shared_estimates):
             if shared is not None:
                 shared.unlink()

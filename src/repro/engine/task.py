@@ -12,7 +12,42 @@ partition cache — is deferred: the context records the access requests
 and the driver replays them in partition order after all tasks finish,
 so cache hits/misses (and the simulated seconds they produce) do not
 depend on where or in which order the tasks ran.
+
+**Job state.**  Kernels are pure up to a job-scoped memo of
+estimate-independent work.  A mining job re-runs the same stages once
+per iteration and between iterations only the estimates move, so a
+kernel may keep what it derived from (partition, sample, codec) — a
+*plan* — in this process's store, under ``(job, key)``:
+:func:`job_slot` hands it the cell, ``job`` being the random token the
+job's session minted (:func:`open_job`) and bound into the kernel
+partials, so it rides the pickle that already crosses to pool children
+and shard workers.  The store is a memo, never a source of truth: a
+missing plan — first iteration, eviction, a dead child, a restarted
+pool, a re-placed shard, the thread rerun of an unshippable stage — is
+rebuilt from the same pure function, so every retry path stays
+bit-identical.  The process that opened a job keeps its plans until
+:func:`drop_job` (the session's ``close``); any other process keeps
+the :data:`FOREIGN_JOBS` most recently touched jobs, and no process
+keeps more than :data:`MAX_STATE_BYTES` — a plan that does not fit is
+simply not retained — so a worker's residency is bounded without a
+drop message.
 """
+
+from collections import OrderedDict
+import os
+import threading
+
+#: Jobs opened elsewhere whose plans a process keeps (most recently
+#: touched first to stay).  A pool child or shard worker serves one
+#: batch at a time, so two covers the running job and the one it
+#: alternates with.
+FOREIGN_JOBS = 2
+
+#: Ceiling on the bytes of plans one process retains, all jobs
+#: together.  A job holds about 4 B per (row, sample) pair plus its
+#: candidate-scale ancestor and merge plans: 4.9 MB at 10 000 rows x 32
+#: samples, about 55 MB at 200 000 x 64.
+MAX_STATE_BYTES = 256 * 1024 ** 2
 
 
 class TaskContext:
@@ -126,3 +161,125 @@ def run_batch(kernel, tasks):
         except BaseException as exc:  # noqa: BLE001 — shipped to driver
             return records, (index, exc)
     return records, None
+
+
+# ----------------------------------------------------------------------
+# Job-scoped kernel state (see the module docstring)
+# ----------------------------------------------------------------------
+
+
+class _JobStateStore:
+    """This process's plans, by job then slot key."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        """Forget everything, lock included.
+
+        Runs in a forked child (``os.register_at_fork``): the parent's
+        plans are not the child's to serve, its opened jobs are foreign
+        there, and a lock some parent thread held at the fork would
+        never be released.
+        """
+        self.lock = threading.Lock()
+        self.jobs = OrderedDict()  # job -> {key: plan}, least recent first
+        self.opened = set()
+        self.bytes = 0
+        self.counters = dict.fromkeys(
+            ("hits", "misses", "evictions", "not_retained"), 0
+        )
+
+    def forget(self, job):
+        for plan in self.jobs.pop(job, {}).values():
+            self.bytes -= plan.nbytes
+
+
+_store = _JobStateStore()
+os.register_at_fork(after_in_child=_store.reset)
+
+
+class JobSlot:
+    """One ``(job, key)`` cell of this process's store."""
+
+    __slots__ = ("job", "key")
+
+    def __init__(self, job, key):
+        self.job = job
+        self.key = key
+
+    def get(self):
+        """The retained plan, or None (the caller then builds it)."""
+        with _store.lock:
+            slots = _store.jobs.get(self.job)
+            plan = None if slots is None else slots.get(self.key)
+            if slots is not None:
+                _store.jobs.move_to_end(self.job)
+            _store.counters["misses" if plan is None else "hits"] += 1
+            return plan
+
+    def put(self, plan):
+        """Retain ``plan`` (anything with ``nbytes``) if it fits."""
+        with _store.lock:
+            if _store.bytes + plan.nbytes > MAX_STATE_BYTES:
+                _store.counters["not_retained"] += 1
+                return
+            slots = _store.jobs.setdefault(self.job, {})
+            _store.jobs.move_to_end(self.job)
+            old = slots.get(self.key)
+            if old is not None:  # two attempts of one task raced here
+                _store.bytes -= old.nbytes
+            slots[self.key] = plan
+            _store.bytes += plan.nbytes
+            if self.job in _store.opened:
+                return
+            # Only a foreign job's arrival can push a foreign job out.
+            foreign = [job for job in _store.jobs
+                       if job not in _store.opened]
+            for job in foreign[:max(len(foreign) - FOREIGN_JOBS, 0)]:
+                _store.counters["evictions"] += len(_store.jobs[job])
+                _store.forget(job)
+
+
+def open_job():
+    """Mint a job token; this process keeps the job's plans until
+    :func:`drop_job`.
+
+    Random, not pid + counter: two drivers can share a shard worker.
+    """
+    job = os.urandom(16)
+    with _store.lock:
+        _store.opened.add(job)
+    return job
+
+
+def job_slot(job, key):
+    """This process's cell for ``(job, key)``; None when ``job`` is None
+    (a kernel called outside a job keeps nothing)."""
+    return None if job is None else JobSlot(job, key)
+
+
+def drop_job(job):
+    """Forget ``job``'s plans in this process (idempotent)."""
+    with _store.lock:
+        _store.opened.discard(job)
+        _store.forget(job)
+
+
+def job_state_stats():
+    """What the calling process retains, and how the memo has served.
+
+    ``jobs`` / ``slots`` / ``bytes`` are current; ``hits``, ``misses``,
+    ``evictions`` (slots lost to the :data:`FOREIGN_JOBS` rule) and
+    ``not_retained`` (plans refused by :data:`MAX_STATE_BYTES`) count
+    since the process started.  They live here, not in a cluster's
+    metrics: hit counts differ by execution mode and a metrics snapshot
+    must not.
+    """
+    with _store.lock:
+        return dict(
+            _store.counters,
+            jobs=len(_store.jobs),
+            slots=sum(len(slots) for slots in _store.jobs.values()),
+            bytes=_store.bytes,
+        )

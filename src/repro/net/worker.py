@@ -109,7 +109,7 @@ from repro.engine.executors import (
     register_executor,
     shippable,
 )
-from repro.engine.task import run_batch
+from repro.engine.task import job_state_stats, run_batch
 from repro.net.protocol import (
     KIND_ERROR,
     KIND_REQUEST,
@@ -674,6 +674,7 @@ class ShardWorker:
             "tasks": tasks,
             "local_files": self.local_files,
             "block_cache": self.block_cache.stats(),
+            "job_state": job_state_stats(),
         }
 
     def __enter__(self):

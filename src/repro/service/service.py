@@ -58,6 +58,7 @@ from repro.core.miner import Sirum, make_default_cluster
 from repro.data.shm import attachment_cache_stats
 from repro.data.table import FileBackedTable
 from repro.engine.cluster import EXECUTOR_REMOTE, EXECUTORS
+from repro.engine.task import job_state_stats
 from repro.service.budget import EngineBudget
 from repro.service.cache import ResultCache
 from repro.service.fingerprint import mining_fingerprint, sql_fingerprint
@@ -582,6 +583,7 @@ class RuleMiningService:
             "budget": self.budget_stats(),
             "buffer_pool": self.buffer_pool_stats(),
             "placement": self.placement_stats(),
+            "job_state": job_state_stats(),
         }, **extra)
 
     def placement_stats(self):

@@ -14,6 +14,7 @@ import pytest
 from repro.core.miner import make_default_cluster
 from repro.data.generators import flight_table, gdelt_table, income_table
 from repro.data.shm import SharedArrayPack
+from repro.engine import task
 
 
 @pytest.fixture
@@ -55,19 +56,51 @@ def child_pids():
     return {p.pid for p in multiprocessing.active_children()}
 
 
-def kill_child_before_stage(cluster, nth, baseline=frozenset()):
-    """``SIGKILL`` one pool child just before ``cluster``'s ``nth``
-    ``run_stage`` call (children in ``baseline`` are someone else's)."""
+def before_stage(cluster, hook):
+    """Call ``hook(nth, kernel)`` ahead of ``cluster``'s every
+    ``run_stage`` call (``nth`` counts from 1)."""
     run_stage = cluster.run_stage
     calls = itertools.count(1)
 
-    def killing_run_stage(*args, **kwargs):
-        if next(calls) == nth:
-            os.kill(min(child_pids() - baseline), signal.SIGKILL)
-        return run_stage(*args, **kwargs)
+    def hooked_run_stage(kernel, *args, **kwargs):
+        hook(next(calls), kernel)
+        return run_stage(kernel, *args, **kwargs)
 
-    cluster.run_stage = killing_run_stage
+    cluster.run_stage = hooked_run_stage
     return cluster
+
+
+def kill_child_before_stage(cluster, nth, baseline=frozenset()):
+    """``SIGKILL`` one pool child just before ``cluster``'s ``nth``
+    ``run_stage`` call (children in ``baseline`` are someone else's)."""
+    def kill(call, kernel):
+        if call == nth:
+            os.kill(min(child_pids() - baseline), signal.SIGKILL)
+
+    return before_stage(cluster, kill)
+
+
+def between_iterations(cluster, action):
+    """Run ``action()`` once, between a mining job's first and second
+    iteration: just before its second candidate-pruning stage, when
+    whatever ran iteration 1 holds the job's plans."""
+    from repro.core.miner import _prune_kernel
+
+    prunes = itertools.count(1)
+
+    def hook(call, kernel):
+        # A data stage wraps a partial of the module-level kernel.
+        bound = getattr(getattr(kernel, "kernel", None), "func", None)
+        if bound is _prune_kernel and next(prunes) == 2:
+            action()
+
+    return before_stage(cluster, hook)
+
+
+def drop_job_state():
+    """Forget every plan this process retains, as a lost memo would."""
+    for job in list(task._store.jobs):
+        task.drop_job(job)
 
 
 def mining_bytes(result):
@@ -114,14 +147,15 @@ def _leak_probes():
                                and t.is_alive()},
         "child processes": child_pids(),
         "/dev/shm entries": shm_entries(),
+        "retained job plans": set(task._store.jobs),
     }
 
 
 @pytest.fixture
 def no_leaked_workers():
     """Fail the test if it leaves a stage thread, a front-door thread
-    (server loop, codec pool), a child process or a shared-memory
-    segment behind.
+    (server loop, codec pool), a child process, a shared-memory
+    segment or a job's retained plans (``repro.engine.task``) behind.
 
     Dropped clusters and ``close(wait=False)`` wind their workers down
     in the background, so what is left gets a few seconds to go.

@@ -6,7 +6,15 @@ one plain sort of ``key << bits | position`` composites when the
 position bits fit beside the key in an int64, and through ``np.unique``
 otherwise; both must produce exactly the bytes of the reference
 implementations in :mod:`tests.core.oracles`.
+
+The kernels are plan-then-apply: the grouping is planned once and a
+job's later iterations only re-sum the estimates column through the
+retained plan.  So each kernel runs twice here through one job slot,
+over different estimates, and must match the stateless references both
+times — having planned once.
 """
+
+from contextlib import contextmanager
 
 from unittest import mock
 
@@ -14,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import lattice_packed
+from repro.core import lattice_packed, sampling
 from repro.core.codec import RowCodec, group_packed, position_bits
 from repro.core.lattice_packed import (
     generate_ancestors_packed,
@@ -24,6 +32,7 @@ from repro.core.lattice_packed import (
 from repro.core.rct import BitMatrix, unique_coverage
 from repro.core.rule import WILDCARD
 from repro.core.sampling import _lca_groups_packed, sample_match_counts
+from repro.engine import task
 
 from .oracles import (
     generate_ancestors_reference,
@@ -44,6 +53,19 @@ SEEDS = st.integers(0, 2**32 - 1)
 def _wild_floats(rng, n):
     """Floats spanning 24 decades: any other summation order shows."""
     return rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, size=n)
+
+
+@contextmanager
+def _job_slot(module, builder):
+    """A real slot of a job of this process, and a spy on the plan
+    builder the kernel under test goes through."""
+    job = task.open_job()
+    try:
+        with mock.patch.object(module, builder,
+                               wraps=getattr(module, builder)) as spy:
+            yield task.job_slot(job, ("test", 0, 0)), spy
+    finally:
+        task.drop_job(job)
 
 
 def _assert_same_bytes(got, expected):
@@ -123,16 +145,19 @@ class TestLcaGroups:
             [col[rng.integers(0, n, size=s)] for col in columns], axis=1
         )
         measure = _wild_floats(rng, n)
-        estimates = _wild_floats(rng, n)
-        keys, aggs, agreements = _lca_groups_packed(
-            columns, measure, estimates, sample, codec
-        )
-        keys_ref, aggs_ref, agreements_ref = lca_groups_reference(
-            columns, measure, estimates, sample, codec
-        )
-        _assert_same_bytes(keys, keys_ref)
-        _assert_same_bytes(aggs, aggs_ref)
-        assert agreements == agreements_ref
+        with _job_slot(sampling, "_lca_plan") as (slot, planner):
+            for _ in range(2):
+                estimates = _wild_floats(rng, n)
+                keys, aggs, agreements = _lca_groups_packed(
+                    columns, measure, estimates, sample, codec, slot
+                )
+                keys_ref, aggs_ref, agreements_ref = lca_groups_reference(
+                    columns, measure, estimates, sample, codec
+                )
+                _assert_same_bytes(keys, keys_ref)
+                _assert_same_bytes(aggs, aggs_ref)
+                assert agreements == agreements_ref
+            assert planner.call_count == 1
 
 
 class TestGenerateAncestors:
@@ -159,16 +184,22 @@ class TestGenerateAncestors:
             _wild_floats(rng, m),
             rng.integers(1, 50, size=m).astype(np.float64),
         ], axis=1)
-        out = generate_ancestors_packed(
-            keys, aggs, codec, group=group, instance_weighted=weighted
-        )
-        ref = generate_ancestors_reference(
-            keys, aggs, codec, group=group, instance_weighted=weighted
-        )
-        _assert_same_bytes(out[0], ref[0])
-        _assert_same_bytes(out[1], ref[1])
-        assert out[2] == ref[2]
-        assert isinstance(out[2], int)
+        with _job_slot(lattice_packed, "_ancestor_plan") as (slot, planner):
+            for _ in range(2):
+                aggs[:, 1] = _wild_floats(rng, m)
+                out = generate_ancestors_packed(
+                    keys, aggs, codec, group=group,
+                    instance_weighted=weighted, state=slot,
+                )
+                ref = generate_ancestors_reference(
+                    keys, aggs, codec, group=group,
+                    instance_weighted=weighted,
+                )
+                _assert_same_bytes(out[0], ref[0])
+                _assert_same_bytes(out[1], ref[1])
+                assert out[2] == ref[2]
+                assert isinstance(out[2], int)
+            assert planner.call_count == 1
 
 
 class TestMatchCounts:

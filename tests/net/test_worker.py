@@ -9,6 +9,7 @@ records, failure semantics and the full mining bit-identity check
 against a serial run.
 """
 
+import multiprocessing
 import pickle
 import threading
 import time
@@ -35,6 +36,7 @@ from repro.net.worker import (
     ShardWorkerClient,
     parse_address,
 )
+from tests.conftest import between_iterations, mining_bytes
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +270,16 @@ class TestRemoteMining:
                           workers=[worker.address])
         _assert_identical(serial, remote)
         assert worker.stats()["stages"] > 0
+
+
+def _serve_until_told(pipe):
+    """Body of a shard worker in a process of its own: report the
+    address, then answer any message with the store's statistics."""
+    with ShardWorker() as worker:
+        pipe.send(worker.address)
+        while pipe.poll(None):
+            pipe.recv()
+            pipe.send(worker.stats()["job_state"])
 
 
 def _slow_once_kernel(tc, part):
@@ -576,6 +588,54 @@ class TestWorkerFailure:
         assert pstats["worker_failures"] >= 1
         assert pstats["rebalances"] >= 1
         assert pstats["healthy_workers"] == 1
+
+    def test_worker_process_killed_between_iterations(self, flights):
+        # Workers in processes of their own, so the plans a worker kept
+        # for the job die with it: the survivor rebuilds the re-placed
+        # shards' plans from the pure kernels, and the full fingerprint
+        # is the serial run's.
+        serial, _ = _mine(flights, parallelism=1)
+        fork = multiprocessing.get_context("fork")
+        workers = []
+        for _ in range(2):
+            ours, theirs = fork.Pipe()
+            process = fork.Process(target=_serve_until_told,
+                                   args=(theirs,), daemon=True)
+            process.start()
+            assert ours.poll(30.0)
+            workers.append((process, ours, ours.recv()))
+        victim, survivor = workers[1][0], workers[0][1]
+
+        def kill():
+            victim.kill()
+            victim.join(10.0)
+
+        cluster = between_iterations(make_default_cluster(
+            num_executors=2, cores_per_executor=2, executor="remote",
+            workers=[address for _, _, address in workers],
+        ), kill)
+        try:
+            config = variant_config("optimized", k=3, sample_size=16,
+                                    seed=0)
+            remote = Sirum(config).mine(flights, cluster=cluster)
+            pstats = cluster.placement_stats()
+            survivor.send("stats")
+            assert survivor.poll(30.0)
+            kept = survivor.recv()
+        finally:
+            cluster.close()
+            for process, _, _ in workers:
+                process.kill()
+                process.join(10.0)
+        assert not victim.is_alive()
+        assert mining_bytes(remote) == mining_bytes(serial)
+        assert pstats["worker_failures"] >= 1
+        assert pstats["healthy_workers"] == 1
+        # The survivor served iteration 2 from what it kept of
+        # iteration 1 and built the dead worker's shards' plans anew;
+        # nobody told it the job ended, and it holds it within bounds.
+        assert kept["hits"] > 0 and kept["misses"] > 0
+        assert kept["jobs"] == 1
 
     def test_hung_worker_times_out_and_replaces(self, flights,
                                                 monkeypatch):

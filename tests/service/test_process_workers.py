@@ -22,7 +22,12 @@ from repro.data.colfile import write_colfile
 from repro.data.generators import income_table
 from repro.data.table import Table
 from repro.service import RuleMiningService, ServiceConfig
-from tests.conftest import child_pids, kill_child_before_stage, mining_bytes
+from tests.conftest import (
+    between_iterations,
+    child_pids,
+    kill_child_before_stage,
+    mining_bytes,
+)
 
 MINE = dict(k=3, sample_size=16, variant="optimized")
 
@@ -219,6 +224,32 @@ class TestDeadChild:
         assert stats["budget"]["pool_restarts"] == 2
         assert stats["jobs"]["failed"] == 0
         assert stats["jobs"]["completed"] == 4
+        assert child_pids() <= before
+
+    def test_kill_between_iterations(self, table, reference, deadline):
+        # The children that ran iteration 1 hold the job's plans; kill
+        # one before iteration 2 and the stage reruns on threads, then
+        # on fresh children — every plan rebuilt, the same bytes out.
+        before = child_pids()
+
+        def make_cluster(budget_grant):
+            return between_iterations(make_default_cluster(
+                parallelism=budget_grant.granted, executor="process",
+                budget_grant=budget_grant,
+            ), lambda: os.kill(min(child_pids() - before), signal.SIGKILL))
+
+        with RuleMiningService(_process_config(),
+                               make_cluster=make_cluster) as service:
+            service.register_dataset("income", table)
+            for seed in (0, 1):
+                assert mining_bytes(service.mine(
+                    "income", seed=seed, timeout=deadline.remaining(),
+                    **MINE
+                )) == reference(seed)
+            stats = service.stats()
+        assert stats["budget"]["pool_restarts"] == 2
+        assert stats["jobs"]["failed"] == 0
+        assert stats["job_state"]["jobs"] == 0
         assert child_pids() <= before
 
     def test_two_jobs_seeing_one_broken_pool_restart_it_once(
