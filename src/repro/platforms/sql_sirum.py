@@ -27,7 +27,7 @@ from repro.core.measure import MeasureTransform
 from repro.core.result import MinedRule, RuleSet
 from repro.core.rule import Rule, WILDCARD
 from repro.core.scaling import iterative_scale
-from repro.sql.catalog import decoded_dimension_column
+from repro.sql.catalog import dimension_column
 from repro.sql.engine import SqlEngine
 
 #: Name of the data relation inside the session's catalog.
@@ -180,7 +180,7 @@ class SqlSirum:
         columns = ["rid"] + list(table.schema.dimensions) + ["m", "mhat"]
         data = [np.arange(len(table), dtype=np.int64)]
         for encoder, codes in zip(table.encoders(), table.dimension_columns()):
-            data.append(decoded_dimension_column(encoder, codes))
+            data.append(dimension_column(encoder, codes))
         data.append(np.asarray(measure, dtype=np.float64))
         data.append(np.asarray(estimates, dtype=np.float64))
         engine.catalog.register_columns(DATA_TABLE, columns, data)

@@ -8,9 +8,12 @@ rows lazily — and each conversion is computed once and cached, so
 repeated queries against the same relation never re-convert.
 
 SIRUM's columnar :class:`~repro.data.table.Table` registers with its
-dimension values decoded back to their original objects (one NumPy
-gather per column, no per-row loop) so SQL predicates compare what the
-analyst wrote (``origin = 'SF'``), exactly as on PostgreSQL.
+dimensions kept dictionary-coded: each becomes a
+:class:`~repro.sql.columns.DictColumn` over the table's own code array
+(held by reference, never copied) and the encoder's values, decoded on
+demand.  SQL predicates still compare what the analyst wrote
+(``origin = 'SF'``), exactly as on PostgreSQL — against the dictionary's
+entries, not a per-row copy of them.
 
 The catalog carries a monotonically increasing :attr:`Catalog.version`,
 bumped by every ``register_*`` / ``drop``: bound plans reference
@@ -29,7 +32,12 @@ import threading
 
 import numpy as np
 
-from repro.sql.columns import Column, as_column, column_from_values
+from repro.sql.columns import (
+    Column,
+    DictColumn,
+    as_column,
+    column_from_values,
+)
 from repro.sql.errors import SqlAnalysisError
 
 
@@ -154,16 +162,16 @@ class Catalog:
     def register_table(self, name, table, row_id_column=None):
         """Register a SIRUM columnar table as relation ``name``.
 
-        Columns are the schema's dimensions (decoded values) followed by
-        the measure.  If ``row_id_column`` is given, a leading integer
-        row-id column of that name is added — the thesis's flight table
-        carries a ``Flight ID`` this models.  Dimension decoding is one
-        NumPy gather through each dictionary's value array.
+        Columns are the schema's dimensions (dictionary-coded, see
+        :func:`dimension_column`) followed by the measure.  If
+        ``row_id_column`` is given, a leading integer row-id column of
+        that name is added — the thesis's flight table carries a
+        ``Flight ID`` this models.
         """
         schema = table.schema
         columns = list(schema.dimensions) + [schema.measure]
         data = [
-            decoded_dimension_column(encoder, codes)
+            dimension_column(encoder, codes)
             for encoder, codes in zip(
                 table.encoders(), table.dimension_columns()
             )
@@ -204,18 +212,18 @@ class Catalog:
         return name.lower() in self._relations
 
 
-def decoded_dimension_column(encoder, codes):
-    """Decode one dictionary-encoded column as an object Column.
+def dimension_column(encoder, codes):
+    """One dictionary-encoded dimension as a :class:`DictColumn`.
 
-    One NumPy gather through the dictionary's value array; ``None``
-    dimension values surface as SQL NULLs via the validity mask.
+    ``codes`` is held as given (an int64 array is not copied); the
+    dictionary is the encoder's values.  ``None`` dimension values
+    surface as SQL NULLs: the NULL mask is computed over the dictionary
+    and gathered through the codes.
     """
-    domain = np.empty(len(encoder), dtype=object)
-    domain[:] = encoder.values()
-    values = domain[np.asarray(codes, dtype=np.int64)]
-    if any(v is None for v in encoder.values()):
-        valid = np.fromiter(
-            (v is not None for v in values), dtype=bool, count=len(values)
-        )
-        return Column(values, valid)
-    return Column(values)
+    values = encoder.values()
+    dictionary = np.empty(len(values), dtype=object)
+    dictionary[:] = values
+    codes = np.asarray(codes, dtype=np.int64)
+    is_null = np.array([v is None for v in values], dtype=bool)
+    valid = ~is_null[codes] if is_null.any() else None
+    return DictColumn(codes, dictionary, valid)

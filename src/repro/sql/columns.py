@@ -15,6 +15,13 @@ engine distinguishes:
 Invalid lanes hold an arbitrary placeholder (0 / False / None); every
 operation in :mod:`repro.sql.vectorized` restricts itself to valid
 lanes before touching values.
+
+A :class:`DictColumn` is a dictionary-coded column: integer ``codes``
+into an ``object`` array of entries.  Its ``values`` decode
+``dictionary[codes]`` on first access, so the four-dtype rule above
+still describes ``values`` — a decoded dictionary column is an
+``object`` column — and the operators that can answer from the
+dictionary never decode at all.
 """
 
 import numpy as np
@@ -44,7 +51,7 @@ class Column:
     def validity(self):
         """The validity mask, materialized (all-True when ``valid`` is None)."""
         if self.valid is None:
-            return np.ones(len(self.values), dtype=bool)
+            return np.ones(len(self), dtype=bool)
         return self.valid
 
     def to_pylist(self):
@@ -53,6 +60,49 @@ class Column:
         if self.valid is not None:
             out = [v if ok else None for v, ok in zip(out, self.valid.tolist())]
         return out
+
+
+class DictColumn(Column):
+    """A dictionary-coded column: ``codes`` into ``dictionary`` entries.
+
+    ``codes`` is an int array (a registered table's own read-only array,
+    held by reference), ``dictionary`` an ``object`` array of entries.
+    Entries are never merged, even when equal: decoding returns each
+    row's own object, so ``1`` from one table and ``1.0`` from another
+    stay distinct.  ``take`` / ``slice`` stay coded; ``values`` decodes
+    once and caches.
+    """
+
+    __slots__ = ("codes", "dictionary", "_decoded")
+
+    def __init__(self, codes, dictionary, valid=None):
+        self.codes = codes
+        self.dictionary = dictionary
+        self.valid = valid
+        self._decoded = None
+
+    @property
+    def values(self):
+        if self._decoded is None:
+            self._decoded = self.dictionary[self.codes]
+        return self._decoded
+
+    def __len__(self):
+        return len(self.codes)
+
+    def take(self, indices):
+        valid = None if self.valid is None else self.valid[indices]
+        return DictColumn(self.codes[indices], self.dictionary, valid)
+
+    def slice(self, start, stop):
+        valid = None if self.valid is None else self.valid[start:stop]
+        return DictColumn(self.codes[start:stop], self.dictionary, valid)
+
+    def present(self):
+        """Indices of the dictionary entries held by valid lanes."""
+        codes = self.codes if self.valid is None else self.codes[self.valid]
+        counts = np.bincount(codes, minlength=len(self.dictionary))
+        return np.flatnonzero(counts)
 
 
 class Batch:
@@ -186,7 +236,14 @@ def combined_validity(columns, n):
 
 
 def concat_columns(columns):
-    """Concatenate columns, widening to object dtype on a mismatch."""
+    """Concatenate columns, widening to object dtype on a mismatch.
+
+    Dictionary columns stay coded: over one shared dictionary the codes
+    concatenate; over different ones the dictionaries concatenate and
+    each column's codes shift past the entries before it.
+    """
+    if all(isinstance(c, DictColumn) for c in columns):
+        return _concat_dictionary_columns(columns)
     dtypes = {c.values.dtype for c in columns}
     if len(dtypes) == 1:
         values = np.concatenate([c.values for c in columns])
@@ -198,6 +255,28 @@ def concat_columns(columns):
         return Column(values)
     valid = np.concatenate([c.validity() for c in columns])
     return Column(values, valid)
+
+
+def _concat_dictionary_columns(columns):
+    dictionaries = []
+    offsets = {}
+    codes = []
+    for col in columns:
+        offset = offsets.get(id(col.dictionary))
+        if offset is None:
+            offset = sum(len(d) for d in dictionaries)
+            offsets[id(col.dictionary)] = offset
+            dictionaries.append(col.dictionary)
+        codes.append(col.codes + offset if offset else col.codes)
+    dictionary = (
+        dictionaries[0] if len(dictionaries) == 1
+        else np.concatenate(dictionaries)
+    )
+    if all(c.valid is None for c in columns):
+        valid = None
+    else:
+        valid = np.concatenate([c.validity() for c in columns])
+    return DictColumn(np.concatenate(codes), dictionary, valid)
 
 
 def scatter_columns(n, pieces):

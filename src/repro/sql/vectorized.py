@@ -50,6 +50,26 @@ so a NaN key never joins, whatever the column's dtype.  NaN aggregate
 *inputs* are not affected: MIN/MAX fall back to the accumulators so
 NaN-skipping matches the reference exactly.
 
+Dictionary columns (:class:`~repro.sql.columns.DictColumn`, what a
+registered :class:`~repro.data.table.Table`'s dimensions become) stay
+coded wherever an operator can answer from the dictionary: it evaluates
+once per *present* entry (one held by a valid lane) and gathers the
+answer through the row codes.  Four operators do — key factorization
+(group and join keys), ``column <op> constant``, ``IN (constants)``
+and sort keys — and every other one reads the decoded ``values``, a
+plain ``object`` array.  The contract:
+
+- entries are never merged: each row's object *is* its entry, so
+  coding the entries under Python equality gives exactly the per-row
+  equality classes, ``1 = 1.0 = TRUE`` and NaN identity included;
+- an entry-wise comparison runs the same ufunc on the same operand
+  dtypes as the row-wide one, only on fewer lanes; if it raises, the
+  row-wide comparison runs instead, so the identical error surfaces;
+- sort keys rank the entries only when every present entry is exactly
+  ``str`` (ranked by Python's own ``<``, equal strings equal ranks —
+  never through NumPy's ``U`` dtype, which drops trailing NULs); any
+  other dictionary sorts its decoded values.
+
 Cluster metering is per batch: each operator issues one
 :meth:`charge` for the whole batch it touched, with the same totals as
 the row interpreter charges row by row, so platform-sim benchmarks
@@ -62,6 +82,7 @@ from repro.sql import plan as plan_nodes
 from repro.sql.columns import (
     Batch,
     Column,
+    DictColumn,
     column_from_values,
     combined_validity,
     concat_columns,
@@ -156,7 +177,7 @@ class VectorizedExecutor:
             list(zip(node.keys, node.ascending))
         ):
             col = eval_expr(key_expr, batch)
-            current = col.values[order]
+            current = _sort_values(col)[order]
             if col.valid is None:
                 valid_pos = np.arange(len(order))
                 null_pos = valid_pos[:0]
@@ -165,7 +186,7 @@ class VectorizedExecutor:
                 valid_pos = np.nonzero(current_valid)[0]
                 null_pos = np.nonzero(~current_valid)[0]
             if ascending:
-                ranks = np.argsort(current[valid_pos], kind="stable")
+                ranks = _stable_argsort(current[valid_pos])
                 order = np.concatenate(
                     [order[valid_pos[ranks]], order[null_pos]]
                 )
@@ -173,7 +194,7 @@ class VectorizedExecutor:
                 # Stable descending: reverse, stable-ascending, reverse
                 # again, so ties keep their original relative order.
                 reversed_pos = valid_pos[::-1]
-                ranks = np.argsort(current[reversed_pos], kind="stable")
+                ranks = _stable_argsort(current[reversed_pos])
                 order = np.concatenate(
                     [order[null_pos], order[reversed_pos[ranks]][::-1]]
                 )
@@ -285,9 +306,42 @@ class VectorizedExecutor:
         return Batch(merged, sum(b.n for b in set_batches))
 
 
+def _stable_argsort(values):
+    try:
+        return np.argsort(values, kind="stable")
+    except TypeError as exc:
+        raise SqlExecutionError("cannot sort: %s" % exc) from exc
+
+
+def _sort_values(col):
+    """What a sort key orders by: entry ranks for a ``str`` dictionary.
+
+    Ranks come from Python's own ``<`` over the present entries, equal
+    strings sharing a rank, so a stable argsort of the int ranks is the
+    stable argsort of the strings.  Any other column (or dictionary)
+    sorts its values.
+    """
+    if isinstance(col, DictColumn):
+        entries = col.present()
+        present = col.dictionary[entries].tolist()
+        if all(type(v) is str for v in present):
+            rank_of = {v: i for i, v in enumerate(sorted(set(present)))}
+            ranks = np.zeros(len(col.dictionary), dtype=np.int64)
+            ranks[entries] = [rank_of[v] for v in present]
+            return ranks[col.codes]
+    return col.values
+
+
 def _null_like(col, n):
-    """An all-NULL column with the dtype of ``col`` (CUBE wildcards)."""
-    return Column(np.zeros(n, dtype=col.values.dtype), np.zeros(n, dtype=bool))
+    """An all-NULL column like ``col`` (CUBE wildcards).
+
+    A dictionary column yields an all-NULL one over the same dictionary,
+    so the grouping sets' concatenation stays coded.
+    """
+    invalid = np.zeros(n, dtype=bool)
+    if isinstance(col, DictColumn):
+        return DictColumn(np.zeros(n, dtype=np.int64), col.dictionary, invalid)
+    return Column(np.zeros(n, dtype=col.values.dtype), invalid)
 
 
 # ----------------------------------------------------------------------
@@ -302,8 +356,11 @@ def _factorize(col):
     value (``np.unique`` over one numeric dtype; a dict over ``object``
     values, so ``1``, ``1.0`` and ``True`` share a code exactly as they
     share a dict slot).  NULLs share the one extra code
-    ``len(uniques)``.
+    ``len(uniques)``.  A dictionary column codes its present entries
+    and gathers through the row codes.
     """
+    if isinstance(col, DictColumn):
+        return _factorize_dictionary(col)
     values = col.values
     n = len(values)
     codes = np.zeros(n, dtype=np.int64)
@@ -314,17 +371,7 @@ def _factorize(col):
         valid_idx = np.nonzero(col.valid)[0]
         subset = values[valid_idx]
     if subset.dtype == object:
-        # Hash-based factorization: O(n), no ordering requirement, and
-        # measurably faster than sort-based np.unique on Python objects.
-        code_of = {}
-        inverse = np.empty(len(subset), dtype=np.int64)
-        for i, value in enumerate(subset.tolist()):
-            code = code_of.get(value)
-            if code is None:
-                code = len(code_of)
-                code_of[value] = code
-            inverse[i] = code
-        uniques = list(code_of)
+        inverse, uniques = _hash_codes(subset)
     else:
         uniques, inverse = np.unique(subset, return_inverse=True)
     if valid_idx is None:
@@ -332,6 +379,37 @@ def _factorize(col):
         return codes, len(uniques), uniques
     codes[:] = len(uniques)  # NULL lanes
     codes[valid_idx] = inverse
+    return codes, len(uniques) + 1, uniques
+
+
+def _hash_codes(objects):
+    """``(inverse, uniques)`` of an ``object`` array under Python equality.
+
+    Hash-based factorization: O(n), no ordering requirement, and
+    measurably faster than sort-based np.unique on Python objects.
+    """
+    code_of = {}
+    inverse = np.empty(len(objects), dtype=np.int64)
+    for i, value in enumerate(objects.tolist()):
+        code = code_of.get(value)
+        if code is None:
+            code = len(code_of)
+            code_of[value] = code
+        inverse[i] = code
+    return inverse, list(code_of)
+
+
+def _factorize_dictionary(col):
+    """:func:`_factorize` of a :class:`DictColumn`, one dict probe per entry."""
+    entries = col.present()
+    inverse, uniques = _hash_codes(col.dictionary[entries])
+    null_code = len(uniques)
+    lookup = np.full(len(col.dictionary), null_code, dtype=np.int64)
+    lookup[entries] = inverse
+    codes = lookup[col.codes]
+    if col.valid is None:
+        return codes, len(uniques), uniques
+    codes[~col.valid] = null_code
     return codes, len(uniques) + 1, uniques
 
 
@@ -572,9 +650,7 @@ def eval_expr(expr, batch):
     if tag == "const":
         return constant_column(expr[1], n)
     if tag == "cmp":
-        return _compare(
-            expr[1], eval_expr(expr[2], batch), eval_expr(expr[3], batch), n
-        )
+        return _eval_compare(expr, batch, n)
     if tag == "arith":
         return _arithmetic(
             expr[1], eval_expr(expr[2], batch), eval_expr(expr[3], batch), n
@@ -644,6 +720,59 @@ def _compare(op, left, right, n):
     out = np.zeros(n, dtype=bool)
     out[idx] = result
     return Column(out, valid)
+
+
+def _eval_compare(expr, batch, n):
+    """``cmp``: a dictionary column against a constant compares entries."""
+    op, left_expr, right_expr = expr[1], expr[2], expr[3]
+    left = None if left_expr[0] == "const" else eval_expr(left_expr, batch)
+    right = None if right_expr[0] == "const" else eval_expr(right_expr, batch)
+    if isinstance(left, DictColumn) and right is None:
+        return _compare_entries(op, left, right_expr[1], n, constant_left=False)
+    if isinstance(right, DictColumn) and left is None:
+        return _compare_entries(op, right, left_expr[1], n, constant_left=True)
+    if left is None:
+        left = constant_column(left_expr[1], n)
+    if right is None:
+        right = constant_column(right_expr[1], n)
+    return _compare(op, left, right, n)
+
+
+def _compare_entries(op, col, value, n, constant_left):
+    """``col <op> value`` over ``col``'s present entries, then gathered."""
+
+    def compare(column, m):
+        constant = constant_column(value, m)
+        if constant_left:
+            return _compare(op, constant, column, m)
+        return _compare(op, column, constant, m)
+
+    entries = col.present()
+    try:
+        result = compare(Column(col.dictionary[entries]), len(entries))
+    except SqlExecutionError:
+        return compare(col, n)  # row-wide, so the identical error surfaces
+    return _gather_entries(col, entries, result)
+
+
+def _gather_entries(col, entries, result):
+    """A bool Column: ``result`` (one lane per present entry) at every row.
+
+    Rows NULL in ``col``, or whose entry's answer is NULL, are NULL.
+    """
+    lookup = np.zeros(len(col.dictionary), dtype=bool)
+    lookup[entries] = result.values
+    out = lookup[col.codes]
+    lane_valid = col.valid
+    if result.valid is not None:
+        entry_valid = np.zeros(len(col.dictionary), dtype=bool)
+        entry_valid[entries] = result.valid
+        lane_valid = entry_valid[col.codes]
+        if col.valid is not None:
+            lane_valid &= col.valid
+    if lane_valid is not None:
+        out &= lane_valid  # NULL lanes hold False, as _compare leaves them
+    return Column(out, lane_valid)
 
 
 def _numeric_operand(values):
@@ -774,6 +903,14 @@ def _negate_value(col, n):
 
 
 def _in_constants(col, constants, negated, n):
+    if isinstance(col, DictColumn):
+        entries = col.present()
+        hits = np.fromiter(
+            (v in constants for v in col.dictionary[entries].tolist()),
+            dtype=bool,
+            count=len(entries),
+        )
+        return _gather_entries(col, entries, Column(~hits if negated else hits))
     idx = _valid_lanes(col.valid, n)
     values = col.values if idx is None else col.values[idx]
     hits = np.fromiter(

@@ -19,6 +19,7 @@ per-row ones.
 """
 
 from repro.sql.engine import SqlEngine
+from repro.sql.errors import SqlExecutionError
 from repro.sql.functions import make_aggregate
 from repro.sql.result import ResultSet
 from repro.sql.scalar import evaluate, output_names
@@ -99,10 +100,13 @@ class Executor:
         # Stable multi-key sort: apply keys right-to-left.  NULLs sort
         # last under ASC, first under DESC (PostgreSQL default).
         for key_expr, ascending in reversed(list(zip(node.keys, node.ascending))):
-            rows.sort(
-                key=lambda row: _sort_key(evaluate(key_expr, row), ascending),
-                reverse=not ascending,
-            )
+            try:
+                rows.sort(
+                    key=lambda row: _sort_key(evaluate(key_expr, row), ascending),
+                    reverse=not ascending,
+                )
+            except TypeError as exc:
+                raise SqlExecutionError("cannot sort: %s" % exc) from exc
         self._charge(len(rows), ops=len(rows))
         return rows
 

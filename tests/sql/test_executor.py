@@ -427,6 +427,14 @@ class TestRuntimeErrors:
         with pytest.raises(SqlExecutionError):
             engine.query("SELECT LN(delay - 100) FROM flights")
 
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    def test_order_by_unorderable_values(self, engine, direction):
+        # 'x' < 1 raises TypeError in Python; the library's contract is
+        # that every error it raises derives from ReproError.
+        engine.catalog.register_rows("mixed", ["a"], [("x",), (1,)])
+        with pytest.raises(SqlExecutionError, match="cannot sort"):
+            engine.query("SELECT a FROM mixed ORDER BY a %s" % direction)
+
     def test_unknown_table(self, engine):
         with pytest.raises(SqlAnalysisError):
             engine.query("SELECT * FROM missing")
