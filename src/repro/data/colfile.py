@@ -229,7 +229,13 @@ class ColFileHandle:
         pos += header_len
         (dict_len,) = struct.unpack_from("<I", mm, pos)
         pos += 4
-        dictionaries = json.loads(bytes(mm[pos:pos + dict_len]).decode("utf-8"))
+        # ``parse_constant=float``: one object per NaN entry, as the
+        # writer's dictionary held them (``json`` hands out one shared
+        # NaN otherwise).
+        dictionaries = json.loads(
+            bytes(mm[pos:pos + dict_len]).decode("utf-8"),
+            parse_constant=float,
+        )
         pos += dict_len
         (pad_len,) = struct.unpack_from("<I", mm, pos)
         pos += 4 + pad_len
@@ -241,12 +247,8 @@ class ColFileHandle:
         self.data_offset = pos
         self.row_bytes = 8 * (len(self.dimensions) + 1)
 
-        self.encoders = []
-        for values in dictionaries:
-            encoder = DictionaryEncoder()
-            for value in values:
-                encoder.encode(value)
-            self.encoders.append(encoder)
+        self.encoders = [DictionaryEncoder.from_values(values)
+                         for values in dictionaries]
 
         footer_start = size - 4
         if footer_start < pos:

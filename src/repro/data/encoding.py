@@ -18,6 +18,20 @@ class DictionaryEncoder:
         self._code_of = {}
         self._value_of = []
 
+    @classmethod
+    def from_values(cls, values):
+        """The encoder whose code ``i`` decodes to ``values[i]``.
+
+        Built by position, not by re-encoding: two entries that are
+        equal as keys (a stored dictionary's NaN entries) keep their
+        own codes, and encoding finds the first of them.
+        """
+        encoder = cls()
+        encoder._value_of = list(values)
+        for code, value in enumerate(encoder._value_of):
+            encoder._code_of.setdefault(value, code)
+        return encoder
+
     def __len__(self):
         return len(self._value_of)
 

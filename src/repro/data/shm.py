@@ -42,6 +42,7 @@ import sys
 import threading
 import weakref
 from collections import OrderedDict
+from multiprocessing import resource_tracker
 from multiprocessing import shared_memory as _shared_memory
 
 import numpy as np
@@ -157,8 +158,6 @@ def _attach_segment(name):
     """
     if sys.version_info >= (3, 13):
         return _shared_memory.SharedMemory(name=name, track=False)
-    from multiprocessing import resource_tracker
-
     with _register_patch_lock:
         original = resource_tracker.register
         resource_tracker.register = _noop_register
@@ -234,6 +233,31 @@ _served_lock = threading.Lock()
 #: each ``run_stage`` batch (:func:`block_fetcher`).  ``None`` outside
 #: a worker stage: resolution is purely local.
 _block_fetcher = threading.local()
+
+#: ``resource_tracker.register`` as imported, which a fork inside
+#: :func:`_attach_segment`'s patch window must get back.
+_tracker_register = resource_tracker.register
+
+
+def _reset_after_fork():
+    """Fresh module locks in a forked child (``os.register_at_fork``).
+
+    A process child forks from a service already running threads; a
+    lock one of them held at the fork would never be released in the
+    child, and the child's first attach or open would hang on it.  A
+    fork inside the patch window would also leave the resource
+    tracker's ``register`` patched out for the child's whole life.
+    """
+    global _served_lock, _register_patch_lock
+    _segments._lock = threading.Lock()
+    _handles._lock = threading.Lock()
+    _served_lock = threading.Lock()
+    _register_patch_lock = threading.Lock()
+    if resource_tracker.register is _noop_register:
+        resource_tracker.register = _tracker_register
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def register_served_handle(handle):

@@ -21,27 +21,31 @@ executor that needs a layer above the engine registers a factory under
 its kind (:func:`register_executor`) — the remote one does, from the
 wire layer — so the engine never imports upward.
 
-Process workers are a :class:`ProcessPool`: the one place a stdlib
-process pool is built, started by the first stage that needs it and
-replaced, once, when a child dies.  A ``PoolExecutor`` either owns one
-(a cluster on its own: the workers go when the cluster closes) or is
-*lent* one that outlives it — the service's engine budget keeps a
-single pool as wide as its cap and every job's cluster runs on it, so
-children fork once per service, not once per job, and their imports
-and shm / mmap attachments stay warm from job to job.  Either way a
-process stage is one message per worker: ``min(width, partitions)``
-contiguous batches, each run by :func:`repro.engine.task.run_batch`
-with the kernel unpickled once — the shape the remote executor's
-``run_stage`` call already has.  A job never has more than ``width``
-batches in flight, which is what keeps a shared pool within the
-budget's grants.
+Process workers are a :class:`ProcessPool`: ``max_workers`` forked
+children, each serving its own duplex pipe and addressed by its slot.
+A ``PoolExecutor`` either owns one (a cluster on its own: the children
+go when the cluster closes) or is *lent* one that outlives it — the
+service's engine budget keeps a single pool as wide as its cap and
+every job's cluster runs on it, so children fork once per service, not
+once per job, and their imports and shm / mmap attachments stay warm
+from job to job.  Either way the executor *reserves* ``width`` slots
+at its first wide process stage and holds them until it closes, and a
+process stage is one message per reserved child: of
+``min(width, partitions)`` contiguous batches, batch ``i`` goes to the
+executor's ``i``-th slot at every stage, so a kernel finds the plans it
+kept where it ran (:func:`repro.engine.task.job_slot`) when the next
+iteration sends it the same partitions.  Each batch runs through
+:func:`repro.engine.task.run_batch` with the kernel unpickled once —
+the shape the remote executor's ``run_stage`` call already has.
 """
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as _wait_futures
-from concurrent.futures.process import BrokenProcessPool
+import multiprocessing
+import os
 import pickle
 import threading
+import weakref
 
 from repro.engine.task import run_batch, run_task
 
@@ -94,11 +98,10 @@ def shippable(obj):
 def is_pickling_error(exc):
     """True when ``exc`` reports a pickling failure.
 
-    Submission-side failures (unpicklable partition data) and
-    worker-side result failures (unpicklable task output) both surface
-    through the task's future as one of these, letting an executor
-    distinguish "this stage cannot cross a process boundary" from a
-    genuine kernel error.
+    A process child reports a batch that does not unpickle and a reply
+    that does not pickle as one of these, and so do the remote
+    executor's workers, letting an executor distinguish "this stage
+    cannot cross a process boundary" from a genuine kernel error.
     """
     if isinstance(exc, pickle.PicklingError):
         return True
@@ -131,13 +134,13 @@ def _collect_in_order(futures):
 
 
 def _run_pickled_batch(kernel_bytes, start, partitions):
-    """Process-pool worker body: partitions ``start...`` of one stage.
+    """Process-child body: partitions ``start...`` of one stage.
 
     The kernel crosses pickled once per stage and is unpickled once
     per batch.  A failure comes back as a value, so an exception that
     would not survive the trip is found here — one that dumps but does
-    not load would otherwise break the pool's result reader, and with
-    it every job sharing the pool.
+    not load would otherwise fail on the driver as something other
+    than the kernel's error.
     """
     records, failure = run_batch(pickle.loads(kernel_bytes),
                                  enumerate(partitions, start))
@@ -152,67 +155,247 @@ def _run_pickled_batch(kernel_bytes, start, partitions):
     return records, failure
 
 
-class ProcessPool:
-    """One stdlib process pool, and its replacement when a child dies.
+def _serve(conn):
+    """A process child's whole life: answer each batch sent, until EOF.
 
-    The pool starts on the first :meth:`run` (under the fork start
-    method the stdlib forks all ``max_workers`` children then).  A
-    child that dies breaks a stdlib pool for good, so the broken
-    instance is retired — exactly once, however many stages report it
-    — and the next stage starts a fresh one; the stages that saw it
-    break are unshippable.  After :meth:`shutdown` every stage is.
+    Every reply is ``(ok, value)``: ``(True, (records, failure))`` from
+    :func:`_run_pickled_batch`, or ``(False, exception)``.  A batch
+    that does not unpickle, and a reply that does not pickle, go back
+    as a :class:`pickle.PicklingError` — the stage cannot cross.
+    """
+    while True:
+        try:
+            request = conn.recv_bytes()
+        except (EOFError, OSError):
+            return
+        try:
+            batch = pickle.loads(request)
+        except BaseException as exc:  # noqa: BLE001 — shipped to driver
+            reply = False, pickle.PicklingError(
+                "batch does not unpickle: %s" % (exc,))
+        else:
+            try:
+                reply = True, _run_pickled_batch(*batch)
+            except BaseException as exc:  # noqa: BLE001 — shipped to driver
+                reply = False, exc
+        try:
+            data = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:  # noqa: BLE001 — shipped to driver
+            data = pickle.dumps((False, pickle.PicklingError(
+                "batch reply does not pickle: %s" % (exc,))))
+        try:
+            conn.send_bytes(data)
+        except OSError:  # the driver is gone
+            return
+
+
+# ----------------------------------------------------------------------
+# Fork hygiene for child pipes
+# ----------------------------------------------------------------------
+
+#: The driver's end of every child pipe, plus a new child's own end
+#: until the driver has closed its copy.  A forked process drops all of
+#: them (:func:`_drop_inherited_ends`): a process holding a copy of a
+#: child's driver end keeps that child from seeing EOF — closing its
+#: pool would hang in ``join`` — and one holding a copy of a child's
+#: own end keeps the driver from seeing that child die.
+_pipe_ends = weakref.WeakSet()
+#: Serialises creating, forking and closing pipe ends, so no fork of
+#: ours lands between closing an end and forgetting it.
+_pipe_lock = threading.Lock()
+#: The one end the child this thread is forking keeps.
+_forking = threading.local()
+
+
+def _drop_inherited_ends():
+    global _pipe_lock
+    _pipe_lock = threading.Lock()
+    keep = getattr(_forking, "end", None)
+    for end in list(_pipe_ends):
+        if end is not keep:
+            try:
+                end.close()
+            except OSError:
+                pass
+    _pipe_ends.clear()
+
+
+os.register_at_fork(after_in_child=_drop_inherited_ends)
+
+_FORK = multiprocessing.get_context("fork")
+
+
+class _Child:
+    """One forked process child and the driver's end of its pipe."""
+
+    def __init__(self):
+        with _pipe_lock:
+            end, child_end = _FORK.Pipe()
+            _pipe_ends.update((end, child_end))
+            _forking.end = child_end
+            try:
+                self.process = _FORK.Process(target=_serve,
+                                             args=(child_end,), daemon=True)
+                self.process.start()
+            except BaseException:
+                _pipe_ends.discard(end)
+                end.close()
+                raise
+            finally:
+                _forking.end = None
+                _pipe_ends.discard(child_end)
+                child_end.close()
+        self.conn = end
+
+    def close(self, wait, kill=False):
+        """Close the driver's end (the child exits at EOF) and reap it.
+
+        Called once per child, by whoever took it out of its slot.
+        """
+        with _pipe_lock:
+            self.conn.close()
+            _pipe_ends.discard(self.conn)
+        if kill:
+            self.process.terminate()
+        if wait:
+            self.process.join()
+
+
+class ProcessPool:
+    """``max_workers`` forked children, each addressed by its slot.
+
+    An executor :meth:`reserve`\\ s slots — the lowest free ones, so a
+    new job gets back the children that served the last one — and
+    sends batch ``i`` of each stage to its ``i``-th (:meth:`run`).  A
+    slot's child forks at the first stage sent to it and serves every
+    later one over its own pipe.  A child that dies costs the stage
+    that saw it (:class:`StageUnshippable`) and is replaced, alone, at
+    the next stage sent to its slot (:attr:`restarts`): its siblings
+    keep their pids and plans, and stages on other slots never notice.
+    After :meth:`shutdown` every stage is unshippable.
     """
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
-        #: Broken pools replaced so far.
+        #: Dead children replaced so far.
         self.restarts = 0
         self._lock = threading.Lock()
-        self._pool = None
+        self._children = [None] * max_workers
+        self._forked = [False] * max_workers
+        self._reserved = [False] * max_workers
         self._closed = False
 
-    def run(self, fn, calls):
-        """``[fn(*args) for args in calls]``, on the children.
+    def reserve(self, width):
+        """The ``width`` lowest free slots, held until :meth:`release`.
 
-        Raises as :func:`_collect_in_order` does, and
-        :class:`StageUnshippable` when there is no pool to run on.
+        :class:`StageUnshippable` when the pool is shut or fewer than
+        ``width`` slots are free.
         """
+        with self._lock:
+            free = [slot for slot, held in enumerate(self._reserved)
+                    if not held]
+            if self._closed or len(free) < width:
+                raise StageUnshippable
+            for slot in free[:width]:
+                self._reserved[slot] = True
+        return free[:width]
+
+    def release(self, slots, wait=True):
+        """Return reserved ``slots``; on a shut pool their children go."""
+        with self._lock:
+            for slot in slots:
+                self._reserved[slot] = False
+            gone = self._take(slots) if self._closed else []
+        for child in gone:
+            child.close(wait)
+
+    def run(self, slots, requests):
+        """Send ``requests[i]`` to the child in ``slots[i]``; the replies.
+
+        Every request goes out before any reply is read, and every
+        reply owed is read, so each pipe is clean for the next stage.
+        Replies are ``(ok, value)`` in slot order (see :func:`_serve`).
+        A child that died under the stage is discarded, and the stage
+        raises :class:`StageUnshippable` once the others have answered.
+        """
+        with self._lock:
+            gone = self._take(slots) if self._closed else None
+            if gone is None:
+                try:
+                    for slot in slots:
+                        if self._children[slot] is None:
+                            self._children[slot] = _Child()
+                            self.restarts += self._forked[slot]
+                            self._forked[slot] = True
+                except OSError:  # no fork to be had
+                    raise StageUnshippable from None
+                children = [self._children[slot] for slot in slots]
+        if gone is not None:
+            for child in gone:
+                child.close(wait=False)
+            raise StageUnshippable
+        replies = [None] * len(children)
         try:
-            # Submitting under the lock keeps a concurrent shutdown or
-            # retirement from landing between "which pool" and "submit".
-            with self._lock:
-                if self._closed:
-                    raise StageUnshippable
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.max_workers
-                    )
-                pool = self._pool
-                futures = [pool.submit(fn, *args) for args in calls]
-            return _collect_in_order(futures)
-        except BrokenProcessPool:
-            # A child died — under these calls, or earlier while the
-            # pool sat idle (then ``submit`` is what raises).
-            with self._lock:
-                if self._pool is pool:
-                    self._pool = None
-                    self.restarts += 1
-                    # The stdlib has already terminated a broken pool's
-                    # children; this only lets its manager thread finish.
-                    pool.shutdown(wait=False)
-            raise StageUnshippable from None
+            sent = []
+            for i, child in enumerate(children):
+                try:
+                    child.conn.send_bytes(requests[i])
+                except OSError:  # EPIPE: the child is dead
+                    continue
+                sent.append(i)
+            for i in sent:
+                try:
+                    replies[i] = children[i].conn.recv_bytes()
+                except (EOFError, OSError):  # it died under the batch
+                    pass
+        except BaseException:
+            # Interrupted with replies still owed: those pipes can no
+            # longer tell this stage's reply from the next one's.
+            self._discard(slots)
+            raise
+        dead = [slot for slot, reply in zip(slots, replies) if reply is None]
+        if dead:
+            self._discard(dead)
+            raise StageUnshippable
+        return [_loaded(reply) for reply in replies]
 
     def shutdown(self, wait=True):
         """Stop the children for good (idempotent).
 
-        With ``wait`` false, batches already submitted still finish
-        and the children exit after them.
+        A reserved child finishes the stage it is running and goes
+        when its executor releases it or sends it another stage.
         """
         with self._lock:
             self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait)
+            gone = self._take([slot for slot, held
+                               in enumerate(self._reserved) if not held])
+        for child in gone:
+            child.close(wait)
+
+    def _take(self, slots):
+        """Empty ``slots`` (under the lock); their children are the
+        caller's to close."""
+        gone = [self._children[slot] for slot in slots
+                if self._children[slot] is not None]
+        for slot in slots:
+            self._children[slot] = None
+        return gone
+
+    def _discard(self, slots):
+        with self._lock:
+            gone = self._take(slots)
+        for child in gone:
+            child.close(wait=True, kill=True)
+
+
+def _loaded(reply):
+    """A child's reply as ``(ok, value)``; one that does not unpickle
+    here is a pickling failure too."""
+    try:
+        return pickle.loads(reply)
+    except BaseException as exc:  # noqa: BLE001 — reported as a value
+        return False, pickle.PicklingError(
+            "batch reply does not unpickle: %s" % (exc,))
 
 
 class SerialExecutor:
@@ -235,9 +418,9 @@ class PoolExecutor(SerialExecutor):
 
     Workers start on the first stage wide enough to need them, so a
     cluster that only ever runs single-partition stages starts none.
-    Process workers are a :class:`ProcessPool` — this executor's own,
-    or ``lent_pool``, which it uses ``width`` children of at a time
-    and never shuts down.
+    Process workers are ``width`` reserved slots of a
+    :class:`ProcessPool` — this executor's own, or ``lent_pool``, whose
+    slots it returns on :meth:`close` and which it never shuts down.
     """
 
     def __init__(self, kind, width, lent_pool=None):
@@ -245,6 +428,11 @@ class PoolExecutor(SerialExecutor):
         self._width = width
         self._lent = kind == EXECUTOR_PROCESS and lent_pool is not None
         self._pool = lent_pool if self._lent else None
+        #: This executor's process-pool slots: batch ``i`` of every
+        #: stage goes to ``_slots[i]``.
+        self._slots = None
+        # One stage at a time on this executor's pipes.
+        self._lock = threading.Lock()
 
     def run(self, kernel, partitions):
         if len(partitions) < 2:
@@ -260,41 +448,46 @@ class PoolExecutor(SerialExecutor):
                 for i, part in enumerate(partitions)
             ])
         kernel_bytes = shippable(kernel)
-        if self._pool is None:
-            self._pool = ProcessPool(self._width)
         n = len(partitions)
         w = min(self._width, n)
         bounds = [n * i // w for i in range(w + 1)]
-        try:
-            batches = self._pool.run(_run_pickled_batch, [
-                (kernel_bytes, start, partitions[start:stop])
-                for start, stop in zip(bounds, bounds[1:])
-            ])
-        except BaseException as exc:
-            if not is_pickling_error(exc):
-                raise
-            # The kernel pickled but something else did not cross the
-            # boundary: unpicklable partition elements at submission,
-            # an unpicklable task output on the way back — or a kernel
-            # that raised an exception whose *instance* does not
-            # pickle (worker exception transport reports all of these
-            # as pickling failures).  In the last case the thread
-            # rerun costs a second run but surfaces the kernel's real
-            # exception instead of a transport PicklingError.
-            raise StageUnshippable from exc
+        # Every batch pickles before any is sent: a stage that cannot
+        # cross costs no child a message.
+        requests = [shippable((kernel_bytes, start, partitions[start:stop]))
+                    for start, stop in zip(bounds, bounds[1:])]
+        with self._lock:
+            if self._pool is None:
+                self._pool = ProcessPool(self._width)
+            if self._slots is None:
+                self._slots = self._pool.reserve(self._width)
+            replies = self._pool.run(self._slots[:w], requests)
         # Batches are contiguous and ascending and each stopped at its
         # own first failure, so the first failure met here is the
         # stage's lowest failing index — the one a serial loop raises.
         records = []
-        for batch_records, failure in batches:
+        for ok, value in replies:
+            if not ok:
+                if is_pickling_error(value):
+                    # Something did not cross: unpicklable partition
+                    # elements, an unpicklable task output — or a
+                    # kernel exception whose *instance* does not
+                    # pickle, whose thread rerun costs a second run but
+                    # surfaces the kernel's real exception.
+                    raise StageUnshippable from value
+                raise value
+            batch_records, failure = value
             records.extend(batch_records)
             if failure is not None:
                 raise failure[1]
         return records
 
     def close(self, wait=True):
-        if self._lent:
-            return
-        pool, self._pool = self._pool, None
-        if pool is not None:
+        with self._lock:
+            slots, self._slots = self._slots, None
+            pool = self._pool
+            if not self._lent:
+                self._pool = None
+        if slots is not None:
+            pool.release(slots, wait)
+        if pool is not None and not self._lent:
             pool.shutdown(wait=wait)

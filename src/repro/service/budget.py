@@ -35,10 +35,11 @@ via context manager, or through the cluster that carries it
 ``close()``, which the service's job runners invoke in ``finally`` on
 every completion *and* abort path).
 
-Local capacity is a count: local pool workers are interchangeable, so
-a grant says how many the job may run, not which.  With
+Local capacity is a count: a grant says how many local workers the job
+may run; which ones is the job's cluster's business — it reserves the
+lowest free children of the pool at its first process stage.  With
 ``remote_workers`` the budget also tracks shard-worker capacity on
-other hosts, and those *are* addressable: when the local pool cannot
+other hosts, and those are granted by address: when the local pool cannot
 admit a job, the grant *spills* — it holds free remote workers instead
 (``grant.remote_addresses`` names them), and the service builds the
 job's cluster with ``executor="remote"`` on exactly those addresses.
@@ -54,13 +55,14 @@ The budget also *owns* the local process workers it counts: one
 :class:`~repro.engine.executors.ProcessPool` of ``max_engine_workers``
 children, started by the first process-mode job and stopped by
 :meth:`EngineBudget.close`.  A local grant lends it
-(:attr:`BudgetGrant.process_pool`); the job's cluster runs at most
-``granted`` batches on it at a time and leaves it running, so grants
-summing to at most the cap means at most that many busy children —
-by construction, not by each job forking its own.  Children therefore
-outlive jobs (forked once, imports and attachment caches warm), and a
-child that dies costs the stage that saw it a rerun on threads and the
-budget one pool restart (``stats()["pool_restarts"]``), not the
+(:attr:`BudgetGrant.process_pool`); the job's cluster reserves
+``granted`` of its children, runs every batch on those and returns
+them when it closes, so grants summing to at most the cap means a
+reservation is always met — by construction, not by each job forking
+its own.  Children therefore outlive jobs (forked once, imports and
+attachment caches warm), and a child that dies costs the stage that
+saw it a rerun on threads and is replaced alone
+(``stats()["pool_restarts"]`` counts replaced children), not the
 service.
 """
 
@@ -86,7 +88,7 @@ class BudgetGrant:
     """One job's allocation; release exactly once when the job ends.
 
     ``granted`` is the degree the job may run at.  A local grant holds
-    that many of the budget's interchangeable local workers; a
+    that many of the budget's local workers; a
     *spilled* one holds the shard workers named in
     ``remote_addresses`` (``len(remote_addresses) == granted``).
     """

@@ -139,6 +139,27 @@ def shm_entries():
     return entries
 
 
+def open_sockets():
+    """This process's open sockets, as ``socket:[inode]`` names.
+
+    Process children's pipes are socketpairs, so a driver end left open
+    shows here too.
+    """
+    names = set()
+    try:
+        fds = os.listdir("/proc/self/fd")
+    except OSError:  # no procfs on this platform
+        return names
+    for fd in fds:
+        try:
+            target = os.readlink("/proc/self/fd/" + fd)
+        except OSError:  # closed since the listing (the listing's own fd)
+            continue
+        if target.startswith("socket:"):
+            names.add(target)
+    return names
+
+
 def _leak_probes():
     return {
         "stage threads": {t.name for t in stage_threads()},
@@ -146,6 +167,7 @@ def _leak_probes():
                                if t.name.startswith("net-")
                                and t.is_alive()},
         "child processes": child_pids(),
+        "sockets": open_sockets(),
         "/dev/shm entries": shm_entries(),
         "retained job plans": set(task._store.jobs),
     }
@@ -154,8 +176,9 @@ def _leak_probes():
 @pytest.fixture
 def no_leaked_workers():
     """Fail the test if it leaves a stage thread, a front-door thread
-    (server loop, codec pool), a child process, a shared-memory
-    segment or a job's retained plans (``repro.engine.task``) behind.
+    (server loop, codec pool), a child process, a socket (a child's
+    pipe, a connection), a shared-memory segment or a job's retained
+    plans (``repro.engine.task``) behind.
 
     Dropped clusters and ``close(wait=False)`` wind their workers down
     in the background, so what is left gets a few seconds to go.
@@ -197,6 +220,9 @@ class ExecutionMode:
         self.name = name
         self.shard_workers = []
         self._clusters = []
+        # Two driver threads may build their first clusters at once:
+        # one set of shard workers, not one each (the other would leak).
+        self._lock = threading.Lock()
 
     @property
     def ships(self):
@@ -206,10 +232,12 @@ class ExecutionMode:
     def cluster(self, **kwargs):
         knobs = dict(EXECUTION_MODES[self.name])
         if self.name == "remote":
-            if not self.shard_workers:
-                from repro.net.worker import ShardWorker
+            with self._lock:
+                if not self.shard_workers:
+                    from repro.net.worker import ShardWorker
 
-                self.shard_workers = [ShardWorker().start() for _ in range(2)]
+                    self.shard_workers = [ShardWorker().start()
+                                          for _ in range(2)]
             knobs["workers"] = [w.address for w in self.shard_workers]
         kwargs.setdefault("num_executors", 2)
         kwargs.setdefault("cores_per_executor", 2)

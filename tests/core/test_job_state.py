@@ -246,6 +246,34 @@ class TestForkHazard:
         assert _retained_jobs() == 0  # the children kept it, not us
 
 
+def _child_job_state(tc, part):
+    return os.getpid(), task.job_state_stats()
+
+
+class TestAffinity:
+    """Batch ``i`` of every process stage goes to the same child, so a
+    process job finds every plan a serial one does."""
+
+    def test_children_find_every_plan_serial_finds(self, table):
+        before = task.job_state_stats()["hits"]
+        expected = mining_bytes(Sirum(THREE_ITERATIONS).mine(table))
+        serial_hits = task.job_state_stats()["hits"] - before
+        before = task.job_state_stats()["hits"]
+        with make_default_cluster(parallelism=2,
+                                  executor="process") as cluster:
+            result = Sirum(THREE_ITERATIONS).mine(table, cluster=cluster)
+            # Two partitions, two batches: one to each child.
+            children = dict(cluster.run_stage(_child_job_state,
+                                              [0, 1]).outputs)
+            assert cluster.fallback_stages == 0
+        driver_hits = task.job_state_stats()["hits"] - before
+        assert mining_bytes(result) == expected
+        child_hits = sum(stats["hits"] for stats in children.values())
+        assert child_hits > 0
+        assert child_hits + driver_hits == serial_hits
+        assert len(children) == 2 and os.getpid() not in children
+
+
 # ----------------------------------------------------------------------
 # What a job retains
 # ----------------------------------------------------------------------

@@ -136,6 +136,34 @@ class TestEdgeCases:
         assert loaded.schema == empty.schema
         assert block_scan_stats(path) == (0, 0)
 
+    def test_distinct_nan_entries_keep_their_codes(self, tmp_path):
+        # Two NaN objects are two dictionary entries; JSON writes both
+        # as ``NaN`` and, read back naively, merges them into one.
+        first, second = float("nan"), float("nan")
+        table = Table.from_rows(Schema(["x"], "m"), [
+            (first, 1.0), ("a", 2.0), (second, 3.0), (first, 4.0),
+        ])
+        assert len(table.encoders()[0]) == 3
+        path = tmp_path / "nan.col"
+        write_colfile(table, path, block_rows=2)
+        handle = ColFileHandle(path)
+        try:
+            values = handle.encoders[0].values()
+            assert len(values) == 3 and values[1] == "a"
+            assert values[0] != values[0] and values[2] != values[2]
+            assert values[0] is not values[2]
+            assert handle.encoders[0].encode_existing("a") == 1
+        finally:
+            handle.close()
+        loaded = Table.open_colfile(path)
+        try:
+            rows = [loaded.decoded_row(i) for i in range(len(loaded))]
+        finally:
+            loaded.close()
+        assert [row[1] for row in rows] == [1.0, 2.0, 3.0, 4.0]
+        assert rows[1][0] == "a"
+        assert rows[0][0] is rows[3][0] and rows[0][0] is not rows[2][0]
+
     def test_single_block_table(self, flights, tmp_path):
         path = tmp_path / "one.col"
         stats = write_colfile(flights, path, block_rows=1000)

@@ -334,3 +334,77 @@ class TestAttachmentCache:
             with pytest.raises(ValueError):
                 cache.get("k")
         assert (cache.hits, cache.misses, len(cache.entries)) == (0, 2, 0)
+
+
+def _through_every_shm_lock(pack, path, file_key, tc, part):
+    """A segment attach (and, before 3.13, its tracker patch window), a
+    file open and a served-handle lookup: every module lock of
+    ``repro.data.shm`` a process child takes."""
+    from multiprocessing import resource_tracker
+
+    from repro.data import shm
+
+    total = float(pack.arrays[0].sum())
+    shm.attached_handle(path, file_key)
+    shm.served_handle(path, file_key)
+    return total, resource_tracker.register is not shm._noop_register
+
+
+class TestForkHazard:
+    """A process child forked while a driver thread holds one of
+    ``repro.data.shm``'s module locks starts with the lock free."""
+
+    @pytest.mark.parametrize("name", [
+        "_segments", "_handles", "_served_lock", "_register_patch_lock",
+    ])
+    def test_the_first_stage_completes(self, name, tmp_path):
+        import functools
+        import os
+        import threading
+        from multiprocessing import resource_tracker
+
+        from repro.data import shm
+        from repro.data.colfile import write_colfile
+        from repro.engine.cluster import ClusterContext
+
+        path = tmp_path / "t.col"
+        write_colfile(small_table(), path, block_rows=64)
+        info = os.stat(path)
+        pack = SharedArrayPack.create([np.arange(100, dtype=np.float64)])
+        lock = getattr(shm, name)
+        lock = getattr(lock, "_lock", lock)
+        holding, release = threading.Event(), threading.Event()
+
+        def hold():
+            with lock:
+                original = resource_tracker.register
+                if lock is shm._register_patch_lock:
+                    # Inside the patch window, as an attach would be.
+                    resource_tracker.register = shm._noop_register
+                holding.set()
+                release.wait(60.0)
+                resource_tracker.register = original
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert holding.wait(10.0)
+        cluster = ClusterContext(parallelism=2, executor="process")
+        kernel = functools.partial(_through_every_shm_lock, pack, str(path),
+                                   (info.st_size, info.st_mtime_ns))
+        outputs = []
+        stage = threading.Thread(target=lambda: outputs.extend(
+            cluster.run_stage(kernel, range(4)).outputs
+        ))
+        try:
+            stage.start()  # the pool forks its children now
+            stage.join(30.0)
+            finished = not stage.is_alive()
+        finally:
+            release.set()
+            holder.join(10.0)
+            if finished:  # closing a hung pool would hang the test too
+                cluster.close()
+            pack.unlink()
+        assert finished, "the first process stage hung on %s" % name
+        assert cluster.fallback_stages == 0
+        assert outputs == [(4950.0, True)] * 4

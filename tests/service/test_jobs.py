@@ -44,7 +44,9 @@ class TestDoneCallbacks:
                     assert not racer.is_alive()
                 # One completion won, and the callback saw exactly it.
                 assert fired == [(job.result, job.exception)]
-                assert (job.result == "ok") != (job.exception is not None)
+                # Either finish may win: "late" is a legal outcome too.
+                assert (job.result in ("ok", "late")) != (
+                    job.exception is not None)
         finally:
             sys.setswitchinterval(interval)
 

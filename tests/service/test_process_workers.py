@@ -5,7 +5,8 @@ pool as wide as ``max_engine_workers``; every job's cluster runs on it
 and leaves it running.  These tests pin the lifetime (forked once, gone
 with ``close()``), the cap (never more children than the budget has
 slots), freshness (a long-lived child holds no dataset state) and what
-a dead child costs (one stage rerun, one pool restart, no failed job).
+a dead child costs (one stage rerun, one replaced child, no failed
+job).
 """
 
 import itertools
@@ -216,7 +217,8 @@ class TestDeadChild:
             assert job(1) == reference(1)
             assert service.stats()["budget"]["pool_restarts"] == 1
             second = child_pids() - before
-            assert len(second) == 2 and not second & first
+            # One new pid; the survivor kept its own (and its plans).
+            assert len(second) == 2 and second & first == first - {min(first)}
             kill_at[0] = 5  # during one
             assert job(2) == reference(2)
             assert job(3) == reference(3)

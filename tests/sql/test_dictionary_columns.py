@@ -120,7 +120,7 @@ def _sorts_on_b(sql):
     return "ORDER BY" in sql and re.search(r"\bb\b", sql.split("ORDER BY")[1])
 
 
-def _assert_parity(tables, queries, from_file=True):
+def _assert_parity(tables, queries):
     """Each query's outcome equals the oracle's, in RAM and from a file."""
     oracle, in_ram, on_file = RowOracleEngine(), SqlEngine(), SqlEngine()
     opened = []
@@ -133,8 +133,6 @@ def _assert_parity(tables, queries, from_file=True):
                     _decoded(table),
                 )
                 in_ram.register_table(name, table)
-                if not from_file:
-                    continue
                 path = os.path.join(work, name + ".col")
                 write_colfile(table, path, block_rows=8)
                 opened.append(
@@ -144,8 +142,7 @@ def _assert_parity(tables, queries, from_file=True):
             for sql in queries:
                 expected = _typed(_outcome(oracle, sql))
                 assert _typed(_outcome(in_ram, sql)) == expected, sql
-                if from_file:
-                    assert _typed(_outcome(on_file, sql)) == expected, sql
+                assert _typed(_outcome(on_file, sql)) == expected, sql
         finally:
             for table in opened:
                 table.close()
@@ -160,9 +157,8 @@ def test_dictionary_relations_match_row_oracle(b_kind, data):
     NaN has no place under Python's ``<``, so where it sorts depends on
     the sort algorithm (a divergence of every ``object`` column, coded
     or not): the NaN pool skips the queries that sort on ``b``.  A
-    table whose NaN cells are distinct objects runs in RAM only: the
-    colfile's JSON dictionaries reload every NaN as one shared object,
-    which the reader's re-encoding merges into a single entry.
+    table whose NaN cells are distinct objects keeps one dictionary
+    entry per object, through the colfile too.
     """
     b_pool = B_POOLS[b_kind]
     fresh_nans = b_kind == "nan" and data.draw(st.booleans())
@@ -179,7 +175,7 @@ def test_dictionary_relations_match_row_oracle(b_kind, data):
         sql for sql in ALL_QUERIES
         if not (b_kind == "nan" and _sorts_on_b(sql))
     ]
-    _assert_parity(tables, queries, from_file=not fresh_nans)
+    _assert_parity(tables, queries)
 
 
 def _dim_table(rows=30):
