@@ -34,9 +34,15 @@ process stage is one message per reserved child: of
 ``min(width, partitions)`` contiguous batches, batch ``i`` goes to the
 executor's ``i``-th slot at every stage, so a kernel finds the plans it
 kept where it ran (:func:`repro.engine.task.job_slot`) when the next
-iteration sends it the same partitions.  Each batch runs through
-:func:`repro.engine.task.run_batch` with the kernel unpickled once —
-the shape the remote executor's ``run_stage`` call already has.
+iteration sends it the same partitions.
+
+A batch crosses every process boundary — a pool child's pipe, a remote
+shard worker's socket — through one codec: the driver pickles it with
+:func:`batch_request`, the far side runs it with :func:`serve_batch`
+(:func:`repro.engine.task.run_batch`, the kernel unpickled once), and
+the driver reads the reply with :func:`batch_reply`.  Whatever does not
+cross, in either direction, comes back as one explicit
+:data:`DID_NOT_CROSS` reply and makes the stage unshippable.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -95,20 +101,6 @@ def shippable(obj):
         raise StageUnshippable from None
 
 
-def is_pickling_error(exc):
-    """True when ``exc`` reports a pickling failure.
-
-    A process child reports a batch that does not unpickle and a reply
-    that does not pickle as one of these, and so do the remote
-    executor's workers, letting an executor distinguish "this stage
-    cannot cross a process boundary" from a genuine kernel error.
-    """
-    if isinstance(exc, pickle.PicklingError):
-        return True
-    return (isinstance(exc, (TypeError, AttributeError))
-            and "pickle" in str(exc).lower())
-
-
 def _collect_in_order(futures):
     """Results in submission order; abort cleanly on failure.
 
@@ -133,58 +125,73 @@ def _collect_in_order(futures):
     return results
 
 
-def _run_pickled_batch(kernel_bytes, start, partitions):
-    """Process-child body: partitions ``start...`` of one stage.
+# ----------------------------------------------------------------------
+# The batch codec: one for every process boundary
+# ----------------------------------------------------------------------
 
-    The kernel crosses pickled once per stage and is unpickled once
-    per batch.  A failure comes back as a value, so an exception that
-    would not survive the trip is found here — one that dumps but does
-    not load would otherwise fail on the driver as something other
-    than the kernel's error.
+#: The reply of a batch that did not cross — a request or kernel that
+#: does not load on the far side, a reply that does not dump there, an
+#: exception that dumps but does not load.  No pickle is empty.
+DID_NOT_CROSS = b""
+
+
+def batch_request(kernel_bytes, tasks):
+    """One batch for the far side: ``kernel_bytes`` (the stage's
+    pickled kernel) and ``tasks``, ascending ``(index, partition)``
+    pairs, as one pickle — or :class:`StageUnshippable`."""
+    return shippable((kernel_bytes, list(tasks)))
+
+
+def serve_batch(request):
+    """The far side of a batch: ``(reply, tasks_run)``.
+
+    Runs a :func:`batch_request` through
+    :func:`repro.engine.task.run_batch`, the kernel unpickled once.
+    ``reply`` pickles ``(records, failure)``, or is
+    :data:`DID_NOT_CROSS` when something does not cross on this side —
+    a reply, never an exception; ``tasks_run`` counts the tasks that
+    finished.
     """
-    records, failure = run_batch(pickle.loads(kernel_bytes),
-                                 enumerate(partitions, start))
-    if failure is not None:
-        try:
-            pickle.loads(pickle.dumps(failure))
-        except BaseException:
-            raise pickle.PicklingError(
-                "task %d raised an exception that does not pickle: %r"
-                % failure
-            ) from None
-    return records, failure
+    try:
+        kernel_bytes, tasks = pickle.loads(request)
+        kernel = pickle.loads(kernel_bytes)
+    except Exception:
+        return DID_NOT_CROSS, 0
+    records, failure = run_batch(kernel, tasks)
+    try:
+        reply = pickle.dumps((records, failure),
+                             protocol=pickle.HIGHEST_PROTOCOL)
+        if failure is not None:
+            # Some exception instances dump but do not load.
+            pickle.loads(pickle.dumps(failure[1]))
+    except Exception:
+        return DID_NOT_CROSS, len(records)
+    return reply, len(records)
+
+
+def batch_reply(reply):
+    """The driver side of a batch: :func:`serve_batch`'s ``(records,
+    failure)``, or :class:`StageUnshippable` when the batch did not
+    cross — out (a :data:`DID_NOT_CROSS` reply) or back (a reply that
+    does not load here)."""
+    if not reply:
+        raise StageUnshippable
+    try:
+        return pickle.loads(reply)
+    except Exception:
+        raise StageUnshippable from None
 
 
 def _serve(conn):
-    """A process child's whole life: answer each batch sent, until EOF.
-
-    Every reply is ``(ok, value)``: ``(True, (records, failure))`` from
-    :func:`_run_pickled_batch`, or ``(False, exception)``.  A batch
-    that does not unpickle, and a reply that does not pickle, go back
-    as a :class:`pickle.PicklingError` — the stage cannot cross.
-    """
+    """A process child's whole life: answer each batch sent, until EOF."""
     while True:
         try:
             request = conn.recv_bytes()
         except (EOFError, OSError):
             return
+        reply, _tasks_run = serve_batch(request)
         try:
-            batch = pickle.loads(request)
-        except BaseException as exc:  # noqa: BLE001 — shipped to driver
-            reply = False, pickle.PicklingError(
-                "batch does not unpickle: %s" % (exc,))
-        else:
-            try:
-                reply = True, _run_pickled_batch(*batch)
-            except BaseException as exc:  # noqa: BLE001 — shipped to driver
-                reply = False, exc
-        try:
-            data = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
-        except BaseException as exc:  # noqa: BLE001 — shipped to driver
-            data = pickle.dumps((False, pickle.PicklingError(
-                "batch reply does not pickle: %s" % (exc,))))
-        try:
-            conn.send_bytes(data)
+            conn.send_bytes(reply)
         except OSError:  # the driver is gone
             return
 
@@ -314,7 +321,7 @@ class ProcessPool:
 
         Every request goes out before any reply is read, and every
         reply owed is read, so each pipe is clean for the next stage.
-        Replies are ``(ok, value)`` in slot order (see :func:`_serve`).
+        Replies are :func:`serve_batch`'s, raw, in slot order.
         A child that died under the stage is discarded, and the stage
         raises :class:`StageUnshippable` once the others have answered.
         """
@@ -357,7 +364,7 @@ class ProcessPool:
         if dead:
             self._discard(dead)
             raise StageUnshippable
-        return [_loaded(reply) for reply in replies]
+        return replies
 
     def shutdown(self, wait=True):
         """Stop the children for good (idempotent).
@@ -386,16 +393,6 @@ class ProcessPool:
             gone = self._take(slots)
         for child in gone:
             child.close(wait=True, kill=True)
-
-
-def _loaded(reply):
-    """A child's reply as ``(ok, value)``; one that does not unpickle
-    here is a pickling failure too."""
-    try:
-        return pickle.loads(reply)
-    except BaseException as exc:  # noqa: BLE001 — reported as a value
-        return False, pickle.PicklingError(
-            "batch reply does not unpickle: %s" % (exc,))
 
 
 class SerialExecutor:
@@ -453,7 +450,8 @@ class PoolExecutor(SerialExecutor):
         bounds = [n * i // w for i in range(w + 1)]
         # Every batch pickles before any is sent: a stage that cannot
         # cross costs no child a message.
-        requests = [shippable((kernel_bytes, start, partitions[start:stop]))
+        requests = [batch_request(kernel_bytes,
+                                  enumerate(partitions[start:stop], start))
                     for start, stop in zip(bounds, bounds[1:])]
         with self._lock:
             if self._pool is None:
@@ -465,17 +463,8 @@ class PoolExecutor(SerialExecutor):
         # own first failure, so the first failure met here is the
         # stage's lowest failing index — the one a serial loop raises.
         records = []
-        for ok, value in replies:
-            if not ok:
-                if is_pickling_error(value):
-                    # Something did not cross: unpicklable partition
-                    # elements, an unpicklable task output — or a
-                    # kernel exception whose *instance* does not
-                    # pickle, whose thread rerun costs a second run but
-                    # surfaces the kernel's real exception.
-                    raise StageUnshippable from value
-                raise value
-            batch_records, failure = value
+        for reply in replies:
+            batch_records, failure = batch_reply(reply)
             records.extend(batch_records)
             if failure is not None:
                 raise failure[1]

@@ -24,23 +24,26 @@ mirroring the front-door server's convention):
   ``run_stage`` finds the mmap hot and a stale file is refused before
   any kernel runs.  Refused when the worker runs with
   ``local_files=False``.
-- ``run_stage`` — a pickled module-level kernel plus ``[(index,
-  pickled partition), ...]`` task batch.  Tasks run in ascending
-  shard order through the one task body every mode uses
-  (:func:`repro.engine.task.run_task`), so each returns
-  ``(output, charges)`` — the driver applies charges to driver-side
-  contexts in partition order and results stay bit-identical to
-  serial.  On the first failing task the batch stops (abort
-  semantics); the exception travels back pickled when it can, flagged
-  as a pickling casualty when it cannot (the driver then reruns the
-  stage on its local thread pool, exactly like process mode).
+- ``run_stage`` — one batch of the stage, in the codec a process-pool
+  child speaks over its pipe (:mod:`repro.engine.executors`): the
+  ``batch`` blob is a :func:`~repro.engine.executors.batch_request`,
+  which the worker runs through
+  :func:`~repro.engine.executors.serve_batch` and answers with one
+  ``reply`` blob.  Tasks run in ascending shard order through the one
+  task body every mode uses (:func:`repro.engine.task.run_task`), so
+  each returns ``(output, charges)`` — the driver applies charges to
+  driver-side contexts in partition order and results stay
+  bit-identical to serial.  On the first failing task the batch stops
+  (abort semantics).  A batch that does not cross — a kernel or
+  partition that does not load here, an output or exception that does
+  not pickle or load — makes the stage unshippable, and the driver
+  reruns it on its local thread pool, exactly like process mode.
 
 Bytes cross this channel as bytes.  Every pickle and every shipped
 block is a *blob* of its frame (``FLAG_BLOBS``,
 :mod:`repro.net.protocol`): raw segments after the JSON payload, which
-says only "this field is blob *i*" — ``run_stage`` requests
-(``kernel``, each task's ``partition``), ``run_stage`` replies (each
-``record``, a failure's ``error``) and ``block_fetch`` replies (each
+says only "this field is blob *i*" — a ``run_stage`` request's
+``batch``, its answer's ``reply`` and ``block_fetch`` replies (each
 block's ``data``).  Receivers unpickle and read rows from views into
 the frame body; only the block cache, which outlives the frame, copies.
 A frame over ``WORKER_MAX_FRAME_BYTES`` in either direction makes the
@@ -75,7 +78,6 @@ untrusted-facing endpoint.
 """
 
 import os
-import pickle
 import socket
 import socketserver
 import threading
@@ -105,11 +107,13 @@ from repro.data.shm import (
 from repro.engine.executors import (
     EXECUTOR_REMOTE,
     StageUnshippable,
-    is_pickling_error,
+    batch_reply,
+    batch_request,
     register_executor,
+    serve_batch,
     shippable,
 )
-from repro.engine.task import job_state_stats, run_batch
+from repro.engine.task import job_state_stats
 from repro.net.protocol import (
     KIND_ERROR,
     KIND_REQUEST,
@@ -399,60 +403,6 @@ class RemoteColFile:
 # ----------------------------------------------------------------------
 
 
-def _run_batch(kernel_blob, tasks):
-    """Execute one ``run_stage`` batch; returns (records, failures,
-    blobs) — the reply's two lists and the pickles they name by index.
-
-    The batch body is :func:`repro.engine.task.run_batch` — the kernel
-    unpickled once, tasks in ascending index order, stopping at the
-    first failure (the driver aborts the stage anyway, so later tasks
-    would be wasted work).  Each partition is unpickled inside its own
-    task.  Output records and exceptions that do not pickle are
-    reported as pickling casualties rather than crashing the worker.
-    """
-    tasks = sorted(tasks, key=lambda t: t[0])
-    if not tasks:
-        return [], [], []
-    try:
-        kernel = pickle.loads(kernel_blob)
-    except BaseException as exc:  # noqa: BLE001 — shipped to driver
-        done, failure = [], (tasks[0][0], exc)
-    else:
-        done, failure = run_batch(
-            lambda tc, part_blob: kernel(tc, pickle.loads(part_blob)), tasks
-        )
-    records, blobs = [], []
-    for (index, _part), record in zip(tasks, done):
-        try:
-            record_blob = pickle.dumps(
-                record, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        except BaseException as exc:  # noqa: BLE001 — shipped to driver
-            failure = (index, exc)  # lower than any the loop stopped at
-            break
-        records.append({"index": index, "record": len(blobs)})
-        blobs.append(record_blob)
-    if failure is None:
-        return records, [], blobs
-    index, exc = failure
-    try:
-        exc_blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
-        pickle.loads(exc_blob)  # some instances dump but not load
-    except BaseException:
-        return records, [{
-            "index": index,
-            "error": None,
-            "repr": repr(exc),
-            "pickling": True,
-        }], blobs
-    return records, [{
-        "index": index,
-        "error": len(blobs),
-        "repr": repr(exc),
-        "pickling": False,
-    }], blobs + [exc_blob]
-
-
 class _WorkerConnection(socketserver.BaseRequestHandler):
     """One driver connection: read frames, dispatch ops, answer.
 
@@ -725,30 +675,18 @@ class ShardWorker:
         }, ()
 
     def _op_run_stage(self, frame, connection):
-        payload, blobs = frame.payload, frame.blobs
-        try:
-            kernel_blob = _blob_at(
-                blobs, payload["kernel"], "run_stage kernel"
-            )
-            tasks = [
-                (int(task["index"]),
-                 _blob_at(blobs, task["partition"], "run_stage partition"))
-                for task in payload["tasks"]
-            ]
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError(
-                "malformed run_stage payload: %s" % exc
-            ) from None
+        request = _blob_at(frame.blobs, frame.payload.get("batch"),
+                           "run_stage batch")
 
         def fetch(path, file_key):
             return self._remote_source(connection, path, file_key)
 
         with block_fetcher(fetch, local_files=self.local_files):
-            records, failures, pickles = _run_batch(kernel_blob, tasks)
+            reply, tasks_run = serve_batch(request)
         with self._lock:
             self._stages += 1
-            self._tasks += len(records)
-        return {"records": records, "failures": failures}, pickles
+            self._tasks += tasks_run
+        return {"reply": 0}, [reply]
 
     def _remote_source(self, connection, path, file_key):
         """A :class:`RemoteColFile` for one unresolvable mmap block.
@@ -983,44 +921,13 @@ class ShardWorkerClient:
             "path": str(path), "file_key": list(file_key),
         }).payload
 
-    def run_stage(self, kernel_bytes, batch):
-        """Run ``[(index, partition_blob), ...]`` on the worker.
-
-        Returns ``(records, failures)``: ``records`` maps shard index
-        to its ``(output, charges)`` record; ``failures`` is a list of
-        ``(index, exception, is_pickling)`` for the batch's first
-        failing task (empty on success).
-        """
-        answer = self._call("run_stage", {
-            "kernel": 0,
-            "tasks": [
-                {"index": index, "partition": position}
-                for position, (index, _part) in enumerate(batch, 1)
-            ],
-        }, [kernel_bytes] + [blob for _index, blob in batch])
-        reply, blobs = answer.payload, answer.blobs
-        records = {}
-        for entry in reply.get("records", ()):
-            records[int(entry["index"])] = pickle.loads(
-                _blob_at(blobs, entry["record"], "run_stage record")
-            )
-        failures = []
-        for entry in reply.get("failures", ()):
-            exc = None
-            pickling = bool(entry.get("pickling"))
-            if entry.get("error") is not None and not pickling:
-                blob = _blob_at(blobs, entry["error"], "run_stage error")
-                try:
-                    exc = pickle.loads(blob)
-                except BaseException:
-                    pickling = True
-            if exc is None and not pickling:
-                exc = EngineError(
-                    "remote task %s failed: %s"
-                    % (entry.get("index"), entry.get("repr"))
-                )
-            failures.append((int(entry["index"]), exc, pickling))
-        return records, failures
+    def run_stage(self, request):
+        """Run one :func:`~repro.engine.executors.batch_request` on the
+        worker; the reply blob, for
+        :func:`~repro.engine.executors.batch_reply`."""
+        answer = self._call("run_stage", {"batch": 0}, [request])
+        return _blob_at(answer.blobs, answer.payload.get("reply"),
+                        "run_stage reply")
 
     def __repr__(self):
         return "ShardWorkerClient(%s:%d)" % (self.host, self.port)
@@ -1028,16 +935,19 @@ class ShardWorkerClient:
 
 class RemoteExecutor:
     """The ``"remote"`` stage executor (:mod:`repro.engine.executors`):
-    pickled kernel + shard descriptors out, one ``run_stage`` call per
-    worker per round, ``(output, charges)`` records back in partition
-    order.
+    one batch of pickled kernel and shard descriptors out per worker
+    per round, ``(output, charges)`` records back in partition order.
 
     Routing is sticky by shard id among the live workers, and remote
     stages always cross the wire (even a single shard), so every stage
-    counts as placed.  The lowest-index failing shard's exception
-    propagates; anything that cannot cross the wire (a kernel,
-    partition, output or exception instance that does not pickle, a
-    frame over the channel's cap) makes the stage unshippable.
+    counts as placed.  Each call carries one
+    :func:`~repro.engine.executors.batch_request` and its reply reads
+    through :func:`~repro.engine.executors.batch_reply` — the codec a
+    process-pool child speaks.  The lowest-index failing shard's
+    exception propagates; anything that cannot cross the wire (a
+    kernel, partition, output or exception instance that does not
+    pickle or does not load, a frame over the channel's cap) makes the
+    stage unshippable.
 
     A worker that times out or drops its connection mid-stage is
     marked dead (:meth:`ShardWorkerClient.mark_dead`) and its
@@ -1061,24 +971,17 @@ class RemoteExecutor:
     def run(self, kernel, partitions):
         self._placement.record_stage()
         kernel_bytes = shippable(kernel)
-        blobs = [shippable(part) for part in partitions]
         if self._clients is None:
             self._clients = [ShardWorkerClient(a) for a in self._addresses]
             self._pool = ThreadPoolExecutor(
                 max_workers=self._width, thread_name_prefix="repro-stage"
             )
         clients = self._clients
-        remaining = dict(enumerate(blobs))  # shard index -> blob
+        remaining = list(range(len(partitions)))
         records = {}
-        failures = []
-        # Every extra round is caused either by a worker death (at most
-        # one per client) or by failure pruning (the lowest failing
-        # index strictly decreases), so this backstop never trips on a
-        # converging stage.
-        rounds_left = len(clients) + len(partitions) + 1
+        failure = None  # (index, exception) of the lowest failing shard
         had_death = False
         while remaining:
-            rounds_left -= 1
             alive = [slot for slot, c in enumerate(clients) if c.healthy]
             if had_death and alive:
                 # A death this stage makes the survivor list suspect
@@ -1090,68 +993,71 @@ class RemoteExecutor:
                         clients[slot].mark_dead()
                         self._placement.worker_failure()
                 alive = [slot for slot in alive if clients[slot].healthy]
-                had_death = False
-            if not alive or rounds_left < 0:
+            if not alive:
                 raise StageUnshippable
-            batches = {}  # slot -> [(shard index, blob)]
-            for i in sorted(remaining):
+            batches = {}  # slot -> ascending shard indices
+            for i in remaining:
                 slot = alive[ShardMap.placement_for(i, len(alive))]
                 self._placement.record(i, slot)
-                batches.setdefault(slot, []).append((i, remaining[i]))
-            futures = {
-                slot: self._pool.submit(
-                    clients[slot].run_stage, kernel_bytes, batch
-                )
+                batches.setdefault(slot, []).append(i)
+            # Every batch pickles before any is sent: a stage that
+            # cannot cross costs no worker a call.
+            requests = {
+                slot: batch_request(kernel_bytes,
+                                    [(i, partitions[i]) for i in batch])
                 for slot, batch in batches.items()
             }
-            oversized = False
+            futures = {
+                slot: self._pool.submit(clients[slot].run_stage, request)
+                for slot, request in requests.items()
+            }
+            unshippable = had_death = False
             for slot, future in futures.items():
                 try:
-                    worker_records, worker_failures = future.result()
-                except FrameTooLargeError:
-                    # A request or an answer over the frame cap: the
-                    # worker is fine and its connection in step, the
-                    # stage is what cannot cross.
-                    oversized = True
+                    batch_records, batch_failure = batch_reply(
+                        future.result()
+                    )
+                except (FrameTooLargeError, StageUnshippable):
+                    # A frame over the cap, or a batch that did not
+                    # cross: the worker is fine and its connection in
+                    # step, the stage is what cannot cross.
+                    unshippable = True
                     continue
                 except EngineError:
                     # Timed out, refused or dropped mid-call: the
                     # worker is dead to this stage.  Nothing of its
-                    # batch merged, so its shards stay in ``remaining``
-                    # and re-place onto the survivors next round.
+                    # batch merged, so its shards re-place onto the
+                    # survivors next round.
                     clients[slot].mark_dead()
-                    self._placement.worker_failure(
-                        [i for i, _blob in batches[slot]]
-                    )
+                    self._placement.worker_failure(batches[slot])
                     had_death = True
                     continue
-                for i, record in worker_records.items():
-                    records[i] = record
-                    remaining.pop(i, None)
-                failures.extend(worker_failures)
-            if oversized:
+                records.update(zip(batches[slot], batch_records))
+                if batch_failure is not None and (
+                        failure is None or batch_failure[0] < failure[0]):
+                    failure = batch_failure
+            if unshippable:
                 # Raised only here, with every call of the round back:
                 # the next stage must find no client mid-call.
                 raise StageUnshippable
-            if failures:
-                # The lowest-index-failure contract: shards *below* the
-                # lowest failure seen so far must still resolve (one of
-                # them may fail at an even lower index, which is the
-                # exception a serial run would surface); everything at
-                # or above it is moot.
-                lowest = min(f[0] for f in failures)
-                remaining = {
-                    i: blob for i, blob in remaining.items() if i < lowest
-                }
-        if failures:
-            if any(is_pickling or is_pickling_error(exc)
-                   or isinstance(exc, FrameTooLargeError)
-                   for _i, exc, is_pickling in failures):
-                # An output, an exception instance or a shard's shipped
-                # blocks did not survive the wire: rerun locally, like
-                # process mode.
+            if not had_death:
+                # Each batch ran ascending up to its own first failure,
+                # so every shard below the lowest one has resolved.
+                break
+            # The lowest-index-failure contract: a dead worker's shards
+            # *below* the lowest failure seen so far must still resolve
+            # (one may fail at an even lower index, which is the
+            # exception a serial run would surface); the rest are moot.
+            remaining = [
+                i for i in remaining if i not in records
+                and (failure is None or i < failure[0])
+            ]
+        if failure is not None:
+            if isinstance(failure[1], FrameTooLargeError):
+                # A shard's shipped blocks did not survive the wire:
+                # rerun locally, like an unshippable batch.
                 raise StageUnshippable
-            raise min(failures, key=lambda f: f[0])[1]
+            raise failure[1]
         return [records[i] for i in range(len(partitions))]
 
     def stats(self):

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from repro.engine.cluster import ClusterContext
 from repro.engine.executors import ProcessPool
-from tests.conftest import child_pids, live_workers
+from repro.net.worker import ShardWorker
+from tests.conftest import ExecutionMode, child_pids, live_workers
 
 
 def _charging_kernel(tc, part):
@@ -60,6 +61,56 @@ def _unpicklable_failure_kernel(tc, part):
     if part == 1:
         raise _UnpicklableError("kernel failed on partition 1")
     return part
+
+
+def _refuse_to_load(value):
+    raise ValueError("%r does not load here" % (value,))
+
+
+class _DoesNotLoad:
+    """Pickles anywhere; raises wherever the pickle is loaded."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, _DoesNotLoad) and other.value == self.value
+
+    def __reduce__(self):
+        return _refuse_to_load, (self.value,)
+
+
+class _KernelThatDoesNotLoad:
+    """A kernel that pickles on the driver and does not load elsewhere."""
+
+    def __call__(self, tc, part):
+        return _doubling_kernel(tc, part)
+
+    def __reduce__(self):
+        return _refuse_to_load, ("kernel",)
+
+
+def _doubling_kernel(tc, part):
+    """Doubles a partition, unwrapping one that does not load."""
+    if isinstance(part, _DoesNotLoad):
+        part = part.value
+    tc.add_records(part + 1)
+    tc.request_cache_access(("doubled", part), 10 * (part + 1))
+    return part * 2
+
+
+def _output_does_not_load_kernel(tc, part):
+    output = _doubling_kernel(tc, part)
+    return _DoesNotLoad(output) if part == 1 else output
+
+
+#: What pickles on the driver but raises where it is loaded: the
+#: kernel and a partition on the far side, a task output on the driver.
+DOES_NOT_LOAD = {
+    "kernel": (_KernelThatDoesNotLoad(), [0, 1, 2, 3]),
+    "partition": (_doubling_kernel, [0, _DoesNotLoad(1), 2, 3]),
+    "output": (_output_does_not_load_kernel, [0, 1, 2, 3]),
+}
 
 
 def _state(cluster):
@@ -126,6 +177,17 @@ class TestExecutorContract:
         with pytest.raises(_UnpicklableError, match="partition 1"):
             cluster.run_stage(_unpicklable_failure_kernel, range(4))
         assert _state(cluster) == before
+        assert cluster.fallback_stages == (1 if execution_modes.ships else 0)
+
+    @pytest.mark.parametrize("what", sorted(DOES_NOT_LOAD))
+    def test_what_does_not_load_falls_back_once(self, execution_modes,
+                                                what):
+        kernel, partitions = DOES_NOT_LOAD[what]
+        with ExecutionMode("serial") as serial:
+            expected = _outcome(serial.cluster(), kernel, partitions)
+        cluster = execution_modes.cluster()
+        assert _outcome(cluster, kernel, partitions) == expected
+        assert expected[0] == "returned"
         assert cluster.fallback_stages == (1 if execution_modes.ships else 0)
 
     def test_close_is_idempotent_and_leaves_no_worker(self, execution_modes):
@@ -202,7 +264,10 @@ class _Unpicklable:
 
 def _scripted_kernel(failing, unpicklable, slow, tc, part):
     """Fails on ``failing``, returns an unpicklable on ``unpicklable``,
-    dawdles on ``slow``; charges are per-partition."""
+    dawdles on ``slow``; charges are per-partition.  A partition that
+    does not load is read as its value."""
+    if isinstance(part, _DoesNotLoad):
+        part = part.value
     tc.add_records(part + 1)
     tc.request_cache_access(("scripted", part), 10 * (part + 1))
     if part in slow:
@@ -214,10 +279,10 @@ def _scripted_kernel(failing, unpicklable, slow, tc, part):
     return part * 3
 
 
-def _outcome(cluster, kernel, n):
+def _outcome(cluster, kernel, partitions):
     """What a caller of ``run_stage`` can observe, as one value."""
     try:
-        result = cluster.run_stage(kernel, range(n))
+        result = cluster.run_stage(kernel, partitions)
     except ValueError as exc:
         return "raised", str(exc), _state(cluster)
     return ("returned", result.outputs,
@@ -237,31 +302,45 @@ class _LendingGrant:
 
 
 class TestProcessBatches:
-    """A process stage is ``min(width, partitions)`` contiguous batches;
-    none of that may show."""
+    """A process stage is ``min(width, partitions)`` contiguous batches,
+    a remote one a batch per worker; none of that may show."""
 
     def test_any_script_matches_the_serial_executor(self):
-        pool = ProcessPool(6)  # one set of children for every example
+        # One set of children and one fleet for every example.
+        pool = ProcessPool(6)
+        fleet = [ShardWorker().start() for _ in range(2)]
+        shipped = {
+            "process": lambda width: ClusterContext(
+                executor="process", budget_grant=_LendingGrant(width, pool)),
+            "remote": lambda width: ClusterContext(
+                executor="remote", parallelism=width,
+                workers=[w.address for w in fleet]),
+        }
 
         @settings(max_examples=60, deadline=None)
         @given(
+            mode=st.sampled_from(sorted(shipped)),
             n=st.integers(1, 40), width=st.integers(1, 6),
             failing=st.sets(st.integers(0, 39), max_size=3),
             unpicklable=st.none() | st.integers(0, 39),
+            unloadable=st.none() | st.integers(0, 39),
         )
-        def check(n, width, failing, unpicklable):
+        def check(mode, n, width, failing, unpicklable, unloadable):
             kernel = functools.partial(
                 _scripted_kernel, frozenset(failing), unpicklable, ()
             )
+            partitions = [_DoesNotLoad(i) if i == unloadable else i
+                          for i in range(n)]
             with ClusterContext(parallelism=1) as serial:
-                expected = _outcome(serial, kernel, n)
-            grant = _LendingGrant(width, pool)
-            with ClusterContext(executor="process",
-                                budget_grant=grant) as cluster:
-                assert _outcome(cluster, kernel, n) == expected
-                if unpicklable is None or unpicklable >= n:
+                expected = _outcome(serial, kernel, partitions)
+            with shipped[mode](width) as cluster:
+                assert _outcome(cluster, kernel, partitions) == expected
+                ships = cluster.uses_processes and (
+                    n > 1 or mode == "remote")
+                if all(i is None or i >= n
+                       for i in (unpicklable, unloadable)):
                     assert cluster.fallback_stages == 0  # as serial
-                elif not failing and cluster.uses_processes and n > 1:
+                elif not failing and ships:
                     assert cluster.fallback_stages == 1
                 else:
                     assert cluster.fallback_stages <= 1
@@ -270,6 +349,8 @@ class TestProcessBatches:
             check()
         finally:
             pool.shutdown()
+            for worker in fleet:
+                worker.stop()
 
     def test_failures_in_two_batches_surface_the_lower_index(self):
         # Width 2 over 8 partitions: batches [0..3] and [4..7].  The

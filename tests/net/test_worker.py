@@ -29,7 +29,12 @@ from repro.core.miner import Sirum, make_default_cluster
 from repro.data.colfile import write_colfile
 from repro.data.generators import flight_table, income_table
 from repro.data.table import Table
-from repro.engine.executors import StageUnshippable
+from repro.engine.executors import (
+    DID_NOT_CROSS,
+    StageUnshippable,
+    batch_reply,
+    batch_request,
+)
 from repro.net.worker import (
     RemoteExecutor,
     ShardWorker,
@@ -112,44 +117,44 @@ class TestWorkerOps:
             client.hello()
 
 
-class TestRunStage:
-    def _shard_batch(self, file_table, num_shards=2):
-        blocks = file_table.partition_blocks(num_shards, shared=True)
-        return [
-            (block.index, pickle.dumps(block, pickle.HIGHEST_PROTOCOL))
-            for block in blocks
-        ]
+def _run(client, kernel, tasks):
+    """One batch of ``(index, partition)`` tasks on the worker, decoded."""
+    request = batch_request(
+        pickle.dumps(kernel, pickle.HIGHEST_PROTOCOL), tasks
+    )
+    return batch_reply(client.run_stage(request))
 
+
+def _shard_tasks(file_table, num_shards):
+    blocks = file_table.partition_blocks(num_shards, shared=True)
+    return [(block.index, block) for block in blocks]
+
+
+class TestRunStage:
     def test_executes_real_shards_end_to_end(self, client, file_table,
                                              flights):
-        kernel_bytes = pickle.dumps(_sum_kernel, pickle.HIGHEST_PROTOCOL)
-        batch = self._shard_batch(file_table)
-        records, failures = client.run_stage(kernel_bytes, batch)
-        assert failures == []
-        assert sorted(records) == [0, 1]
-        outputs = [records[i][0] for i in sorted(records)]
+        records, failure = _run(client, _sum_kernel,
+                                _shard_tasks(file_table, 2))
+        assert failure is None
+        assert len(records) == 2
+        outputs = [output for output, _charges in records]
         assert sum(outputs) == pytest.approx(float(np.sum(flights.measure)))
         # The charge records carry the per-task accounting back —
         # (ops, light_ops, records, disk_bytes, output_bytes, cache
         # requests), with ``records`` charged per shard row.
-        charges = [records[i][1] for i in sorted(records)]
-        shard_rows = [
-            s.num_rows for s in file_table.shard_map(len(batch))
-        ]
+        charges = [charges for _output, charges in records]
+        shard_rows = [s.num_rows for s in file_table.shard_map(2)]
         assert [c[2] for c in charges] == shard_rows
         assert client.hello()["stages"] == 1
+        assert client.hello()["tasks"] == 2
 
     def test_kernel_failure_travels_back_typed(self, client, file_table):
-        kernel_bytes = pickle.dumps(_boom_kernel, pickle.HIGHEST_PROTOCOL)
-        records, failures = client.run_stage(
-            kernel_bytes, self._shard_batch(file_table)
-        )
-        assert records == {}
+        records, failure = _run(client, _boom_kernel,
+                                _shard_tasks(file_table, 2))
+        assert records == []
         # The batch stopped at its first (lowest-index) failure.
-        assert len(failures) == 1
-        index, exc, is_pickling = failures[0]
+        index, exc = failure
         assert index == 0
-        assert not is_pickling
         assert isinstance(exc, ValueError)
         assert "boom on shard 0" in str(exc)
 
@@ -164,50 +169,50 @@ class TestBlobReferences:
     whichever side reads it, never an ``IndexError`` in a handler —
     each case below runs on the connection the previous one left."""
 
-    @pytest.mark.parametrize("field", ["kernel", "partition"])
-    def test_run_stage_request(self, client, field):
-        blobs = [pickle.dumps(_identity_kernel), pickle.dumps(7)]
+    def test_run_stage_request(self, client):
+        request = batch_request(pickle.dumps(_identity_kernel), [(0, 7)])
+        blobs = [request, b"spare"]
         for bad in BAD_BLOB_REFERENCES:
-            payload = {"kernel": 0,
-                       "tasks": [{"index": 0, "partition": 1}]}
-            if field == "kernel":
-                payload["kernel"] = bad
-            else:
-                payload["tasks"][0]["partition"] = bad
             with pytest.raises(ProtocolError,
-                               match="run_stage %s names blob" % field):
-                client._call("run_stage", payload, blobs)
+                               match="run_stage batch names blob"):
+                client._call("run_stage", {"batch": bad}, blobs)
         with pytest.raises(ProtocolError, match="carries 0"):
-            client._call("run_stage", {"kernel": 0, "tasks": []})
+            client._call("run_stage", {"batch": 0})
         # Still in step: the well-formed request runs.
-        records, failures = client.run_stage(blobs[0], [(0, blobs[1])])
-        assert (records[0][0], failures) == (7, [])
+        records, failure = batch_reply(client.run_stage(request))
+        assert (records[0][0], failure) == (7, None)
 
-    def test_run_stage_reply(self, client, monkeypatch):
+    def test_run_stage_request_in_the_old_shape(self, client):
+        # The per-task kernel/partition blobs a worker once read: one
+        # tree deploys both ends, so this is a protocol error, typed.
+        kernel_bytes = pickle.dumps(_identity_kernel)
+        with pytest.raises(ProtocolError,
+                           match="run_stage batch names blob None"):
+            client._call("run_stage", {
+                "kernel": 0, "tasks": [{"index": 0, "partition": 1}],
+            }, [kernel_bytes, pickle.dumps(7)])
+        records, failure = _run(client, _identity_kernel, [(0, 7)])
+        assert (records[0][0], failure) == (7, None)
+
+    def test_run_stage_reply(self, client, worker, monkeypatch):
+        request = batch_request(pickle.dumps(_identity_kernel), [(0, 7)])
+        # A reply that did not cross on the worker, or that does not
+        # load here, is an unshippable stage — not a kernel error.
+        for reply in (DID_NOT_CROSS, b"not a pickle"):
+            monkeypatch.setattr(worker_module, "serve_batch",
+                                lambda request, reply=reply: (reply, 0))
+            with pytest.raises(StageUnshippable):
+                batch_reply(client.run_stage(request))
         for bad in BAD_BLOB_REFERENCES:
-            monkeypatch.setattr(
-                worker_module, "_run_batch",
-                lambda kernel_blob, tasks, bad=bad: (
-                    [{"index": 0, "record": bad}], [], [b"a", b"b"]
+            monkeypatch.setitem(
+                worker.ops, "run_stage",
+                lambda frame, connection, bad=bad: (
+                    {"reply": bad}, [b"a", b"b"]
                 ),
             )
             with pytest.raises(ProtocolError,
-                               match="run_stage record names blob"):
-                client.run_stage(pickle.dumps(_identity_kernel),
-                                 [(0, pickle.dumps(7))])
-            if bad is None:
-                continue   # a failure's "error": null is legitimate
-            monkeypatch.setattr(
-                worker_module, "_run_batch",
-                lambda kernel_blob, tasks, bad=bad: ([], [{
-                    "index": 0, "error": bad, "repr": "x",
-                    "pickling": False,
-                }], [b"a", b"b"]),
-            )
-            with pytest.raises(ProtocolError,
-                               match="run_stage error names blob"):
-                client.run_stage(pickle.dumps(_identity_kernel),
-                                 [(0, pickle.dumps(7))])
+                               match="run_stage reply names blob"):
+                client.run_stage(request)
         assert client.hello()["ok"]
 
     def test_block_fetch_reply(self, file_table, monkeypatch):
@@ -227,13 +232,9 @@ class TestBlobReferences:
             with ShardWorkerClient(worker.address) as client:
                 for bad in BAD_BLOB_REFERENCES:
                     lie.append(bad)
-                    records, failures = client.run_stage(
-                        pickle.dumps(_sum_kernel),
-                        [(0, pickle.dumps(block))],
-                    )
-                    assert records == {}
-                    ((index, exc, is_pickling),) = failures
-                    assert (index, is_pickling) == (0, False)
+                    records, (index, exc) = _run(client, _sum_kernel,
+                                                 [(0, block)])
+                    assert (records, index) == ([], 0)
                     assert isinstance(exc, ProtocolError)
                     assert "block_fetch data names blob" in str(exc)
             # Nothing a lying reply named was cached.
@@ -495,18 +496,14 @@ class TestBlockShipping:
         write_colfile(flights, path, block_rows=64)
         file_table = Table.open_colfile(path)
         blocks = file_table.partition_blocks(3, shared=True)
-        kernel_bytes = pickle.dumps(_raw_read_kernel,
-                                    pickle.HIGHEST_PROTOCOL)
-        batch = [
-            (block.index, pickle.dumps(block, pickle.HIGHEST_PROTOCOL))
-            for block in blocks
-        ]
         with ShardWorker(local_files=False) as worker:
             with ShardWorkerClient(worker.address) as client:
-                records, failures = client.run_stage(kernel_bytes, batch)
-        assert failures == []
-        for block in blocks:
-            cols, measure = records[block.index][0]
+                records, failure = _run(
+                    client, _raw_read_kernel,
+                    [(block.index, block) for block in blocks],
+                )
+        assert failure is None
+        for block, ((cols, measure), _charges) in zip(blocks, records):
             assert measure.tobytes() == block.measure.tobytes()
             for remote_col, local_col in zip(cols, block.columns):
                 assert remote_col.tobytes() == local_col.tobytes()
@@ -522,14 +519,12 @@ class TestBlockShipping:
         (block,) = file_table.partition_blocks(1, shared=True)
         with ShardWorker(local_files=False) as worker:
             with ShardWorkerClient(worker.address) as client:
-                records, failures = client.run_stage(
-                    pickle.dumps(_raw_read_kernel),
-                    [(0, pickle.dumps(block))],
-                )
+                records, failure = _run(client, _raw_read_kernel,
+                                        [(0, block)])
                 shipped = (client.blocks_shipped, client.bytes_shipped)
             cached = list(worker.block_cache._blocks.values())
             stats = worker.stats()["block_cache"]
-        assert failures == []
+        assert failure is None
         assert records[0][0][1].tobytes() == flights.measure.tobytes()
         handle = file_table._handle
         raw = sum(handle.block_nbytes(i) for i in range(handle.num_blocks))
@@ -694,9 +689,9 @@ class TestWorkerFailure:
             probed.append(client.port)
             return heartbeat(client, timeout=0.5)
 
-        def spy_run_stage(client, kernel_bytes, batch):
+        def spy_run_stage(client, request):
             staged.append(client.port)
-            return run_stage(client, kernel_bytes, batch)
+            return run_stage(client, request)
 
         monkeypatch.setattr(ShardWorkerClient, "heartbeat", spy_heartbeat)
         monkeypatch.setattr(ShardWorkerClient, "run_stage", spy_run_stage)
@@ -817,8 +812,7 @@ class TestFrameCap:
         with ShardWorker() as worker:
             with ShardWorkerClient(worker.address) as client:
                 with pytest.raises(FrameTooLargeError):
-                    client.run_stage(pickle.dumps(_big_output_kernel),
-                                     [(0, pickle.dumps(3))])
+                    _run(client, _big_output_kernel, [(0, 3)])
                 assert client.hello()["stages"] == 1
                 assert client._request_id == 3   # one connection, kept
 
@@ -840,11 +834,11 @@ class TestFrameCap:
         run_stage = ShardWorkerClient.run_stage
         run = RemoteExecutor.run
 
-        def counting_run_stage(client, kernel_bytes, batch):
+        def counting_run_stage(client, request):
             with lock:
                 in_flight[0] += 1
             try:
-                return run_stage(client, kernel_bytes, batch)
+                return run_stage(client, request)
             finally:
                 with lock:
                     in_flight[0] -= 1
