@@ -33,11 +33,22 @@ a hash join keeps with the row interpreter's build-dict/probe loop:
 - a row with a NULL in any key joins nothing;
 - pairs surface in probe-row order, then build-row order within a key
   (the build side is stable-sorted by code and each probe row expands
-  to its ``searchsorted`` run), so ``SUM`` over a join adds in the
-  same order and is bit-identical;
+  to its code's run, counted by ``bincount`` and started at the
+  exclusive prefix sum), so ``SUM`` over a join adds in the same order
+  and is bit-identical;
 - the residual (and a cross join's condition) is evaluated on exactly
   the pairs the loop reaches — the key-matched pairs, or every pair of
   the product — so its data-dependent errors surface identically.
+
+Group and join keys fold into one int64 code per row whose *span*
+(the exclusive bound of the codes) is known exactly.  When the span is
+at most the row count ``n``, the codes are sorted by counting over a
+span-sized array: a group's first row is one ``np.minimum.at``, a join
+run one ``np.bincount``.  Above ``n`` a span-sized array would outgrow
+the input, and the comparison sort runs instead — ``np.unique`` for
+groups, two ``np.searchsorted`` for join runs.  Both paths give the
+same group ids, first rows and pair order; the input's shape picks
+one, nothing else does.
 
 One deliberate divergence: NaN *keys*, where the row interpreter's
 dict keying is object-identity-dependent.  For group keys it groups
@@ -318,15 +329,19 @@ def _sort_values(col):
 
     Ranks come from Python's own ``<`` over the present entries, equal
     strings sharing a rank, so a stable argsort of the int ranks is the
-    stable argsort of the strings.  Any other column (or dictionary)
-    sorts its values.
+    stable argsort of the strings.  Ranks that fit 16 bits are
+    ``uint16``, which NumPy's stable argsort radix-sorts.  Any other
+    column (or dictionary) sorts its values.
     """
     if isinstance(col, DictColumn):
         entries = col.present()
         present = col.dictionary[entries].tolist()
         if all(type(v) is str for v in present):
             rank_of = {v: i for i, v in enumerate(sorted(set(present)))}
-            ranks = np.zeros(len(col.dictionary), dtype=np.int64)
+            fits = len(rank_of) <= 2**16  # ranks 0 .. 65535
+            ranks = np.zeros(
+                len(col.dictionary), dtype=np.uint16 if fits else np.int64
+            )
             ranks[entries] = [rank_of[v] for v in present]
             return ranks[col.codes]
     return col.values
@@ -419,7 +434,9 @@ _MAX_CODE_SPAN = 2**62
 
 
 def _fold_codes(parts, n):
-    """One int64 code per row from per-column ``(codes, cardinality)``.
+    """``(codes, span)``: one int64 code per row, all below ``span``.
+
+    ``parts`` are per-column ``(codes, cardinality)`` pairs.
 
     Rows get equal codes exactly when every column's codes are equal.
     The fold is the mixed-radix ``combined * cardinality + codes``; its
@@ -435,14 +452,15 @@ def _fold_codes(parts, n):
             span = len(dense)
         combined = combined * cardinality + codes
         span *= cardinality
-    return combined
+    return combined, span
 
 
 def _group_codes(key_columns, n):
     """Group id per row, first-occurrence row per group, group count.
 
     Group ids are assigned in first-occurrence order of the combined
-    key, matching the row interpreter's dict iteration order.
+    key, matching the row interpreter's dict iteration order.  Codes
+    spanning at most ``n`` are counted; wider ones are sorted.
     """
     if not key_columns:
         return (
@@ -450,7 +468,22 @@ def _group_codes(key_columns, n):
             np.zeros(1, dtype=np.int64),
             1,
         )
-    combined = _fold_codes([_factorize(col)[:2] for col in key_columns], n)
+    combined, span = _fold_codes(
+        [_factorize(col)[:2] for col in key_columns], n
+    )
+    if span > n:
+        return _group_codes_by_sorting(combined)
+    first_of = np.full(span, n, dtype=np.int64)  # n: no row holds the code
+    np.minimum.at(first_of, combined, np.arange(n))
+    # First rows are distinct, so sorting them orders groups by first seen.
+    first = np.sort(first_of[first_of < n])
+    group_of = np.empty(span, dtype=np.int64)
+    group_of[combined[first]] = np.arange(len(first))
+    return group_of[combined], first, len(first)
+
+
+def _group_codes_by_sorting(combined):
+    """:func:`_group_codes` over codes too sparse to count: ``np.unique``."""
     uniques, first, inverse = np.unique(
         combined, return_index=True, return_inverse=True
     )
@@ -495,20 +528,37 @@ def _equi_join_pairs(probe_keys, build_keys):
         dead[: len(uniques)] = _never_equal(uniques)
         joinable &= ~dead[codes]
         parts.append((codes, cardinality))
-    combined = _fold_codes(parts, n)
+    combined, span = _fold_codes(parts, n)
     build_rows = np.nonzero(joinable[:n_build])[0]
     probe_rows = np.nonzero(joinable[n_build:])[0]
     by_code = np.argsort(combined[build_rows], kind="stable")
     build_rows = build_rows[by_code]
     build_codes = combined[build_rows]
     probe_codes = combined[n_build + probe_rows]
-    first = np.searchsorted(build_codes, probe_codes, side="left")
-    counts = np.searchsorted(build_codes, probe_codes, side="right") - first
+    if span > n:
+        first, counts = _build_runs_by_search(build_codes, probe_codes)
+    else:
+        # Counting: code c's run in the sorted build side starts after
+        # every smaller code's rows — the exclusive prefix sum.
+        code_rows = np.bincount(build_codes, minlength=span)
+        code_first = np.cumsum(code_rows) - code_rows
+        first, counts = code_first[probe_codes], code_rows[probe_codes]
     probe_idx = np.repeat(probe_rows, counts)
     # Each probe row's matches are the run build_rows[first : first + count].
     run_start = np.repeat(first - (np.cumsum(counts) - counts), counts)
     build_idx = build_rows[np.arange(len(probe_idx)) + run_start]
     return probe_idx, build_idx
+
+
+def _build_runs_by_search(build_codes, probe_codes):
+    """Each probe code's ``(first, count)`` run in sorted ``build_codes``.
+
+    The comparison-sort path of :func:`_equi_join_pairs`, for codes too
+    sparse to count: two binary searches per probe row.
+    """
+    first = np.searchsorted(build_codes, probe_codes, side="left")
+    counts = np.searchsorted(build_codes, probe_codes, side="right") - first
+    return first, counts
 
 
 def _gather_pairs(left, right, left_idx, right_idx, condition):

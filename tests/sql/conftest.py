@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sql import SqlEngine
+from repro.sql import SqlEngine, vectorized
 
 from .oracle import RowOracleEngine
 
@@ -47,3 +47,22 @@ def engine(request):
 @pytest.fixture
 def empty_engine():
     return SqlEngine()
+
+
+#: The comparison-sort paths of key grouping and of equi-join runs,
+#: taken only when the key codes' span exceeds the row count.
+GROUPS_BY_SORTING = "_group_codes_by_sorting"
+RUNS_BY_SEARCH = "_build_runs_by_search"
+SORTING_FALLBACKS = (GROUPS_BY_SORTING, RUNS_BY_SEARCH)
+
+
+@pytest.fixture
+def sorted_key_codes(monkeypatch):
+    """Names of the comparison-sort fallbacks run since the test began."""
+    ran = []
+    for name in SORTING_FALLBACKS:
+        def record(*args, _name=name, _run=getattr(vectorized, name)):
+            ran.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(vectorized, name, record)
+    return ran

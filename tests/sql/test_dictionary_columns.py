@@ -16,6 +16,7 @@ NaN objects, and plain ints (which sort through the decoded fallback).
 """
 
 import os
+import random
 import re
 import tempfile
 
@@ -27,10 +28,11 @@ from repro.data.colfile import write_colfile
 from repro.data.generators import income_table
 from repro.data.schema import Schema
 from repro.data.table import Table
-from repro.sql import SqlEngine
+from repro.sql import SqlEngine, vectorized
 from repro.sql.columns import DictColumn
 from repro.sql.errors import SqlExecutionError
 
+from .conftest import GROUPS_BY_SORTING, RUNS_BY_SEARCH, SORTING_FALLBACKS
 from .oracle import RowOracleEngine
 from .test_parity import QUERIES, _outcome, _typed
 
@@ -224,6 +226,16 @@ class TestRepresentation:
                 assert isinstance(columns[j], DictColumn)
                 assert np.shares_memory(columns[j].codes, codes)
 
+    def test_churn_templates_count_their_key_codes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("key codes were comparison-sorted")
+
+        for name in SORTING_FALLBACKS:
+            monkeypatch.setattr(vectorized, name, refuse)
+        engine, _ = self._registered()
+        for sql in CHURN_QUERIES:
+            engine.query(sql).rows
+
     def test_churn_templates_never_decode_registered_columns(self):
         engine, tables = self._registered()
         for sql in CHURN_QUERIES:
@@ -266,3 +278,91 @@ class TestSortRanks:
         for eng in (oracle, engine):
             with pytest.raises(SqlExecutionError, match="cannot sort"):
                 eng.query("SELECT a FROM t ORDER BY a")
+
+    @pytest.mark.parametrize("distinct", [300, 65536, 65537])
+    def test_null_sorts_match_oracle_either_side_of_16_bits(self, distinct):
+        """Ranks of up to 65 536 present strings sort as ``uint16``.
+
+        Every tenth string repeats (ties keep row order) and every
+        hundredth row is NULL, in a shuffled row order.
+        """
+        values = ["s%05d" % i for i in range(distinct)]
+        values += values[::10] + [None] * (len(values) // 100)
+        random.Random(distinct).shuffle(values)
+        table = Table.from_rows(
+            Schema(["a"], "m"), [(v, float(i)) for i, v in enumerate(values)]
+        )
+        _assert_parity({"t": table}, [
+            "SELECT a, m FROM t ORDER BY a",
+            "SELECT a, m FROM t ORDER BY a DESC",
+        ])
+        engine = SqlEngine()
+        engine.register_table("t", table)
+        columns, _ = engine.catalog.lookup("t").column_data()
+        ranks = vectorized._sort_values(columns[0])
+        assert ranks.dtype == (np.uint16 if distinct <= 65536 else np.int64)
+
+
+#: Two group keys spanning 3 x 4 = 12 codes (``b``'s NULL is a code),
+#: first seen out of code order, with repeats.  All 12 rows: span ``n``;
+#: the first 11: span ``n + 1``.
+SPAN_KEYS = [
+    ("z", "q"), ("x", None), ("z", "q"), ("y", "p"), ("x", "r"),
+    ("x", None), ("y", "r"), ("z", "p"), ("x", "q"), ("y", None),
+    ("z", "q"), ("x", "r"),
+]
+#: The build side of the span joins: a repeated key pins pair order.
+SPAN_BUILD = [("z", "q", 1.0), ("x", "r", 2.0), ("z", "q", 3.0),
+              ("y", None, 4.0)]
+JOIN_ON_A = "SELECT t.a, t.b, t.m, d.w FROM t JOIN d ON t.a = d.key"
+JOIN_ON_AB = JOIN_ON_A + " AND t.b = d.region"
+SIDES = ["span_n", "span_n_plus_1"]
+
+
+def _span_tables(probe_rows, build_rows):
+    return {
+        "t": Table.from_rows(Schema(["a", "b", "k"], "m"), [
+            (a, b, None, 0.1 * (i + 1))
+            for i, (a, b) in enumerate(SPAN_KEYS[:probe_rows])
+        ]),
+        "d": Table.from_rows(Schema(["key", "region"], "w"), build_rows),
+    }
+
+
+class TestKeyCodeSpan:
+    """Key codes are counted when their span is at most the row count.
+
+    Every case is held to the row oracle on the path its span selects,
+    and asserts which path that was: ``sorted_key_codes`` lists the
+    comparison-sort fallbacks that ran.
+    """
+
+    @pytest.mark.parametrize("rows, fallbacks",
+                             [(12, set()), (11, {GROUPS_BY_SORTING})],
+                             ids=SIDES)
+    def test_group_by_two_keys(self, rows, fallbacks, sorted_key_codes):
+        # ``k`` is all NULL: one code, so it leaves the span as it is.
+        _assert_parity(_span_tables(rows, []), [
+            "SELECT a, b, COUNT(*), SUM(m) FROM t GROUP BY a, b",
+            "SELECT b, k, a, AVG(m) FROM t GROUP BY b, k, a",
+        ])
+        assert set(sorted_key_codes) == fallbacks
+
+    @pytest.mark.parametrize("probe_rows, fallbacks",
+                             [(8, set()), (7, {RUNS_BY_SEARCH})], ids=SIDES)
+    def test_join_on_two_keys(self, probe_rows, fallbacks, sorted_key_codes):
+        # n = probe + build rows; the span is a's 3 values times b's
+        # 3 and NULL.
+        _assert_parity(_span_tables(probe_rows, SPAN_BUILD), [JOIN_ON_AB])
+        assert set(sorted_key_codes) == fallbacks
+
+    @pytest.mark.parametrize("build", [[], [(None, None, 1.0)] * 2],
+                             ids=["empty", "all_null"])
+    @pytest.mark.parametrize("sql, fallbacks", [
+        (JOIN_ON_A, set()), (JOIN_ON_AB, {RUNS_BY_SEARCH}),
+    ], ids=["one_key", "two_keys"])
+    def test_join_with_nothing_to_build(
+        self, build, sql, fallbacks, sorted_key_codes
+    ):
+        _assert_parity(_span_tables(8, build), [sql])
+        assert set(sorted_key_codes) == fallbacks

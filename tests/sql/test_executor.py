@@ -8,6 +8,7 @@ import pytest
 from repro.sql import SqlEngine
 from repro.sql.errors import SqlAnalysisError, SqlExecutionError
 
+from .conftest import GROUPS_BY_SORTING, RUNS_BY_SEARCH
 from .oracle import RowOracleEngine
 
 
@@ -321,6 +322,62 @@ class TestKeyCodeOverflow:
             "AND p.c = t.c AND p.d = t.d AND p.e = t.e"
         )
         assert result.rows == [(0,)]
+
+
+class TestKeyCodeSpan:
+    """Plain-column keys on both sides of the counting bound (span <= n).
+
+    Two int keys span 3 x 4 = 12 codes (``b``'s NULL is a code); for a
+    join, n counts probe and build rows.  ``sorted_key_codes`` lists
+    the comparison-sort fallbacks that ran.
+    """
+
+    KEYS = [(3, 20), (1, None), (3, 20), (2, 10), (1, 30), (1, None),
+            (2, 30), (3, 10), (1, 20), (2, None), (3, 20), (1, 30)]
+    #: A repeated key pins pair order within a probe row's run.
+    BUILD = [(3, 20, 1.0), (1, 30, 2.0), (3, 20, 3.0), (2, None, 4.0)]
+    JOIN_ON_A = "SELECT t.a, t.b, t.m, d.w FROM t JOIN d ON t.a = d.a"
+    JOIN_ON_AB = JOIN_ON_A + " AND t.b = d.b"
+
+    def _assert_same(self, probe_rows, build_rows, sql):
+        results = []
+        for engine in (RowOracleEngine(), SqlEngine()):
+            engine.catalog.register_rows("t", ["a", "b", "k", "m"], [
+                (a, b, None, 0.1 * (i + 1))
+                for i, (a, b) in enumerate(self.KEYS[:probe_rows])
+            ])
+            engine.catalog.register_rows("d", ["a", "b", "w"], build_rows)
+            result = engine.query(sql)
+            results.append((result.columns, result.rows))
+        assert results[1] == results[0]
+
+    @pytest.mark.parametrize("rows, fallbacks",
+                             [(12, set()), (11, {GROUPS_BY_SORTING})],
+                             ids=["span_n", "span_n_plus_1"])
+    def test_group_by_two_keys(self, rows, fallbacks, sorted_key_codes):
+        # ``k`` is all NULL: one code, so it leaves the span as it is.
+        for sql in ("SELECT a, b, COUNT(*), SUM(m) FROM t GROUP BY a, b",
+                    "SELECT b, k, a, AVG(m) FROM t GROUP BY b, k, a"):
+            self._assert_same(rows, [], sql)
+        assert set(sorted_key_codes) == fallbacks
+
+    @pytest.mark.parametrize("probe_rows, fallbacks",
+                             [(8, set()), (7, {RUNS_BY_SEARCH})],
+                             ids=["span_n", "span_n_plus_1"])
+    def test_join_on_two_keys(self, probe_rows, fallbacks, sorted_key_codes):
+        self._assert_same(probe_rows, self.BUILD, self.JOIN_ON_AB)
+        assert set(sorted_key_codes) == fallbacks
+
+    @pytest.mark.parametrize("build", [[], [(None, None, 1.0)] * 2],
+                             ids=["empty", "all_null"])
+    @pytest.mark.parametrize("sql, fallbacks", [
+        (JOIN_ON_A, set()), (JOIN_ON_AB, {RUNS_BY_SEARCH}),
+    ], ids=["one_key", "two_keys"])
+    def test_join_with_nothing_to_build(
+        self, build, sql, fallbacks, sorted_key_codes
+    ):
+        self._assert_same(8, build, sql)
+        assert set(sorted_key_codes) == fallbacks
 
 
 class TestOrderLimitDistinct:
