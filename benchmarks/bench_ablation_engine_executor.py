@@ -1,12 +1,12 @@
-"""Ablation — process-pool vs thread-pool executor on Python-heavy kernels.
+"""Ablation — process-pool vs thread-pool executor on GIL-bound kernels.
 
-The engine's thread mode (PR 3) only speeds up kernels that release
-the GIL inside NumPy.  The dict-path candidate pipeline — forced here
-by giving the table domains too wide for the 63-bit packed codec —
-runs pure-Python loops (LCA dict grouping, ancestor enumeration), so
-threads serialize on the GIL while ``executor="process"`` ships the
-same kernels to worker processes over shared-memory column blocks and
-actually uses the cores.
+The engine's thread mode only speeds up kernels that release the GIL
+inside NumPy.  A table whose domains are too wide for the 63-bit packed
+codec — forced here — mines through the same kernels with Python-int
+keys in ``object`` arrays: every key shift, mask and ``np.unique``
+comparison is a Python-level operation that holds the GIL.  Threads
+serialize on it, while ``executor="process"`` ships the same kernels to
+worker processes and uses the cores.
 
 This ablation mines one wide-domain synthetic workload in serial,
 thread and process modes, verifies bit-identity (rules, lambdas, KL
@@ -32,7 +32,7 @@ from repro.data.generators import SyntheticSpec, generate
 
 ROWS = 20_000
 #: 8 attributes x ~9-10 bits each: past the packed codec's 63-bit
-#: budget, so candidate generation takes the pure-Python dict path.
+#: budget, so candidate generation keys with Python ints.
 CARDINALITIES = [500] * 8
 NUM_PARTITIONS = 8
 PARALLELISM = 4
@@ -54,7 +54,7 @@ def build_workload():
     )
     table, _ = generate(spec, seed=7)
     assert not RowCodec.from_table(table).fits, (
-        "workload must overflow the packed codec to hit the dict path"
+        "workload must overflow the 63-bit codec to key with Python ints"
     )
     return table
 
@@ -93,7 +93,7 @@ def test_ablation_engine_executor(once):
     cores = len(os.sched_getaffinity(0))
     out = once(run_comparison)
     print_table(
-        "Ablation — executor kind on the dict-path kernels "
+        "Ablation — executor kind on Python-int-keyed kernels "
         "(%d workers)" % PARALLELISM,
         ["mode", "wall seconds", "speedup vs serial"],
         [

@@ -14,12 +14,11 @@ import numpy as np
 from repro.common.errors import DataError
 from repro.common.rng import make_rng
 from repro.core.candidates import generate_from_lcas
+from repro.core.codec import RowCodec
 from repro.core.divergence import kl_divergence
+from repro.core.lattice_packed import pack_rule_rows
 from repro.core.rule import Rule
-from repro.core.sampling import (
-    draw_sample_rows,
-    lca_aggregates_baseline,
-)
+from repro.core.sampling import draw_sample_rows, lca_aggregates_packed
 from repro.core.scaling import iterative_scale
 
 
@@ -76,6 +75,8 @@ class ElGebalyMiner:
             raise DataError("the measure has no positive tuples to explain")
         rng = make_rng(self.seed)
         sample_rows = draw_sample_rows(table, self.sample_size, rng)
+        codec = RowCodec.from_table(table)
+        sample_keys = pack_rule_rows(sample_rows, codec)
         columns = table.dimension_columns()
 
         rules = [Rule.all_wildcards(table.schema.arity)]
@@ -88,13 +89,13 @@ class ElGebalyMiner:
         while len(rules) - 1 < self.k:
             if self.kl_threshold is not None and kl_trace[-1] <= self.kl_threshold:
                 break
-            lca = lca_aggregates_baseline(
-                columns, measure, estimates, sample_rows
+            keys, aggs = lca_aggregates_packed(
+                columns, measure, estimates, sample_rows, codec
             )
-            candidates = generate_from_lcas(lca, sample_rows)
+            candidates = generate_from_lcas(keys, aggs, sample_keys, codec)
             picked = None
             for idx in candidates.order_by_gain():
-                rule = candidates.rules[idx]
+                rule = candidates.rule_at(idx)
                 if candidates.gains[idx] <= 0:
                     break
                 if rule not in set(rules):

@@ -1,32 +1,36 @@
 """Candidate rule generation and gain computation.
 
-Three generation modes:
+Two generation modes and the scoring step they share:
 
-- sample-pruned (default, thesis §3.1.1): ancestors of LCA(s, D) with
-  the multiplicity correction, ancestor generation either single-stage
-  or column-grouped (§4.3);
+- sample-pruned (default, thesis §3.1.1): ancestors of LCA(s, D) over
+  packed keys with the multiplicity correction, ancestor generation
+  either single-stage or column-grouped (§4.3) —
+  :func:`generate_from_lcas` in one process, the miner's stages on a
+  cluster, both through :mod:`repro.core.lattice_packed`;
 - exhaustive (§3.1, used by the cube-exploration experiments where
   pruning is disabled): the full data cube of D, computed per cuboid;
-- the shared scoring step: Eq. 2.2 gain per candidate.
+- scoring: Eq. 2.2 gain per candidate (:func:`score_packed`).
 """
 
 import numpy as np
 
 from repro.common.errors import DataError
-from repro.core import lattice
-from repro.core.divergence import information_gain
-from repro.core.rule import Rule, WILDCARD
-from repro.core.sampling import sample_match_counts
+from repro.core.codec import RowCodec, group_packed
+from repro.core.lattice_packed import (
+    generate_ancestors_packed,
+    match_counts_packed,
+)
+from repro.core.rule import Rule
 
 
 class CandidateSet:
     """Scored candidate rules from one mining iteration.
 
     Candidates are held either as explicit :class:`Rule` objects
-    (``rules``) or as packed int64 keys plus a codec (``keys`` +
-    ``codec``); the packed form avoids materializing millions of Rule
-    objects on high-dimensional workloads.  :meth:`rule_at` decodes on
-    demand either way.
+    (``rules``, the exhaustive cube) or as packed keys plus a codec
+    (``keys`` + ``codec``, sample pruning); the packed form avoids
+    materializing millions of Rule objects on high-dimensional
+    workloads.  :meth:`rule_at` decodes on demand either way.
     """
 
     def __init__(self, rules, sums_m, sums_mhat, counts, gains,
@@ -65,56 +69,62 @@ class CandidateSet:
         return int(np.argmax(self.gains))
 
 
-def generate_from_lcas(lca_aggregates, sample_rows, column_groups=None, tc=None):
+def generate_from_lcas(keys, aggs, sample_keys, codec, column_groups=None):
     """Candidate rules from aggregated LCAs (thesis §3.1.1 + §4.3).
 
     Parameters
     ----------
-    lca_aggregates:
-        Mapping lca tuple -> [sum_m, sum_mhat, count] from the pruning
-        step (already merged across blocks).
-    sample_rows:
-        The sample s, for the multiplicity correction.
+    keys / aggs:
+        The merged LCA table: distinct packed LCA keys and their
+        (sum_m, sum_mhat, count) rows, as
+        :func:`~repro.core.sampling.lca_aggregates_packed` returns them.
+    sample_keys:
+        The sample s packed with ``codec``, for the multiplicity
+        correction.
+    codec:
+        The :class:`~repro.core.codec.RowCodec` of the keys.
     column_groups:
         None for single-stage ancestor generation; otherwise the
         ordered attribute groups of §4.3 (FastAncestor SIRUM).
-    tc:
-        Optional task context; charged one op per emitted pair plus the
-        correction's matching cost.
-    """
-    weighted = {Rule(key): tuple(agg) for key, agg in lca_aggregates.items()}
-    multiplicities = {rule: int(agg[2]) for rule, agg in weighted.items()}
-    if column_groups is None:
-        aggregates, emitted = lattice.generate_ancestors_single_stage(
-            weighted, multiplicities
-        )
-    else:
-        aggregates, emitted = lattice.generate_ancestors_staged(
-            weighted, column_groups, multiplicities
-        )
 
-    rules = list(aggregates.keys())
-    raw = np.asarray([aggregates[r] for r in rules], dtype=np.float64)
-    candidate_rows = [r.values for r in rules]
-    multiplicities = sample_match_counts(candidate_rows, sample_rows)
+    The in-process form of the miner's ancestor and gain stages, for
+    callers without a cluster.
+    """
+    rounds = [None] if column_groups is None else list(column_groups)
+    emitted = 0
+    for round_index, group in enumerate(rounds):
+        keys, aggs, count = generate_ancestors_packed(
+            keys, aggs, codec, group=group,
+            instance_weighted=round_index == 0,
+        )
+        emitted += count
+    multiplicities = match_counts_packed(keys, sample_keys, codec)
+    return score_packed(keys, aggs, multiplicities, emitted, codec)
+
+
+def score_packed(keys, aggs, multiplicities, emitted, codec):
+    """Multiplicity correction (§3.1.1) and Eq. 2.2 gains.
+
+    A data tuple contributed its aggregates to candidate ``keys[i]``
+    once per sample tuple the candidate matches, so the raw ``aggs``
+    are divided by ``multiplicities[i]``; every candidate generated
+    from LCAs matches at least one sample tuple by construction.
+    """
     if np.any(multiplicities == 0):
         raise DataError(
-            "every candidate must match at least one sample tuple by "
-            "construction; the correction found one that does not"
+            "candidate failed the sample-multiplicity invariant"
         )
-    corrected = raw / multiplicities[:, None]
+    corrected = aggs / multiplicities[:, None]
     gains = _gains(corrected[:, 0], corrected[:, 1])
-    if tc is not None:
-        tc.add_ops(emitted)
-        tc.add_ops(len(rules) * len(sample_rows))
-        tc.add_records(len(rules))
     return CandidateSet(
-        rules,
+        None,
         corrected[:, 0],
         corrected[:, 1],
         corrected[:, 2],
         gains,
         emitted,
+        keys=keys,
+        codec=codec,
     )
 
 
@@ -129,8 +139,6 @@ def generate_exhaustive(columns, measure, estimates, tc=None):
 
     Returns (aggregates dict, emitted pair count).
     """
-    from repro.core.codec import RowCodec, group_packed, group_rows_fallback
-
     n = measure.size
     d = len(columns)
     if d > 20:
@@ -142,31 +150,19 @@ def generate_exhaustive(columns, measure, estimates, tc=None):
     emitted = n * (1 << d)
     weights = [measure, estimates, np.ones(n, dtype=np.float64)]
     codec = RowCodec([int(col.max()) + 1 if col.size else 1 for col in columns])
-    terms = None
-    if codec.fits:
-        terms = [
-            (columns[j].astype(np.int64) + 1) << codec.offsets[j]
-            for j in range(d)
-        ]
-    stacked = np.column_stack(columns) if d else np.empty((n, 0), dtype=np.int64)
+    terms = [
+        (columns[j].astype(codec.key_dtype) + 1) << codec.offsets[j]
+        for j in range(d)
+    ]
     for pattern in range(1 << d):
-        bound = [j for j in range(d) if not pattern & (1 << j)]
-        if terms is not None:
-            keys = np.zeros(n, dtype=np.int64)
-            for j in bound:
+        keys = np.zeros(n, dtype=codec.key_dtype)
+        for j in range(d):
+            if not pattern & (1 << j):
                 keys += terms[j]
-            uniq, (sums_m, sums_mhat, counts) = group_packed(
-                keys, weights, key_bits=codec.total_bits
-            )
-            rows = codec.unpack_batch(uniq)
-        else:
-            projected = stacked.copy()
-            for j in range(d):
-                if pattern & (1 << j):
-                    projected[:, j] = WILDCARD
-            rows, (sums_m, sums_mhat, counts) = group_rows_fallback(
-                projected, weights
-            )
+        uniq, (sums_m, sums_mhat, counts) = group_packed(
+            keys, weights, key_bits=codec.total_bits
+        )
+        rows = codec.unpack_batch(uniq)
         for row, sm, smh, c in zip(rows, sums_m, sums_mhat, counts):
             key = tuple(int(v) for v in row)
             existing = aggregates.get(key)
@@ -211,7 +207,8 @@ def candidate_set_from_cube(cube_aggregates, emitted):
 
 
 def _gains(sums_m, sums_mhat):
-    """Vectorized Eq. 2.2 gains; semantics of :func:`information_gain`."""
+    """Vectorized Eq. 2.2 gains; semantics of
+    :func:`~repro.core.divergence.information_gain`."""
     sums_m = np.asarray(sums_m, dtype=np.float64)
     sums_mhat = np.asarray(sums_mhat, dtype=np.float64)
     gains = np.zeros(sums_m.size, dtype=np.float64)

@@ -1,19 +1,26 @@
-"""Packed-row codec: encode (value | wildcard) tuples into int64 keys.
+"""Packed-row codec: encode (value | wildcard) tuples into integer keys.
 
 The candidate-generation hot paths group huge numbers of rule tuples
-(LCAs, cuboid cells).  Packing each tuple into a single int64 — one
+(LCAs, cuboid cells).  Packing each tuple into a single integer — one
 bit-field per attribute, with 0 reserved for the wildcard — turns
 row-wise grouping into one 1-D key sort + ``np.bincount``, which is
 orders of magnitude faster than lexicographic row sorting.
 
-A codec fits whenever the summed per-attribute bit widths stay within
-63 bits (true for every thesis dataset: 29–38 bits).  Callers fall back
-to row-matrix grouping otherwise (:func:`group_rows_fallback`).
+A codec *fits* whenever the summed per-attribute bit widths stay within
+63 bits (true for every thesis dataset: 29–38 bits); its keys are then
+``int64``.  A wider codec keys with unbounded Python ints in ``object``
+arrays (:attr:`RowCodec.key_dtype`): the same kernels, the same bit
+operations and the same canonical summation order, only slower per key.
+Every key is built in ``key_dtype`` before it is shifted, and
+:func:`position_bits` sends every group-by of a wide codec through
+``np.unique``.
 
 A group-by of the mining loop is a :class:`GroupPlan` (who is summed
 into which group, in which order — estimate-independent, kept by the
 job across iterations) applied to a weight vector.
 """
+
+import sys
 
 import numpy as np
 
@@ -52,6 +59,11 @@ class RowCodec:
         return self.total_bits <= _MAX_BITS
 
     @property
+    def key_dtype(self):
+        """``int64`` when the codec fits, else ``object`` (Python ints)."""
+        return np.dtype(np.int64) if self.fits else np.dtype(object)
+
+    @property
     def arity(self):
         return len(self.cardinalities)
 
@@ -60,16 +72,14 @@ class RowCodec:
     # ------------------------------------------------------------------
 
     def pack_columns(self, columns):
-        """Pack aligned code columns (no wildcards) into int64 keys."""
-        self._require_fits()
-        packed = np.zeros(len(columns[0]), dtype=np.int64)
+        """Pack aligned code columns (no wildcards) into keys."""
+        packed = np.zeros(len(columns[0]), dtype=self.key_dtype)
         for j, col in enumerate(columns):
-            packed += (col.astype(np.int64) + 1) << self.offsets[j]
+            packed += (col.astype(self.key_dtype) + 1) << self.offsets[j]
         return packed
 
     def pack_values(self, values):
         """Pack one tuple (wildcards allowed) into an int key."""
-        self._require_fits()
         key = 0
         for j, v in enumerate(values):
             if v != WILDCARD:
@@ -82,24 +92,17 @@ class RowCodec:
 
     def unpack(self, key):
         """Decode one key back to a tuple with WILDCARD entries."""
-        return tuple(int(v) for v in self.unpack_batch(np.array([key]))[0])
+        keys = np.array([key], dtype=self.key_dtype)
+        return tuple(int(v) for v in self.unpack_batch(keys)[0])
 
     def unpack_batch(self, keys):
-        """Decode an int64 key array to an (n, d) matrix of codes/-1."""
-        self._require_fits()
-        keys = np.asarray(keys, dtype=np.int64)
+        """Decode a key array to an (n, d) int64 matrix of codes/-1."""
+        keys = np.asarray(keys, dtype=self.key_dtype)
         out = np.empty((keys.size, self.arity), dtype=np.int64)
         for j in range(self.arity):
             field = (keys >> self.offsets[j]) & ((1 << self.widths[j]) - 1)
             out[:, j] = field - 1
         return out
-
-    def _require_fits(self):
-        if not self.fits:
-            raise DataError(
-                "row codec needs %d bits (> %d); use the row-matrix "
-                "fallback" % (self.total_bits, _MAX_BITS)
-            )
 
 
 def position_bits(key_bits, *counts):
@@ -189,7 +192,7 @@ class GroupPlan:
     and the index arrays take the narrowest dtype that holds them.
     """
 
-    __slots__ = ("keys", "group_ids", "sources", "fixed", "tally")
+    __slots__ = ("keys", "group_ids", "sources", "fixed", "tally", "nbytes")
 
     def __init__(self, keys, group_ids, sources, sum_m, counts, tally=0):
         self.keys = keys
@@ -202,9 +205,19 @@ class GroupPlan:
         self.fixed = np.zeros((keys.size, 3), dtype=np.float64)
         self.fixed[:, 0] = self._sums(sum_m)
         self.fixed[:, 2] = self._sums(counts)
-        for array in (self.keys, self.group_ids, self.sources, self.fixed):
-            if array is not None:
-                array.setflags(write=False)
+        arrays = [
+            array
+            for array in (self.keys, self.group_ids, self.sources, self.fixed)
+            if array is not None
+        ]
+        for array in arrays:
+            array.setflags(write=False)
+        #: What the job-state store charges for the plan: an ``object``
+        #: key array's ``nbytes`` counts only its pointers, so the ints
+        #: they point to are added here, once.
+        self.nbytes = sum(array.nbytes for array in arrays)
+        if keys.dtype == object:
+            self.nbytes += sum(map(sys.getsizeof, keys))
 
     def _sums(self, weights):
         if self.sources is not None:
@@ -220,14 +233,6 @@ class GroupPlan:
         aggs = self.fixed.copy()
         aggs[:, 1] = self._sums(sum_mhat)
         return aggs
-
-    @property
-    def nbytes(self):
-        return sum(
-            array.nbytes
-            for array in (self.keys, self.group_ids, self.sources, self.fixed)
-            if array is not None
-        )
 
 
 def planned(state, build, *args):
@@ -262,17 +267,3 @@ def group_packed(keys, weight_columns, key_bits=None):
     ]
     return uniq, sums
 
-
-def group_rows_fallback(rows, weight_columns):
-    """Row-matrix grouping for codecs that do not fit 63 bits.
-
-    ``rows`` is an (n, d) int matrix; semantics match
-    :func:`group_packed` with tuple keys.
-    """
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    sums = [
-        np.bincount(inverse, weights=w, minlength=uniq.shape[0])
-        for w in weight_columns
-    ]
-    return uniq, sums

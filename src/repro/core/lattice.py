@@ -1,27 +1,17 @@
-"""Cube-lattice operations: ancestor enumeration and column grouping.
+"""Column grouping of the cube lattice — thesis §4.3.
 
 Thesis §2.5 defines the cube lattice CL(t) of a tuple; §4.3 splits
 ancestor generation into multiple stages along *column groups* so that
 shared ancestors are merged (reduced) before their senior ancestors are
-generated, shrinking the number of emitted key-value pairs.  Appendix A
-proves the staged generation emits exactly the same candidate set with
-the same aggregates; ``tests/core/test_lattice.py`` checks that theorem
-property-based.
+generated, shrinking the number of emitted key-value pairs.  The stages
+themselves run over packed keys (:mod:`repro.core.lattice_packed`).
+Appendix A proves the staged generation emits exactly the same
+candidate set with the same aggregates; ``tests/core/test_lattice.py``
+checks that theorem property-based.
 """
 
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
-from repro.core.rule import Rule, WILDCARD
-
-
-def cube_lattice(rule, include_self=True):
-    """All elements of CL(rule): the rule and every ancestor."""
-    return list(rule.ancestors(include_self=include_self))
-
-
-def lattice_size(rule):
-    """|CL(rule)| = 2^(number of bound attributes)."""
-    return 1 << rule.num_bound
 
 
 def make_column_groups(arity, num_groups, seed=None):
@@ -45,97 +35,3 @@ def make_column_groups(arity, num_groups, seed=None):
         stop = arity * (g + 1) // num_groups
         groups.append(tuple(sorted(positions[start:stop])))
     return [g for g in groups if g]
-
-
-def ancestors_within_group(rule, group):
-    """Ancestors of ``rule`` whose new wildcards lie only in ``group``.
-
-    Yields ``rule`` itself (empty subset) plus every rule obtained by
-    wildcarding a non-empty subset of the rule's bound positions inside
-    ``group``.  This is the per-stage mapper of thesis §4.3.
-    """
-    bound_in_group = [p for p in group if rule.values[p] != WILDCARD]
-    for mask in range(1 << len(bound_in_group)):
-        values = list(rule.values)
-        for bit, pos in enumerate(bound_in_group):
-            if mask & (1 << bit):
-                values[pos] = WILDCARD
-        yield Rule(values)
-
-
-def generate_ancestors_single_stage(weighted_rules, multiplicities=None):
-    """Naive one-round ancestor generation with aggregate merging.
-
-    Parameters
-    ----------
-    weighted_rules:
-        Mapping of :class:`Rule` to a numeric aggregate vector (tuple of
-        floats) — typically (sum_m, sum_mhat, count) per LCA.
-    multiplicities:
-        Optional mapping of rule -> number of *instances* the rule
-        stands for (its (t, ts) pair count).  The thesis's mappers emit
-        ancestors once per LCA instance of the |s| x |D| join, so the
-        emission count — the Figure 5.8 metric and the mappers' CPU
-        cost — is instance-weighted.  Defaults to 1 per rule.
-
-    Returns
-    -------
-    (aggregates, emitted):
-        ``aggregates`` maps every rule in the union of the cube lattices
-        to the elementwise sum of its descendants' inputs; ``emitted``
-        counts mapper output pairs.
-    """
-    aggregates = {}
-    emitted = 0
-    for rule, agg in weighted_rules.items():
-        weight = 1 if multiplicities is None else multiplicities.get(rule, 1)
-        count = 0
-        for ancestor in rule.ancestors():
-            count += 1
-            _merge(aggregates, ancestor, agg)
-        emitted += int(weight) * count
-    return aggregates, emitted
-
-
-def generate_ancestors_staged(weighted_rules, groups, multiplicities=None):
-    """Column-grouped multi-stage ancestor generation (thesis §4.3).
-
-    Stage ``i`` takes the merged output of stage ``i-1`` and wildcards
-    subsets of group ``i``'s attributes.  Because merging (the reduce)
-    happens between stages, shared ancestors are emitted once rather
-    than once per descendant; Appendix A shows the final aggregates are
-    identical to the single-stage computation.
-
-    Emission counting mirrors the real pipeline: the first stage's
-    mappers process LCA *instances* (``multiplicities``-weighted), while
-    later stages process the previous stage's reduced (distinct)
-    output — which is exactly where the savings come from.
-
-    Returns the same ``(aggregates, emitted)`` pair as
-    :func:`generate_ancestors_single_stage`.
-    """
-    current = dict(weighted_rules)
-    emitted = 0
-    first = True
-    for group in groups:
-        next_stage = {}
-        for rule, agg in current.items():
-            weight = 1
-            if first and multiplicities is not None:
-                weight = int(multiplicities.get(rule, 1))
-            count = 0
-            for ancestor in ancestors_within_group(rule, group):
-                count += 1
-                _merge(next_stage, ancestor, agg)
-            emitted += weight * count
-        current = next_stage
-        first = False
-    return current, emitted
-
-
-def _merge(aggregates, rule, agg):
-    existing = aggregates.get(rule)
-    if existing is None:
-        aggregates[rule] = tuple(agg)
-    else:
-        aggregates[rule] = tuple(a + b for a, b in zip(existing, agg))

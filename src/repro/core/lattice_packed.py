@@ -1,13 +1,13 @@
 """Vectorized ancestor generation over packed rule keys.
 
-Semantically identical to :mod:`repro.core.lattice` (same candidate
-rules, same aggregates, same emission counts), but operates on int64
-packed keys instead of :class:`Rule` objects: rules are grouped by
-their bound-attribute *pattern*, and wildcarding a subset of bound
-attributes becomes one vectorized bitwise-AND over the whole pattern
-group.  This is what makes d = 18 workloads (SUSY, thesis §5.4)
-tractable in pure Python — the work is still exponential in the number
-of bound attributes, but it runs at numpy speed.
+Rules are packed keys (:class:`~repro.core.codec.RowCodec`), grouped by
+their bound-attribute *pattern*; wildcarding a subset of bound
+attributes is one vectorized bitwise-AND over the whole pattern group.
+This is what makes d = 18 workloads (SUSY, thesis §5.4) tractable in
+pure Python — the work is still exponential in the number of bound
+attributes, but it runs at numpy speed.  Keys are ``codec.key_dtype``:
+``int64`` for a codec that fits 63 bits, Python ints in an ``object``
+array past it, through the same code.
 
 A round is **plan, then apply**: which ancestors a chunk's keys expand
 to, which source feeds which ancestor in which order, the emission
@@ -20,9 +20,9 @@ keeps its counts whole the same way.  A missing plan is built; there
 is no plan-free implementation here.
 
 ``tests/core/test_lattice_packed.py`` checks exact equivalence against
-the object-based reference implementation, and
+the object-based reference lattice, and
 ``tests/core/test_canonical_order.py`` byte equality with the one-shot
-references in ``tests/core/oracles.py``.
+references; both references live in ``tests/core/oracles.py``.
 """
 
 import numpy as np
@@ -104,8 +104,9 @@ def generate_ancestors_packed(keys, aggs, codec, group=None,
     Parameters
     ----------
     keys:
-        int64 array of distinct packed rule keys (wildcard = zero
-        field, as produced by :class:`~repro.core.codec.RowCodec`).
+        Array of distinct packed rule keys in ``codec.key_dtype``
+        (wildcard = zero field, as produced by
+        :class:`~repro.core.codec.RowCodec`).
     aggs:
         (n, 3) float array of (sum_m, sum_mhat, count) per key.
     codec:
@@ -127,7 +128,7 @@ def generate_ancestors_packed(keys, aggs, codec, group=None,
         Distinct ancestor keys, their merged aggregates, and the
         emission count under the requested weighting.
     """
-    keys = np.asarray(keys, dtype=np.int64)
+    keys = np.asarray(keys, dtype=codec.key_dtype)
     aggs = np.asarray(aggs, dtype=np.float64)
     if aggs.shape != (keys.size, 3):
         raise DataError("aggs must be (len(keys), 3)")
@@ -140,21 +141,22 @@ def generate_ancestors_packed(keys, aggs, codec, group=None,
 
 
 def pack_rule_rows(rows, codec):
-    """Pack an (n, d) matrix of codes/WILDCARD rows into int64 keys."""
+    """Pack an (n, d) matrix of codes/WILDCARD rows into keys."""
     rows = np.asarray(rows, dtype=np.int64)
-    keys = np.zeros(rows.shape[0], dtype=np.int64)
+    keys = np.zeros(rows.shape[0], dtype=codec.key_dtype)
     for j in range(codec.arity):
         bound = rows[:, j] != -1
-        keys += np.where(
-            bound, (rows[:, j] + 1) << codec.offsets[j], 0
-        ).astype(np.int64)
+        term = (rows[:, j].astype(codec.key_dtype) + 1) << codec.offsets[j]
+        keys += np.where(bound, term, 0)
     return keys
 
 
 def _match_counts(keys, sample_keys, codec):
-    keys = np.asarray(keys, dtype=np.int64)
-    bound_masks = np.zeros(keys.size, dtype=np.int64)
+    keys = np.asarray(keys, dtype=codec.key_dtype)
+    bound_masks = np.zeros(keys.size, dtype=codec.key_dtype)
     for mask in _field_masks(codec):
+        # A Python int past int64 would overflow ``np.where``.
+        mask = np.array(mask, dtype=codec.key_dtype)
         bound_masks |= np.where((keys & mask) != 0, mask, 0)
     counts = np.empty(keys.size, dtype=np.int64)
     for start in range(0, keys.size, _MATCH_BLOCK):
@@ -170,8 +172,7 @@ def _match_counts(keys, sample_keys, codec):
 def match_counts_packed(keys, sample_keys, codec, state=None):
     """Sample-match counts for packed candidate keys (§3.1.1 correction).
 
-    Equivalent to :func:`repro.core.sampling.sample_match_counts` on
-    packed keys: candidate ``c`` matches sample tuple ``t`` iff ``t``
+    Candidate ``c`` matches sample tuple ``t`` iff ``t``
     restricted to the fields ``c`` binds equals ``c``.  ``sample_keys``
     are the packed sample tuples (no wildcards).  The counts move with
     neither estimates nor iteration, so ``state`` (a job slot) keeps

@@ -11,6 +11,12 @@ Structure of one mining run (:meth:`Sirum.mine`):
    one or more disjoint rules (§4.4) -> iterative scaling (Algorithm 1
    against D, or Algorithm 3 against the RCT).
 
+Candidates live as packed rule keys (:class:`~repro.core.codec.RowCodec`)
+from the LCA kernel to the gain scores: ``int64`` when the table's
+codec fits 63 bits, Python ints in ``object`` arrays past that.  The
+width picks the key dtype, never the algorithm — one pipeline, the same
+bytes.
+
 Use :func:`mine` for the one-call API, or construct a
 :class:`Sirum` with a :class:`~repro.core.config.SirumConfig` /
 :func:`~repro.core.config.variant_config` preset.
@@ -31,19 +37,13 @@ from repro.core.index import SampleInvertedIndex
 from repro.core.rct import iterative_scale_rct, unique_coverage
 from repro.core.result import MinedRule, MiningResult, RuleSet
 from repro.core.rule import Rule
-from repro.core.codec import GroupPlan, RowCodec, plan_groups, planned
+from repro.core.codec import GroupPlan, plan_groups, planned
 from repro.core.lattice_packed import (
     generate_ancestors_packed,
     match_counts_packed,
     pack_rule_rows,
 )
-from repro.core.sampling import (
-    draw_sample_rows,
-    lca_aggregates_baseline,
-    lca_aggregates_fast,
-    lca_aggregates_packed,
-    sample_match_counts,
-)
+from repro.core.sampling import draw_sample_rows, lca_aggregates_packed
 from repro.core.scaling import iterative_scale
 from repro.core.session import MiningSession
 from repro.data.shm import resolve as shm_resolve
@@ -62,6 +62,10 @@ EMIT_UNITS = 1
 #: Named optimization bundles (thesis Table 4.2).
 VARIANTS = dict(VARIANT_FLAGS)
 
+# ``benchmarks/e2e/trace.py`` wraps these names on this module; both
+# pruning variants run the one packed LCA kernel.
+lca_aggregates_fast = lca_aggregates_baseline = lca_aggregates_packed
+
 
 # ----------------------------------------------------------------------
 # Stage kernels
@@ -72,7 +76,7 @@ VARIANTS = dict(VARIANT_FLAGS)
 # Session-wide arrays arrive either directly or as shared-memory
 # descriptors (process mode) and are resolved via ``shm_resolve``.
 #
-# The packed kernels are pure up to a job-scoped memo: ``job`` is the
+# The kernels are pure up to a job-scoped memo: ``job`` is the
 # session's token, and under it the process that runs a task keeps the
 # task's estimate-independent plan (``repro.engine.task.job_slot``,
 # keyed by stage, round and partition index), so iterations 2..k redo
@@ -87,28 +91,21 @@ def _scan_kernel(tc, part):
 
 
 def _prune_kernel(tc, part, measure, estimates, sample_rows, codec,
-                  sample_index, packed, job=None):
-    """Per-partition LCA aggregation over the candidate-pruning sample."""
+                  sample_index, job=None):
+    """Per-partition LCA aggregation over the candidate-pruning sample.
+
+    The LCA table is consumed by the ancestor mappers in place (a
+    narrow dependency) -- no shuffle here.
+    """
     measure = shm_resolve(measure)[part.start:part.stop]
     estimates = shm_resolve(estimates)[part.start:part.stop]
-    if packed:
-        # The columns go in unread: with the plan retained a
-        # file-backed partition faults no block in.
-        return lca_aggregates_packed(
-            lambda: part.columns, measure, estimates, sample_rows, codec,
-            index=sample_index, tc=tc,
-            state=job_slot(job, ("prune", 0, tc.partition_id)),
-        )
-    if sample_index is not None:
-        return lca_aggregates_fast(
-            part.columns, measure, estimates, sample_index, sample_rows,
-            tc,
-        )
-    return lca_aggregates_baseline(
-        part.columns, measure, estimates, sample_rows, tc
+    # The columns go in unread: with the plan retained a file-backed
+    # partition faults no block in.
+    return lca_aggregates_packed(
+        lambda: part.columns, measure, estimates, sample_rows, codec,
+        index=sample_index, tc=tc,
+        state=job_slot(job, ("prune", 0, tc.partition_id)),
     )
-    # The LCA table is consumed by the ancestor mappers in place (a
-    # narrow dependency) -- no shuffle here.
 
 
 def _ancestor_packed_kernel(tc, chunk, codec, group, weighted, job=None,
@@ -126,37 +123,6 @@ def _ancestor_packed_kernel(tc, chunk, codec, group, weighted, job=None,
     return out_keys, out_aggs, emitted
 
 
-def _ancestor_dict_kernel(tc, chunk, group, weighted):
-    """Dict-path ancestor generation over one rule->aggregate chunk.
-
-    First round: mappers emit once per LCA *instance* of the |s| x |D|
-    join (agg[2] pairs per distinct LCA); later rounds walk the
-    previous round's reduced output.
-    """
-    partial_aggs = {}
-    emitted = 0
-    for rule, agg in chunk.items():
-        weight = int(agg[2]) if weighted else 1
-        count = 0
-        if group is None:
-            ancestors = rule.ancestors()
-        else:
-            ancestors = lattice.ancestors_within_group(rule, group)
-        for ancestor in ancestors:
-            count += 1
-            existing = partial_aggs.get(ancestor)
-            if existing is None:
-                partial_aggs[ancestor] = agg
-            else:
-                partial_aggs[ancestor] = tuple(
-                    a + b for a, b in zip(existing, agg)
-                )
-        emitted += weight * count
-    tc.add_ops(emitted * EMIT_UNITS)
-    tc.add_light_ops(len(chunk) + len(partial_aggs))
-    return partial_aggs, emitted
-
-
 def _match_counts_packed_kernel(tc, bounds, keys, sample_keys, codec,
                                 job=None):
     """Packed-key sample-multiplicity counts for one candidate chunk."""
@@ -166,20 +132,6 @@ def _match_counts_packed_kernel(tc, bounds, keys, sample_keys, codec,
         state=job_slot(job, ("match", 0, tc.partition_id)),
     )
     tc.add_light_ops((stop - start) * (sample_keys.size + 1))
-    return counts
-
-
-def _sample_match_kernel(tc, rules_chunk, sample_rows):
-    """Rule-tuple sample-multiplicity counts for one candidate chunk.
-
-    The chunk *is* the partition item (a slice of the candidate list),
-    so a process-pool task ships only its own rules rather than every
-    task carrying the full list inside the kernel.
-    """
-    rows = [r.values for r in rules_chunk]
-    counts = sample_match_counts(rows, sample_rows)
-    # Per distinct candidate: |s| sample matches + one gain.
-    tc.add_light_ops(len(rules_chunk) * (len(sample_rows) + 1))
     return counts
 
 
@@ -371,8 +323,7 @@ class Sirum:
             # Kernels take the sample as an int64 matrix (and as packed
             # keys), built once per job, not on every partition call.
             sample_rows = np.asarray(sample_rows, dtype=np.int64)
-            if session.codec.fits:
-                sample_keys = pack_rule_rows(sample_rows, session.codec)
+            sample_keys = pack_rule_rows(sample_rows, session.codec)
         column_groups = None
         if cfg.num_column_groups is not None:
             column_groups = lattice.make_column_groups(
@@ -500,15 +451,14 @@ class Sirum:
                          sample_index, column_groups):
         """Sample-pruned generation: LCAs -> ancestors -> gains.
 
-        Runs on packed int64 rule keys whenever the table's codec fits
-        63 bits (every thesis dataset does); otherwise falls back to
-        tuple-keyed dicts.  Both paths produce identical candidates.
+        Runs on packed rule keys in ``codec.key_dtype``: int64 when
+        the table's codec fits 63 bits (every thesis dataset does),
+        Python ints past that — one pipeline either way.
         """
         cfg = self.config
         cluster = session.cluster
         arity = session.table.schema.arity
         codec = session.codec
-        packed = codec is not None and codec.fits
 
         with cluster.phase("candidate_pruning"):
             if cfg.use_broadcast_join:
@@ -524,7 +474,6 @@ class Sirum:
                 sample_rows=sample_rows,
                 codec=codec,
                 sample_index=sample_index,
-                packed=packed,
                 job=session.job,
             )
             stage = session.run_over_data(
@@ -534,30 +483,26 @@ class Sirum:
             partition_lcas = stage.outputs
 
         with cluster.phase("ancestor_generation"):
-            if packed:
-                keys, aggs, emitted = self._ancestor_stages_packed(
-                    cluster, session, partition_lcas, column_groups, codec
-                )
-            else:
-                aggregates, emitted = self._run_ancestor_stages(
-                    cluster, session, partition_lcas, column_groups
-                )
-
-        with cluster.phase("gain"):
-            if packed:
-                return self._score_candidates_packed(
-                    cluster, session, keys, aggs, emitted, sample_keys,
-                    codec,
-                )
-            return self._score_candidates(
-                cluster, session, aggregates, emitted, sample_rows
+            keys, aggs, emitted = self._ancestor_stages(
+                cluster, session, partition_lcas, column_groups, codec
             )
 
-    def _ancestor_stages_packed(self, cluster, session, partition_lcas,
-                                column_groups, codec):
-        """Vectorized ancestor generation over packed keys (see
-        :mod:`repro.core.lattice_packed`); staging and metering mirror
-        :meth:`_run_ancestor_stages` exactly."""
+        with cluster.phase("gain"):
+            return self._score_candidates(
+                cluster, session, keys, aggs, emitted, sample_keys, codec
+            )
+
+    def _ancestor_stages(self, cluster, session, partition_lcas,
+                         column_groups, codec):
+        """Ancestor generation over packed keys (see
+        :mod:`repro.core.lattice_packed`).
+
+        The first round runs over each data partition's own LCA table --
+        the same mappers that produced the LCAs walk their |s| x n_p
+        pair instances -- so emission work is spread the way the real
+        pipeline spreads it.  Later rounds (column grouping) run over
+        chunks of the previous round's reduced output.
+        """
         rounds = [None] if column_groups is None else list(column_groups)
         emitted_total = 0
         keys = aggs = None
@@ -587,10 +532,9 @@ class Sirum:
             emitted_total += plan.tally
         return keys, aggs, emitted_total
 
-    def _score_candidates_packed(self, cluster, session, keys, aggs,
-                                 emitted, sample_keys, codec):
-        """Packed-key multiplicity correction + gains (see
-        :meth:`_score_candidates`)."""
+    def _score_candidates(self, cluster, session, keys, aggs, emitted,
+                          sample_keys, codec):
+        """Multiplicity correction (§3.1.1) + Eq. 2.2 gains, chunked."""
         chunk_bounds = _chunk_bounds(keys.size, session.num_partitions)
         with session.shared_ref(keys) as keys_ref:
             kernel = partial(
@@ -598,97 +542,8 @@ class Sirum:
                 sample_keys=sample_keys, codec=codec, job=session.job,
             )
             stage = cluster.run_stage(kernel, chunk_bounds, name="gain")
-        multiplicities = np.concatenate(stage.outputs)
-        if np.any(multiplicities == 0):
-            raise DataError(
-                "candidate failed the sample-multiplicity invariant"
-            )
-        corrected = aggs / multiplicities[:, None]
-        gains = cand._gains(corrected[:, 0], corrected[:, 1])
-        return cand.CandidateSet(
-            None,
-            corrected[:, 0],
-            corrected[:, 1],
-            corrected[:, 2],
-            gains,
-            emitted,
-            keys=keys,
-            codec=codec,
-        )
-
-    def _run_ancestor_stages(self, cluster, session, partition_lcas,
-                             column_groups):
-        """Dict-path ancestor generation (codec does not fit 63 bits).
-
-        The first round runs over each data partition's own LCA table --
-        the same mappers that produced the LCAs walk their |s| x n_p
-        pair instances -- so emission work is spread the way the real
-        pipeline spreads it.  Later rounds (column grouping) run over
-        chunks of the previous round's reduced output.
-        """
-        emitted_total = 0
-        if column_groups is None:
-            rounds = [None]
-        else:
-            rounds = column_groups
-        current = None
-        for round_index, group in enumerate(rounds):
-            if round_index == 0:
-                chunks = [
-                    {Rule(key): tuple(agg) for key, agg in acc.items()}
-                    for acc in partition_lcas
-                ]
-            else:
-                chunks = _chunk_dict(current, session.num_partitions)
-            kernel = partial(
-                _ancestor_dict_kernel, group=group,
-                weighted=round_index == 0,
-            )
-            stage = cluster.run_stage(
-                kernel, chunks, name="ancestor_generation"
-            )
-            merged = {}
-            for partial_aggs, emitted in stage.outputs:
-                emitted_total += emitted
-                for rule, agg in partial_aggs.items():
-                    existing = merged.get(rule)
-                    if existing is None:
-                        merged[rule] = agg
-                    else:
-                        merged[rule] = tuple(
-                            a + b for a, b in zip(existing, agg)
-                        )
-            current = merged
-        return current, emitted_total
-
-    def _score_candidates(self, cluster, session, aggregates, emitted,
-                          sample_rows):
-        """Multiplicity correction (S3.1.1) + Eq. 2.2 gains, chunked."""
-        rules = list(aggregates.keys())
-        raw = np.asarray([aggregates[r] for r in rules], dtype=np.float64)
-        if raw.size == 0:
-            raise DataError("candidate generation produced no rules")
-        chunks = [
-            rules[start:stop]
-            for start, stop in _chunk_bounds(len(rules),
-                                             session.num_partitions)
-        ]
-        kernel = partial(_sample_match_kernel, sample_rows=sample_rows)
-        stage = cluster.run_stage(kernel, chunks, name="gain")
-        multiplicities = np.concatenate(stage.outputs)
-        if np.any(multiplicities == 0):
-            raise DataError(
-                "candidate failed the sample-multiplicity invariant"
-            )
-        corrected = raw / multiplicities[:, None]
-        gains = cand._gains(corrected[:, 0], corrected[:, 1])
-        return cand.CandidateSet(
-            rules,
-            corrected[:, 0],
-            corrected[:, 1],
-            corrected[:, 2],
-            gains,
-            emitted,
+        return cand.score_packed(
+            keys, aggs, np.concatenate(stage.outputs), emitted, codec
         )
 
     def _generate_exhaustive(self, session):
@@ -889,17 +744,6 @@ def _merge_plan(outputs, key_bits):
         uniq, group_ids, positions, all_aggs[:, 0], all_aggs[:, 2],
         sum(e for _, _, e in outputs),
     )
-
-
-def _chunk_dict(mapping, num_chunks):
-    """Split a dict into at most ``num_chunks`` sub-dicts."""
-    items = list(mapping.items())
-    num_chunks = max(1, min(num_chunks, len(items))) if items else 1
-    bounds = [len(items) * i // num_chunks for i in range(num_chunks + 1)]
-    return [
-        dict(items[bounds[i]:bounds[i + 1]]) for i in range(num_chunks)
-        if bounds[i] < bounds[i + 1]
-    ] or [dict()]
 
 
 def _chunk_arrays(keys, aggs, num_chunks):

@@ -28,10 +28,12 @@ import numpy as np
 from repro.common.errors import ConfigError, DataError
 from repro.common.rng import make_rng
 from repro.core.candidates import generate_from_lcas
+from repro.core.codec import RowCodec
 from repro.core.divergence import kl_divergence
+from repro.core.lattice_packed import pack_rule_rows
 from repro.core.measure import MeasureTransform
 from repro.core.rule import Rule
-from repro.core.sampling import draw_sample_rows, lca_aggregates_baseline
+from repro.core.sampling import draw_sample_rows, lca_aggregates_packed
 from repro.core.scaling import iterative_scale
 
 
@@ -134,6 +136,7 @@ class MultiMeasureSirum:
 
         rng = make_rng(self.seed)
         sample_rows = draw_sample_rows(table, self.sample_size, rng)
+        codec = RowCodec.from_table(table)
         columns = table.dimension_columns()
 
         rules = [Rule.all_wildcards(table.schema.arity)]
@@ -145,7 +148,7 @@ class MultiMeasureSirum:
 
         while len(rules) - 1 < self.k:
             picked = self._best_candidate(
-                states, columns, sample_rows, rules
+                states, columns, sample_rows, codec, rules
             )
             if picked is None:
                 break
@@ -165,23 +168,25 @@ class MultiMeasureSirum:
                 )
             state.rescale(masks, self.epsilon, self.max_scaling_iterations)
 
-    def _best_candidate(self, states, columns, sample_rows, rules):
-        """Rank candidates by total-normalized joint gain."""
+    def _best_candidate(self, states, columns, sample_rows, codec, rules):
+        """Rank candidates, keyed by packed key, by total-normalized
+        joint gain."""
+        sample_keys = pack_rule_rows(sample_rows, codec)
         joint = {}
         for state in states:
-            lcas = lca_aggregates_baseline(
-                columns, state.measure, state.estimates, sample_rows
+            keys, aggs = lca_aggregates_packed(
+                columns, state.measure, state.estimates, sample_rows, codec
             )
-            candidates = generate_from_lcas(lcas, sample_rows)
-            for rule, gain in zip(candidates.rules, candidates.gains):
-                joint[rule] = joint.get(rule, 0.0) + max(gain, 0.0) / state.total
-        existing = set(rules)
-        best_rule = None
+            candidates = generate_from_lcas(keys, aggs, sample_keys, codec)
+            for key, gain in zip(candidates.keys.tolist(), candidates.gains):
+                joint[key] = joint.get(key, 0.0) + max(gain, 0.0) / state.total
+        existing = {codec.pack_values(rule.values) for rule in rules}
+        best_key = None
         best_gain = 0.0
-        for rule, gain in joint.items():
-            if rule in existing:
+        for key, gain in joint.items():
+            if key in existing:
                 continue
             if gain > best_gain:
-                best_rule = rule
+                best_key = key
                 best_gain = gain
-        return best_rule
+        return None if best_key is None else Rule(codec.unpack(best_key))

@@ -13,8 +13,8 @@ aggregates the pipeline already computed: a descendant covers a subset
 of each parent's support, so equal ``count`` (and, as a numeric
 tie-break, equal ``sum_m``) implies the same support set.
 
-Both candidate representations are supported: packed int64 keys and
-:class:`Rule` lists.
+Both candidate representations are supported: packed keys (in the
+codec's ``key_dtype``) and :class:`Rule` lists.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ def redundant_mask_packed(keys, counts, sums_m, codec):
     also a candidate with the same count and measure sum — the parent
     then has an identical support set and identical gain.
     """
-    keys = np.asarray(keys, dtype=np.int64)
+    keys = np.asarray(keys, dtype=codec.key_dtype)
     counts = np.asarray(counts)
     sums_m = np.asarray(sums_m)
     stats = {

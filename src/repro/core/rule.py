@@ -32,7 +32,7 @@ class Rule:
     def __reduce__(self):
         # Pickle by reconstruction: the default slot-state protocol
         # would trip over the immutability guard above, and rules must
-        # pickle so dict-path kernels can run in process-pool workers.
+        # pickle to cross a process boundary (results, prior rules).
         return (Rule, (self.values,))
 
     # ------------------------------------------------------------------

@@ -6,19 +6,12 @@ from D and considers only rules in the cube lattices of s — exactly the
 ancestors of the least common ancestors LCA(s, D).
 
 This module computes, per data block, the aggregated LCA table:
-a mapping  lca -> (SUM(m), SUM(m-hat), count)  over all (t, ts) pairs.
-Two implementations exist with identical output:
-
-- :func:`lca_aggregates_baseline` — compares every attribute of every
-  (t, ts) pair (d comparisons per LCA);
-- :func:`lca_aggregates_fast` — the §4.2 optimization: initialize LCAs
-  to all-wildcards and use the sample's inverted index to touch only
-  agreeing positions.
-
-Both are vectorized via the packed-row codec (grouping by int64 key);
-they differ in the *metered* operation counts, which is what separates
-them on a cluster: the baseline charges |s| * d comparisons per data
-tuple, the fast path d index lookups plus one write per agreement.
+packed LCA keys (:class:`~repro.core.codec.RowCodec`) and their
+(SUM(m), SUM(m-hat), count) over all (t, ts) pairs.  One implementation
+serves both pruning variants; they differ in the *metered* operation
+counts, which is what separates them on a cluster: the baseline charges
+|s| * d comparisons per data tuple, the fast path (§4.2, the sample's
+inverted index) d index lookups plus one write per agreement.
 
 The grouping is **plan, then apply**.  The LCA keys, their groups, the
 order pairs are summed in, ``SUM(m)``, the counts and the agreement
@@ -37,14 +30,11 @@ import numpy as np
 from repro.common.errors import DataError
 from repro.core.codec import (
     GroupPlan,
-    RowCodec,
-    group_rows_fallback,
     plan_groups,
     planned,
     position_bits,
     sort_groups,
 )
-from repro.core.rule import WILDCARD
 
 
 #: Per-pair base cost units of the s x D join: producing the joined
@@ -93,14 +83,16 @@ def _lca_plan(columns, measure, sample, codec):
     shift = bits or 0
     row_bits = (n - 1).bit_length()
     if bits is None:
-        packed = np.zeros((s, n), dtype=np.int64)
+        packed = np.zeros((s, n), dtype=codec.key_dtype)
     else:
         packed = (np.arange(s) << row_bits)[:, None] | np.arange(n)
     agreements = 0
     for j, column in enumerate(columns):
         agree = column[None, :] == sample[:, j][:, None]
         agreements += int(np.count_nonzero(agree))
-        term = (column.astype(np.int64) + 1) << (codec.offsets[j] + shift)
+        term = (column.astype(codec.key_dtype) + 1) << (
+            codec.offsets[j] + shift
+        )
         packed += agree * term
     keys = packed.ravel()
     if bits is None:
@@ -126,52 +118,38 @@ def _lca_groups_packed(columns, measure, estimates, sample, codec,
     return plan.keys, plan.apply(estimates), plan.tally
 
 
-def _lca_groups(columns, measure, estimates, sample, codec):
-    """Shared LCA grouping; returns (acc dict, agreements)."""
-    n = measure.size
-    d = len(columns)
-    s = sample.shape[0]
-    if codec is not None and codec.fits:
-        uniq, aggs, agreements = _lca_groups_packed(
-            columns, measure, estimates, sample, codec
-        )
-        rows = codec.unpack_batch(uniq)
-        sum_m, sum_mhat, counts = aggs[:, 0], aggs[:, 1], aggs[:, 2]
-    else:
-        agreements = 0
-        stacked = []
-        for i in range(s):
-            lca = np.empty((n, d), dtype=np.int64)
-            for j in range(d):
-                agree = columns[j] == sample[i, j]
-                agreements += int(agree.sum())
-                lca[:, j] = np.where(agree, columns[j], WILDCARD)
-            stacked.append(lca)
-        rows_all = np.vstack(stacked)
-        weights = [
-            np.tile(measure, s),
-            np.tile(estimates, s),
-            np.ones(n * s, dtype=np.float64),
-        ]
-        rows, (sum_m, sum_mhat, counts) = group_rows_fallback(rows_all, weights)
-    acc = {}
-    for row, sm, smh, c in zip(rows, sum_m, sum_mhat, counts):
-        acc[tuple(int(v) for v in row)] = [float(sm), float(smh), float(c)]
-    return acc, agreements
-
-
 def lca_aggregates_packed(columns, measure, estimates, sample_rows, codec,
                           index=None, tc=None, state=None):
-    """Packed-key LCA aggregation (the miner's hot path).
+    """LCA(s, block) over packed keys (thesis §3.1.1, §4.2).
+
+    Parameters
+    ----------
+    columns:
+        The block's encoded dimension columns (list of int64 arrays),
+        or a zero-argument callable returning them (see
+        :func:`_lca_plan`).
+    measure / estimates:
+        The block's transformed measure and current estimates.
+    sample_rows:
+        Encoded sample tuples.
+    codec:
+        The :class:`~repro.core.codec.RowCodec` the keys are packed
+        with.
+    index:
+        None meters the baseline: d comparisons per (tuple, sample)
+        pair, the §3.1.1 cost of O(|s| * |D| * d).  The sample's
+        :class:`~repro.core.index.SampleInvertedIndex` meters the §4.2
+        fast path: d index lookups per data tuple plus one operation
+        per agreeing (tuple, sample, attribute) triple.  The output is
+        the same either way.
+    tc:
+        Optional :class:`TaskContext` charged with that cost.
+    state:
+        A job slot keeping the plan across iterations, or None.
 
     Returns ``(keys, aggs)`` — distinct packed LCA keys and their
-    (sum_m, sum_mhat, count) rows.  Metering matches
-    :func:`lca_aggregates_baseline` when ``index`` is None and
-    :func:`lca_aggregates_fast` when the inverted index is supplied.
-    ``state`` and a callable ``columns`` are :func:`_lca_plan`'s.
+    (sum_m, sum_mhat, count) rows.
     """
-    if not codec.fits:
-        raise DataError("packed LCA aggregation requires a fitting codec")
     sample = np.asarray(sample_rows, dtype=np.int64)
     keys, aggs, agreements = _lca_groups_packed(
         columns, measure, estimates, sample, codec, state
@@ -185,103 +163,3 @@ def lca_aggregates_packed(columns, measure, estimates, sample_rows, codec,
             tc.add_ops(measure.size * codec.arity + agreements)
         tc.add_records(measure.size)
     return keys, aggs
-
-
-def lca_aggregates_baseline(columns, measure, estimates, sample_rows,
-                            tc=None, codec=None):
-    """LCA(s, block) metered as attribute-by-attribute comparisons.
-
-    Parameters
-    ----------
-    columns:
-        The block's encoded dimension columns (list of int64 arrays).
-    measure / estimates:
-        The block's transformed measure and current estimates.
-    sample_rows:
-        Encoded sample tuples.
-    tc:
-        Optional :class:`TaskContext`; charged d comparisons per
-        (tuple, sample) pair — the §3.1.1 cost of O(|s| * |D| * d).
-    codec:
-        Optional :class:`RowCodec` enabling packed grouping; built
-        locally from the columns when omitted.
-
-    Returns a dict: lca tuple -> [sum_m, sum_mhat, count].
-    """
-    codec = codec or _local_codec(columns)
-    sample = np.asarray(sample_rows, dtype=np.int64)
-    acc, _ = _lca_groups(columns, measure, estimates, sample, codec)
-    if tc is not None:
-        pairs = measure.size * sample.shape[0]
-        tc.add_ops(pairs * PAIR_BASE_UNITS)
-        tc.add_ops(pairs * len(columns))
-        tc.add_records(measure.size)
-    return acc
-
-
-def lca_aggregates_fast(columns, measure, estimates, index, sample_rows,
-                        tc=None, codec=None):
-    """LCA(s, block) via the sample's inverted index (thesis §4.2).
-
-    Produces exactly the same aggregates as the baseline but is metered
-    at d index lookups per data tuple plus one operation per agreeing
-    (tuple, sample, attribute) triple — fewer than |s| * d comparisons
-    per tuple whenever values usually differ.  ``index`` is the
-    :class:`~repro.core.index.SampleInvertedIndex` that locates the
-    agreements.
-    """
-    if index is None:
-        raise DataError("fast pruning requires the sample inverted index")
-    codec = codec or _local_codec(columns)
-    sample = np.asarray(sample_rows, dtype=np.int64)
-    acc, agreements = _lca_groups(columns, measure, estimates, sample, codec)
-    if tc is not None:
-        pairs = measure.size * sample.shape[0]
-        tc.add_ops(pairs * PAIR_BASE_UNITS)
-        tc.add_ops(measure.size * len(columns) + agreements)
-        tc.add_records(measure.size)
-    return acc
-
-
-def _local_codec(columns):
-    """Codec inferred from the block's value ranges (tests convenience)."""
-    cards = [int(col.max()) + 1 if col.size else 1 for col in columns]
-    codec = RowCodec(cards)
-    return codec if codec.fits else None
-
-
-def merge_lca_aggregates(dicts):
-    """Reduce-side merge of per-block LCA aggregate dicts."""
-    merged = {}
-    for acc in dicts:
-        for key, agg in acc.items():
-            existing = merged.get(key)
-            if existing is None:
-                merged[key] = list(agg)
-            else:
-                existing[0] += agg[0]
-                existing[1] += agg[1]
-                existing[2] += agg[2]
-    return merged
-
-
-def sample_match_counts(candidate_rows, sample_rows):
-    """Number of sample tuples matched by each candidate rule.
-
-    Used for the §3.1.1 correction: a data tuple contributed its
-    aggregates to candidate r once per matching sample tuple, so r's
-    aggregates must be divided by this count.  Vectorized over
-    candidates in blocks.
-    """
-    sample = np.asarray(sample_rows, dtype=np.int64)
-    counts = np.empty(len(candidate_rows), dtype=np.int64)
-    block = 4096
-    rules = np.asarray(candidate_rows, dtype=np.int64)
-    for start in range(0, len(candidate_rows), block):
-        chunk = rules[start:start + block]
-        # match[c, s] = all_j (chunk[c, j] == * or chunk[c, j] == sample[s, j])
-        wild = chunk[:, None, :] == WILDCARD
-        equal = chunk[:, None, :] == sample[None, :, :]
-        match = np.all(wild | equal, axis=2)
-        counts[start:start + chunk.shape[0]] = match.sum(axis=1)
-    return counts

@@ -92,7 +92,7 @@ class MiningSession:
         cluster.bind_shard_map(table.shard_map(num_partitions))
         n = len(table)
         #: Packed-row codec for the table's dimension domains; the
-        #: candidate pipeline runs on packed int64 keys when it fits.
+        #: candidate pipeline runs on its keys (``codec.key_dtype``).
         self.codec = codec if codec is not None else RowCodec.from_table(table)
         self.transform = (
             transform if transform is not None
@@ -156,10 +156,13 @@ class MiningSession:
         In process mode the array is copied to a transient
         shared-memory segment (one copy total, instead of one pickled
         copy per task inside the kernel partial) and unlinked when the
-        block exits; otherwise the array passes through untouched.
-        Kernels resolve either via :func:`repro.data.shm.resolve`.
+        block exits; otherwise the array passes through untouched.  An
+        ``object`` array (the Python-int keys of a codec wider than 63
+        bits) has no fixed-width bytes to share and always passes
+        through, to be pickled.  Kernels resolve either via
+        :func:`repro.data.shm.resolve`.
         """
-        if not self.shared:
+        if not self.shared or array.dtype.hasobject:
             yield array
             return
         shared = SharedArray.create(array)

@@ -1,13 +1,21 @@
-"""Test-only reference kernels: the pre-composite-sort implementations.
+"""Test-only reference implementations of the mining kernels.
 
-These are the ``np.unique`` + ``np.bincount`` group-bys and the
-per-pattern ancestor loop the mining kernels used before grouping
-became one plain key sort.  They define the bytes the fast kernels must
-reproduce (``tests/core/test_canonical_order.py``); nothing under
-``src/`` imports them.
+Two kinds, and nothing under ``src/`` imports either:
+
+- one-shot packed references: the ``np.unique`` + ``np.bincount``
+  group-bys and the per-pattern ancestor loop the kernels used before
+  grouping became one plain key sort.  They define the *bytes* the
+  kernels must reproduce (``tests/core/test_canonical_order.py``), for
+  ``int64`` and Python-int (``object``) keys alike;
+- object references over :class:`~repro.core.rule.Rule` tuples and
+  dicts: the cube lattice with its §4.3 column-grouped stages, the
+  quadratic LCA table and the tuple sample-match count.  They define
+  *which* candidates and aggregates the kernels must produce.
 """
 
 import numpy as np
+
+from repro.core.rule import Rule, WILDCARD
 
 
 def group_packed_reference(keys, weight_columns):
@@ -26,11 +34,11 @@ def lca_groups_reference(columns, measure, estimates, sample, codec):
     n = measure.size
     s = sample.shape[0]
     agreements = 0
-    packed = np.zeros((s, n), dtype=np.int64)
+    packed = np.zeros((s, n), dtype=codec.key_dtype)
     for j in range(len(columns)):
         agree = columns[j][None, :] == sample[:, j][:, None]
         agreements += int(agree.sum())
-        term = (columns[j].astype(np.int64) + 1) << codec.offsets[j]
+        term = (columns[j].astype(codec.key_dtype) + 1) << codec.offsets[j]
         packed += np.where(agree, term[None, :], 0)
     weights = [
         np.tile(measure, s),
@@ -76,10 +84,11 @@ def generate_ancestors_reference(keys, aggs, codec, group=None,
         else:
             emitted += group_keys.size * subsets
         subset_ids = np.arange(subsets, dtype=np.int64)
-        clear_masks = np.zeros(subsets, dtype=np.int64)
+        clear_masks = np.zeros(subsets, dtype=codec.key_dtype)
         for bit, j in enumerate(bound):
             clear_masks |= np.where(
-                (subset_ids >> bit) & 1 == 1, np.int64(masks[j]), np.int64(0)
+                (subset_ids >> bit) & 1 == 1,
+                np.array(masks[j], dtype=codec.key_dtype), 0,
             )
         expanded = group_keys[:, None] & ~clear_masks[None, :]
         out_key_parts.append(expanded.ravel())
@@ -91,3 +100,97 @@ def generate_ancestors_reference(keys, aggs, codec, group=None,
         all_keys, [all_aggs[:, 0], all_aggs[:, 1], all_aggs[:, 2]]
     )
     return uniq, np.stack(sums, axis=1), emitted
+
+
+# ----------------------------------------------------------------------
+# Object references: Rule tuples and dicts
+# ----------------------------------------------------------------------
+
+
+def ancestors_within_group(rule, group):
+    """Ancestors of ``rule`` whose new wildcards lie only in ``group``.
+
+    Yields ``rule`` itself (empty subset) plus every rule obtained by
+    wildcarding a non-empty subset of the rule's bound positions inside
+    ``group`` — the per-stage mapper of thesis §4.3.
+    """
+    bound_in_group = [p for p in group if rule.values[p] != WILDCARD]
+    for mask in range(1 << len(bound_in_group)):
+        values = list(rule.values)
+        for bit, pos in enumerate(bound_in_group):
+            if mask & (1 << bit):
+                values[pos] = WILDCARD
+        yield Rule(values)
+
+
+def generate_ancestors_single_stage(weighted_rules, multiplicities=None):
+    """Every rule of the union of the cube lattices, aggregates merged.
+
+    ``weighted_rules`` maps :class:`Rule` to an aggregate tuple;
+    ``multiplicities`` (rule -> pair instances, default 1) weights the
+    emission count as the first round of the pipeline does.  Returns
+    ``(aggregates, emitted)``.
+    """
+    return generate_ancestors_staged(
+        weighted_rules, [None], multiplicities
+    )
+
+
+def generate_ancestors_staged(weighted_rules, groups, multiplicities=None):
+    """Column-grouped multi-stage ancestor generation (thesis §4.3).
+
+    Stage ``i`` wildcards subsets of group ``i`` (None: any position)
+    over stage ``i - 1``'s merged output; only the first stage's
+    emissions are ``multiplicities``-weighted.  Returns the same
+    ``(aggregates, emitted)`` pair as
+    :func:`generate_ancestors_single_stage`.
+    """
+    current = dict(weighted_rules)
+    emitted = 0
+    for index, group in enumerate(groups):
+        next_stage = {}
+        for rule, agg in current.items():
+            weight = 1
+            if index == 0 and multiplicities is not None:
+                weight = int(multiplicities.get(rule, 1))
+            if group is None:
+                ancestors = list(rule.ancestors())
+            else:
+                ancestors = list(ancestors_within_group(rule, group))
+            for ancestor in ancestors:
+                existing = next_stage.get(ancestor)
+                next_stage[ancestor] = tuple(agg) if existing is None else \
+                    tuple(a + b for a, b in zip(existing, agg))
+            emitted += weight * len(ancestors)
+        current = next_stage
+    return current, emitted
+
+
+def lca_table_reference(columns, measure, estimates, sample_rows):
+    """Quadratic-time LCA table: explicit LCA per (tuple, sample) pair.
+
+    Maps each LCA's value tuple to ``[sum_m, sum_mhat, count]``.
+    """
+    n = measure.size
+    acc = {}
+    for srow in sample_rows:
+        for i in range(n):
+            trow = tuple(int(col[i]) for col in columns)
+            key = Rule.lca(trow, srow).values
+            entry = acc.setdefault(key, [0.0, 0.0, 0.0])
+            entry[0] += measure[i]
+            entry[1] += estimates[i]
+            entry[2] += 1.0
+    return acc
+
+
+def sample_match_counts(candidate_rows, sample_rows):
+    """Number of sample tuples each candidate value tuple matches.
+
+    The §3.1.1 correction's divisor, tuple against tuple.
+    """
+    sample = np.asarray(sample_rows, dtype=np.int64)
+    rules = np.asarray(candidate_rows, dtype=np.int64)
+    wild = rules[:, None, :] == WILDCARD
+    equal = rules[:, None, :] == sample[None, :, :]
+    return np.all(wild | equal, axis=2).sum(axis=1).astype(np.int64)

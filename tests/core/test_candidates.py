@@ -13,48 +13,56 @@ from repro.core.candidates import (
     merge_exhaustive,
     select_rules,
 )
+from repro.core.codec import RowCodec
 from repro.core.divergence import information_gain
+from repro.core.lattice_packed import pack_rule_rows
 from repro.core.rule import Rule, WILDCARD
-from repro.core.sampling import draw_sample_rows, lca_aggregates_baseline
+from repro.core.sampling import draw_sample_rows, lca_aggregates_packed
+
+
+def _candidates(table, estimates, sample, column_groups=None, codec=None):
+    """LCAs of ``sample`` over ``table``, then candidates and gains."""
+    codec = codec or RowCodec.from_table(table)
+    keys, aggs = lca_aggregates_packed(
+        table.dimension_columns(), table.measure, estimates, sample, codec
+    )
+    return generate_from_lcas(
+        keys, aggs, pack_rule_rows(sample, codec), codec,
+        column_groups=column_groups,
+    )
+
+
+def _rules(candidates):
+    return [candidates.rule_at(i) for i in range(len(candidates))]
 
 
 @pytest.fixture
 def flight_candidates(flights, rng):
     sample = draw_sample_rows(flights, 6, rng)
     estimates = np.full(14, flights.measure.mean())
-    lcas = lca_aggregates_baseline(
-        flights.dimension_columns(), flights.measure, estimates, sample
-    )
-    return generate_from_lcas(lcas, sample), sample, estimates
+    return _candidates(flights, estimates, sample), sample, estimates
 
 
 class TestGenerateFromLcas:
     def test_candidate_set_closed_under_ancestors(self, flights, rng):
         sample = draw_sample_rows(flights, 4, rng)
-        estimates = np.ones(14)
-        lcas = lca_aggregates_baseline(
-            flights.dimension_columns(), flights.measure, estimates, sample
-        )
-        candidates = generate_from_lcas(lcas, sample)
-        rule_set = set(candidates.rules)
-        for rule in candidates.rules:
+        candidates = _candidates(flights, np.ones(14), sample)
+        rule_set = set(_rules(candidates))
+        for rule in rule_set:
             for ancestor in rule.ancestors():
                 assert ancestor in rule_set
 
     def test_root_is_always_a_candidate(self, flight_candidates):
         candidates, _, _ = flight_candidates
-        assert Rule.all_wildcards(3) in candidates.rules
+        assert Rule.all_wildcards(3) in _rules(candidates)
 
     def test_corrected_aggregates_match_direct_support(self, flights, rng):
         # After the multiplicity correction, a candidate's sums must be
         # the true sums over its support set (thesis §3.1.1).
         sample = draw_sample_rows(flights, 5, rng)
         estimates = rng.uniform(1, 3, size=14)
-        lcas = lca_aggregates_baseline(
-            flights.dimension_columns(), flights.measure, estimates, sample
-        )
-        candidates = generate_from_lcas(lcas, sample)
-        for i, rule in enumerate(candidates.rules):
+        candidates = _candidates(flights, estimates, sample)
+        for i, rule in enumerate(_rules(candidates)):
             mask = rule.match_mask(flights)
             assert candidates.sums_m[i] == pytest.approx(
                 float(flights.measure[mask].sum())
@@ -77,28 +85,33 @@ class TestGenerateFromLcas:
         t4 = flights.encoded_row(3)
         t9 = flights.encoded_row(8)
         sample = [t4, t9]
-        estimates = np.ones(14)
-        lcas = lca_aggregates_baseline(
-            flights.dimension_columns(), flights.measure, estimates, sample
-        )
-        candidates = generate_from_lcas(lcas, sample)
+        candidates = _candidates(flights, np.ones(14), sample)
         assert len(candidates) == 15
 
     def test_column_grouped_generation_equivalent(self, flights, rng):
         sample = draw_sample_rows(flights, 5, rng)
-        estimates = np.ones(14)
-        lcas = lca_aggregates_baseline(
-            flights.dimension_columns(), flights.measure, estimates, sample
-        )
-        single = generate_from_lcas(lcas, sample)
-        staged = generate_from_lcas(
-            lcas, sample, column_groups=[(0, 1), (2,)]
-        )
-        single_map = dict(zip(single.rules, single.gains))
-        staged_map = dict(zip(staged.rules, staged.gains))
+        single = _candidates(flights, np.ones(14), sample)
+        staged = _candidates(flights, np.ones(14), sample,
+                             column_groups=[(0, 1), (2,)])
+        single_map = dict(zip(_rules(single), single.gains))
+        staged_map = dict(zip(_rules(staged), staged.gains))
         assert set(single_map) == set(staged_map)
         for rule in single_map:
             assert staged_map[rule] == pytest.approx(single_map[rule])
+
+    def test_an_oversized_codec_scores_the_same_bytes(self, flights, rng):
+        sample = draw_sample_rows(flights, 5, rng)
+        estimates = rng.uniform(1, 3, size=14)
+        wide = RowCodec([2**40] * 3)
+        for groups in (None, [(0, 1), (2,)]):
+            native = _candidates(flights, estimates, sample, groups)
+            got = _candidates(flights, estimates, sample, groups, wide)
+            assert got.keys.dtype == object
+            assert _rules(got) == _rules(native)
+            for name in ("sums_m", "sums_mhat", "counts", "gains"):
+                assert getattr(got, name).tobytes() == \
+                    getattr(native, name).tobytes()
+            assert got.emitted_pairs == native.emitted_pairs
 
 
 class TestGenerateExhaustive:

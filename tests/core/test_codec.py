@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import DataError
-from repro.core.codec import (
-    RowCodec,
-    group_packed,
-    group_rows_fallback,
-)
+from repro.core.codec import RowCodec, group_packed
+from repro.core.lattice_packed import pack_rule_rows
 from repro.core.rule import WILDCARD
 
 
@@ -54,11 +51,38 @@ class TestRowCodec:
         codec = RowCodec([4])
         assert codec.pack_values((0,)) != codec.pack_values((WILDCARD,))
 
-    def test_oversized_codec_reports_not_fits(self):
-        codec = RowCodec([2**20] * 4)
-        assert not codec.fits
-        with pytest.raises(DataError):
-            codec.pack_values((1, 1, 1, 1))
+    @given(
+        seed=st.integers(0, 10_000),
+        cards=st.lists(st.integers(1, 30), min_size=2, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_oversized_codec_round_trips_and_orders_like_a_fitting_one(
+            self, seed, cards):
+        # The same fields 2**40 apart: past 63 bits the keys are Python
+        # ints in an object array, and they decode and sort the same.
+        fitting = RowCodec(cards)
+        wide = RowCodec([2**40] * len(cards))
+        assert fitting.fits and fitting.key_dtype == np.int64
+        assert not wide.fits and wide.key_dtype == object
+        rng = np.random.default_rng(seed)
+        rows = np.stack([rng.integers(-1, c, size=25) for c in cards], axis=1)
+        columns = [rng.integers(0, c, size=25) for c in cards]
+        for codec in (fitting, wide):
+            keys = pack_rule_rows(rows, codec)
+            assert keys.dtype == codec.key_dtype
+            np.testing.assert_array_equal(codec.unpack_batch(keys), rows)
+            for key, row in zip(keys, rows):
+                assert codec.unpack(key) == tuple(row)
+                assert codec.pack_values(tuple(row)) == key
+            packed = codec.pack_columns(columns)
+            assert packed.dtype == codec.key_dtype
+            np.testing.assert_array_equal(
+                codec.unpack_batch(packed), np.stack(columns, axis=1)
+            )
+        np.testing.assert_array_equal(
+            np.argsort(pack_rule_rows(rows, wide), kind="stable"),
+            np.argsort(pack_rule_rows(rows, fitting), kind="stable"),
+        )
 
     def test_invalid_cardinalities(self):
         with pytest.raises(DataError):
@@ -75,17 +99,15 @@ class TestGrouping:
         np.testing.assert_array_equal(uniq, [3, 5])
         np.testing.assert_allclose(sums, [11.0, 4.0])
 
-    def test_fallback_matches_packed(self, rng):
-        codec = RowCodec([4, 4])
+    def test_oversized_keys_group_like_fitting_ones(self, rng):
         rows = rng.integers(-1, 4, size=(50, 2)).astype(np.int64)
         weights = [rng.uniform(0, 1, size=50)]
-        keys = np.array([codec.pack_values(tuple(r)) for r in rows])
-        uniq_p, (sums_p,) = group_packed(keys, weights)
-        uniq_r, (sums_r,) = group_rows_fallback(rows, weights)
-        assert uniq_p.size == uniq_r.shape[0]
-        # Align via unpacking and compare sums per tuple key.
-        packed_map = {
-            codec.unpack(k): s for k, s in zip(uniq_p, sums_p)
-        }
-        for row, s in zip(uniq_r, sums_r):
-            assert packed_map[tuple(int(v) for v in row)] == pytest.approx(s)
+        fitting, wide = RowCodec([4, 4]), RowCodec([2**40, 2**40])
+        uniq_f, (sums_f,) = group_packed(pack_rule_rows(rows, fitting),
+                                         weights, key_bits=6)
+        uniq_w, (sums_w,) = group_packed(pack_rule_rows(rows, wide),
+                                         weights, key_bits=wide.total_bits)
+        np.testing.assert_array_equal(
+            wide.unpack_batch(uniq_w), fitting.unpack_batch(uniq_f)
+        )
+        assert sums_w.tobytes() == sums_f.tobytes()

@@ -334,7 +334,6 @@ class TestRetainedArrays:
         tc = task.TaskContext(1, 1)
         keys, aggs = miner._prune_kernel(
             tc, part, measure, np.ones(len(table)), sample, codec, None,
-            True,
         )
         out_keys, _, _ = miner._ancestor_packed_kernel(
             tc, (keys, aggs), codec, None, True
@@ -345,18 +344,17 @@ class TestRetainedArrays:
         )
         assert task.job_state_stats() == before
 
-    def test_the_dict_path_asks_for_no_slot(self, table):
-        # A domain wider than 63 bits mines through tuple-keyed dicts,
-        # which plan nothing.
-        wide = types.SimpleNamespace(
-            table=table, codec=RowCodec([2 ** 16] * table.schema.arity),
-            transform=MeasureTransform.fit(table.measure),
+    def test_a_wide_plan_counts_the_ints_its_keys_hold(self):
+        # An object array's ``nbytes`` counts pointers only; the store
+        # must see the Python ints behind a > 63-bit codec's keys too.
+        columns, measure, sample, _ = _small_lca_inputs()
+        plan = _lca_plan(columns, measure, sample, RowCodec([2**40] * 4))
+        assert plan.keys.dtype == object
+        arrays = sum(
+            getattr(plan, name).nbytes
+            for name in ("keys", "group_ids", "sources", "fixed")
         )
-        assert not wide.codec.fits
-        before = task.job_state_stats()
-        config = SirumConfig(k=2, sample_size=4, num_partitions=4)
-        Sirum(config).mine(table, dataset_state=wide)
-        assert task.job_state_stats() == before
+        assert plan.nbytes >= arrays + sum(map(sys.getsizeof, plan.keys))
 
 
 class TestSessionLifetime:
@@ -648,7 +646,8 @@ class TestGeneratedJobs:
         # One-row partitions when there are at least as many as rows.
         num_partitions=st.sampled_from([1, 3, 16, 128]),
         # 11 bits: one sort groups everything.  62: the LCA and
-        # ancestor kernels group through ``np.unique``.  68: dicts.
+        # ancestor kernels group through ``np.unique``.  68: the keys
+        # are Python ints, and the job must mine the native bytes.
         codec_bits=st.sampled_from([None, 62, 68]),
         k=st.integers(1, 3),
         sample_size=st.integers(1, 9),
@@ -656,18 +655,20 @@ class TestGeneratedJobs:
         num_column_groups=st.sampled_from([None, 2, 3]),
         use_fast_pruning=st.booleans(),
         reset_lambdas=st.booleans(),
+        eliminate_redundant=st.booleans(),
         seed=st.integers(0, 2 ** 16),
     )
     @settings(max_examples=40, deadline=None)
     def test_a_job_equals_itself_with_every_slot_forced_empty(
             self, storage, kind, rows, num_partitions, codec_bits, k,
             sample_size, rules_per_iteration, num_column_groups,
-            use_fast_pruning, reset_lambdas, seed):
+            use_fast_pruning, reset_lambdas, eliminate_redundant, seed):
         config = SirumConfig(
             k=k, sample_size=sample_size, use_rct=True,
             rules_per_iteration=rules_per_iteration,
             num_column_groups=num_column_groups,
             use_fast_pruning=use_fast_pruning, reset_lambdas=reset_lambdas,
+            eliminate_redundant=eliminate_redundant,
             num_partitions=num_partitions, seed=seed,
         )
         table = _generated_table(kind, rows, seed)
@@ -689,13 +690,63 @@ class TestGeneratedJobs:
                 before = task.job_state_stats()
                 retained = _outcome(config, table, dataset_state)
                 asked = task.job_state_stats()["misses"] - before["misses"]
-                if codec_bits == 68:
-                    assert asked == 0
-                elif not isinstance(retained[0], type):
+                if not isinstance(retained[0], type):
                     assert asked > 0
+                if codec_bits == 68:
+                    assert _outcome(config, table, None) == retained
                 with mock.patch.object(task, "MAX_STATE_BYTES", 0):
                     assert _outcome(config, table, dataset_state) == retained
             finally:
                 if storage == "file":
                     table.close()
+        assert _retained_jobs() == 0
+
+    def test_a_wide_codec_mines_the_native_bytes_in_every_mode(
+            self, execution_modes):
+        # Keys past 63 bits are Python ints: pickled, never shared
+        # memory, in process and remote mode.  Nothing of that shows.
+        @settings(max_examples=10, deadline=None)
+        @given(
+            kind=st.sampled_from(["zipf", "duplicates"]),
+            rows=st.integers(6, 60),
+            num_partitions=st.sampled_from([1, 3, 8]),
+            k=st.integers(1, 3),
+            sample_size=st.integers(1, 9),
+            rules_per_iteration=st.integers(1, 2),
+            num_column_groups=st.sampled_from([None, 2, 3]),
+            use_fast_pruning=st.booleans(),
+            eliminate_redundant=st.booleans(),
+            seed=st.integers(0, 2 ** 16),
+        )
+        def check(kind, rows, num_partitions, k, sample_size,
+                  rules_per_iteration, num_column_groups, use_fast_pruning,
+                  eliminate_redundant, seed):
+            config = SirumConfig(
+                k=k, sample_size=sample_size, use_rct=True,
+                rules_per_iteration=rules_per_iteration,
+                num_column_groups=num_column_groups,
+                use_fast_pruning=use_fast_pruning,
+                eliminate_redundant=eliminate_redundant,
+                num_partitions=num_partitions, seed=seed,
+            )
+            table = _generated_table(kind, rows, seed)
+            wide = types.SimpleNamespace(
+                table=table, codec=RowCodec([2 ** 40] * 4),
+                transform=MeasureTransform.fit(table.measure),
+            )
+            def outcome(cluster, dataset_state):
+                try:
+                    return mining_bytes(Sirum(config).mine(
+                        table, cluster=cluster, dataset_state=dataset_state,
+                    ))
+                except ReproError as exc:
+                    return type(exc), str(exc)
+
+            # The serial twin of the mode's cluster, on the native codec.
+            with make_default_cluster(num_executors=2,
+                                      cores_per_executor=2) as serial:
+                native = outcome(serial, None)
+            assert outcome(execution_modes.cluster(), wide) == native
+
+        check()
         assert _retained_jobs() == 0

@@ -1,9 +1,10 @@
-"""Tests for cube-lattice operations and column grouping (§2.5, §4.3).
+"""Tests for the cube lattice and column grouping (§2.5, §4.3).
 
 Includes the property-based check of Appendix A Theorem 1: staged
 (column-grouped) ancestor generation produces exactly the same
 candidate rules with exactly the same aggregates as single-stage
-generation.
+generation — run on the packed kernel the miner uses, for a codec
+that fits 63 bits and one that does not.
 """
 
 import numpy as np
@@ -12,22 +13,50 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigError
 from repro.core import lattice
+from repro.core.codec import RowCodec
+from repro.core.lattice_packed import generate_ancestors_packed
 from repro.core.rule import Rule, WILDCARD
+
+
+def _packed(weighted, codec):
+    """``{Rule: aggregates}`` as aligned (keys, aggs) arrays."""
+    keys = np.array(
+        [codec.pack_values(rule.values) for rule in weighted],
+        dtype=codec.key_dtype,
+    )
+    aggs = np.array(list(weighted.values()), dtype=np.float64)
+    return keys, aggs
+
+
+def _rounds(weighted, codec, groups, instance_weighted=False):
+    """Ancestor rounds over ``groups`` (None: one single-stage round),
+    as ``({Rule: aggregates}, emitted)``."""
+    keys, aggs = _packed(weighted, codec)
+    emitted = 0
+    for index, group in enumerate(groups):
+        keys, aggs, count = generate_ancestors_packed(
+            keys, aggs, codec, group=group,
+            instance_weighted=instance_weighted and index == 0,
+        )
+        emitted += count
+    out = {
+        Rule(codec.unpack(key)): tuple(agg) for key, agg in zip(keys, aggs)
+    }
+    return out, emitted
 
 
 class TestCubeLattice:
     def test_size_formula(self):
         rule = Rule((1, 2, 3))
-        assert lattice.lattice_size(rule) == 8
-        assert len(lattice.cube_lattice(rule)) == 8
+        assert len(list(rule.ancestors())) == 1 << rule.num_bound == 8
 
     def test_root_lattice_is_singleton(self):
         root = Rule.all_wildcards(5)
-        assert lattice.cube_lattice(root) == [root]
+        assert list(root.ancestors()) == [root]
 
     def test_exclude_self(self):
         rule = Rule((1, WILDCARD))
-        elements = lattice.cube_lattice(rule, include_self=False)
+        elements = list(rule.ancestors(include_self=False))
         assert rule not in elements
         assert len(elements) == 1
 
@@ -57,13 +86,18 @@ class TestColumnGroups:
 
 
 class TestAncestorsWithinGroup:
+    CODEC = RowCodec([3, 3, 3])
+
+    def _group_round(self, rule, group):
+        out, _ = _rounds({rule: (1.0, 1.0, 1.0)}, self.CODEC, [group])
+        return set(out)
+
     def test_thesis_figure_4_2_first_stage(self):
         # (Fri, SF, London) with G1 = {Day, Origin}: the generated
         # ancestors are itself, (*, SF, London), (Fri, *, London) and
         # (*, *, London) — never wildcarding Destination.
         rule = Rule((0, 1, 2))
-        out = set(lattice.ancestors_within_group(rule, (0, 1)))
-        assert out == {
+        assert self._group_round(rule, (0, 1)) == {
             Rule((0, 1, 2)),
             Rule((WILDCARD, 1, 2)),
             Rule((0, WILDCARD, 2)),
@@ -72,12 +106,13 @@ class TestAncestorsWithinGroup:
 
     def test_wildcards_already_present_stay(self):
         rule = Rule((WILDCARD, 1, 2))
-        out = set(lattice.ancestors_within_group(rule, (0, 1)))
-        assert out == {Rule((WILDCARD, 1, 2)), Rule((WILDCARD, WILDCARD, 2))}
+        assert self._group_round(rule, (0, 1)) == {
+            Rule((WILDCARD, 1, 2)), Rule((WILDCARD, WILDCARD, 2)),
+        }
 
     def test_empty_group_yields_self_only(self):
-        rule = Rule((1, 2))
-        assert list(lattice.ancestors_within_group(rule, ())) == [rule]
+        rule = Rule((1, 2, WILDCARD))
+        assert self._group_round(rule, ()) == {rule}
 
 
 def _random_weighted_rules(rng, num_rules, arity, cardinality):
@@ -98,20 +133,24 @@ def _random_weighted_rules(rng, num_rules, arity, cardinality):
 class TestAppendixATheorem:
     """Theorem 1: staged == single-stage (rules and aggregates)."""
 
+    @pytest.mark.parametrize("oversized", [False, True])
     @given(
         seed=st.integers(0, 10_000),
         arity=st.integers(2, 6),
         num_groups=st.integers(2, 4),
     )
     @settings(max_examples=60, deadline=None)
-    def test_staged_equals_single_stage(self, seed, arity, num_groups):
+    def test_staged_equals_single_stage(self, oversized, seed, arity,
+                                        num_groups):
         rng = np.random.default_rng(seed)
         weighted = _random_weighted_rules(rng, 8, arity, 3)
+        codec = RowCodec([2**40 if oversized else 3] * arity)
+        assert codec.fits != oversized
         groups = lattice.make_column_groups(
             arity, min(num_groups, arity), seed=seed
         )
-        single, _ = lattice.generate_ancestors_single_stage(weighted)
-        staged, _ = lattice.generate_ancestors_staged(weighted, groups)
+        single, _ = _rounds(weighted, codec, [None])
+        staged, _ = _rounds(weighted, codec, groups)
         assert set(single) == set(staged)
         for rule in single:
             assert single[rule] == pytest.approx(staged[rule])
@@ -123,18 +162,15 @@ class TestAppendixATheorem:
         # with large multiplicities show the effect clearly.
         rng = np.random.default_rng(7)
         weighted = {}
-        multiplicities = {}
         for _ in range(20):
             rule = Rule(tuple(int(v) for v in rng.integers(0, 2, size=6)))
             weighted[rule] = (1.0, 1.0, 50.0)
-            multiplicities[rule] = 50
+        codec = RowCodec([2] * 6)
         groups = lattice.make_column_groups(6, 2)
-        _, single_emitted = lattice.generate_ancestors_single_stage(
-            weighted, multiplicities
-        )
-        _, staged_emitted = lattice.generate_ancestors_staged(
-            weighted, groups, multiplicities
-        )
+        _, single_emitted = _rounds(weighted, codec, [None],
+                                    instance_weighted=True)
+        _, staged_emitted = _rounds(weighted, codec, groups,
+                                    instance_weighted=True)
         assert staged_emitted < single_emitted
 
     def test_aggregates_sum_descendant_inputs(self):
@@ -144,7 +180,7 @@ class TestAppendixATheorem:
             Rule((0, 1)): (10.0, 5.0, 1.0),
             Rule((0, 2)): (20.0, 7.0, 2.0),
         }
-        aggregates, _ = lattice.generate_ancestors_single_stage(weighted)
+        aggregates, _ = _rounds(weighted, RowCodec([3, 3]), [None])
         assert aggregates[Rule((0, WILDCARD))] == (30.0, 12.0, 3.0)
         assert aggregates[Rule((WILDCARD, WILDCARD))] == (30.0, 12.0, 3.0)
         assert aggregates[Rule((0, 1))] == (10.0, 5.0, 1.0)
@@ -153,7 +189,6 @@ class TestAppendixATheorem:
         # One LCA standing for 5 pairs with 2 bound attributes emits
         # 5 * 4 pairs in the single-stage pipeline.
         weighted = {Rule((0, 1)): (1.0, 1.0, 5.0)}
-        _, emitted = lattice.generate_ancestors_single_stage(
-            weighted, {Rule((0, 1)): 5}
-        )
+        _, emitted = _rounds(weighted, RowCodec([3, 3]), [None],
+                             instance_weighted=True)
         assert emitted == 20

@@ -1,11 +1,11 @@
-"""Equivalence tests: packed ancestor generation vs the reference."""
+"""Equivalence tests: packed ancestor generation vs the object lattice
+of :mod:`tests.core.oracles`."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import DataError
-from repro.core import lattice
 from repro.core.codec import RowCodec
 from repro.core.lattice_packed import (
     generate_ancestors_packed,
@@ -13,7 +13,8 @@ from repro.core.lattice_packed import (
     pack_rule_rows,
 )
 from repro.core.rule import Rule, WILDCARD
-from repro.core.sampling import sample_match_counts
+
+from . import oracles
 
 
 def _random_rules(rng, count, cards):
@@ -34,23 +35,24 @@ def _random_rules(rng, count, cards):
 def _pack_weighted(weighted, codec):
     rules = list(weighted)
     keys = np.array(
-        [codec.pack_values(r.values) for r in rules], dtype=np.int64
+        [codec.pack_values(r.values) for r in rules], dtype=codec.key_dtype
     )
     aggs = np.array([weighted[r] for r in rules], dtype=np.float64)
     return keys, aggs
 
 
 class TestGenerateAncestorsPacked:
+    @pytest.mark.parametrize("field", [3, 2**40])
     @given(seed=st.integers(0, 5000), arity=st.integers(2, 6))
     @settings(max_examples=40, deadline=None)
-    def test_matches_reference_single_stage(self, seed, arity):
+    def test_matches_reference_single_stage(self, field, seed, arity):
         rng = np.random.default_rng(seed)
         cards = [3] * arity
-        codec = RowCodec(cards)
+        codec = RowCodec([field] * arity)
         weighted = _random_rules(rng, 8, cards)
         keys, aggs = _pack_weighted(weighted, codec)
         out_keys, out_aggs, _ = generate_ancestors_packed(keys, aggs, codec)
-        reference, _ = lattice.generate_ancestors_single_stage(weighted)
+        reference, _ = oracles.generate_ancestors_single_stage(weighted)
         got = {
             Rule(codec.unpack(int(k))): tuple(a)
             for k, a in zip(out_keys, out_aggs)
@@ -71,16 +73,7 @@ class TestGenerateAncestorsPacked:
         out_keys, out_aggs, _ = generate_ancestors_packed(
             keys, aggs, codec, group=group
         )
-        reference = {}
-        for rule, agg in weighted.items():
-            for ancestor in lattice.ancestors_within_group(rule, group):
-                existing = reference.get(ancestor)
-                if existing is None:
-                    reference[ancestor] = agg
-                else:
-                    reference[ancestor] = tuple(
-                        a + b for a, b in zip(existing, agg)
-                    )
+        reference, _ = oracles.generate_ancestors_staged(weighted, [group])
         got = {
             Rule(codec.unpack(int(k))): tuple(a)
             for k, a in zip(out_keys, out_aggs)
@@ -99,7 +92,7 @@ class TestGenerateAncestorsPacked:
         _, _, emitted = generate_ancestors_packed(
             keys, aggs, codec, instance_weighted=True
         )
-        _, reference_emitted = lattice.generate_ancestors_single_stage(
+        _, reference_emitted = oracles.generate_ancestors_single_stage(
             weighted, multiplicities
         )
         assert emitted == reference_emitted
@@ -151,5 +144,5 @@ class TestMatchCountsPacked:
         keys = pack_rule_rows(np.array(candidates, dtype=np.int64), codec)
         sample_keys = pack_rule_rows(np.array(sample, dtype=np.int64), codec)
         packed = match_counts_packed(keys, sample_keys, codec)
-        reference = sample_match_counts(candidates, sample)
+        reference = oracles.sample_match_counts(candidates, sample)
         np.testing.assert_array_equal(packed, reference)

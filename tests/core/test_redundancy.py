@@ -53,8 +53,10 @@ class TestRuleMasks:
 
 
 class TestPackedMask:
-    def test_matches_rule_mask(self, rng):
-        codec = RowCodec([3, 3, 3])
+    # 3-value fields, and 2**40-value ones whose keys pass 63 bits.
+    @pytest.mark.parametrize("field", [3, 2**40])
+    def test_matches_rule_mask(self, rng, field):
+        codec = RowCodec([field] * 3)
         rules = []
         for _ in range(40):
             rules.append(Rule(tuple(

@@ -1,36 +1,35 @@
 """Tests for sample-based candidate pruning (thesis §3.1.1, §4.2)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import DataError
-from repro.common.rng import make_rng
+from repro.core import lattice_packed
+from repro.core.codec import RowCodec, group_packed
 from repro.core.index import SampleInvertedIndex
+from repro.core.lattice_packed import match_counts_packed, pack_rule_rows
 from repro.core.rule import Rule, WILDCARD
-from repro.core.sampling import (
-    draw_sample_rows,
-    lca_aggregates_baseline,
-    lca_aggregates_fast,
-    merge_lca_aggregates,
-    sample_match_counts,
-)
+from repro.core.sampling import draw_sample_rows, lca_aggregates_packed
 from repro.engine.task import TaskContext
 
+from .oracles import lca_table_reference
 
-def _reference_lcas(columns, measure, estimates, sample_rows):
-    """Quadratic-time oracle: explicit LCA per (tuple, sample) pair."""
-    n = measure.size
-    acc = {}
-    for srow in sample_rows:
-        for i in range(n):
-            trow = tuple(int(col[i]) for col in columns)
-            key = Rule.lca(trow, srow).values
-            entry = acc.setdefault(key, [0.0, 0.0, 0.0])
-            entry[0] += measure[i]
-            entry[1] += estimates[i]
-            entry[2] += 1.0
-    return acc
+
+def _lca_table(columns, measure, estimates, sample, codec=None, **kwargs):
+    """The packed LCA table as ``{value tuple: [sum_m, sum_mhat, count]}``."""
+    codec = codec or RowCodec([int(col.max()) + 1 for col in columns])
+    keys, aggs = lca_aggregates_packed(
+        columns, measure, estimates, sample, codec, **kwargs
+    )
+    return {codec.unpack(key): list(agg) for key, agg in zip(keys, aggs)}
+
+
+def _assert_tables_equal(got, expected):
+    assert set(got) == set(expected)
+    for key in expected:
+        assert got[key] == pytest.approx(expected[key])
 
 
 class TestDrawSample:
@@ -65,11 +64,10 @@ class TestLcaAggregates:
         m = flights.measure
         est = np.ones(14)
         sample = draw_sample_rows(flights, 4, rng)
-        got = lca_aggregates_baseline(columns, m, est, sample)
-        expected = _reference_lcas(columns, m, est, sample)
-        assert set(got) == set(expected)
-        for key in expected:
-            assert got[key] == pytest.approx(expected[key])
+        _assert_tables_equal(
+            _lca_table(columns, m, est, sample),
+            lca_table_reference(columns, m, est, sample),
+        )
 
     def test_fast_equals_baseline(self, flights, rng):
         columns = flights.dimension_columns()
@@ -77,15 +75,14 @@ class TestLcaAggregates:
         est = rng.uniform(1, 2, size=14)
         sample = draw_sample_rows(flights, 6, rng)
         index = SampleInvertedIndex(sample, 3)
-        slow = lca_aggregates_baseline(columns, m, est, sample)
-        fast = lca_aggregates_fast(columns, m, est, index, sample)
-        assert set(slow) == set(fast)
-        for key in slow:
-            assert fast[key] == pytest.approx(slow[key])
+        slow = _lca_table(columns, m, est, sample)
+        fast = _lca_table(columns, m, est, sample, index=index)
+        assert fast == slow
 
+    @pytest.mark.parametrize("field", [None, 2**40])
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=25, deadline=None)
-    def test_aggregates_match_oracle_on_random_tables(self, seed):
+    def test_aggregates_match_oracle_on_random_tables(self, field, seed):
         rng = np.random.default_rng(seed)
         n, d = 30, 3
         columns = [rng.integers(0, 3, size=n).astype(np.int64) for _ in range(d)]
@@ -93,19 +90,17 @@ class TestLcaAggregates:
         estimates = rng.uniform(0.5, 2, size=n)
         sample = [tuple(int(col[i]) for col in columns) for i in
                   rng.choice(n, size=4, replace=False)]
-        got = lca_aggregates_baseline(columns, measure, estimates, sample)
-        expected = _reference_lcas(columns, measure, estimates, sample)
-        assert set(got) == set(expected)
-        for key in expected:
-            assert got[key] == pytest.approx(expected[key])
+        codec = None if field is None else RowCodec([field] * d)
+        _assert_tables_equal(
+            _lca_table(columns, measure, estimates, sample, codec),
+            lca_table_reference(columns, measure, estimates, sample),
+        )
 
     def test_pair_totals_preserved(self, flights, rng):
         # The LCA table partitions the |s| x n pairs: counts sum to it.
         columns = flights.dimension_columns()
         sample = draw_sample_rows(flights, 6, rng)
-        acc = lca_aggregates_baseline(
-            columns, flights.measure, np.ones(14), sample
-        )
+        acc = _lca_table(columns, flights.measure, np.ones(14), sample)
         assert sum(v[2] for v in acc.values()) == 6 * 14
 
     def test_fast_charges_fewer_ops_when_values_differ(self, flights, rng):
@@ -114,67 +109,61 @@ class TestLcaAggregates:
         index = SampleInvertedIndex(sample, 3)
         tc_slow = TaskContext(0, 0)
         tc_fast = TaskContext(0, 0)
-        lca_aggregates_baseline(
-            columns, flights.measure, np.ones(14), sample, tc_slow
-        )
-        lca_aggregates_fast(
-            columns, flights.measure, np.ones(14), index, sample, tc_fast
-        )
+        _lca_table(columns, flights.measure, np.ones(14), sample, tc=tc_slow)
+        _lca_table(columns, flights.measure, np.ones(14), sample,
+                   index=index, tc=tc_fast)
         # Flight attributes rarely agree: §4.2 predicts fewer operations.
         assert tc_fast.ops < tc_slow.ops
 
-    def test_fast_requires_index(self, flights, rng):
-        sample = draw_sample_rows(flights, 2, rng)
-        with pytest.raises(DataError):
-            lca_aggregates_fast(
-                flights.dimension_columns(),
-                flights.measure,
-                np.ones(14),
-                None,
-                sample,
-            )
-
 
 class TestMerge:
-    def test_merge_sums_entrywise(self):
-        a = {(1, -1): [1.0, 2.0, 1.0]}
-        b = {(1, -1): [3.0, 1.0, 2.0], (-1, -1): [5.0, 5.0, 5.0]}
-        merged = merge_lca_aggregates([a, b])
-        assert merged[(1, -1)] == [4.0, 3.0, 3.0]
-        assert merged[(-1, -1)] == [5.0, 5.0, 5.0]
-
     def test_merge_of_splits_equals_whole(self, flights, rng):
+        # The reduce side groups the blocks' LCA tables by key.
         columns = flights.dimension_columns()
         m = flights.measure
         est = np.ones(14)
         sample = draw_sample_rows(flights, 4, rng)
-        whole = lca_aggregates_baseline(columns, m, est, sample)
-        first = lca_aggregates_baseline(
-            [c[:7] for c in columns], m[:7], est[:7], sample
+        codec = RowCodec.from_table(flights)
+        whole = _lca_table(columns, m, est, sample, codec)
+        halves = [
+            lca_aggregates_packed([c[part] for c in columns], m[part],
+                                  est[part], sample, codec)
+            for part in (slice(0, 7), slice(7, 14))
+        ]
+        aggs = np.concatenate([a for _, a in halves])
+        keys, sums = group_packed(
+            np.concatenate([k for k, _ in halves]), list(aggs.T)
         )
-        second = lca_aggregates_baseline(
-            [c[7:] for c in columns], m[7:], est[7:], sample
-        )
-        merged = merge_lca_aggregates([first, second])
-        assert set(merged) == set(whole)
-        for key in whole:
-            assert merged[key] == pytest.approx(whole[key])
+        merged = {
+            codec.unpack(key): list(agg)
+            for key, agg in zip(keys, np.stack(sums, axis=1))
+        }
+        _assert_tables_equal(merged, whole)
 
 
 class TestSampleMatchCounts:
+    def _counts(self, candidates, sample, codec):
+        return match_counts_packed(
+            pack_rule_rows(np.array(candidates, dtype=np.int64), codec),
+            pack_rule_rows(np.array(sample, dtype=np.int64), codec),
+            codec,
+        )
+
     def test_thesis_correction_invariant(self, flights, rng):
         # Every candidate generated from LCAs matches >= 1 sample tuple.
         sample = draw_sample_rows(flights, 5, rng)
-        acc = lca_aggregates_baseline(
+        acc = _lca_table(
             flights.dimension_columns(), flights.measure, np.ones(14), sample
         )
         candidates = []
         for key in acc:
             candidates.extend(a.values for a in Rule(key).ancestors())
-        counts = sample_match_counts(candidates, sample)
+        counts = self._counts(candidates, sample,
+                              RowCodec.from_table(flights))
         assert np.all(counts >= 1)
 
-    def test_counts_against_bruteforce(self, rng):
+    @pytest.mark.parametrize("field", [3, 2**40])
+    def test_counts_against_bruteforce(self, field):
         sample = [(0, 1), (0, 2), (1, 1)]
         candidates = [
             (WILDCARD, WILDCARD),  # matches all 3
@@ -182,7 +171,7 @@ class TestSampleMatchCounts:
             (WILDCARD, 1),         # matches 2
             (1, 2),                # matches 0
         ]
-        counts = sample_match_counts(candidates, sample)
+        counts = self._counts(candidates, sample, RowCodec([field] * 2))
         np.testing.assert_array_equal(counts, [3, 2, 2, 0])
 
     def test_chunked_path_consistency(self, rng):
@@ -193,7 +182,8 @@ class TestSampleMatchCounts:
                   for v in rng.integers(0, 3, size=4))
             for _ in range(5000)
         ]
-        counts = sample_match_counts(candidates, sample)
+        with mock.patch.object(lattice_packed, "_MATCH_BLOCK", 1024):
+            counts = self._counts(candidates, sample, RowCodec([3] * 4))
         # Oracle on a few spot indices.
         for idx in [0, 1234, 4999]:
             rule = Rule(candidates[idx])

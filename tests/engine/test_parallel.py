@@ -458,10 +458,9 @@ class TestMiningBitIdentity:
         # the cost model must not notice worker processes either.
         assert serial.metrics == process.metrics
 
-    def test_dict_path_identical_across_executors(self):
-        # Domains too wide for the 63-bit packed codec: candidate
-        # generation takes the pure-Python dict path, the kernels the
-        # process mode exists for.
+    def test_wide_codec_identical_across_executors(self):
+        # Domains too wide for a 63-bit key: candidate generation keys
+        # with Python ints, which process and remote mode pickle.
         spec = SyntheticSpec(
             num_rows=1500,
             cardinalities=[500] * 8,
@@ -476,22 +475,22 @@ class TestMiningBitIdentity:
         from repro.core.codec import RowCodec
 
         assert not RowCodec.from_table(table).fits
+        config = variant_config("fastpruning", k=2, sample_size=16, seed=1)
         results = {}
-        for executor, parallelism in (
-            ("thread", 1), ("thread", 4), ("process", 4),
-        ):
-            result = mine(
-                table, k=2, variant="fastpruning", sample_size=16,
-                seed=1, parallelism=parallelism, executor=executor,
-            )
-            results[(executor, parallelism)] = (
+        for name in EXECUTION_MODES:
+            with ExecutionMode(name) as mode:
+                cluster = mode.cluster()
+                result = Sirum(config).mine(table, cluster=cluster)
+                assert cluster.fallback_stages == 0, name
+            results[name] = (
                 [tuple(m.rule.values) for m in result.rule_set],
-                list(result.lambdas),
+                result.lambdas.tobytes(),
+                result.estimates.tobytes(),
                 result.kl_trace,
                 result.metrics,
             )
-        assert (results[("thread", 1)] == results[("thread", 4)]
-                == results[("process", 4)])
+        for name, result in results.items():
+            assert result == results["serial"], name
 
     def test_mining_identical_across_placement_modes(self):
         """Every execution mode — serial, thread pool, process pool,
