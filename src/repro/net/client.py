@@ -1,4 +1,10 @@
-"""Client for the framed protocol.
+"""Clients for the framed protocol.
+
+:class:`FrameConnection` is the one blocking framed socket: the
+front-door :class:`ServiceClient` below, the driver's
+:class:`~repro.net.worker.ShardWorkerClient` and the shard worker's
+per-connection handler each hold one, so all three read frames, match
+replies to requests and apply a call's deadline the same way.
 
 :class:`ServiceClient` is a plain-socket blocking client whose methods
 mirror the in-process service façade
@@ -25,10 +31,10 @@ import time
 from collections import deque
 
 from repro.common.errors import (
-    ProtocolError,
     ServiceClosedError,
     ServiceError,
     from_wire,
+    to_wire,
 )
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -46,6 +52,124 @@ from repro.net.wire import result_from_wire
 #: Extra socket slack past a server-side blocking wait, so the server's
 #: own (typed) timeout answer beats the client's socket timeout.
 _TIMEOUT_SLACK = 5.0
+
+_ANSWERS = (KIND_RESPONSE, KIND_ERROR)
+
+
+class FrameConnection:
+    """One blocking socket with its frame decoder and an inbox.
+
+    :meth:`call` sends a request and waits for the frame answering it:
+    a ``KIND_RESPONSE``, a ``KIND_ERROR`` or a :class:`FrameError`
+    under the request's id.  Every other frame that arrives meanwhile
+    goes to ``on_frame`` when the caller passes one; otherwise a
+    request, event, GOAWAY or :class:`FrameError` waits in the inbox,
+    in arrival order, for :meth:`next_frame`, and a stale response or
+    error (the answer to a call that already gave up) is dropped.
+    ``timeout`` covers the whole call — the send, every chunk of the
+    answer and whatever ``on_frame`` does meanwhile — and is on the
+    socket before the send.  Request ids count up from ``first_id``:
+    a shard worker starts above ``WORKER_CALLBACK_ID_BASE``, so its
+    calls back to the driver never share an id with the driver's.
+
+    The class lives here, not in :mod:`repro.net.protocol`, because the
+    traced benchmark run (``benchmarks/e2e/trace.py``) times encodes by
+    wrapping ``encode_frame`` in the module that calls it: through this
+    module's name, client, driver and worker encodes all count.
+    """
+
+    def __init__(self, sock, max_frame_bytes, blobs=False, first_id=1):
+        self.sock = sock
+        self.max_frame_bytes = max_frame_bytes
+        self._reassembly = FrameDecoder(max_frame_bytes, blobs=blobs)
+        self._inbox = deque()
+        self._next_ids = itertools.count(first_id)
+
+    def close(self):
+        try:
+            self.sock.close()
+        except OSError:
+            pass
+
+    def send(self, kind, request_id, payload, blobs=()):
+        self.sock.sendall(encode_frame(
+            kind, request_id, payload, self.max_frame_bytes, blobs
+        ))
+
+    def answer(self, request_id, handler):
+        """Send ``handler()``'s ``(payload, blobs)`` as the response to
+        ``request_id``; anything it raises, and an answer over the
+        frame cap, leaves as a typed error under that id instead."""
+        try:
+            payload, blobs = handler()
+            frame = encode_frame(KIND_RESPONSE, request_id, payload,
+                                 self.max_frame_bytes, blobs)
+        except Exception as exc:  # typed errors cross as wire codes
+            frame = encode_frame(KIND_ERROR, request_id, to_wire(exc),
+                                 self.max_frame_bytes)
+        self.sock.sendall(frame)
+
+    def call(self, op, payload, blobs=(), timeout=None, on_frame=None):
+        """Send one request; the response :class:`Frame` answering it.
+
+        An error answer raises its typed exception.  Raises
+        ``socket.timeout`` once ``timeout`` seconds have passed,
+        ``EOFError`` when the peer closes.
+        """
+        request_id = next(self._next_ids)
+        body = dict(payload)
+        body["op"] = op
+        deadline = None if timeout is None else time.monotonic() + timeout
+        # A call's deadline must not outlive it: the worker answers its
+        # running request on this socket after a block fetch returns.
+        previous = self.sock.gettimeout()
+        self.sock.settimeout(timeout)
+        try:
+            self.send(KIND_REQUEST, request_id, body, blobs)
+            answer = None
+            while answer is None:
+                for event in self._read(deadline):
+                    if answer is None and event.request_id == request_id \
+                            and (isinstance(event, FrameError)
+                                 or event.kind in _ANSWERS):
+                        answer = event
+                    elif on_frame is not None:
+                        on_frame(event)
+                    else:
+                        self._keep(event)
+        finally:
+            self.sock.settimeout(previous)
+        if isinstance(answer, FrameError):
+            raise answer.exception
+        if answer.kind == KIND_ERROR:
+            raise from_wire(answer.payload)
+        return answer
+
+    def next_frame(self, deadline=None):
+        """The oldest inbox frame, reading the socket until there is
+        one; ``deadline`` is a ``time.monotonic()`` instant or None."""
+        while not self._inbox:
+            for event in self._read(deadline):
+                self._keep(event)
+        return self._inbox.popleft()
+
+    def _keep(self, event):
+        if isinstance(event, FrameError) or event.kind not in _ANSWERS:
+            self._inbox.append(event)
+
+    def _read(self, deadline):
+        """The frames and frame errors completed by the next chunk."""
+        if deadline is None:
+            self.sock.settimeout(None)
+        else:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise socket.timeout("timed out")
+            self.sock.settimeout(remaining)
+        data = self.sock.recv(64 * 1024)
+        if not data:
+            raise EOFError("peer closed the connection")
+        return self._reassembly.feed(data)
 
 
 class RemoteJob:
@@ -72,7 +196,7 @@ class RemoteJob:
 
 
 class ServiceClient:
-    """Blocking framed-protocol client; one socket, retry on reconnect."""
+    """Blocking framed-protocol client; one connection, retry on reconnect."""
 
     def __init__(self, host, port, tenant=None, timeout=30.0,
                  reconnect=True, max_frame_bytes=DEFAULT_MAX_FRAME_BYTES):
@@ -83,32 +207,26 @@ class ServiceClient:
         self.reconnect = reconnect
         self.max_frame_bytes = max_frame_bytes
         self.goaway_received = False
-        self._request_ids = itertools.count(1)
         self._events = deque()
-        self._frames = deque()  # decoded but not yet consumed
-        self._sock = None
-        self._decoder = None
+        self._connection = None
         self._connect()
 
     # -- connection ----------------------------------------------------
 
     def _connect(self):
-        self._sock = socket.create_connection(
+        sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout
         )
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._decoder = FrameDecoder(self.max_frame_bytes)
-        self._frames.clear()
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._connection = FrameConnection(sock, self.max_frame_bytes)
         if self.tenant is not None:
             self._roundtrip("hello", {"tenant": self.tenant},
                             self.timeout)
 
     def close(self):
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
+        connection, self._connection = self._connection, None
+        if connection is not None:
+            connection.close()
 
     def __enter__(self):
         return self
@@ -119,7 +237,7 @@ class ServiceClient:
     # -- core request/response -----------------------------------------
 
     def _call(self, op, payload, timeout=None):
-        if self._sock is None:
+        if self._connection is None:
             raise ServiceError("client is closed")
         try:
             return self._roundtrip(op, payload, timeout)
@@ -134,7 +252,7 @@ class ServiceClient:
                 self._connect()
                 return self._roundtrip(op, payload, timeout)
             except (ConnectionError, OSError, EOFError) as retry_exc:
-                self._sock = None
+                self.close()
                 if self.goaway_received:
                     raise ServiceClosedError(
                         "server sent GOAWAY and is no longer accepting "
@@ -146,55 +264,25 @@ class ServiceClient:
                 ) from retry_exc
 
     def _roundtrip(self, op, payload, timeout):
-        request_id = next(self._request_ids)
-        body = dict(payload)
-        body["op"] = op
-        self._sock.sendall(
-            encode_frame(KIND_REQUEST, request_id, body,
-                         self.max_frame_bytes)
-        )
         wait = self.timeout if timeout is None else timeout
-        deadline = None if wait is None else time.monotonic() + wait
-        while True:
-            frame = self._read_frame(deadline)
-            if frame.kind == KIND_EVENT:
-                self._events.append({"type": "event", **frame.payload})
-                continue
-            if frame.kind == KIND_GOAWAY:
-                self.goaway_received = True
-                self._events.append({"type": "goaway", **frame.payload})
-                continue
-            if frame.request_id != request_id:
-                continue  # stale response from a pre-reconnect request
-            if frame.kind == KIND_ERROR:
-                raise from_wire(frame.payload)
-            if frame.kind == KIND_RESPONSE:
-                return frame.payload
-            raise ProtocolError(
-                "unexpected frame kind %d from server" % frame.kind
-            )
+        try:
+            return self._connection.call(
+                op, payload, timeout=wait, on_frame=self._on_frame
+            ).payload
+        except socket.timeout:
+            raise ServiceError(
+                "timed out waiting for a server response"
+            ) from None
 
-    def _read_frame(self, deadline):
-        while True:
-            if self._frames:
-                event = self._frames.popleft()
-                if isinstance(event, FrameError):
-                    raise event.exception
-                return event
-            remaining = (
-                None if deadline is None
-                else max(0.001, deadline - time.monotonic())
-            )
-            self._sock.settimeout(remaining)
-            try:
-                data = self._sock.recv(64 * 1024)
-            except socket.timeout:
-                raise ServiceError(
-                    "timed out waiting for a server response"
-                ) from None
-            if not data:
-                raise EOFError("server closed the connection")
-            self._frames.extend(self._decoder.feed(data))
+    def _on_frame(self, frame):
+        """Record an EVENT or GOAWAY; anything else is stale here."""
+        if isinstance(frame, FrameError):
+            return
+        if frame.kind == KIND_EVENT:
+            self._events.append({"type": "event", **frame.payload})
+        elif frame.kind == KIND_GOAWAY:
+            self.goaway_received = True
+            self._events.append({"type": "goaway", **frame.payload})
 
     # -- service façade ------------------------------------------------
 
@@ -261,23 +349,24 @@ class ServiceClient:
 
         Returns a dict with a ``"type"`` key (``"event"`` /
         ``"goaway"``); raises :class:`ServiceError` when ``timeout``
-        passes without one.
+        passes without one or the client is closed.
         """
-        if self._events:
-            return self._events.popleft()
         wait = self.timeout if timeout is None else timeout
         deadline = None if wait is None else time.monotonic() + wait
         while not self._events:
+            if self._connection is None:
+                raise ServiceError("client is closed")
             try:
-                frame = self._read_frame(deadline)
-            except EOFError:
+                frame = self._connection.next_frame(deadline)
+            except socket.timeout:
+                raise ServiceError(
+                    "timed out waiting for a server event"
+                ) from None
+            except (EOFError, OSError):
                 raise ServiceError(
                     "connection closed while waiting for an event"
                 ) from None
-            if frame.kind == KIND_EVENT:
-                self._events.append({"type": "event", **frame.payload})
-            elif frame.kind == KIND_GOAWAY:
-                self.goaway_received = True
-                self._events.append({"type": "goaway", **frame.payload})
-            # RESPONSE/ERROR frames with no waiter are stale; drop them.
+            if isinstance(frame, FrameError):
+                raise frame.exception
+            self._on_frame(frame)
         return self._events.popleft()

@@ -42,10 +42,15 @@ trusted — and raises :class:`~repro.common.errors.ProtocolError`.
 The frame layer is direction-agnostic: on the shard-worker connection
 (:mod:`repro.net.worker`) the *worker* also initiates ``KIND_REQUEST``
 frames back at the driver (``block_fetch``, for colfile block
-shipping), using request ids at or above ``WORKER_CALLBACK_ID_BASE``
-so the two id spaces on the shared socket never collide.  The
-normative wire spec — header layout, op tables for both directions,
-error-code registry and bit-identity encoding rules — lives in
+shipping), using request ids above ``WORKER_CALLBACK_ID_BASE`` so the
+two id spaces on the shared socket never collide.  Every blocking
+endpoint — the front-door client, the driver's worker client and the
+worker's connection handler — reads, matches and answers frames
+through one :class:`repro.net.client.FrameConnection`; the asyncio
+front door (:mod:`repro.net.server`) is the one endpoint with its own
+read loop.  The normative wire spec — header layout, op tables for
+both directions, the reply-matching and deadline rules, error-code
+registry and bit-identity encoding rules — lives in
 ``docs/protocol.md``.
 """
 

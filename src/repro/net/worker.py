@@ -53,7 +53,10 @@ worker dead.
 
 Worker-initiated ops (``DRIVER_OPS`` — the *reverse* direction, sent
 while a ``run_stage`` is executing and answered by the driver's
-client from inside its own wait loop):
+client from inside its own wait for that stage).  Each end speaks
+through a :class:`~repro.net.client.FrameConnection`; the worker's
+counts request ids up from ``WORKER_CALLBACK_ID_BASE + 1``, so the
+two id spaces on the shared socket never meet:
 
 - ``block_fetch`` — colfile block shipping.  A worker that cannot
   resolve an :class:`~repro.data.shm.MmapTableBlock` locally (no
@@ -82,7 +85,6 @@ import socket
 import socketserver
 import threading
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.common.env import positive_env_number
@@ -91,7 +93,6 @@ from repro.common.errors import (
     EngineError,
     FrameTooLargeError,
     ProtocolError,
-    from_wire,
     to_wire,
 )
 from repro.common.eviction import EvictionIndex
@@ -114,15 +115,15 @@ from repro.engine.executors import (
     shippable,
 )
 from repro.engine.task import job_state_stats
+from repro.net.client import FrameConnection
 from repro.net.protocol import (
     KIND_ERROR,
     KIND_REQUEST,
-    KIND_RESPONSE,
     PROTOCOL_VERSION,
-    FrameDecoder,
     FrameError,
-    encode_frame,
 )
+# FrameConnection encodes; benchmarks/e2e/trace.py resolves this name.
+from repro.net.protocol import encode_frame  # noqa: F401
 
 #: Stage outputs (rule aggregates, packed key arrays) are bigger than
 #: front-door payloads; shard frames get a roomier cap.
@@ -334,12 +335,18 @@ class RemoteColFile:
     def _fetch_blocks(self, indices):
         """One ``block_fetch`` round trip; returns index -> raw bytes
         (views into the reply frame)."""
-        reply, blobs = self._connection.call_back("block_fetch", {
-            "path": self.path,
-            "file_key": list(self.file_key),
-            "blocks": [int(i) for i in indices],
-            "want_meta": self.num_rows is None,
-        }, timeout=self._timeout)
+        try:
+            answer = self._connection.call("block_fetch", {
+                "path": self.path,
+                "file_key": list(self.file_key),
+                "blocks": [int(i) for i in indices],
+                "want_meta": self.num_rows is None,
+            }, timeout=self._timeout)
+        except (EOFError, OSError) as exc:  # timed out, closed or reset
+            raise EngineError(
+                "driver did not answer block_fetch: %s" % exc
+            ) from exc
+        reply, blobs = answer.payload, answer.blobs
         if self.num_rows is None:
             self._apply_meta(reply.get("meta") or {})
         fetched = {}
@@ -408,133 +415,49 @@ class _WorkerConnection(socketserver.BaseRequestHandler):
 
     The connection is also the worker's path *back* to the driver:
     while ``run_stage`` executes, a shard that cannot resolve its
-    colfile locally issues ``block_fetch`` requests over this same
-    socket (:meth:`call_back`), and the driver answers from inside its
-    own ``run_stage`` wait loop — one socket, two directions, no extra
-    listener on the driver.
+    colfile locally calls ``block_fetch`` over this same socket
+    (``self.connection.call``), and the driver answers from inside its
+    own ``run_stage`` wait — one socket, two directions, no extra
+    listener on the driver.  Driver requests that arrive during such a
+    call wait in the connection's inbox for this loop.
     """
 
     def setup(self):
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.decoder = FrameDecoder(WORKER_MAX_FRAME_BYTES, blobs=True)
-        self._events = deque()  # decoded, not yet processed
-        self._callback_id = WORKER_CALLBACK_ID_BASE
-
-    def _next_event(self):
-        """The next decoded frame event, or None when the peer is gone."""
-        while True:
-            if self._events:
-                return self._events.popleft()
-            try:
-                data = self.request.recv(1 << 20)
-            except OSError:
-                return None
-            if not data:
-                return None
-            try:
-                self._events.extend(self.decoder.feed(data))
-            except ProtocolError:
-                return None  # unknown protocol version: nothing to salvage
+        self.connection = FrameConnection(
+            self.request, WORKER_MAX_FRAME_BYTES, blobs=True,
+            first_id=WORKER_CALLBACK_ID_BASE + 1,
+        )
 
     def handle(self):
         worker = self.server.shard_worker
-        while not worker.closing:
-            event = self._next_event()
-            if event is None:
-                return
-            if worker.closing:
-                # Stopped while this connection was idle: refuse the
-                # just-arrived request by closing — the driver reads
-                # EOF, marks the worker dead and re-places its shards.
-                return
-            if isinstance(event, FrameError):
-                self._send(KIND_ERROR, event.request_id,
-                           to_wire(event.exception))
-                continue
-            if event.kind != KIND_REQUEST:
-                continue
-            self._dispatch(worker, event)
-
-    def call_back(self, op, payload, timeout=None):
-        """Worker-initiated request to the driver over this connection.
-
-        Sent mid-``run_stage``, while the driver's client is parked in
-        its own wait loop servicing exactly these (``DRIVER_OPS``).
-        Frames for other request ids observed while waiting are stashed
-        and handled after the running dispatch returns, so a
-        well-behaved driver loses nothing.  Returns the answer's
-        ``(payload, blobs)``.
-        """
-        self._callback_id += 1
-        request_id = self._callback_id
-        body = dict(payload)
-        body["op"] = op
-        sock = self.request
-        stashed = []
-        sock.settimeout(timeout)
+        connection = self.connection
         try:
-            sock.sendall(encode_frame(
-                KIND_REQUEST, request_id, body, WORKER_MAX_FRAME_BYTES
-            ))
-            while True:
-                event = self._next_event()
-                if event is None:
-                    raise EngineError(
-                        "driver did not answer %s (connection lost or "
-                        "deadline exceeded)" % op
+            while not worker.closing:
+                frame = connection.next_frame()
+                if worker.closing:
+                    # Stopped while this connection was idle: refuse
+                    # the just-arrived request by closing — the driver
+                    # reads EOF, marks the worker dead and re-places
+                    # its shards.
+                    return
+                if isinstance(frame, FrameError):
+                    connection.send(KIND_ERROR, frame.request_id,
+                                    to_wire(frame.exception))
+                elif frame.kind == KIND_REQUEST:
+                    connection.answer(
+                        frame.request_id,
+                        lambda: self._dispatch(worker, frame),
                     )
-                if isinstance(event, FrameError):
-                    if event.request_id == request_id:
-                        raise event.exception
-                    continue
-                if event.request_id != request_id:
-                    stashed.append(event)
-                    continue
-                if event.kind == KIND_ERROR:
-                    raise from_wire(event.payload)
-                return event.payload, event.blobs
-        except OSError as exc:
-            raise EngineError(
-                "driver connection lost during %s: %s" % (op, exc)
-            ) from exc
-        finally:
-            try:
-                sock.settimeout(None)
-            except OSError:
-                pass
-            for event in reversed(stashed):
-                self._events.appendleft(event)
+        except (EOFError, OSError, ProtocolError):
+            return  # driver gone, or a protocol version we cannot read
 
     def _dispatch(self, worker, frame):
         op = frame.payload.get("op")
         handler = worker.ops.get(op)
         if handler is None:
-            self._send(KIND_ERROR, frame.request_id, to_wire(
-                ProtocolError("unknown worker op %r" % op)
-            ))
-            return
-        try:
-            response, blobs = handler(frame, self)
-        except Exception as exc:  # typed errors cross as wire codes
-            self._send(KIND_ERROR, frame.request_id, to_wire(exc))
-            return
-        self._send(KIND_RESPONSE, frame.request_id, response, blobs)
-
-    def _send(self, kind, request_id, payload, blobs=()):
-        try:
-            frame = encode_frame(
-                kind, request_id, payload, WORKER_MAX_FRAME_BYTES, blobs
-            )
-        except ProtocolError as exc:
-            # An answer that cannot cross the wire (over the cap) is a
-            # typed error under its request id, not a dead connection:
-            # the driver reruns that stage locally and keeps the worker.
-            frame = encode_frame(KIND_ERROR, request_id, to_wire(exc),
-                                 WORKER_MAX_FRAME_BYTES)
-        try:
-            self.request.sendall(frame)
-        except OSError:
-            pass  # driver went away mid-answer; connection loop exits
+            raise ProtocolError("unknown worker op %r" % op)
+        return handler(frame, self.connection)
 
 
 class _WorkerServer(socketserver.ThreadingTCPServer):
@@ -718,19 +641,20 @@ class ShardWorker:
 class ShardWorkerClient:
     """Blocking client a driver holds per remote shard worker.
 
-    One socket, used from one driver thread at a time (:class:`RemoteExecutor`
-    routes each worker's batches through its own thread-pool slot).
-    Connects lazily on first use and verifies the peer with
-    ``worker_hello``.  While waiting for a ``run_stage`` answer the
-    client services the worker's reverse ``block_fetch`` requests
-    inline (:meth:`_serve`), counting ``blocks_shipped`` /
+    One connection, used from one driver thread at a time
+    (:class:`RemoteExecutor` routes each worker's batches through its
+    own thread-pool slot).  Connects lazily on first use and verifies
+    the peer with ``worker_hello``.  While waiting for a ``run_stage``
+    answer the client services the worker's reverse ``block_fetch``
+    requests inline (:meth:`_on_frame`), counting ``blocks_shipped`` /
     ``bytes_shipped``.
 
     ``healthy`` is the executor's routing flag: :meth:`mark_dead` clears
     it when a call times out or the connection drops, and the retry
     loop re-places the dead worker's shards onto the survivors.
     ``timeout`` (default ``REPRO_WORKER_TIMEOUT``, else 120 s) is the
-    per-call deadline that turns a hung worker into a dead one.
+    per-call deadline that turns a hung worker into a dead one; it
+    covers the whole call, the block fetches it serves included.
     """
 
     def __init__(self, address, timeout=None):
@@ -740,17 +664,13 @@ class ShardWorkerClient:
         self.healthy = True
         self.blocks_shipped = 0
         self.bytes_shipped = 0
-        self._sock = None
-        self._decoder = None
-        self._request_id = 0
+        self._connection = None
 
     # -- connection ----------------------------------------------------
 
     def _connect(self):
-        if self._sock is not None:
-            return
         try:
-            self._sock = socket.create_connection(
+            sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
             )
         except OSError as exc:
@@ -758,21 +678,19 @@ class ShardWorkerClient:
                 "cannot reach shard worker %s:%d: %s"
                 % (self.host, self.port, exc)
             ) from exc
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._decoder = FrameDecoder(WORKER_MAX_FRAME_BYTES, blobs=True)
-        hello = self._roundtrip("worker_hello", {})
-        if not hello.payload.get("ok"):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._connection = FrameConnection(
+            sock, WORKER_MAX_FRAME_BYTES, blobs=True
+        )
+        if not self._call("worker_hello", {}).payload.get("ok"):
             raise EngineError(
                 "shard worker %s:%d refused hello" % (self.host, self.port)
             )
 
     def close(self):
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+        connection, self._connection = self._connection, None
+        if connection is not None:
+            connection.close()
 
     def mark_dead(self):
         """Flag the worker unusable and drop the connection.
@@ -792,51 +710,21 @@ class ShardWorkerClient:
 
     # -- request/response ----------------------------------------------
 
-    def _roundtrip(self, op, payload, blobs=()):
-        """Send one request; the answering frame (payload and blobs)."""
-        self._request_id += 1
-        request_id = self._request_id
-        body = dict(payload)
-        body["op"] = op
-        frame = encode_frame(
-            KIND_REQUEST, request_id, body, WORKER_MAX_FRAME_BYTES, blobs
-        )
-        # Before the send: a heartbeat's short deadline must not be the
-        # one the next (largest) request goes out under.
-        self._sock.settimeout(self.timeout)
-        self._sock.sendall(frame)
-        while True:
-            try:
-                data = self._sock.recv(1 << 20)
-            except socket.timeout:
-                raise EngineError(
-                    "shard worker %s:%d did not answer within %.0fs"
-                    % (self.host, self.port, self.timeout)
-                ) from None
-            if not data:
-                raise EngineError(
-                    "shard worker %s:%d closed the connection"
-                    % (self.host, self.port)
-                )
-            for event in self._decoder.feed(data):
-                if isinstance(event, FrameError):
-                    raise event.exception
-                if event.kind == KIND_REQUEST:
-                    # The worker asking *us* for something (block
-                    # shipping) while we wait on its stage answer.
-                    self._serve(event)
-                    continue
-                if event.request_id != request_id:
-                    continue
-                if event.kind == KIND_ERROR:
-                    raise from_wire(event.payload)
-                return event
-
     def _call(self, op, payload, blobs=()):
-        self._connect()
+        """Send one request; the answering frame (payload and blobs)."""
+        if self._connection is None:
+            self._connect()
         try:
-            return self._roundtrip(op, payload, blobs)
-        except (ConnectionError, EOFError, OSError) as exc:
+            return self._connection.call(
+                op, payload, blobs, timeout=self.timeout,
+                on_frame=self._on_frame,
+            )
+        except socket.timeout:
+            raise EngineError(
+                "shard worker %s:%d did not answer within %.3gs"
+                % (self.host, self.port, self.timeout)
+            ) from None
+        except (EOFError, OSError) as exc:
             self.close()
             raise EngineError(
                 "connection to shard worker %s:%d lost: %s"
@@ -845,27 +733,23 @@ class ShardWorkerClient:
 
     # -- reverse RPC: the worker fetches blocks from us ----------------
 
-    def _serve(self, frame):
-        """Answer one worker-initiated request (``DRIVER_OPS``)."""
-        op = frame.payload.get("op")
-        try:
-            if op != "block_fetch":
-                raise ProtocolError(
-                    "unknown worker-initiated op %r" % op
-                )
-            payload, blobs = self._serve_block_fetch(frame.payload)
-            answer = encode_frame(
-                KIND_RESPONSE, frame.request_id, payload,
-                WORKER_MAX_FRAME_BYTES, blobs,
+    def _on_frame(self, frame):
+        """Answer a worker-initiated request (``DRIVER_OPS``) or refuse
+        one that did not decode; anything else is stale here."""
+        if isinstance(frame, FrameError):
+            self._connection.send(KIND_ERROR, frame.request_id,
+                                  to_wire(frame.exception))
+        elif frame.kind == KIND_REQUEST:
+            self._connection.answer(
+                frame.request_id,
+                lambda: self._serve_block_fetch(frame.payload),
             )
-        except Exception as exc:  # typed errors cross as wire codes
-            answer = encode_frame(
-                KIND_ERROR, frame.request_id, to_wire(exc),
-                WORKER_MAX_FRAME_BYTES,
-            )
-        self._sock.sendall(answer)
 
     def _serve_block_fetch(self, payload):
+        if payload.get("op") != "block_fetch":
+            raise ProtocolError(
+                "unknown worker-initiated op %r" % payload.get("op")
+            )
         try:
             path = payload["path"]
             file_key = tuple(payload["file_key"])

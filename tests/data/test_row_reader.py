@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import DataError, ProtocolError
 from repro.data.colfile import ColFileHandle, read_row_range, write_colfile
+from repro.net.protocol import KIND_RESPONSE, Frame
 from repro.net.worker import RemoteColFile, WorkerBlockCache
 
 #: Bytes in front of the block region in the contiguous shape, standing
@@ -106,7 +107,7 @@ class _ScriptedDriver:
         self._tamper = tamper or (lambda index, data: data)
         self.fetched = []
 
-    def call_back(self, op, payload, timeout=None):
+    def call(self, op, payload, blobs=(), timeout=None, on_frame=None):
         assert op == "block_fetch"
         self.fetched.append(list(payload["blocks"]))
         reply = {"blocks": [
@@ -116,10 +117,10 @@ class _ScriptedDriver:
         if payload["want_meta"]:
             reply["meta"] = self._meta
         # Blobs reach the reader as views into one frame body.
-        return reply, [
+        return Frame(KIND_RESPONSE, 0, reply, [
             memoryview(self._tamper(i, self._handle.block_raw_bytes(i)))
             for i in payload["blocks"]
-        ]
+        ])
 
 
 @pytest.fixture
@@ -192,14 +193,16 @@ class TestRemoteChecks:
 
     def test_unanswered_block_is_a_protocol_error(self, handle):
         remote, driver = _remote(handle)
-        answer = driver.call_back
+        answer = driver.call
 
         def drop_block_two(op, payload, timeout=None):
-            reply, blobs = answer(op, payload, timeout)
-            reply["blocks"] = [e for e in reply["blocks"] if e["index"] != 2]
-            return reply, blobs
+            frame = answer(op, payload, timeout=timeout)
+            frame.payload["blocks"] = [
+                e for e in frame.payload["blocks"] if e["index"] != 2
+            ]
+            return frame
 
-        driver.call_back = drop_block_two
+        driver.call = drop_block_two
         with pytest.raises(ProtocolError, match=r"without blocks \[2\]"):
             remote.read_rows(0, 14)
 

@@ -124,6 +124,19 @@ class TestProtocolOps:
                 "worker op %r missing from docs/protocol.md" % op
             )
 
+    def test_run_stage_row_names_its_blob_fields(self, protocol_md):
+        # One batch blob in, one reply blob out: the names the driver's
+        # client writes and reads must be the ones the row documents.
+        source = inspect.getsource(net_worker.ShardWorkerClient.run_stage)
+        assert re.findall(r'"(\w+)": 0', source) == ["batch"]
+        assert re.findall(r'payload\.get\("(\w+)"\)', source) == ["reply"]
+        rows = [line for line in protocol_md.splitlines()
+                if line.startswith("| `run_stage` |")]
+        assert len(rows) == 1, "docs/protocol.md needs one run_stage row"
+        request, response = rows[0].split(" | ")[1:3]
+        assert request.startswith("`batch`:"), request
+        assert response.startswith("`reply`:"), response
+
     def test_driver_ops_documented(self, protocol_md):
         assert net_worker.DRIVER_OPS, "DRIVER_OPS is empty"
         for op in net_worker.DRIVER_OPS:

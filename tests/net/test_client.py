@@ -22,7 +22,7 @@ class TestReconnect:
         assert client.query("SELECT COUNT(*) FROM flights").scalar() == 14
         # Kill the socket out from under the client: the next call
         # transparently reconnects and succeeds.
-        client._sock.shutdown(socket.SHUT_RDWR)
+        client._connection.sock.shutdown(socket.SHUT_RDWR)
         assert client.query("SELECT COUNT(*) FROM flights").scalar() == 14
 
     def test_reconnect_repeats_the_tenant_hello(self, serve_stack,
@@ -30,7 +30,7 @@ class TestReconnect:
         _, server = serve_stack()
         client = connect(server, tenant="alice")
         client.query("SELECT COUNT(*) FROM flights")
-        client._sock.shutdown(socket.SHUT_RDWR)
+        client._connection.sock.shutdown(socket.SHUT_RDWR)
         client.query("SELECT COUNT(*) FROM flights")
         # Both submissions were attributed to the tenant, so the hello
         # was re-sent on the new connection.
@@ -42,7 +42,7 @@ class TestReconnect:
         _, server = serve_stack()
         client = connect(server)
         job = client.submit_mine("flights", **MINE_PARAMS)
-        client._sock.shutdown(socket.SHUT_RDWR)
+        client._connection.sock.shutdown(socket.SHUT_RDWR)
         assert client.result(job.job_id, timeout=20.0) is not None
 
     def test_reconnect_disabled_surfaces_the_loss(self, serve_stack):
@@ -50,7 +50,7 @@ class TestReconnect:
         client = ServiceClient("127.0.0.1", server.port,
                                reconnect=False, timeout=5.0)
         try:
-            client._sock.shutdown(socket.SHUT_RDWR)
+            client._connection.sock.shutdown(socket.SHUT_RDWR)
             with pytest.raises(ServiceError, match="lost"):
                 client.stats()
         finally:
@@ -63,6 +63,28 @@ class TestReconnect:
         client.query("SELECT COUNT(*) FROM flights")
         server.stop()
         with pytest.raises((ServiceClosedError, ServiceError)):
+            client.stats()
+
+
+class TestClosedClient:
+    def test_next_event_on_a_closed_client(self, serve_stack, connect):
+        _, server = serve_stack()
+        client = connect(server)
+        client.close()
+        with pytest.raises(ServiceError, match="client is closed"):
+            client.next_event(timeout=0.1)
+
+    def test_next_event_after_a_failed_reconnect(self, serve_stack,
+                                                 connect):
+        _, server = serve_stack()
+        client = connect(server)
+        server.stop()
+        client._connection.sock.shutdown(socket.SHUT_RDWR)
+        with pytest.raises(ServiceError, match="reconnect failed"):
+            client.stats()
+        with pytest.raises(ServiceError, match="client is closed"):
+            client.next_event(timeout=0.1)
+        with pytest.raises(ServiceError, match="client is closed"):
             client.stats()
 
 

@@ -335,8 +335,7 @@ class TestDisconnects:
         gate = worker_gate(service)
         doomed = connect(server)
         doomed.submit_mine("flights", **MINE_PARAMS)
-        doomed._sock.close()  # abrupt: no goodbye, job is in flight
-        doomed._sock = None
+        doomed.close()  # abrupt: no goodbye, job is in flight
         gate.set()
         deadline = time.monotonic() + 20.0
         while service.stats()["jobs"]["completed"] < 1:

@@ -11,6 +11,7 @@ against a serial run.
 
 import multiprocessing
 import pickle
+import socket
 import threading
 import time
 
@@ -35,6 +36,7 @@ from repro.engine.executors import (
     batch_reply,
     batch_request,
 )
+from repro.net.protocol import KIND_RESPONSE, FrameDecoder, encode_frame
 from repro.net.worker import (
     RemoteExecutor,
     ShardWorker,
@@ -297,6 +299,51 @@ def _slow_once_kernel(tc, part):
 _SLOW_ONCE = []
 
 
+class TestDeadline:
+    def test_a_trickling_worker_times_out_at_the_call_deadline(self):
+        # The fake worker answers worker_hello one byte every 0.2 s:
+        # each read is short, so only a deadline over the whole call
+        # ends it.
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5.0)
+        stop = threading.Event()
+
+        def trickle():
+            sock, _ = listener.accept()
+            with sock:
+                decoder = FrameDecoder(worker_module.WORKER_MAX_FRAME_BYTES,
+                                       blobs=True)
+                frames = []
+                while not frames:
+                    frames = decoder.feed(sock.recv(1 << 16))
+                answer = encode_frame(KIND_RESPONSE, frames[0].request_id,
+                                      {"ok": True, "pad": "x" * 64})
+                for byte in answer:
+                    if stop.wait(0.2):
+                        return
+                    try:
+                        sock.sendall(bytes([byte]))
+                    except OSError:
+                        return
+
+        thread = threading.Thread(target=trickle)
+        thread.start()
+        client = ShardWorkerClient(
+            "127.0.0.1:%d" % listener.getsockname()[1], timeout=0.5
+        )
+        started = time.monotonic()
+        try:
+            with pytest.raises(EngineError, match="within 0.5s"):
+                client.hello()
+            assert time.monotonic() - started < 2.0
+        finally:
+            client.close()
+            stop.set()
+            thread.join(timeout=5.0)
+            listener.close()
+        assert not thread.is_alive()
+
+
 class TestHeartbeat:
     def test_heartbeat_answers_while_alive(self, client):
         assert client.heartbeat() is True
@@ -329,7 +376,8 @@ class TestHeartbeat:
                 return getattr(self._sock, name)
 
         client.hello()
-        spy = client._sock = SpySocket(client._sock)
+        connection = client._connection
+        spy = connection.sock = SpySocket(connection.sock)
         assert client.heartbeat(timeout=0.05) is True
         assert client.hello()["ok"]
         assert spy.send_deadlines == [0.05, client.timeout]
@@ -338,7 +386,7 @@ class TestHeartbeat:
         client.hello()
         client.mark_dead()
         assert not client.healthy
-        assert client._sock is None
+        assert client._connection is None
 
 
 class TestWorkerBlockCache:
@@ -813,8 +861,9 @@ class TestFrameCap:
             with ShardWorkerClient(worker.address) as client:
                 with pytest.raises(FrameTooLargeError):
                     _run(client, _big_output_kernel, [(0, 3)])
+                connection = client._connection
                 assert client.hello()["stages"] == 1
-                assert client._request_id == 3   # one connection, kept
+                assert client._connection is connection  # one, kept
 
     def test_over_cap_reply_reruns_the_stage_locally(self, fleet):
         cluster, workers = fleet
