@@ -3,21 +3,12 @@
 SIRUM's candidate generation is a data-cube computation; the literature
 the thesis builds on offers several algorithms with different
 economics.  This example computes the full cube of a SUSY-shaped table
-with each of them, verifies they agree, shows iceberg pruning, and
-answers queries from a budget-limited partial cube.
+with each of them, verifies they agree, and shows iceberg pruning.
 
 Run:  python examples/cube_algorithms.py
 """
 
-from repro.core.rule import WILDCARD
-from repro.cube import (
-    PartialCube,
-    buc_cube,
-    choose_cuboids,
-    hash_cube,
-    naive_cube,
-    sort_cube,
-)
+from repro.cube import buc_cube, hash_cube, naive_cube, sort_cube
 from repro.data.generators import susy_table
 
 
@@ -54,32 +45,6 @@ def main():
             "  min_support=%-3d -> %6d groups survive"
             % (support, iceberg.num_groups())
         )
-
-    print("\n-- Partial cube under a storage budget ------------------------")
-    full = hash_cube(table)
-    budget = full.num_groups() // 3
-    selected = choose_cuboids(full, budget_groups=budget)
-    partial = PartialCube(full, selected)
-    print(
-        "  budget %d groups -> %d of %d cuboids materialized (%d groups)"
-        % (budget, len(selected), len(full.cuboids), partial.stored_groups())
-    )
-
-    # Answer a SIRUM-style point query: the average measure of a rule.
-    rule = tuple([WILDCARD] * (table.schema.arity - 1) + [0])
-    direct = full.point(rule)
-    answered = partial.point(rule)
-    print(
-        "  point query on (%s): full cube avg=%.4f, partial avg=%.4f "
-        "(roll-up scanned %d groups)"
-        % (
-            ", ".join("*" if v == WILDCARD else str(v) for v in rule),
-            direct.avg,
-            answered.avg,
-            partial.last_answer_cost,
-        )
-    )
-    assert answered == direct
 
 
 if __name__ == "__main__":

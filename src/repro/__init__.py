@@ -8,8 +8,8 @@ Quickstart::
     result = mine(flight_table(), k=3, variant="optimized")
     print(result.rule_set.to_markdown(flight_table()))
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-per-figure reproduction results.
+See README.md for the tour, the figure benchmarks and the layout, and
+docs/ARCHITECTURE.md for the layer map.
 """
 
 from repro.core import (

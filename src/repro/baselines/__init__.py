@@ -1,13 +1,4 @@
-"""Prior-work baselines the thesis positions SIRUM against.
-
-Compared experimentally (§5.6):
-
-- :mod:`~repro.baselines.elgebaly` — interpretable/informative
-  explanations over binary measures [16]: the centralized one-rule-at-
-  a-time miner whose straightforward distributed port is Naive SIRUM;
-- :mod:`~repro.baselines.sarawagi` — user-cognizant data-cube
-  exploration [29]: iterative scaling that resets every multiplier to 1
-  whenever a rule is added, which §5.6.2 shows dominates its runtime.
+"""The data-cleaning comparisons the thesis positions SIRUM against.
 
 Cited as the alternative data-cleansing technology (§1, Chapter 6):
 
@@ -15,19 +6,18 @@ Cited as the alternative data-cleansing technology (§1, Chapter 6):
   support/confidence pattern tableaux over a dirtiness measure;
 - :mod:`~repro.baselines.dataxray` — Data X-Ray [35]: description-
   length cost descent selecting error-explaining features.
+
+The rule-mining prior work of §5.6 runs through the one miner: Naive
+SIRUM is the distributed port of El Gebaly et al. [16], and Sarawagi's
+explorer [29] is ``SirumConfig(exhaustive=True, reset_lambdas=True)``.
 """
 
-from repro.baselines.elgebaly import ElGebalyMiner, binary_kl_divergence
-from repro.baselines.sarawagi import SarawagiExplorer
 from repro.baselines.pattern_tableau import PatternTableau, generate_tableau
 from repro.baselines.dataxray import Diagnosis, diagnose
 
 __all__ = [
     "Diagnosis",
-    "ElGebalyMiner",
     "PatternTableau",
-    "SarawagiExplorer",
-    "binary_kl_divergence",
     "diagnose",
     "generate_tableau",
 ]

@@ -4,9 +4,8 @@ Two generation modes and the scoring step they share:
 
 - sample-pruned (default, thesis §3.1.1): ancestors of LCA(s, D) over
   packed keys with the multiplicity correction, ancestor generation
-  either single-stage or column-grouped (§4.3) —
-  :func:`generate_from_lcas` in one process, the miner's stages on a
-  cluster, both through :mod:`repro.core.lattice_packed`;
+  either single-stage or column-grouped (§4.3) — the miner's stages
+  over :mod:`repro.core.lattice_packed`;
 - exhaustive (§3.1, used by the cube-exploration experiments where
   pruning is disabled): the full data cube of D, computed per cuboid;
 - scoring: Eq. 2.2 gain per candidate (:func:`score_packed`).
@@ -16,10 +15,6 @@ import numpy as np
 
 from repro.common.errors import DataError
 from repro.core.codec import RowCodec, group_packed
-from repro.core.lattice_packed import (
-    generate_ancestors_packed,
-    match_counts_packed,
-)
 from repro.core.rule import Rule
 
 
@@ -67,39 +62,6 @@ class CandidateSet:
         if len(self) == 0:
             raise DataError("no candidate rules were generated")
         return int(np.argmax(self.gains))
-
-
-def generate_from_lcas(keys, aggs, sample_keys, codec, column_groups=None):
-    """Candidate rules from aggregated LCAs (thesis §3.1.1 + §4.3).
-
-    Parameters
-    ----------
-    keys / aggs:
-        The merged LCA table: distinct packed LCA keys and their
-        (sum_m, sum_mhat, count) rows, as
-        :func:`~repro.core.sampling.lca_aggregates_packed` returns them.
-    sample_keys:
-        The sample s packed with ``codec``, for the multiplicity
-        correction.
-    codec:
-        The :class:`~repro.core.codec.RowCodec` of the keys.
-    column_groups:
-        None for single-stage ancestor generation; otherwise the
-        ordered attribute groups of §4.3 (FastAncestor SIRUM).
-
-    The in-process form of the miner's ancestor and gain stages, for
-    callers without a cluster.
-    """
-    rounds = [None] if column_groups is None else list(column_groups)
-    emitted = 0
-    for round_index, group in enumerate(rounds):
-        keys, aggs, count = generate_ancestors_packed(
-            keys, aggs, codec, group=group,
-            instance_weighted=round_index == 0,
-        )
-        emitted += count
-    multiplicities = match_counts_packed(keys, sample_keys, codec)
-    return score_packed(keys, aggs, multiplicities, emitted, codec)
 
 
 def score_packed(keys, aggs, multiplicities, emitted, codec):

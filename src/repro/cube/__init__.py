@@ -3,9 +3,9 @@
 SIRUM's candidate-rule generation *is* a data-cube computation (thesis
 §3.1 uses the MapReduce cube algorithm of Nandi et al. [25]), and the
 related work chapter situates it against hash-based cube computation
-(Agarwal et al. [3]), sort-based distributed computation (Lee et
-al. [22]) and partial cubes (Dehne et al. [15]).  This package
-implements that family over the columnar :class:`~repro.data.table.Table`:
+(Agarwal et al. [3]) and sort-based distributed computation (Lee et
+al. [22]).  This package implements that family over the columnar
+:class:`~repro.data.table.Table`:
 
 - :mod:`repro.cube.cuboid` — the group-by lattice (which attribute
   *sets* exist, distinct from the per-value cube lattice of §2.5);
@@ -14,10 +14,7 @@ implements that family over the columnar :class:`~repro.data.table.Table`:
   pipe-sort style shared-sort computation, and BUC with iceberg
   (minimum-support) pruning;
 - :mod:`repro.cube.materialized` — the result container plus point /
-  slice / roll-up queries;
-- :mod:`repro.cube.partial` — greedy selection of a cuboid subset under
-  a storage budget, answering queries from the nearest materialized
-  ancestor.
+  slice / roll-up queries.
 
 All aggregate (count, SUM(m)) per group, the aggregates SIRUM's gain
 formula needs.
@@ -26,14 +23,11 @@ formula needs.
 from repro.cube.compute import buc_cube, hash_cube, naive_cube, sort_cube
 from repro.cube.cuboid import CuboidLattice
 from repro.cube.materialized import MaterializedCube
-from repro.cube.partial import PartialCube, choose_cuboids
 
 __all__ = [
     "CuboidLattice",
     "MaterializedCube",
-    "PartialCube",
     "buc_cube",
-    "choose_cuboids",
     "hash_cube",
     "naive_cube",
     "sort_cube",

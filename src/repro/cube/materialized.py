@@ -124,7 +124,7 @@ class MaterializedCube:
         """Aggregate cuboid ``from_mask`` down to ancestor ``to_mask``.
 
         Returns the coarser cuboid's groups computed *from* the finer
-        one; used by partial cubes to answer unmaterialized cuboids.
+        one.
         """
         if not self.lattice.is_ancestor(to_mask, from_mask):
             raise DataError("roll_up target must be an ancestor cuboid")

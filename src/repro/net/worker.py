@@ -85,7 +85,7 @@ import socket
 import socketserver
 import threading
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 from repro.common.env import positive_env_number
 from repro.common.errors import (
@@ -831,7 +831,9 @@ class RemoteExecutor:
     exception propagates; anything that cannot cross the wire (a
     kernel, partition, output or exception instance that does not
     pickle or does not load, a frame over the channel's cap) makes the
-    stage unshippable.
+    stage unshippable.  A call that fails any other way (a typed error
+    the worker answered, a malformed reply) raises once every call of
+    its round is back, the lowest slot's first.
 
     A worker that times out or drops its connection mid-stage is
     marked dead (:meth:`ShardWorkerClient.mark_dead`) and its
@@ -895,8 +897,12 @@ class RemoteExecutor:
                 slot: self._pool.submit(clients[slot].run_stage, request)
                 for slot, request in requests.items()
             }
+            # Every call of the round is back before any outcome is
+            # read, so whatever one of them raises, the next stage
+            # finds no client mid-call; the lowest slot's surfaces.
+            wait(futures.values())
             unshippable = had_death = False
-            for slot, future in futures.items():
+            for slot, future in sorted(futures.items()):
                 try:
                     batch_records, batch_failure = batch_reply(
                         future.result()

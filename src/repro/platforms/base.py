@@ -3,8 +3,6 @@
 from repro.common.errors import ConfigError
 from repro.core.config import variant_config
 from repro.core.miner import Sirum
-from repro.engine.cluster import ClusterContext
-from repro.engine.cost import ClusterSpec, CostModel
 
 from repro.platforms.spark_platform import spark_cluster
 from repro.platforms.postgres_sim import postgres_cluster
@@ -74,22 +72,3 @@ def run_baseline_sirum(platform, table, k=10, sample_size=16,
     result = Sirum(config).mine(table, cluster=cluster)
     return result, cluster
 
-
-def _base_spec(num_executors, cores_per_executor, executor_memory_bytes,
-               storage_fraction=0.6, straggler_sigma=0.0, seed=7):
-    return ClusterSpec(
-        num_executors=num_executors,
-        cores_per_executor=cores_per_executor,
-        executor_memory_bytes=executor_memory_bytes,
-        storage_fraction=storage_fraction,
-        straggler_sigma=straggler_sigma,
-        seed=seed,
-    )
-
-
-def _base_cost(**overrides):
-    return CostModel(**overrides)
-
-
-def build_cluster(spec, cost):
-    return ClusterContext(spec, cost)

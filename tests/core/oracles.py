@@ -1,6 +1,6 @@
-"""Test-only reference implementations of the mining kernels.
+"""Test-only reference implementations of the mining kernels and loop.
 
-Two kinds, and nothing under ``src/`` imports either:
+Three kinds, and nothing under ``src/`` imports any of them:
 
 - one-shot packed references: the ``np.unique`` + ``np.bincount``
   group-bys and the per-pattern ancestor loop the kernels used before
@@ -10,12 +10,26 @@ Two kinds, and nothing under ``src/`` imports either:
 - object references over :class:`~repro.core.rule.Rule` tuples and
   dicts: the cube lattice with its §4.3 column-grouped stages, the
   quadratic LCA table and the tuple sample-match count.  They define
-  *which* candidates and aggregates the kernels must produce.
+  *which* candidates and aggregates the kernels must produce;
+- the centralized greedy loop of El Gebaly et al. [16], which Naive
+  SIRUM ports to a cluster.  It runs the packed kernels in one process
+  and defines *which rules*, in which order, ``mine(variant="naive")``
+  must pick.
 """
 
 import numpy as np
 
+from repro.common.rng import make_rng
+from repro.core.candidates import score_packed
+from repro.core.codec import RowCodec
+from repro.core.lattice_packed import (
+    generate_ancestors_packed,
+    match_counts_packed,
+    pack_rule_rows,
+)
 from repro.core.rule import Rule, WILDCARD
+from repro.core.sampling import draw_sample_rows, lca_aggregates_packed
+from repro.core.scaling import iterative_scale
 
 
 def group_packed_reference(keys, weight_columns):
@@ -194,3 +208,55 @@ def sample_match_counts(candidate_rows, sample_rows):
     wild = rules[:, None, :] == WILDCARD
     equal = rules[:, None, :] == sample[None, :, :]
     return np.all(wild | equal, axis=2).sum(axis=1).astype(np.int64)
+
+
+# ----------------------------------------------------------------------
+# Loop reference: centralized El Gebaly et al. [16]
+# ----------------------------------------------------------------------
+
+
+def centralized_naive_rules(table, k, sample_size, seed, epsilon=0.01):
+    """The rule list [16]'s one-rule-per-step greedy loop mines.
+
+    Sample once; then per step: LCAs of the sample over the table,
+    single-stage ancestors, the §3.1.1 multiplicity correction, the
+    highest-gain new rule, and iterative scaling over coverage masks
+    carried on from the previous multipliers.
+    """
+    measure = np.asarray(table.measure, dtype=np.float64)
+    sample_rows = draw_sample_rows(table, sample_size, make_rng(seed))
+    codec = RowCodec.from_table(table)
+    sample_keys = pack_rule_rows(sample_rows, codec)
+    columns = table.dimension_columns()
+
+    rules = [Rule.all_wildcards(table.schema.arity)]
+    masks = [np.ones(len(table), dtype=bool)]
+    scaled = iterative_scale(masks, measure, epsilon=epsilon)
+    while len(rules) - 1 < k:
+        keys, aggs = lca_aggregates_packed(
+            columns, measure, scaled.estimates, sample_rows, codec
+        )
+        keys, aggs, emitted = generate_ancestors_packed(
+            keys, aggs, codec, instance_weighted=True
+        )
+        candidates = score_packed(
+            keys, aggs, match_counts_packed(keys, sample_keys, codec),
+            emitted, codec,
+        )
+        picked = None
+        for idx in candidates.order_by_gain():
+            if candidates.gains[idx] <= 0:
+                break
+            rule = candidates.rule_at(idx)
+            if rule not in rules:
+                picked = rule
+                break
+        if picked is None:
+            break
+        rules.append(picked)
+        masks.append(picked.match_mask(table))
+        scaled = iterative_scale(
+            masks, measure, lambdas=np.append(scaled.lambdas, 1.0),
+            estimates=scaled.estimates, epsilon=epsilon,
+        )
+    return rules

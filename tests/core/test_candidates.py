@@ -9,27 +9,43 @@ from repro.core.candidates import (
     CandidateSet,
     candidate_set_from_cube,
     generate_exhaustive,
-    generate_from_lcas,
     merge_exhaustive,
+    score_packed,
     select_rules,
 )
 from repro.core.codec import RowCodec
 from repro.core.divergence import information_gain
-from repro.core.lattice_packed import pack_rule_rows
+from repro.core.lattice_packed import (
+    generate_ancestors_packed,
+    match_counts_packed,
+    pack_rule_rows,
+)
 from repro.core.rule import Rule, WILDCARD
 from repro.core.sampling import draw_sample_rows, lca_aggregates_packed
 
 
 def _candidates(table, estimates, sample, column_groups=None, codec=None):
-    """LCAs of ``sample`` over ``table``, then candidates and gains."""
+    """LCAs of ``sample`` over ``table``, then candidates and gains.
+
+    The miner's ancestor and gain stages in one process: one ancestor
+    round per column group (§4.3), or a single round.
+    """
     codec = codec or RowCodec.from_table(table)
     keys, aggs = lca_aggregates_packed(
         table.dimension_columns(), table.measure, estimates, sample, codec
     )
-    return generate_from_lcas(
-        keys, aggs, pack_rule_rows(sample, codec), codec,
-        column_groups=column_groups,
+    rounds = [None] if column_groups is None else list(column_groups)
+    emitted = 0
+    for round_index, group in enumerate(rounds):
+        keys, aggs, count = generate_ancestors_packed(
+            keys, aggs, codec, group=group,
+            instance_weighted=round_index == 0,
+        )
+        emitted += count
+    multiplicities = match_counts_packed(
+        keys, pack_rule_rows(sample, codec), codec
     )
+    return score_packed(keys, aggs, multiplicities, emitted, codec)
 
 
 def _rules(candidates):

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.common.errors import DataError
 from repro.core.config import SirumConfig, variant_config
 from repro.core.divergence import kl_divergence
 from repro.core.miner import Sirum, make_default_cluster, mine
 from repro.core.rule import Rule, WILDCARD
+from repro.data.generators import SyntheticSpec, generate
+
+from .oracles import centralized_naive_rules
 
 
 class TestWorkedExample:
@@ -83,6 +87,77 @@ class TestVariantEquivalence:
         # in the same ballpark (thesis §4.4/§5.5 discussion).
         assert multi.final_kl <= base.kl_trace[0]
         assert multi.final_kl <= base.final_kl * 1.8 + 1e-9
+
+
+#: Binary-measure tables for the [16] comparison: (row count,
+#: cardinalities, planted rules, generator seed).
+BINARY_TABLES = {
+    "600x3": (600, [5, 4, 6], 3, 11),
+    "400x4": (400, [3, 4, 3, 5], 2, 12),
+    "800x2": (800, [8, 6], 2, 13),
+}
+
+
+def _binary_table(num_rows, cardinalities, num_planted_rules, seed):
+    spec = SyntheticSpec(
+        num_rows=num_rows,
+        cardinalities=cardinalities,
+        skew=0.6,
+        num_planted_rules=num_planted_rules,
+        planted_arity=2,
+        measure_kind="binary",
+        base_measure=0.25,
+        effect_scale=3.0,
+    )
+    table, _ = generate(spec, seed=seed)
+    return table
+
+
+class TestNaiveMatchesCentralized:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", sorted(BINARY_TABLES))
+    def test_matches_naive_sirum_rules(self, shape, seed):
+        # Naive SIRUM is the distributed port of El Gebaly et al. [16]:
+        # the same greedy choices on the same sample pick the same
+        # rule list as the centralized loop.
+        table = _binary_table(*BINARY_TABLES[shape])
+        distributed = mine(table, k=3, variant="naive", sample_size=32,
+                           seed=seed)
+        assert [m.rule for m in distributed.rule_set] == \
+            centralized_naive_rules(table, k=3, sample_size=32, seed=seed)
+
+    def test_matches_on_a_longer_rule_list(self):
+        table = _binary_table(*BINARY_TABLES["600x3"])
+        distributed = mine(table, k=5, variant="naive", sample_size=32,
+                           seed=0)
+        assert [m.rule for m in distributed.rule_set] == \
+            centralized_naive_rules(table, k=5, sample_size=32, seed=0)
+
+
+class TestNaiveVariant:
+    """Naive SIRUM on a binary measure, the setting of [16]."""
+
+    def test_mines_k_rules_with_decreasing_kl(self):
+        table = _binary_table(*BINARY_TABLES["600x3"])
+        result = mine(table, k=4, variant="naive", sample_size=32, seed=1)
+        assert len(result.rule_set) <= 5
+        assert result.rule_set[0].rule.is_root()
+        assert np.all(np.diff(result.kl_trace) <= 1e-9)
+
+    def test_target_kl_extends_the_rule_list(self):
+        table = _binary_table(*BINARY_TABLES["600x3"])
+        full = mine(table, k=4, variant="naive", sample_size=32, seed=1)
+        extended = mine(table, k=2, variant="naive", sample_size=32,
+                        seed=1, target_kl=full.final_kl, max_rules=8)
+        assert len(extended.rule_set) > 3
+        assert extended.final_kl <= full.final_kl * 1.001
+        assert [m.rule for m in extended.rule_set][:3] == \
+            [m.rule for m in full.rule_set][:3]
+
+    def test_information_gain_positive_on_binary_measure(self):
+        table = _binary_table(*BINARY_TABLES["600x3"])
+        result = mine(table, k=2, variant="naive", sample_size=16, seed=0)
+        assert result.information_gain > 0
 
 
 class TestMultiRule:
@@ -164,12 +239,92 @@ class TestPriorRules:
         rules = [m.rule for m in result.rule_set]
         assert len(set(rules)) == len(rules)
 
+    def test_prior_rule_covering_no_tuple_is_rejected(self, flights):
+        with pytest.raises(DataError, match="cover at least one tuple"):
+            mine(flights, k=1, variant="baseline", sample_size=14,
+                 seed=1, prior_rules=[Rule((6, 6, 6))])
+
 
 class TestExhaustiveMode:
     def test_exhaustive_picks_global_best(self, flights):
         result = mine(flights, k=1, variant="baseline", exhaustive=True)
         london = flights.encoder("Destination").encode_existing("London")
         assert result.rule_set[1].rule == Rule((WILDCARD, WILDCARD, london))
+
+
+class TestCubeExplorationBaseline:
+    """Sarawagi [29] as Figure 5.15 runs it: no candidate pruning, and
+    every multiplier reset whenever a rule is added."""
+
+    def _explore(self, table, k, **overrides):
+        return mine(table, k=k, variant="baseline", exhaustive=True,
+                    reset_lambdas=True, **overrides)
+
+    def test_explores_with_prior_rules(self, flights):
+        london = flights.encoder("Destination").encode_existing("London")
+        prior = [Rule((WILDCARD, WILDCARD, london))]
+        result = self._explore(flights, k=2, prior_rules=prior)
+        rules = [m.rule for m in result.rule_set]
+        assert prior[0] in rules
+        assert len(rules) >= 3
+        assert len(set(rules)) == len(rules)
+
+    def test_reset_scaling_costs_more_iterations(self, flights):
+        # Resetting repeats all prior scaling work for every new rule.
+        reset = self._explore(flights, k=3)
+        carried = mine(flights, k=3, variant="baseline", exhaustive=True)
+        assert reset.scaling_iterations > carried.scaling_iterations
+
+    def test_reset_reaches_the_same_kl(self, flights):
+        reset = self._explore(flights, k=3)
+        carried = mine(flights, k=3, variant="baseline", exhaustive=True)
+        assert reset.final_kl == pytest.approx(carried.final_kl, rel=0.05)
+
+    def test_kl_trace_decreases(self, flights):
+        result = self._explore(flights, k=3)
+        assert np.all(np.diff(result.kl_trace) <= 1e-9)
+
+    def test_bad_prior_rule_rejected(self, flights):
+        with pytest.raises(DataError, match="cover at least one tuple"):
+            self._explore(flights, k=1, prior_rules=[Rule((6, 6, 6))])
+
+
+def _driven_table(seed=7):
+    """A numeric table whose measure is lifted by 25 where attr 1 is 0."""
+    spec = SyntheticSpec(
+        num_rows=1500,
+        cardinalities=[5, 5, 5],
+        skew=0.2,
+        num_planted_rules=0,
+        planted_arity=1,
+        noise_scale=0.3,
+        base_measure=10.0,
+    )
+    table, _ = generate(spec, seed=seed)
+    measure = table.measure.copy()
+    measure[table.dimension_columns()[1] == 0] += 25.0
+    return table.with_measure(measure)
+
+
+class TestNumericMeasure:
+    def test_rules_bind_the_measure_driver(self):
+        table = _driven_table()
+        result = mine(table, k=2, variant="baseline", sample_size=32,
+                      seed=2)
+        assert any(m.rule.values[1] == 0 for m in result.rule_set[1:])
+
+    def test_estimates_in_original_units(self):
+        table = _driven_table()
+        result = mine(table, k=2, variant="baseline", sample_size=32,
+                      seed=2)
+        assert result.estimates.mean() == \
+            pytest.approx(table.measure.mean(), rel=0.05)
+
+    def test_information_gain_positive(self):
+        table = _driven_table()
+        result = mine(table, k=2, variant="baseline", sample_size=32,
+                      seed=2)
+        assert result.information_gain > 0
 
 
 class TestMetrics:

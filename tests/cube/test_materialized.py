@@ -5,7 +5,8 @@ import pytest
 from repro.common.errors import DataError
 from repro.cube import naive_cube
 from repro.cube.materialized import GroupAggregate, MaterializedCube
-from repro.data.generators import flight_table
+from repro.core.rule import WILDCARD
+from repro.data.generators import flight_table, susy_table
 
 
 class TestGroupAggregate:
@@ -66,3 +67,56 @@ class TestMaterializedCube:
     def test_repr_mentions_counts(self, cube):
         text = repr(cube)
         assert "cuboids=8" in text
+
+
+class TestPartialMaterialization:
+    """A cube holding only some cuboids answers the rest by rolling up
+    a materialized descendant."""
+
+    @pytest.fixture(scope="class")
+    def flights(self):
+        return flight_table()
+
+    @pytest.fixture(scope="class")
+    def full(self, flights):
+        return naive_cube(flights)
+
+    @pytest.fixture(scope="class")
+    def base_only(self, flights):
+        return naive_cube(flights, masks=[0b111])
+
+    def test_every_cuboid_answerable_from_base(self, full, base_only):
+        base = base_only.lattice.base_mask
+        for mask, expected in full.cuboids.items():
+            assert base_only.roll_up(base, mask) == expected
+
+    def test_roll_up_from_intermediate_cuboid(self, flights, full):
+        cube = naive_cube(flights, masks=[0b111, 0b011])
+        assert cube.roll_up(0b011, 0b001) == full.cuboids[0b001]
+        assert cube.roll_up(0b011, 0) == full.cuboids[0]
+
+    def test_roll_up_to_non_ancestor_rejected(self, full):
+        with pytest.raises(DataError, match="ancestor"):
+            full.roll_up(0b001, 0b010)
+
+    def test_roll_up_from_unmaterialized_cuboid_rejected(self, base_only):
+        with pytest.raises(DataError, match="not materialized"):
+            base_only.roll_up(0b011, 0b001)
+
+    def test_point_on_unmaterialized_cuboid_rejected(self, flights,
+                                                     base_only):
+        london = flights.encoder("Destination").encode_existing("London")
+        with pytest.raises(DataError, match="not materialized"):
+            base_only.point((WILDCARD, WILDCARD, london))
+
+    def test_consistency_needs_base(self, flights):
+        cube = naive_cube(flights, masks=[0b011, 0b001])
+        assert not cube.consistent_with_base()
+
+    def test_wider_table_rolls_up_to_every_cuboid(self):
+        table = susy_table(num_rows=150, num_dimensions=4, seed=9)
+        full = naive_cube(table)
+        base = full.lattice.base_mask
+        base_only = naive_cube(table, masks=[base])
+        for mask, expected in full.cuboids.items():
+            assert base_only.roll_up(base, mask) == expected

@@ -282,6 +282,62 @@ class TestArchitecture:
             + "\n  ".join(upward)
         )
 
+    def test_unreached_modules_are_listed(self, architecture_md):
+        # Walk the imports from the program's entry points — the
+        # package, the CLI, every figure and the e2e benchmark — and
+        # check that the src/ modules the walk never reaches are
+        # exactly the ones the doc admits to: a module only examples
+        # and tests reach must say so, and one that is reached must not.
+        def module_file(dotted):
+            path = SRC.parent.joinpath(*dotted.split("."))
+            if (path / "__init__.py").is_file():
+                return path / "__init__.py"
+            if path.with_suffix(".py").is_file():
+                return path.with_suffix(".py")
+            return None
+
+        def repro_imports(path):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    yield from (alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    # `from repro.x import y` may name a submodule y.
+                    yield node.module
+                    for alias in node.names:
+                        yield "%s.%s" % (node.module, alias.name)
+
+        every = set()
+        for path in SRC.rglob("*.py"):
+            parts = path.relative_to(SRC.parent).with_suffix("").parts
+            every.add(".".join(parts[:-1] if parts[-1] == "__init__"
+                               else parts))
+        benchmarks = REPO_ROOT / "benchmarks"
+        pending = [SRC / "__init__.py", SRC / "cli.py"]
+        pending += sorted(benchmarks.glob("bench_*.py"))
+        pending += sorted((benchmarks / "e2e").glob("*.py"))
+        reached = {"repro", "repro.cli"}
+        while pending:
+            for target in repro_imports(pending.pop()):
+                parts = target.split(".")
+                # Importing a module runs every enclosing package too.
+                for end in range(1, len(parts) + 1):
+                    dotted = ".".join(parts[:end])
+                    path = module_file(dotted)
+                    if path is not None and dotted not in reached:
+                        reached.add(dotted)
+                        pending.append(path)
+
+        # The list is the paragraph's first sentence.
+        sentence = re.search(r"Reached only by examples and tests:(.*?)\.\s",
+                             architecture_md, re.S).group(1)
+        listed = set(re.findall(r"`(repro(?:\.\w+)*)`", sentence))
+        unreached = every - reached
+        assert listed == unreached, (
+            "docs/ARCHITECTURE.md's \"Reached only by examples and tests\" "
+            "list and the import walk disagree: unlisted %s, reached %s"
+            % (sorted(unreached - listed), sorted(listed - unreached))
+        )
+
     def test_stats_sections_exist(self, architecture_md):
         # The walkthrough's stats() pointers must be real sections.
         from repro.service import RuleMiningService, ServiceConfig

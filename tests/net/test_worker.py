@@ -35,7 +35,9 @@ from repro.engine.executors import (
     StageUnshippable,
     batch_reply,
     batch_request,
+    serve_batch,
 )
+from repro.engine.placement import PlacementTracker
 from repro.net.protocol import KIND_RESPONSE, FrameDecoder, encode_frame
 from repro.net.worker import (
     RemoteExecutor,
@@ -796,6 +798,56 @@ class TestWorkerFailure:
         finally:
             w1.stop()
             w2.stop()
+
+    def test_a_failed_call_waits_for_the_rest_of_its_round(
+            self, monkeypatch):
+        # One worker's call raises something other than a death or an
+        # unshippable batch while the other's is still running: run()
+        # raises only once that call is back, so the next stage finds
+        # no client mid-call.
+        slow = _StubWorkerClient(delay=0.5)
+        failing = _StubWorkerClient(error=ProtocolError("malformed reply"))
+        stubs = {"failing": failing, "slow": slow}
+        monkeypatch.setattr(worker_module, "ShardWorkerClient",
+                            stubs.__getitem__)
+        executor = RemoteExecutor(["failing", "slow"], width=2,
+                                  placement=PlacementTracker())
+        try:
+            with pytest.raises(ProtocolError, match="malformed reply"):
+                executor.run(_identity_kernel, [0, 1])
+            raised = time.monotonic()
+            assert slow.returned and slow.returned[0] <= raised
+            records = executor.run(_identity_kernel, [0, 1, 2])
+            assert [output for output, _ in records] == [0, 1, 2]
+            assert slow.calls == failing.calls == 2
+        finally:
+            executor.close()
+
+
+class _StubWorkerClient:
+    """A worker client that runs batches in-process: after ``delay``
+    seconds, or raising ``error`` on its first call instead."""
+
+    healthy = True
+
+    def __init__(self, delay=0.0, error=None):
+        self.delay = delay
+        self.error = error
+        self.calls = 0
+        self.returned = []
+
+    def run_stage(self, request):
+        self.calls += 1
+        time.sleep(self.delay)
+        error, self.error = self.error, None
+        if error is not None:
+            raise error
+        reply, _ = serve_batch(request)
+        self.returned.append(time.monotonic())
+        return reply
+
+    def close(self):
+        pass
 
 
 def _boom_block_kernel(tc, part):
