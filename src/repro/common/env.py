@@ -1,5 +1,6 @@
 """Numeric settings read from the environment."""
 
+import math
 import os
 
 
@@ -7,10 +8,11 @@ def positive_env_number(name, default, cast, error, expects, floor):
     """``name`` from the environment as a positive number, or ``default``.
 
     Unset and empty (after stripping) both mean unset.  ``cast`` is
-    ``int`` or ``float``; a value it rejects, or one that is not
-    greater than zero, raises ``error`` — the caller's layer's error
-    class — saying the variable must be ``expects`` (what it parses as)
-    or ``floor`` (the range it lies in).
+    ``int`` or ``float``; a value it rejects, one that is not greater
+    than zero, or one that is not finite (``inf``, ``nan``) raises
+    ``error`` — the caller's layer's error class — saying the variable
+    must be ``expects`` (what it parses as) or ``floor`` (the range it
+    lies in).
     """
     value = os.environ.get(name, "").strip()
     if not value:
@@ -19,6 +21,8 @@ def positive_env_number(name, default, cast, error, expects, floor):
         parsed = cast(value)
     except ValueError:
         raise error("%s must be %s, got %r" % (name, expects, value)) from None
+    if isinstance(parsed, float) and not math.isfinite(parsed):
+        raise error("%s must be finite, got %s" % (name, value))
     if not parsed > 0:
         raise error("%s must be %s, got %s" % (name, floor, value))
     return parsed

@@ -52,12 +52,6 @@ class SampleInvertedIndex:
             int(code), np.empty(0, dtype=np.int64)
         )
 
-    def postings_sizes(self, attribute):
-        """Map of code -> posting-list length for one attribute."""
-        return {
-            code: ids.size for code, ids in self._postings[attribute].items()
-        }
-
     def estimated_bytes(self):
         """Broadcast size of the index (it ships with the sample)."""
         total = 0

@@ -262,8 +262,7 @@ class Sirum:
             before mining and do not count toward ``k``.
         sample_rows:
             Encoded dimension tuples to use as the candidate-pruning
-            sample s instead of drawing one from the table (streaming
-            SIRUM supplies its reservoir here).
+            sample s instead of drawing one from the table.
         dataset_state:
             Optional object with ``table``, ``codec`` and ``transform``
             attributes (e.g. the mining service's dataset handle).

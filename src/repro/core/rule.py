@@ -76,9 +76,6 @@ class Rule:
     def arity(self):
         return len(self.values)
 
-    def wildcard_positions(self):
-        return tuple(j for j, v in enumerate(self.values) if v == WILDCARD)
-
     def bound_positions(self):
         """Positions carrying a concrete (non-wildcard) value."""
         return tuple(j for j, v in enumerate(self.values) if v != WILDCARD)

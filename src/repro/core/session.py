@@ -128,10 +128,6 @@ class MiningSession:
     def num_rows(self):
         return len(self.table)
 
-    def partition_slice(self, partition, array):
-        """Slice a session-wide array to one partition's rows."""
-        return array[partition.start:partition.stop]
-
     def measure_ref(self):
         """The measure as a kernel argument.
 

@@ -73,9 +73,6 @@ class SimulatedHdfs:
     def exists(self, name):
         return name in self._files
 
-    def file_size(self, name):
-        return self.read_metadata(name).size_bytes
-
     def read_metadata(self, name):
         """Like :meth:`read` but without charging I/O (namenode lookup)."""
         try:

@@ -53,7 +53,7 @@ from repro.common.errors import DataError
 _ALIGNMENT = 64
 
 #: Attachments kept open per worker process; old ones are closed as new
-#: segments arrive (streaming workloads create a segment per batch).
+#: segments arrive (every mined table and session makes new ones).
 _ATTACHMENT_CAP = 8
 
 _register_patch_lock = threading.Lock()

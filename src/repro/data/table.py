@@ -442,10 +442,6 @@ class FileBackedTable(Table):
     def buffer_pool(self):
         return self._pool
 
-    @property
-    def colfile_path(self):
-        return self._handle.path
-
     # -- out-of-core access --------------------------------------------
 
     def scan(self, dim_predicates=None, measure_range=None):

@@ -437,22 +437,6 @@ class ClusterContext:
             self.metrics.increment("speculative_clones", clones)
         return makespan
 
-    # ------------------------------------------------------------------
-    # Cache access helper
-    # ------------------------------------------------------------------
-
-    def cached_access(self, tc, key, size_bytes):
-        """Access a cached partition inside a task.
-
-        On a cache hit this is free; on a miss the task is charged a
-        disk read of the partition's size (HDFS re-read / recompute, as
-        in thesis §4.5).  The access is deferred and replayed by the
-        driver in partition order, so the charge lands on the stage's
-        task context after the kernel returns rather than inline and
-        the sequence is mode-independent.
-        """
-        tc.request_cache_access(key, size_bytes)
-
     def reset_metrics(self):
         """Start a fresh metrics registry (cache contents are kept)."""
         old = self.metrics

@@ -97,7 +97,15 @@ class TaskContext:
         self.output_bytes += int(n)
 
     def request_cache_access(self, key, size_bytes):
-        """Queue a partition-cache access for deterministic replay."""
+        """Access a cached partition inside a task.
+
+        On a cache hit this is free; on a miss the task is charged a
+        disk read of the partition's size (HDFS re-read / recompute, as
+        in thesis §4.5).  The access is queued and replayed by the
+        driver in partition order, so the charge lands on the task
+        context after the kernel returns, and the hit/miss sequence is
+        the same in every execution mode.
+        """
         self.cache_requests.append((key, int(size_bytes)))
 
     # ------------------------------------------------------------------

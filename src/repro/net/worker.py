@@ -161,12 +161,19 @@ def default_worker_timeout():
 
     Unset/empty means :data:`DEFAULT_WORKER_TIMEOUT`.  The deadline is
     the driver's hang detector: a worker that does not answer within
-    it is treated as dead and its shards are re-placed.
+    it is treated as dead and its shards are re-placed.  It becomes a
+    socket timeout, so it may not exceed ``threading.TIMEOUT_MAX``.
     """
-    return positive_env_number(
+    timeout = positive_env_number(
         "REPRO_WORKER_TIMEOUT", DEFAULT_WORKER_TIMEOUT, float,
         EngineError, "a number of seconds", "positive",
     )
+    if timeout > threading.TIMEOUT_MAX:
+        raise EngineError(
+            "REPRO_WORKER_TIMEOUT must be at most %g seconds, got %g"
+            % (threading.TIMEOUT_MAX, timeout)
+        )
+    return timeout
 
 
 def _blob_at(blobs, index, field):

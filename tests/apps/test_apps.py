@@ -1,4 +1,4 @@
-"""Tests for the application layer (summarization, exploration, cleaning)."""
+"""Tests for the application layer (cube exploration, cleaning)."""
 
 import numpy as np
 import pytest
@@ -8,18 +8,12 @@ from repro.apps import (
     explore_cube,
     group_by_rules,
     lowest_cardinality_dimensions,
-    summarize,
 )
 from repro.common.errors import ConfigError, DataError
 from repro.core.rule import Rule, WILDCARD
 from repro.data.generators import SyntheticSpec, generate
-
-
-class TestSummarize:
-    def test_returns_mining_result(self, flights):
-        result = summarize(flights, k=2, variant="baseline", sample_size=14)
-        assert len(result.rule_set) == 3
-        assert result.rule_set[0].rule.is_root()
+from repro.data.schema import Schema
+from repro.data.table import Table
 
 
 class TestCubeExploration:
@@ -97,3 +91,20 @@ class TestCleaning:
     def test_rejects_non_binary_measure(self, flights):
         with pytest.raises(DataError):
             diagnose_dirty_records(flights, k=2)
+
+    def test_finds_a_systematic_error(self):
+        # Every dirty record comes from one feed and entry type; the
+        # informative rules name that source (thesis §1, Table 1.5).
+        rng = np.random.default_rng(0)
+        rows = [("feed2", "auto", rng.choice(["a", "b", "c"]), 1.0)
+                for _ in range(20)]
+        rows += [(rng.choice(["feed1", "feed3"]),
+                  rng.choice(["auto", "manual"]),
+                  rng.choice(["a", "b", "c"]), 0.0)
+                 for _ in range(60)]
+        schema = Schema(["source", "entry_type", "category"], "is_dirty")
+        table = Table.from_rows(schema, rows)
+        _result, findings = diagnose_dirty_records(table, k=3)
+        decoded = [finding.decode(table) for finding in findings]
+        assert any("feed2" in values or "auto" in values
+                   for values in decoded)

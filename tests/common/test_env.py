@@ -29,7 +29,7 @@ def test_numeric_env_variable(monkeypatch, name, read, default, error,
         assert read() == default
     monkeypatch.setenv(name, valid)
     assert read() == parsed
-    for bad in ("lots", "0", "-1"):
+    for bad in ("lots", "0", "-1", "inf", "-inf", "nan"):
         monkeypatch.setenv(name, bad)
         with pytest.raises(error, match=name):
             read()

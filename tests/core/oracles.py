@@ -1,6 +1,6 @@
 """Test-only reference implementations of the mining kernels and loop.
 
-Three kinds, and nothing under ``src/`` imports any of them:
+Four kinds, and nothing under ``src/`` imports any of them:
 
 - one-shot packed references: the ``np.unique`` + ``np.bincount``
   group-bys and the per-pattern ancestor loop the kernels used before
@@ -11,6 +11,9 @@ Three kinds, and nothing under ``src/`` imports any of them:
   dicts: the cube lattice with its §4.3 column-grouped stages, the
   quadratic LCA table and the tuple sample-match count.  They define
   *which* candidates and aggregates the kernels must produce;
+- the naive data cube, one group-by per cuboid, which the SQL engine's
+  ``GROUP BY CUBE`` and the mined rules' aggregates are checked against
+  (``tests/integration/test_cross_subsystem.py``);
 - the centralized greedy loop of El Gebaly et al. [16], which Naive
   SIRUM ports to a cluster.  It runs the packed kernels in one process
   and defines *which rules*, in which order, ``mine(variant="naive")``
@@ -208,6 +211,44 @@ def sample_match_counts(candidate_rows, sample_rows):
     wild = rules[:, None, :] == WILDCARD
     equal = rules[:, None, :] == sample[None, :, :]
     return np.all(wild | equal, axis=2).sum(axis=1).astype(np.int64)
+
+
+# ----------------------------------------------------------------------
+# Cube reference: one group-by per cuboid
+# ----------------------------------------------------------------------
+
+
+def naive_cube(table):
+    """Every cuboid of ``table``'s data cube as ``{mask: {key: (count, sum)}}``.
+
+    Bit ``j`` of ``mask`` set means dimension ``j`` is grouped; ``key``
+    holds the grouped dimensions' codes in position order, so the
+    apex is ``cube[0][()]`` (thesis §2.5).  Each cuboid is its own
+    pass over the rows, sharing no work with any other.
+    """
+    columns = table.dimension_columns()
+    measure = table.measure
+    arity = len(columns)
+    cube = {}
+    for mask in range(1 << arity):
+        positions = [j for j in range(arity) if mask >> j & 1]
+        groups = {}
+        for i in range(len(table)):
+            key = tuple(int(columns[j][i]) for j in positions)
+            count, total = groups.get(key, (0, 0.0))
+            groups[key] = (count + 1, total + float(measure[i]))
+        cube[mask] = groups
+    return cube
+
+
+def cube_point(cube, values):
+    """``(count, sum)`` of the group a rule's value tuple names."""
+    mask = 0
+    for j, value in enumerate(values):
+        if value != WILDCARD:
+            mask |= 1 << j
+    key = tuple(value for value in values if value != WILDCARD)
+    return cube[mask][key]
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,11 @@ class TestWorkedExample:
         assert decoded[1] == ("*", "*", "London")
         assert set(decoded[2:]) == {("Fri", "*", "*"), ("Sat", "*", "*")}
 
+    def test_k_rules_follow_the_root(self, flights):
+        result = mine(flights, k=2, variant="baseline", sample_size=14)
+        assert len(result.rule_set) == 3
+        assert result.rule_set[0].rule.is_root()
+
     def test_rule_aggregates_match_table_1_2(self, flights):
         result = mine(
             flights, k=3, variant="baseline", sample_size=14, seed=1

@@ -130,7 +130,7 @@ class TestCachedAccess:
         cluster = make_cluster()
 
         def kernel(tc, part):
-            cluster.cached_access(tc, "p0", 500)
+            tc.request_cache_access("p0", 500)
             return None
 
         first = cluster.run_stage(kernel, [0])

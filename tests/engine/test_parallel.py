@@ -177,7 +177,7 @@ class TestParallelStage:
         # partition order.
         def workload(cluster):
             def kernel(tc, part):
-                cluster.cached_access(tc, ("data", part), 200_000)
+                tc.request_cache_access(("data", part), 200_000)
                 tc.add_records(10)
                 return part
 
@@ -202,7 +202,7 @@ class TestParallelStage:
         cluster = make_cluster(parallelism=4)
 
         def kernel(tc, part):
-            cluster.cached_access(tc, ("p", part), 100 * (part + 1))
+            tc.request_cache_access(("p", part), 100 * (part + 1))
             return part
 
         result = cluster.run_stage(kernel, range(4))
@@ -370,45 +370,16 @@ class TestPoolLifecycle:
             assert set(id(t) for t in stage_threads()) <= before
         assert set(id(t) for t in stage_threads()) <= before
 
-    def test_streaming_context_manager_closes_cluster(self, monkeypatch):
-        from repro.streaming import IncrementalSirum
-
-        monkeypatch.setattr(
-            "repro.streaming.incremental.make_default_cluster",
-            lambda: make_default_cluster(parallelism=4),
-        )
-        table = synthetic_table(num_rows=900)
-        batches = [table.slice(i * 300, (i + 1) * 300) for i in range(3)]
-        before = set(id(t) for t in stage_threads())
-        config = variant_config("optimized", k=2, sample_size=16, seed=0)
-        with IncrementalSirum(config) as miner:
-            for batch in batches:
-                miner.process(batch)
-        assert set(id(t) for t in stage_threads()) <= before
-
-    def test_streaming_leaves_caller_supplied_cluster_open(self):
-        from repro.streaming import IncrementalSirum
-
+    def test_mine_leaves_caller_supplied_cluster_open(self):
         before = live_workers()
         cluster = make_default_cluster(parallelism=4)
         config = variant_config("optimized", k=2, sample_size=16, seed=0)
-        with IncrementalSirum(config, cluster=cluster) as miner:
-            miner.process(synthetic_table(num_rows=300))
+        Sirum(config).mine(synthetic_table(num_rows=300), cluster=cluster)
         # The caller owns this cluster: its workers (whichever executor
-        # kind the environment selected) must survive the exit.
+        # kind the environment selected) must survive the call.
         assert live_workers() - before
         cluster.close()
         assert live_workers() <= before
-
-    def test_streaming_close_is_idempotent(self):
-        from repro.streaming import IncrementalSirum
-
-        miner = IncrementalSirum(
-            variant_config("optimized", k=2, sample_size=16, seed=0)
-        )
-        miner.process(synthetic_table(num_rows=300))
-        miner.close()
-        miner.close()
 
 
 class TestMiningBitIdentity:

@@ -1,20 +1,20 @@
-"""Cross-subsystem agreement: SQL engine vs cube package vs miner.
+"""Cross-subsystem agreement: SQL engine vs naive cube vs miner.
 
 Three independent implementations compute candidate-rule aggregates:
-the SQL engine's GROUP BY CUBE, the cube package's algorithms, and the
-miner's exhaustive candidate generation.  They were written against the
-same definitions (thesis §2.5, §3.1) and must agree exactly.
+the SQL engine's GROUP BY CUBE, the test oracle's naive cube (one
+group-by per cuboid, ``tests/core/oracles.py``), and the miner's
+exhaustive candidate generation.  They were written against the same
+definitions (thesis §2.5, §3.1) and must agree exactly.
 """
 
 import pytest
 
 from repro.core.miner import mine
 from repro.core.rule import WILDCARD
-from repro.cube import hash_cube
-from repro.cube.cuboid import positions_of
 from repro.data.generators import flight_table, susy_table
 from repro.platforms.sql_sirum import SqlSirum
 from repro.sql import SqlEngine
+from tests.core.oracles import cube_point, naive_cube
 
 #: Long-running suite: excluded from the fast loop (-m 'not slow').
 pytestmark = pytest.mark.slow
@@ -25,8 +25,8 @@ def flights():
     return flight_table()
 
 
-class TestSqlVersusCubePackage:
-    def test_cube_query_matches_hash_cube(self, flights):
+class TestSqlVersusNaiveCube:
+    def test_cube_query_matches_naive_cube(self, flights):
         engine = SqlEngine()
         engine.register_table("f", flights)
         dims = list(flights.schema.dimensions)
@@ -41,9 +41,9 @@ class TestSqlVersusCubePackage:
                 ", ".join('"%s"' % d for d in dims),
             )
         )
-        cube = hash_cube(flights)
+        cube = naive_cube(flights)
         arity = len(dims)
-        assert len(result) == cube.num_groups()
+        assert len(result) == sum(len(groups) for groups in cube.values())
         for row in result.rows:
             values = row[:arity]
             bits = row[arity:2 * arity]
@@ -56,20 +56,18 @@ class TestSqlVersusCubePackage:
                     key.append(
                         flights.encoder(dims[j]).encode_existing(values[j])
                     )
-            agg = cube.cuboids[mask][tuple(key)]
-            assert agg.count == count
-            assert agg.sum_measure == pytest.approx(total)
+            assert cube[mask][tuple(key)] == (count, pytest.approx(total))
 
     def test_point_queries_match_sql_filters(self, flights):
         engine = SqlEngine()
         engine.register_table("f", flights)
-        cube = hash_cube(flights)
+        cube = naive_cube(flights)
         london = flights.encoder("Destination").encode_existing("London")
-        agg = cube.point((WILDCARD, WILDCARD, london))
+        point = cube_point(cube, (WILDCARD, WILDCARD, london))
         row = engine.query(
             "SELECT COUNT(*), SUM(Delay) FROM f WHERE Destination = 'London'"
         ).rows[0]
-        assert (agg.count, agg.sum_measure) == (row[0], pytest.approx(row[1]))
+        assert point == (row[0], pytest.approx(row[1]))
 
 
 class TestSqlSirumVersusOperatorMiner:
@@ -84,12 +82,12 @@ class TestSqlSirumVersusOperatorMiner:
 
     def test_cube_point_answers_rule_aggregates(self, flights):
         """Every mined rule's (avg, count) is answerable from the cube."""
-        cube = hash_cube(flights)
+        cube = naive_cube(flights)
         result = mine(flights, k=3, variant="naive", exhaustive=True)
         for mined in result.rule_set:
-            agg = cube.point(mined.rule.values)
-            assert agg.count == mined.count
-            assert agg.avg == pytest.approx(mined.avg_measure)
+            count, total = cube_point(cube, mined.rule.values)
+            assert count == mined.count
+            assert total / count == pytest.approx(mined.avg_measure)
 
 
 class TestColfileRoundTripThroughMiner:

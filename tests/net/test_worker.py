@@ -471,9 +471,22 @@ class TestWorkerBlockCache:
 
         monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "7.5")
         assert default_worker_timeout() == 7.5
+        monkeypatch.setenv("REPRO_WORKER_TIMEOUT",
+                           repr(threading.TIMEOUT_MAX))
+        assert default_worker_timeout() == threading.TIMEOUT_MAX
         monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "-1")
         with pytest.raises(EngineError):
             default_worker_timeout()
+
+    @pytest.mark.parametrize("value", ["inf", "2e10"])
+    def test_unusable_timeout_is_typed_before_first_contact(
+            self, monkeypatch, worker, value):
+        # A deadline no socket can take fails typed, naming the
+        # variable, not as socket.create_connection's OverflowError.
+        monkeypatch.setenv("REPRO_WORKER_TIMEOUT", value)
+        with pytest.raises(EngineError, match="REPRO_WORKER_TIMEOUT"):
+            with ShardWorkerClient(worker.address) as client:
+                client.hello()
 
 
 class TestBlockShipping:

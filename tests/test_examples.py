@@ -26,12 +26,9 @@ EXPECTED = {
     "service_session.py": ["cache hits", "coalesced", "service drained"],
     "net_client.py": ["serving on 127.0.0.1", "bit-identical",
                       "cache_hit=True", "server drained"],
-    "cube_algorithms.py": ["Iceberg pruning", "[ok]"],
-    "cleaning_comparison.py": ["Data Auditor", "aggregator7"],
     "data_cleaning.py": [],
     "cube_exploration.py": [],
     "scalability_tour.py": [],
-    "streaming_rules.py": [],
 }
 
 
