@@ -171,9 +171,29 @@ def _close_quietly(segment):
     try:
         segment.close()
     except BufferError:
-        # Live views still reference the mapping; dropping our handle
-        # is enough — the mapping is released when the views go away.
-        pass
+        # Live views (:func:`_segment_view`) still pin the mapping; they
+        # keep the mmap object alive and its pages are unmapped when
+        # the last of them goes.  Drop our reference and close the
+        # descriptor now, so the handle's own finalizer has nothing
+        # left to close.
+        segment._mmap = None
+        segment.close()
+
+
+def _segment_view(segment, offset, dtype, shape):
+    """A NumPy view of ``segment``'s bytes that pins its mapping.
+
+    ``np.frombuffer`` holds a buffer export for the view's lifetime, so
+    closing the segment while the view lives raises ``BufferError``
+    instead of unmapping pages the view still reads.
+    ``np.ndarray(buffer=...)`` would release its export at once and
+    keep only the mmap object, which ``close`` then unmaps under it.
+    """
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape, dtype=np.int64))
+    return np.frombuffer(
+        segment.buf, dtype=dtype, count=count, offset=offset
+    ).reshape(shape)
 
 
 _segments = _AttachmentCache(_attach_segment, _close_quietly)
@@ -413,8 +433,7 @@ class SharedArrayPack:
         segment = _create_segment(max(1, offset))
         views = []
         for a, (off, dtype, shape) in zip(arrays, specs):
-            view = np.ndarray(shape, dtype=np.dtype(dtype),
-                              buffer=segment.buf, offset=off)
+            view = _segment_view(segment, off, dtype, shape)
             view[...] = a
             views.append(view)
         pack = cls(segment.name, specs)
@@ -432,8 +451,7 @@ class SharedArrayPack:
             segment = attached_segment(self.name)
             views = []
             for off, dtype, shape in self.specs:
-                view = np.ndarray(shape, dtype=np.dtype(dtype),
-                                  buffer=segment.buf, offset=off)
+                view = _segment_view(segment, off, dtype, shape)
                 view.setflags(write=False)
                 views.append(view)
             self._arrays = views

@@ -61,6 +61,32 @@ class TestCubeExploration:
         # Root + the groups of the two smallest dimensions (2 + 3).
         assert len(prior_rules) == 1 + 2 + 3
 
+    @pytest.mark.parametrize("dimension", ["Day", "Origin", "Destination"])
+    def test_group_by_rules_partition_the_rows(self, flights, dimension):
+        # The cells of one group-by are disjoint and cover every row.
+        covered = np.zeros(len(flights), dtype=np.int64)
+        for rule in group_by_rules(flights, dimension):
+            covered += rule.match_mask(flights)
+        assert (covered == 1).all()
+
+    def test_explored_estimates_satisfy_prior_cells(self):
+        # The analyst's group-by cells are constraints the estimate
+        # keeps while new rules are added.
+        spec = SyntheticSpec(
+            num_rows=300, cardinalities=[2, 8, 3],
+            num_planted_rules=2, effect_scale=15.0,
+        )
+        table, _ = generate(spec, seed=2)
+        result = explore_cube(table, k=2)
+        epsilon = result.config.epsilon
+        for mined in result.rule_set:
+            if mined.iteration != 0:
+                continue
+            mask = mined.rule.match_mask(table)
+            target = table.measure[mask].mean()
+            estimate = result.estimates[mask].mean()
+            assert abs(target - estimate) <= epsilon * 3 * abs(target)
+
 
 class TestCleaning:
     def _dirty_table(self):
@@ -91,6 +117,34 @@ class TestCleaning:
     def test_rejects_non_binary_measure(self, flights):
         with pytest.raises(DataError):
             diagnose_dirty_records(flights, k=2)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0])
+    def test_rejects_any_non_binary_value(self, bad):
+        schema = Schema(["source"], "is_dirty")
+        rows = [("a", 0.0), ("b", 1.0), ("c", bad)]
+        with pytest.raises(DataError, match="0/1 dirtiness"):
+            diagnose_dirty_records(Table.from_rows(schema, rows), k=1)
+
+    def test_findings_exclude_the_root_and_empty_rules(self):
+        table, _ = self._dirty_table()
+        result, findings = diagnose_dirty_records(
+            table, k=3, variant="baseline", sample_size=32
+        )
+        assert result.rule_set[0].rule.is_root()
+        assert all(not f.rule.is_root() and f.count > 0 for f in findings)
+        assert len(findings) == len(result.rule_set) - 1
+
+    def test_finding_rates_are_the_covered_dirty_rates(self):
+        table, _ = self._dirty_table()
+        _result, findings = diagnose_dirty_records(
+            table, k=3, variant="baseline", sample_size=32
+        )
+        for finding in findings:
+            mask = finding.rule.match_mask(table)
+            assert finding.count == int(mask.sum())
+            assert finding.avg_measure == pytest.approx(
+                table.measure[mask].mean()
+            )
 
     def test_finds_a_systematic_error(self):
         # Every dirty record comes from one feed and entry type; the

@@ -249,6 +249,51 @@ class TestPriorRules:
             mine(flights, k=1, variant="baseline", sample_size=14,
                  seed=1, prior_rules=[Rule((6, 6, 6))])
 
+    @pytest.mark.parametrize("destination", ["London", "Frankfurt"])
+    def test_estimates_satisfy_prior_rule_constraints(self, flights,
+                                                      destination):
+        # Prior rules are constraints of the maximum-entropy estimate
+        # like mined ones: the estimates over each covered set average
+        # to the measure's average there (thesis §5.6.2).
+        code = flights.encoder("Destination").encode_existing(destination)
+        prior = [Rule((WILDCARD, WILDCARD, code))]
+        result = mine(flights, k=2, variant="baseline", sample_size=14,
+                      seed=1, prior_rules=prior)
+        epsilon = result.config.epsilon
+        for mined in result.rule_set:
+            mask = mined.rule.match_mask(flights)
+            target = flights.measure[mask].mean()
+            estimate = result.estimates[mask].mean()
+            assert abs(target - estimate) <= epsilon * 3 * abs(target)
+
+
+class TestSuppliedSample:
+    """A caller-supplied pruning sample replaces the drawn one."""
+
+    @pytest.mark.parametrize("variant", ["baseline", "optimized"])
+    @pytest.mark.parametrize("row", [0, 5, 8])
+    def test_rules_are_ancestors_of_the_sample(self, flights, variant, row):
+        # Candidates are ancestors of LCA(s, D), so with s one tuple
+        # every mined rule generalizes that tuple.
+        sample = [flights.encoded_row(row)]
+        result = Sirum(variant_config(variant, k=3, seed=0)).mine(
+            flights, sample_rows=sample
+        )
+        assert len(result.rule_set) > 1
+        for mined in result.rule_set:
+            assert mined.rule.is_ancestor_of(Rule.from_tuple(sample[0]))
+
+    def test_whole_table_sample_matches_drawn_whole_table(self, flights):
+        rows = [flights.encoded_row(i) for i in range(len(flights))]
+        supplied = Sirum(variant_config("baseline", k=3, seed=1)).mine(
+            flights, sample_rows=rows
+        )
+        drawn = mine(flights, k=3, variant="baseline", sample_size=14,
+                     seed=1)
+        assert ([m.rule for m in supplied.rule_set]
+                == [m.rule for m in drawn.rule_set])
+        assert supplied.kl_trace == pytest.approx(drawn.kl_trace)
+
 
 class TestExhaustiveMode:
     def test_exhaustive_picks_global_best(self, flights):

@@ -169,6 +169,108 @@ class TestAncestors:
         assert list(root.ancestors()) == [root]
 
 
+def _all_rules(arity, domain):
+    """Every rule over ``arity`` attributes with codes ``0..domain-1``."""
+    import itertools
+
+    choices = [WILDCARD] + list(range(domain))
+    return [Rule(values) for values in itertools.product(choices,
+                                                         repeat=arity)]
+
+
+class TestLatticeStructure:
+    """The cube lattice CL(t) of thesis §2.5, navigated through rules."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4, 5])
+    def test_levels_are_binomial(self, arity):
+        from math import comb
+
+        rule = Rule.from_tuple(tuple(range(arity)))
+        levels = [0] * (arity + 1)
+        for ancestor in rule.ancestors():
+            levels[ancestor.num_bound] += 1
+        assert levels == [comb(arity, n) for n in range(arity + 1)]
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_parent_child_duality(self, arity):
+        # Every parent of an ancestor is an ancestor with one fewer
+        # bound attribute, and only its children list it as a parent.
+        rule = Rule.from_tuple(tuple(range(arity)))
+        lattice = list(rule.ancestors())
+        for child in lattice:
+            for parent in child.parents():
+                assert parent in lattice
+                assert parent.is_ancestor_of(child)
+                assert parent.num_bound == child.num_bound - 1
+        for parent in lattice:
+            children = [c for c in lattice if parent in set(c.parents())]
+            assert len(children) == arity - parent.num_bound
+
+    def test_root_has_no_parents(self):
+        assert list(Rule.all_wildcards(3).parents()) == []
+
+    def test_bound_rule_has_a_parent_per_bound_attribute(self):
+        rule = Rule((1, WILDCARD, 3, 0))
+        parents = set(rule.parents())
+        assert parents == {
+            Rule((WILDCARD, WILDCARD, 3, 0)),
+            Rule((1, WILDCARD, WILDCARD, 0)),
+            Rule((1, WILDCARD, 3, WILDCARD)),
+        }
+
+    def test_ancestor_relation_is_reflexive(self):
+        for rule in _all_rules(3, 2):
+            assert rule.is_ancestor_of(rule)
+
+    def test_ancestor_relation_is_antisymmetric(self):
+        rules = _all_rules(2, 3)
+        for a in rules:
+            for b in rules:
+                if a.is_ancestor_of(b) and b.is_ancestor_of(a):
+                    assert a == b
+
+    def test_ancestor_relation_is_transitive(self):
+        rules = _all_rules(2, 2)
+        for a in rules:
+            for b in rules:
+                if not a.is_ancestor_of(b):
+                    continue
+                for c in rules:
+                    if b.is_ancestor_of(c):
+                        assert a.is_ancestor_of(c)
+
+    def test_ancestors_are_exactly_the_ancestor_relation(self):
+        rules = _all_rules(3, 2)
+        for rule in rules:
+            expected = {a for a in rules if a.is_ancestor_of(rule)}
+            assert set(rule.ancestors()) == expected
+
+    def test_generalize_nothing_is_identity(self):
+        rule = Rule((1, 2, 3))
+        assert rule.generalize([]) == rule
+
+    def test_generalize_everything_is_the_root(self):
+        rule = Rule((1, 2, 3))
+        assert rule.generalize(range(3)).is_root()
+
+    def test_ancestor_covers_every_row_its_descendant_covers(self, flights):
+        for i in range(len(flights)):
+            rule = Rule.from_tuple(flights.encoded_row(i))
+            covered = rule.match_mask(flights)
+            for ancestor in rule.ancestors():
+                wider = ancestor.match_mask(flights)
+                assert (wider | covered == wider).all()
+
+    def test_disjoint_rules_cover_disjoint_rows(self, flights):
+        rules = {Rule.from_tuple(flights.encoded_row(i)).generalize([1])
+                 for i in range(len(flights))}
+        for a in rules:
+            for b in rules:
+                if a.is_disjoint(b):
+                    assert not (a.match_mask(flights)
+                                & b.match_mask(flights)).any()
+
+
 class TestDecode:
     def test_decode_uses_table_encoders(self, flights):
         london = flights.encoder("Destination").encode_existing("London")

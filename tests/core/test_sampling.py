@@ -57,6 +57,45 @@ class TestDrawSample:
         with pytest.raises(DataError, match="sample size must be positive"):
             draw_sample_rows(flights, 0, rng)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_seed_same_sample(self, small_gdelt, seed):
+        first = draw_sample_rows(small_gdelt, 16, np.random.default_rng(seed))
+        again = draw_sample_rows(small_gdelt, 16, np.random.default_rng(seed))
+        assert first == again
+
+    def test_seeds_draw_different_samples(self, small_gdelt):
+        samples = {
+            tuple(draw_sample_rows(small_gdelt, 16,
+                                   np.random.default_rng(seed)))
+            for seed in range(5)
+        }
+        assert len(samples) == 5
+
+    def test_sample_is_without_replacement(self, rng):
+        # Tag every row with its own code so rows are distinct.
+        from repro.data.schema import Schema
+        from repro.data.table import Table
+
+        table = Table.from_rows(Schema(["row"], "m"),
+                                [(str(i), 0.0) for i in range(30)])
+        rows = draw_sample_rows(table, 20, rng)
+        assert len(set(rows)) == 20
+
+    def test_inclusion_is_roughly_uniform(self):
+        # Each of 20 rows lands in a size-5 sample with probability
+        # 1/4; over 2000 draws every row's rate stays near it.
+        from repro.data.schema import Schema
+        from repro.data.table import Table
+
+        table = Table.from_rows(Schema(["row"], "m"),
+                                [(str(i), 0.0) for i in range(20)])
+        rng = np.random.default_rng(7)
+        hits = np.zeros(20)
+        for _ in range(2000):
+            for (code,) in draw_sample_rows(table, 5, rng):
+                hits[code] += 1
+        assert np.all(np.abs(hits / 2000 - 0.25) < 0.05)
+
 
 class TestLcaAggregates:
     def test_baseline_matches_oracle(self, flights, rng):

@@ -75,6 +75,41 @@ class TestTransformations:
             table.sample_fraction(0.0, rng)
         assert len(table.sample_fraction(0.5, rng)) == 2
 
+    @pytest.mark.parametrize("fraction, size", [(0.1, 1), (0.5, 2),
+                                                (0.75, 3), (1.0, 4)])
+    def test_sample_fraction_size(self, table, rng, fraction, size):
+        assert len(table.sample_fraction(fraction, rng)) == size
+
+    def test_full_sample_is_the_table(self, table, rng):
+        sub = table.sample(4, rng)
+        assert [sub.decoded_row(i) for i in range(4)] == [
+            table.decoded_row(i) for i in range(4)
+        ]
+
+    @pytest.mark.parametrize("batch", [1, 3, 4])
+    def test_slices_tile_the_table(self, table, batch):
+        rows = []
+        for start in range(0, len(table), batch):
+            piece = table.slice(start, start + batch)
+            rows.extend(piece.decoded_row(i) for i in range(len(piece)))
+        assert rows == [table.decoded_row(i) for i in range(len(table))]
+
+    @pytest.mark.parametrize("num_blocks, sizes", [
+        (1, [4]), (2, [2, 2]), (3, [1, 1, 2]), (9, [1, 1, 1, 1]),
+    ])
+    def test_partition_blocks_tile_the_table(self, table, num_blocks, sizes):
+        blocks = table.partition_blocks(num_blocks)
+        assert [block.num_rows for block in blocks] == sizes
+        assert [block.start for block in blocks] == [
+            sum(sizes[:i]) for i in range(len(sizes))
+        ]
+        assert np.concatenate([b.measure for b in blocks]).tolist() == (
+            table.measure.tolist()
+        )
+        for j, column in enumerate(table.dimension_columns()):
+            joined = np.concatenate([b.columns[j] for b in blocks])
+            assert joined.tolist() == column.tolist()
+
     def test_project_keeps_measure(self, table):
         sub = table.project(["size"])
         assert sub.schema.dimensions == ("size",)

@@ -19,7 +19,7 @@ import pytest
 from repro.common.errors import EngineError
 from repro.core.config import variant_config
 from repro.core.miner import Sirum, make_default_cluster, mine
-from repro.data.generators import SyntheticSpec, generate
+from repro.data.generators import SyntheticSpec, generate, income_table
 from repro.engine.cluster import ClusterContext
 from repro.engine.cost import ClusterSpec, CostModel
 from tests.conftest import (
@@ -355,6 +355,27 @@ class TestPoolLifecycle:
         before = set(id(t) for t in stage_threads())
         explore_cube(table, k=2, parallelism=4)
         assert set(id(t) for t in stage_threads()) <= before
+
+    def test_explore_cube_leaves_caller_supplied_cluster_open(self):
+        from repro.apps import explore_cube
+
+        before = live_workers()
+        cluster = make_default_cluster(parallelism=4)
+        explore_cube(synthetic_table(num_rows=400), k=2, cluster=cluster)
+        assert live_workers() - before
+        cluster.close()
+        assert live_workers() <= before
+
+    def test_diagnosis_leaves_caller_supplied_cluster_open(self):
+        from repro.apps import diagnose_dirty_records
+
+        table = income_table(num_rows=400)
+        before = live_workers()
+        cluster = make_default_cluster(parallelism=4)
+        diagnose_dirty_records(table, k=2, sample_size=16, cluster=cluster)
+        assert live_workers() - before
+        cluster.close()
+        assert live_workers() <= before
 
     def test_service_job_closes_engine_cluster(self):
         from repro.service import RuleMiningService, ServiceConfig

@@ -1,5 +1,6 @@
 """Shared-memory column blocks: round-trips, lifetime, worker access."""
 
+import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
@@ -90,6 +91,48 @@ class TestSharedArrayPack:
         pack.unlink()
         with pytest.raises(FileNotFoundError):
             clone.arrays  # the segment name is gone
+
+    @pytest.mark.parametrize("script", [
+        # The owner pack is collected while a view of it lives: its
+        # finalizer unlinks and closes the segment.
+        "pack = SharedArrayPack.create([np.arange(100000)])\n"
+        "view = pack.arrays[0]\n"
+        "del pack\n"
+        "gc.collect()\n"
+        "print(int(view.sum()))\n",
+        # An attachment is evicted past the cache cap while a view of it
+        # lives, and later segments are mapped after it.
+        "owners = [SharedArrayPack.create([np.arange(100000) * (i + 1)])\n"
+        "          for i in range(_ATTACHMENT_CAP + 4)]\n"
+        "clones = [pickle.loads(pickle.dumps(p)) for p in owners]\n"
+        "view = clones[0].arrays[0]\n"
+        "for clone in clones[1:]:\n"
+        "    clone.arrays\n"
+        "print(int(view.sum()))\n",
+    ], ids=["collected-owner", "evicted-attachment"])
+    def test_views_outlive_a_closed_segment(self, script):
+        # Closing a segment must not unmap pages a live view reads: the
+        # old views read freed memory (a crash, or another segment's
+        # bytes once the address was reused).  Run in a child so a
+        # regression fails this test instead of killing the suite.
+        import subprocess
+        import sys
+
+        import repro
+
+        prelude = ("import gc, pickle\n"
+                   "import numpy as np\n"
+                   "from repro.data.shm import SharedArrayPack, "
+                   "_ATTACHMENT_CAP\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", prelude + script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "4999950000"
+        assert done.stderr == ""
 
 
 class TestSegmentNames:

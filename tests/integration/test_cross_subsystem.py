@@ -89,6 +89,21 @@ class TestSqlSirumVersusOperatorMiner:
             assert count == mined.count
             assert total / count == pytest.approx(mined.avg_measure)
 
+    @pytest.mark.parametrize("start, stop", [(0, 60), (30, 110), (90, 150)])
+    def test_cube_point_answers_rule_aggregates_per_window(self, start,
+                                                           stop):
+        """Rules mined on a row window carry that window's aggregates."""
+        window = susy_table(num_rows=150, num_dimensions=4,
+                            seed=9).slice(start, stop)
+        cube = naive_cube(window)
+        result = mine(window, k=3, variant="baseline", sample_size=16,
+                      seed=0)
+        assert len(result.rule_set) > 1
+        for mined in result.rule_set:
+            count, total = cube_point(cube, mined.rule.values)
+            assert count == mined.count
+            assert total / count == pytest.approx(mined.avg_measure)
+
 
 class TestColfileRoundTripThroughMiner:
     def test_mining_from_colfile_equals_mining_from_memory(self, tmp_path, flights):
