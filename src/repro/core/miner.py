@@ -73,8 +73,14 @@ lca_aggregates_fast = lca_aggregates_baseline = lca_aggregates_packed
 # Module-level functions bound with ``functools.partial`` rather than
 # closures: a bound kernel pickles, so the same kernel object runs on
 # the serial driver loop, the thread pool, or a process-pool worker.
-# Session-wide arrays arrive either directly or as shared-memory
-# descriptors (process mode) and are resolved via ``shm_resolve``.
+# Session-wide arrays arrive either directly (pickled into the batch
+# on the way to a remote worker) or as shared-memory descriptors
+# (process mode) and are resolved via ``shm_resolve``.
+#
+# Kernels that only meter — they charge costs derived from the
+# partition's size and read no column — run on the driver
+# (``on_driver=True``) in every mode: the charges are the same bytes
+# wherever a kernel runs, and a worker round trip would buy nothing.
 #
 # The kernels are pure up to a job-scoped memo: ``job`` is the
 # session's token, and under it the process that runs a task keeps the
@@ -123,15 +129,13 @@ def _ancestor_packed_kernel(tc, chunk, codec, group, weighted, job=None,
     return out_keys, out_aggs, emitted
 
 
-def _match_counts_packed_kernel(tc, bounds, keys, sample_keys, codec,
-                                job=None):
+def _match_counts_packed_kernel(tc, keys, sample_keys, codec, job=None):
     """Packed-key sample-multiplicity counts for one candidate chunk."""
-    start, stop = bounds
     counts = match_counts_packed(
-        shm_resolve(keys)[start:stop], sample_keys, codec,
+        keys, sample_keys, codec,
         state=job_slot(job, ("match", 0, tc.partition_id)),
     )
-    tc.add_light_ops((stop - start) * (sample_keys.size + 1))
+    tc.add_light_ops(keys.size * (sample_keys.size + 1))
     return counts
 
 
@@ -150,9 +154,7 @@ def _rct_build_kernel(tc, part, words):
     """RCT pass 1: local group-by over coverage words + tiny shuffle."""
     tc.add_records(part.num_rows)
     tc.add_ops(part.num_rows)
-    local_groups = unique_coverage(
-        shm_resolve(words)[part.start:part.stop]
-    ).shape[0]
+    local_groups = unique_coverage(words[part.start:part.stop]).shape[0]
     tc.add_output_bytes(local_groups * PAIR_BYTES)
     return None
 
@@ -420,7 +422,7 @@ class Sirum:
 
     def _load(self, session):
         """Initial scan: every partition is read from (simulated) HDFS."""
-        session.run_over_data(_scan_kernel, phase="load")
+        session.run_over_data(_scan_kernel, phase="load", on_driver=True)
 
     def _generate_candidates(self, session, sample_rows, sample_keys,
                              sample_index, column_groups):
@@ -534,13 +536,15 @@ class Sirum:
     def _score_candidates(self, cluster, session, keys, aggs, emitted,
                           sample_keys, codec):
         """Multiplicity correction (§3.1.1) + Eq. 2.2 gains, chunked."""
-        chunk_bounds = _chunk_bounds(keys.size, session.num_partitions)
-        with session.shared_ref(keys) as keys_ref:
-            kernel = partial(
-                _match_counts_packed_kernel, keys=keys_ref,
-                sample_keys=sample_keys, codec=codec, job=session.job,
-            )
-            stage = cluster.run_stage(kernel, chunk_bounds, name="gain")
+        # Each task's partition is its own chunk of the keys, so the
+        # keys cross to workers once per stage in total.
+        chunks = [keys[start:stop] for start, stop
+                  in _chunk_bounds(keys.size, session.num_partitions)]
+        kernel = partial(
+            _match_counts_packed_kernel, sample_keys=sample_keys,
+            codec=codec, job=session.job,
+        )
+        stage = cluster.run_stage(kernel, chunks, name="gain")
         return cand.score_packed(
             keys, aggs, np.concatenate(stage.outputs), emitted, codec
         )
@@ -586,11 +590,11 @@ class Sirum:
         cluster = session.cluster
         with cluster.phase("iterative_scaling"):
             # Pass 1: build the RCT (local group-by + tiny shuffle).
-            # The coverage words are row-scale, so process mode ships
-            # them through a transient shared segment, not per task.
-            with session.shared_ref(session.bit_matrix._words) as words:
-                build_kernel = partial(_rct_build_kernel, words=words)
-                session.run_over_data(build_kernel, shuffle_output=True)
+            # Metered on the driver, where the coverage words live.
+            build_kernel = partial(_rct_build_kernel,
+                                   words=session.bit_matrix._words)
+            session.run_over_data(build_kernel, shuffle_output=True,
+                                  on_driver=True)
 
             result = iterative_scale_rct(
                 session.bit_matrix,
@@ -610,7 +614,7 @@ class Sirum:
             cluster.metrics.increment("rct_groups", result.rct.num_groups)
 
             # Pass 2: write the converged estimates back.
-            session.run_over_data(_scan_kernel)
+            session.run_over_data(_scan_kernel, on_driver=True)
             session.estimates[:] = result.estimates
         return result.lambdas, result.iterations
 
@@ -642,11 +646,13 @@ class Sirum:
                     sums_kernel,
                     shuffle_data=not cfg.use_broadcast_join,
                     shuffle_output=True,
+                    on_driver=True,
                 )
 
                 # Pass B: update t[m-hat] for tuples matching the scaled
                 # rule (charged as a full pass, as the baseline scans D).
-                session.run_over_data(_baseline_update_kernel)
+                session.run_over_data(_baseline_update_kernel,
+                                      on_driver=True)
         session.estimates[:] = result.estimates
         return result.lambdas, result.iterations
 

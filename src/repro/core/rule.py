@@ -45,11 +45,6 @@ class Rule:
         return cls((WILDCARD,) * arity)
 
     @classmethod
-    def from_tuple(cls, codes):
-        """Treat an encoded tuple as the fully specific rule matching it."""
-        return cls(codes)
-
-    @classmethod
     def lca(cls, left, right):
         """Least common ancestor of two encoded tuples (thesis §2.1).
 
@@ -134,23 +129,6 @@ class Rule:
     # ------------------------------------------------------------------
     # Lattice navigation
     # ------------------------------------------------------------------
-
-    def ancestors(self, include_self=True):
-        """Yield every ancestor (2^num_bound rules, thesis §2.5).
-
-        Ancestors replace subsets of the bound positions by wildcards;
-        the rule is its own ancestor and the root is always included.
-        """
-        bound = self.bound_positions()
-        base = list(self.values)
-        for mask in range(1 << len(bound)):
-            if not include_self and mask == 0:
-                continue
-            values = list(base)
-            for bit, pos in enumerate(bound):
-                if mask & (1 << bit):
-                    values[pos] = WILDCARD
-            yield Rule(values)
 
     def parents(self):
         """Immediate proper ancestors (one more wildcard each)."""

@@ -7,7 +7,6 @@ cluster's stage API so cache behaviour, shuffles and task costs are
 metered consistently.
 """
 
-from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -18,6 +17,7 @@ from repro.core.measure import MeasureTransform
 from repro.core.rct import BitMatrix
 from repro.data.shm import SharedArray
 from repro.data.table import TableBlock
+from repro.engine.executors import EXECUTOR_PROCESS
 from repro.engine.task import drop_job, open_job
 
 #: A partition kernel's input: one contiguous block of the table as
@@ -78,12 +78,13 @@ class MiningSession:
             )
         num_partitions = max(1, min(num_partitions, len(table)))
         #: True when the cluster runs stages on worker processes, so
-        #: session data must be reachable through shared memory.
+        #: partitions must be picklable descriptors.
         self.shared = shared = cluster.uses_processes
         #: Zero-copy contiguous blocks of the table; partition kernels
         #: receive these and vectorize over their own column views.  In
-        #: process mode the blocks are shared-memory descriptors, so
-        #: shipping one to a worker does not copy its data.
+        #: process and remote mode the blocks are shared-memory or mmap
+        #: descriptors, so shipping one to a worker does not copy its
+        #: data.
         self.partitions = table.partition_blocks(num_partitions,
                                                  shared=shared)
         self.num_partitions = len(self.partitions)
@@ -98,15 +99,17 @@ class MiningSession:
             transform if transform is not None
             else MeasureTransform.fit(table.measure)
         )
-        # In process mode the measure and the evolving estimates live
-        # in session-owned shared memory: kernels receive descriptors,
-        # and the driver's in-place estimate updates are visible to
-        # workers through the same pages.
+        # For process-pool children the measure and the evolving
+        # estimates live in session-owned shared memory: kernels receive
+        # descriptors, and the driver's in-place estimate updates are
+        # visible to the children through the same pages.  Remote
+        # workers share no memory with the driver; they get the arrays
+        # as bytes inside each stage's batch.
         self._shared_measure = None
         self._shared_estimates = None
         measure = self.transform.transformed
         estimates = np.ones(n, dtype=np.float64)
-        if shared:
+        if shared and cluster.executor == EXECUTOR_PROCESS:
             self._shared_measure = SharedArray.create(measure)
             measure = self._shared_measure.array
             self._shared_estimates = SharedArray.create(estimates)
@@ -132,8 +135,9 @@ class MiningSession:
         """The measure as a kernel argument.
 
         A :class:`~repro.data.shm.SharedArray` descriptor in process
-        mode (workers reattach, no copy), the plain array otherwise;
-        kernels resolve either through :func:`repro.data.shm.resolve`.
+        mode (children reattach, no copy), the plain array otherwise —
+        which a remote stage pickles into its batch; kernels resolve
+        either through :func:`repro.data.shm.resolve`.
         """
         if self._shared_measure is not None:
             return self._shared_measure
@@ -145,36 +149,14 @@ class MiningSession:
             return self._shared_estimates
         return self.estimates
 
-    @contextmanager
-    def shared_ref(self, array):
-        """Bind a row/candidate-scale array for one stage's kernels.
-
-        In process mode the array is copied to a transient
-        shared-memory segment (one copy total, instead of one pickled
-        copy per task inside the kernel partial) and unlinked when the
-        block exits; otherwise the array passes through untouched.  An
-        ``object`` array (the Python-int keys of a codec wider than 63
-        bits) has no fixed-width bytes to share and always passes
-        through, to be pickled.  Kernels resolve either via
-        :func:`repro.data.shm.resolve`.
-        """
-        if not self.shared or array.dtype.hasobject:
-            yield array
-            return
-        shared = SharedArray.create(array)
-        try:
-            yield shared
-        finally:
-            shared.unlink()
-
     def close(self):
         """Release what the session owns (idempotent).
 
         Drops the plans this process kept for the job, and unlinks the
         measure/estimates segments this session created; the table's
         column pack is table-owned and outlives the session (concurrent
-        jobs on the same dataset share it).  Serial and thread modes
-        hold no shared memory.
+        jobs on the same dataset share it).  Only process mode makes
+        such segments.
         """
         drop_job(self.job)
         for shared in (self._shared_measure, self._shared_estimates):
@@ -182,7 +164,8 @@ class MiningSession:
                 shared.unlink()
 
     def run_over_data(self, kernel, phase=None, shuffle_data=False,
-                      shuffle_output=False, touch_cache=True):
+                      shuffle_output=False, touch_cache=True,
+                      on_driver=False):
         """Run ``kernel(task_ctx, partition)`` over every data partition.
 
         Parameters
@@ -200,6 +183,12 @@ class MiningSession:
         touch_cache:
             Account a storage-memory access per partition: free when
             cached, a disk read when evicted (§4.5).
+        on_driver:
+            Run the tasks on the calling thread instead of the
+            cluster's executor (:meth:`ClusterContext.run_stage
+            <repro.engine.cluster.ClusterContext.run_stage>`): for
+            metering passes whose kernel reads no column.  Charges are
+            the same either way.
         """
         cluster = self.cluster
         wrapped = _DataStageKernel(kernel, touch_cache, shuffle_data)
@@ -210,6 +199,7 @@ class MiningSession:
                 self.partitions,
                 name=phase or "data_stage",
                 shuffle_output=shuffle_data or shuffle_output,
+                on_driver=on_driver,
             )
 
         if phase is not None:
@@ -231,7 +221,7 @@ class MiningSession:
             kernel = partial(
                 _coverage_kernel, arity=self.table.schema.arity
             )
-            self.run_over_data(kernel, phase=charge_phase)
+            self.run_over_data(kernel, phase=charge_phase, on_driver=True)
         self.masks.append(mask)
         self.bit_matrix.add_rule(mask)
         return mask

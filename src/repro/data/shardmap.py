@@ -39,9 +39,10 @@ from repro.common.errors import EngineError
 class Shard:
     """One placed row range ``[start, stop)`` of a table.
 
-    ``shard_id`` doubles as the placement id: the remote executor
-    routes shard i to worker ``i % workers``, so the id is the whole
-    addressing scheme — no lookup table travels with tasks.
+    Shard ids are ordered, so a shard's rank is the whole addressing
+    scheme: the remote executor hands each worker one contiguous run of
+    the shards it places (:meth:`ShardMap.placement_for`) — no lookup
+    table travels with tasks.
     """
 
     __slots__ = ("shard_id", "start", "stop", "size_bytes")
@@ -215,15 +216,23 @@ class ShardMap:
         return self._shards[bisect.bisect_right(starts, row) - 1]
 
     @staticmethod
-    def placement_for(shard_id, num_workers):
-        """Worker slot shard ``shard_id`` is pinned to (sticky modulo).
+    def placement_for(rank, num_shards, num_workers):
+        """Worker slot of the shard ranked ``rank`` of ``num_shards``.
 
-        The one copy of the addressing scheme: the remote executor
-        routes through it, over its live workers.
+        Range placement: slot ``rank * num_workers // num_shards``, so
+        each worker takes one contiguous run of shards and the storage
+        blocks under a run are read by one worker only (a block spans
+        two workers at most where two runs meet).  The one copy of the
+        addressing scheme: the remote executor routes through it, over
+        its live workers and the shards a stage still has to run.
         """
         if num_workers < 1:
             raise EngineError("placement needs at least one worker")
-        return int(shard_id) % int(num_workers)
+        if not 0 <= rank < num_shards:
+            raise EngineError(
+                "rank %d outside %d shards" % (rank, num_shards)
+            )
+        return int(rank) * int(num_workers) // int(num_shards)
 
     def __eq__(self, other):
         return (isinstance(other, ShardMap)

@@ -61,11 +61,14 @@ grant is what hands the workers back.
 
 The remote executor lives with the wire code and registers itself with
 :func:`~repro.engine.executors.register_executor`; nothing here imports
-it.  It routes shard i to the same worker stage after stage
-(:meth:`~repro.data.shardmap.ShardMap.placement_for`) and reports what
-that routing achieved to this cluster's
+it.  It gives each worker one contiguous run of shards, the same run
+stage after stage (:meth:`~repro.data.shardmap.ShardMap.placement_for`),
+and reports what that routing achieved to this cluster's
 :class:`~repro.engine.placement.PlacementTracker`
-(:meth:`ClusterContext.placement_stats`).
+(:meth:`ClusterContext.placement_stats`).  A stage run with
+``on_driver=True`` — a metering pass whose kernel charges costs derived
+from partition sizes and reads no data — skips the executor in every
+mode and runs on the calling thread; it is charged like any other.
 """
 
 from contextlib import contextmanager
@@ -82,12 +85,17 @@ from repro.engine.executors import (
     EXECUTOR_THREAD,
     EXECUTORS,
     PoolExecutor,
+    SerialExecutor,
     StageUnshippable,
     make_executor,
 )
 from repro.engine.memory import CacheManager
 from repro.engine.placement import PlacementTracker
 from repro.engine.task import TaskContext
+
+
+#: Where ``run_stage(on_driver=True)`` runs tasks: the calling thread.
+_DRIVER = SerialExecutor()
 
 
 def _close_then_release(executors, grant):
@@ -306,7 +314,8 @@ class ClusterContext:
     # Stage execution
     # ------------------------------------------------------------------
 
-    def run_stage(self, kernel, partitions, name="stage", shuffle_output=False):
+    def run_stage(self, kernel, partitions, name="stage", shuffle_output=False,
+                  on_driver=False):
         """Execute ``kernel(task_ctx, partition)`` once per partition.
 
         Parameters
@@ -322,6 +331,13 @@ class ClusterContext:
         shuffle_output:
             If true, each task's declared ``output_bytes`` are charged
             at the shuffle byte rate (a wide dependency follows).
+        on_driver:
+            Run the tasks one after another on the calling thread,
+            whatever the executor.  For metering stages whose kernels
+            only charge costs derived from partition sizes: shipping
+            them to workers would buy nothing but round trips.  The
+            stage is charged, counted and cached exactly as if it had
+            run on the executor.
 
         Returns a :class:`StageResult` whose ``outputs`` are in
         partition order; outputs, counters and simulated seconds do
@@ -334,6 +350,8 @@ class ClusterContext:
         if not partitions:
             return StageResult([], 0.0, [])
         executor, fallback = self._executors
+        if on_driver:
+            executor = _DRIVER
         try:
             records = executor.run(kernel, partitions)
         except StageUnshippable:

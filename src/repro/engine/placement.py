@@ -1,9 +1,9 @@
 """Placement: how sticky the shard → worker routing turned out to be.
 
 A table's row ranges are assigned to shard ids by the data layer's
-:class:`~repro.data.shardmap.ShardMap`, and the remote executor routes
-shard i to the shard worker :meth:`ShardMap.placement_for
-<repro.data.shardmap.ShardMap.placement_for>` pins it to, so a worker
+:class:`~repro.data.shardmap.ShardMap`, and the remote executor gives
+each worker the contiguous run of shards :meth:`ShardMap.placement_for
+<repro.data.shardmap.ShardMap.placement_for>` assigns it, so a worker
 sees the same row ranges stage after stage and the blocks it fetched
 for them stay useful.  :class:`PlacementTracker` records what that
 routing achieved: shard i landing on the worker it last ran on is an
@@ -23,7 +23,8 @@ class PlacementTracker:
     a *hit*, and rebinding the cluster to a different dataset version
     is a *rebalance* (the affinity table resets — old pins are
     meaningless against new data).  ``placed_stages`` counts the stages
-    that were routed by shard id at all.
+    that were routed to workers at all — data stages only, since
+    metering passes run on the driver.
     """
 
     def __init__(self):

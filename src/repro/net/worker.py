@@ -829,9 +829,15 @@ class RemoteExecutor:
     one batch of pickled kernel and shard descriptors out per worker
     per round, ``(output, charges)`` records back in partition order.
 
-    Routing is sticky by shard id among the live workers, and remote
-    stages always cross the wire (even a single shard), so every stage
-    counts as placed.  Each call carries one
+    Routing is by range among the live workers: of the shards a round
+    still has to run, each worker takes one contiguous run
+    (:meth:`~repro.data.shardmap.ShardMap.placement_for`), the same run
+    stage after stage, so a worker reads each storage block under its
+    run once per job.  Remote stages always cross the wire (even a
+    single shard), so every stage that reaches this executor counts as
+    placed; metering stages that read no data run on the driver
+    (``ClusterContext.run_stage(on_driver=True)``) and never get here.
+    Each call carries one
     :func:`~repro.engine.executors.batch_request` and its reply reads
     through :func:`~repro.engine.executors.batch_reply` — the codec a
     process-pool child speaks.  The lowest-index failing shard's
@@ -845,7 +851,7 @@ class RemoteExecutor:
     A worker that times out or drops its connection mid-stage is
     marked dead (:meth:`ShardWorkerClient.mark_dead`) and its
     unfinished shards re-place onto the surviving workers on the next
-    round — counted as a
+    round, again one contiguous run per survivor — counted as a
     :meth:`~repro.engine.placement.PlacementTracker.worker_failure`
     — repeating until the stage resolves or no worker survives
     (unshippable too).  Re-running a dead worker's shards is safe
@@ -889,8 +895,9 @@ class RemoteExecutor:
             if not alive:
                 raise StageUnshippable
             batches = {}  # slot -> ascending shard indices
-            for i in remaining:
-                slot = alive[ShardMap.placement_for(i, len(alive))]
+            for rank, i in enumerate(remaining):
+                slot = alive[ShardMap.placement_for(
+                    rank, len(remaining), len(alive))]
                 self._placement.record(i, slot)
                 batches.setdefault(slot, []).append(i)
             # Every batch pickles before any is sent: a stage that

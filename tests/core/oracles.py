@@ -124,6 +124,21 @@ def generate_ancestors_reference(keys, aggs, codec, group=None,
 # ----------------------------------------------------------------------
 
 
+def ancestors(rule, include_self=True):
+    """Every ancestor of ``rule`` (2^num_bound rules, thesis §2.5).
+
+    Ancestors replace subsets of the bound positions by wildcards; the
+    rule is its own ancestor and the root is always included.
+    """
+    bound = rule.bound_positions()
+    for mask in range(0 if include_self else 1, 1 << len(bound)):
+        values = list(rule.values)
+        for bit, pos in enumerate(bound):
+            if mask & (1 << bit):
+                values[pos] = WILDCARD
+        yield Rule(values)
+
+
 def ancestors_within_group(rule, group):
     """Ancestors of ``rule`` whose new wildcards lie only in ``group``.
 
@@ -171,14 +186,14 @@ def generate_ancestors_staged(weighted_rules, groups, multiplicities=None):
             if index == 0 and multiplicities is not None:
                 weight = int(multiplicities.get(rule, 1))
             if group is None:
-                ancestors = list(rule.ancestors())
+                lifted = list(ancestors(rule))
             else:
-                ancestors = list(ancestors_within_group(rule, group))
-            for ancestor in ancestors:
+                lifted = list(ancestors_within_group(rule, group))
+            for ancestor in lifted:
                 existing = next_stage.get(ancestor)
                 next_stage[ancestor] = tuple(agg) if existing is None else \
                     tuple(a + b for a, b in zip(existing, agg))
-            emitted += weight * len(ancestors)
+            emitted += weight * len(lifted)
         current = next_stage
     return current, emitted
 

@@ -339,8 +339,7 @@ class TestRetainedArrays:
             tc, (keys, aggs), codec, None, True
         )
         miner._match_counts_packed_kernel(
-            tc, (0, out_keys.size), out_keys, pack_rule_rows(sample, codec),
-            codec,
+            tc, out_keys, pack_rule_rows(sample, codec), codec,
         )
         assert task.job_state_stats() == before
 

@@ -281,7 +281,7 @@ class TestSuppliedSample:
         )
         assert len(result.rule_set) > 1
         for mined in result.rule_set:
-            assert mined.rule.is_ancestor_of(Rule.from_tuple(sample[0]))
+            assert mined.rule.is_ancestor_of(Rule(sample[0]))
 
     def test_whole_table_sample_matches_drawn_whole_table(self, flights):
         rows = [flights.encoded_row(i) for i in range(len(flights))]

@@ -5,6 +5,8 @@ import pytest
 from repro.common.errors import DataError
 from repro.core.rule import Rule, WILDCARD
 
+from .oracles import ancestors
+
 
 class TestConstruction:
     def test_values_are_stored_as_tuple(self):
@@ -25,8 +27,8 @@ class TestConstruction:
         assert rule.values == (-1, -1, -1, -1)
         assert rule.is_root()
 
-    def test_from_tuple_is_fully_bound(self):
-        rule = Rule.from_tuple((0, 1, 2))
+    def test_a_tuple_is_a_fully_bound_rule(self):
+        rule = Rule((0, 1, 2))
         assert rule.num_bound == 3
 
     def test_equality_and_hash(self):
@@ -131,25 +133,25 @@ class TestDisjointness:
 class TestAncestors:
     def test_count_is_two_to_the_bound(self):
         rule = Rule((1, 2, WILDCARD))
-        assert len(list(rule.ancestors())) == 4
+        assert len(list(ancestors(rule))) == 4
 
     def test_thesis_figure_2_1_lattice(self, flights):
         # CL((Fri, SF, London)) has 8 elements — thesis Figure 2.1.
         t1 = flights.encoded_row(0)
-        lattice = set(Rule.from_tuple(t1).ancestors())
+        lattice = set(ancestors(Rule(t1)))
         assert len(lattice) == 8
         assert Rule.all_wildcards(3) in lattice
-        assert Rule.from_tuple(t1) in lattice
+        assert Rule(t1) in lattice
 
     def test_exclude_self(self):
         rule = Rule((1, 2))
-        ancestors = set(rule.ancestors(include_self=False))
-        assert rule not in ancestors
-        assert len(ancestors) == 3
+        proper = set(ancestors(rule, include_self=False))
+        assert rule not in proper
+        assert len(proper) == 3
 
     def test_every_ancestor_is_an_ancestor(self):
         rule = Rule((3, 1, 4, WILDCARD))
-        for ancestor in rule.ancestors():
+        for ancestor in ancestors(rule):
             assert ancestor.is_ancestor_of(rule)
             assert rule.is_descendant_of(ancestor)
 
@@ -166,7 +168,7 @@ class TestAncestors:
 
     def test_root_is_only_its_own_ancestor(self):
         root = Rule.all_wildcards(3)
-        assert list(root.ancestors()) == [root]
+        assert list(ancestors(root)) == [root]
 
 
 def _all_rules(arity, domain):
@@ -185,9 +187,9 @@ class TestLatticeStructure:
     def test_levels_are_binomial(self, arity):
         from math import comb
 
-        rule = Rule.from_tuple(tuple(range(arity)))
+        rule = Rule(tuple(range(arity)))
         levels = [0] * (arity + 1)
-        for ancestor in rule.ancestors():
+        for ancestor in ancestors(rule):
             levels[ancestor.num_bound] += 1
         assert levels == [comb(arity, n) for n in range(arity + 1)]
 
@@ -195,8 +197,8 @@ class TestLatticeStructure:
     def test_parent_child_duality(self, arity):
         # Every parent of an ancestor is an ancestor with one fewer
         # bound attribute, and only its children list it as a parent.
-        rule = Rule.from_tuple(tuple(range(arity)))
-        lattice = list(rule.ancestors())
+        rule = Rule(tuple(range(arity)))
+        lattice = list(ancestors(rule))
         for child in lattice:
             for parent in child.parents():
                 assert parent in lattice
@@ -243,7 +245,7 @@ class TestLatticeStructure:
         rules = _all_rules(3, 2)
         for rule in rules:
             expected = {a for a in rules if a.is_ancestor_of(rule)}
-            assert set(rule.ancestors()) == expected
+            assert set(ancestors(rule)) == expected
 
     def test_generalize_nothing_is_identity(self):
         rule = Rule((1, 2, 3))
@@ -255,14 +257,14 @@ class TestLatticeStructure:
 
     def test_ancestor_covers_every_row_its_descendant_covers(self, flights):
         for i in range(len(flights)):
-            rule = Rule.from_tuple(flights.encoded_row(i))
+            rule = Rule(flights.encoded_row(i))
             covered = rule.match_mask(flights)
-            for ancestor in rule.ancestors():
+            for ancestor in ancestors(rule):
                 wider = ancestor.match_mask(flights)
                 assert (wider | covered == wider).all()
 
     def test_disjoint_rules_cover_disjoint_rows(self, flights):
-        rules = {Rule.from_tuple(flights.encoded_row(i)).generalize([1])
+        rules = {Rule(flights.encoded_row(i)).generalize([1])
                  for i in range(len(flights))}
         for a in rules:
             for b in rules:

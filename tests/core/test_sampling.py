@@ -14,7 +14,7 @@ from repro.core.rule import Rule, WILDCARD
 from repro.core.sampling import draw_sample_rows, lca_aggregates_packed
 from repro.engine.task import TaskContext
 
-from .oracles import lca_table_reference
+from .oracles import ancestors, lca_table_reference
 
 
 def _lca_table(columns, measure, estimates, sample, codec=None, **kwargs):
@@ -196,7 +196,7 @@ class TestSampleMatchCounts:
         )
         candidates = []
         for key in acc:
-            candidates.extend(a.values for a in Rule(key).ancestors())
+            candidates.extend(a.values for a in ancestors(Rule(key)))
         counts = self._counts(candidates, sample,
                               RowCodec.from_table(flights))
         assert np.all(counts >= 1)

@@ -101,13 +101,23 @@ class TestShardMapValidation:
         with pytest.raises(EngineError, match="alignment"):
             ShardMap([Shard(0, 0, 3), Shard(1, 3, 8)], 8, align=4)
 
-    def test_placement_for_is_sticky_modulo(self):
-        shard_map = ShardMap.build(100, 8)
-        assert [shard_map.placement_for(i, 3) for i in range(8)] == [
-            0, 1, 2, 0, 1, 2, 0, 1,
+    def test_placement_for_gives_each_worker_a_contiguous_range(self):
+        assert [ShardMap.placement_for(r, 8, 3) for r in range(8)] == [
+            0, 0, 0, 1, 1, 1, 2, 2,
         ]
+        # Every worker gets a run, in order, and the runs differ in
+        # length by at most one.
+        for n in range(1, 20):
+            for w in range(1, 6):
+                slots = [ShardMap.placement_for(r, n, w) for r in range(n)]
+                assert slots == sorted(slots)
+                runs = [slots.count(s) for s in range(w)]
+                assert len(set(slots)) == min(n, w)
+                assert max(runs) - min(r for r in runs if r) <= 1
         with pytest.raises(EngineError):
-            shard_map.placement_for(0, 0)
+            ShardMap.placement_for(0, 8, 0)
+        with pytest.raises(EngineError):
+            ShardMap.placement_for(8, 8, 3)
 
 
 class TestTableShardMap:

@@ -45,7 +45,7 @@ from repro.net.worker import (
     ShardWorkerClient,
     parse_address,
 )
-from tests.conftest import between_iterations, mining_bytes
+from tests.conftest import before_stage, between_iterations, mining_bytes
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +276,41 @@ class TestRemoteMining:
         _assert_identical(serial, remote)
         assert worker.stats()["stages"] > 0
 
+    def test_metering_passes_never_reach_a_worker(self, file_table,
+                                                  flights, worker):
+        # Only the prune, ancestor-round and gain stages read data; the
+        # load scan, the coverage passes and the RCT build and
+        # write-back are metered on the driver, with the same charges.
+        from repro.core import miner
+
+        kernels = []
+
+        def record(call, kernel):
+            # A data stage wraps a partial of the module-level kernel.
+            bound = getattr(kernel, "kernel", kernel)
+            kernels.append(getattr(bound, "func", bound))
+
+        serial, _ = _mine(flights, parallelism=1)
+        cluster = before_stage(make_default_cluster(
+            num_executors=2, cores_per_executor=2, executor="remote",
+            workers=[worker.address],
+        ), record)
+        try:
+            config = variant_config("optimized", k=3, sample_size=16,
+                                    seed=0)
+            remote = Sirum(config).mine(file_table, cluster=cluster)
+            placed = cluster.placement_stats()["placed_stages"]
+        finally:
+            cluster.close()
+        _assert_identical(serial, remote)
+        data = [k for k in kernels if k in (
+            miner._prune_kernel, miner._ancestor_packed_kernel,
+            miner._match_counts_packed_kernel,
+        )]
+        assert remote.metrics["counters"]["stages"] == len(kernels)
+        assert 0 < len(data) < len(kernels)
+        assert worker.stats()["stages"] == placed == len(data)
+
 
 def _serve_until_told(pipe):
     """Body of a shard worker in a process of its own: report the
@@ -285,6 +320,57 @@ def _serve_until_told(pipe):
         while pipe.poll(None):
             pipe.recv()
             pipe.send(worker.stats()["job_state"])
+
+
+def _serve_isolated(pipe):
+    """Body of a shard worker that reaches neither the driver's files
+    nor its shared memory, as on another host: blocks come only over
+    the wire (``local_files=False``) and attaching a shared-memory
+    segment by name fails.  Reports its address, then answers any
+    message with its statistics until the pipe closes."""
+    import repro.data.shm as shm
+
+    def no_segment(name):
+        raise FileNotFoundError("no shared memory on this host: %s" % name)
+
+    shm.attached_segment = no_segment
+    with ShardWorker(local_files=False) as worker:
+        pipe.send(worker.address)
+        while True:
+            try:
+                pipe.recv()
+            except EOFError:
+                return
+            stats = worker.stats()
+            pipe.send({"stages": stats["stages"],
+                       "fetched_bytes": stats["block_cache"]["fetched_bytes"]})
+
+
+@pytest.fixture
+def isolated_worker():
+    """``(address, stats)`` of a :func:`_serve_isolated` worker in a
+    process of its own; ``stats()`` asks it for its counters."""
+    fork = multiprocessing.get_context("fork")
+    ours, theirs = fork.Pipe()
+    process = fork.Process(target=_serve_isolated, args=(theirs,),
+                           daemon=True)
+    process.start()
+    theirs.close()
+
+    def stats():
+        ours.send("stats")
+        assert ours.poll(30.0)
+        return ours.recv()
+
+    try:
+        assert ours.poll(30.0)
+        yield ours.recv(), stats
+    finally:
+        ours.close()
+        process.join(10.0)
+        if process.is_alive():
+            process.kill()
+            process.join(10.0)
 
 
 def _slow_once_kernel(tc, part):
@@ -539,6 +625,54 @@ class TestBlockShipping:
                                    workers=[worker.address])
         _assert_identical(serial, remote)
         assert pstats["bytes_shipped"] > 0
+
+    def test_isolated_worker_mines_a_colfile_byte_identically(
+            self, flights, file_table, isolated_worker):
+        # The session's measure, estimates and candidate keys reach the
+        # worker as bytes in its batches, never as segment names.
+        address, stats = isolated_worker
+        serial = Sirum(variant_config("optimized", k=3, sample_size=16,
+                                      seed=0)).mine(flights)
+        cluster = make_default_cluster(executor="remote", workers=[address])
+        try:
+            remote = Sirum(variant_config("optimized", k=3, sample_size=16,
+                                          seed=0)).mine(file_table,
+                                                        cluster=cluster)
+        finally:
+            cluster.close()
+        assert mining_bytes(remote) == mining_bytes(serial)
+        served = stats()
+        assert served["stages"] > 0 and served["fetched_bytes"] > 0
+
+    @pytest.mark.parametrize("num_workers", [2, 3])
+    def test_a_cold_job_ships_each_block_about_once(self, tmp_path,
+                                                    num_workers):
+        # Partitions smaller than a block: each worker reads the blocks
+        # under its own run of shards, and only a block where two runs
+        # meet ships twice.  Modulo placement shipped every block to
+        # every worker.
+        table = income_table(num_rows=2000, seed=3)
+        path = tmp_path / "income.col"
+        write_colfile(table, path, block_rows=256)
+        file_table = Table.open_colfile(path)
+        num_blocks = file_table._handle.num_blocks
+        config = variant_config("optimized", k=3, sample_size=16, seed=0,
+                                num_partitions=16)
+        workers = [ShardWorker(local_files=False).start()
+                   for _ in range(num_workers)]
+        cluster = make_default_cluster(
+            executor="remote", workers=[w.address for w in workers],
+        )
+        try:
+            Sirum(config).mine(file_table, cluster=cluster)
+            pstats = cluster.placement_stats()
+        finally:
+            cluster.close()
+            for worker in workers:
+                worker.stop()
+        assert 1 < num_blocks < 16
+        assert num_blocks <= pstats["blocks_shipped"]
+        assert pstats["blocks_shipped"] <= num_blocks + num_workers - 1
 
     def test_attach_is_refused_without_local_files(self, flights,
                                                    tmp_path):

@@ -187,7 +187,7 @@ class _InstrumentedCluster(ClusterContext):
         self._gauge = gauge
 
     def run_stage(self, kernel, partitions, name="stage",
-                  shuffle_output=False):
+                  shuffle_output=False, on_driver=False):
         gauge = self._gauge
 
         def counting(tc, part):
@@ -198,7 +198,8 @@ class _InstrumentedCluster(ClusterContext):
                 gauge.exit()
 
         return super().run_stage(
-            counting, partitions, name=name, shuffle_output=shuffle_output
+            counting, partitions, name=name, shuffle_output=shuffle_output,
+            on_driver=on_driver,
         )
 
 

@@ -267,12 +267,15 @@ class TestDeadChild:
             run_stage = cluster.run_stage
             calls = itertools.count(1)
 
-            def run_stage_meeting_at_five(*args, **kwargs):
-                if next(calls) == 5 and meet.wait() == 0:
+            # Stage six is a job's first ancestor stage: the four
+            # metering passes before its prune stage run on the driver,
+            # so the prune stage (the fifth) is what starts the pool.
+            def run_stage_meeting_at_six(*args, **kwargs):
+                if next(calls) == 6 and meet.wait() == 0:
                     os.kill(min(child_pids() - before), signal.SIGKILL)
                 return run_stage(*args, **kwargs)
 
-            cluster.run_stage = run_stage_meeting_at_five
+            cluster.run_stage = run_stage_meeting_at_six
             return cluster
 
         with RuleMiningService(
