@@ -4,7 +4,7 @@ The data layer's buffer pool (PR 6) lets the miner run over a colfile
 whose decoded size exceeds the pool: blocks stream through a bounded
 LRU pool (`REPRO_BUFFER_POOL_BYTES`), evicting and re-faulting as
 needed, and process-mode jobs attach mmap-backed partition blocks
-instead of copying the whole table into POSIX shm.
+instead of receiving the table's rows in every batch.
 
 This ablation mines one synthetic workload three ways and verifies the
 out-of-core determinism guarantee — bit-identical rules, lambdas,
@@ -14,10 +14,10 @@ file-backed paths:
 1. in-RAM vs file-backed wall-clock, single process (the streaming
    overhead of the pool);
 2. process-mode peak RSS, measured inside a fresh child process per
-   mode (``ru_maxrss`` is monotonic per process): the file-backed run
-   must *structurally* skip the per-job shm copy (``_shm_pack`` stays
-   ``None``) where the in-RAM run creates one, and the RSS numbers in
-   the JSON line show what that copy costs.
+   mode (``ru_maxrss`` is monotonic per process).  The in-RAM run ships
+   each partition's rows in the stage batch, the file-backed run ships
+   mmap descriptors; neither may add a ``/dev/shm`` entry, and the RSS
+   numbers in the JSON line show what the two paths cost.
 
 The pool is deliberately sized at a quarter of the decoded table, so
 eviction and re-fault paths are exercised, not just the happy path.
@@ -28,7 +28,6 @@ workload, keeping every assertion.
 import multiprocessing
 import os
 import resource
-import tempfile
 import time
 
 from repro.bench import (
@@ -84,6 +83,16 @@ def mine_once(table, executor="thread", parallelism=1):
     return result, time.perf_counter() - started
 
 
+def _shm_entries():
+    """``/dev/shm`` entries named for this process (``repro-<pid>-*``)."""
+    prefix = "repro-%d-" % os.getpid()
+    try:
+        return {name for name in os.listdir("/dev/shm")
+                if name.startswith(prefix)}
+    except OSError:  # no /dev/shm on this platform
+        return set()
+
+
 def _process_mode_child(queue, colpath, capacity, in_ram):
     """Mine in process mode and report this child's peak RSS.
 
@@ -96,12 +105,16 @@ def _process_mode_child(queue, colpath, capacity, in_ram):
         table = read_colfile(colpath)
     else:
         table = Table.open_colfile(colpath, capacity_bytes=capacity)
+    before = _shm_entries()
     result, wall = mine_once(table, executor="process",
                              parallelism=PARALLELISM)
+    # Read while the table is alive: nothing the job made may outlive
+    # it there.
+    shm_added = sorted(_shm_entries() - before)
     queue.put({
         "wall_seconds": wall,
         "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        "made_shm_copy": table._shm_pack is not None,
+        "shm_added": shm_added,
         "rules": [tuple(m.rule.values) for m in result.rule_set],
         "lambdas": [float(v) for v in result.lambdas],
         "simulated_seconds": result.simulated_seconds,
@@ -126,7 +139,7 @@ def run_comparison(colpath, table):
     file_table = Table.open_colfile(colpath, capacity_bytes=capacity)
     file_result, file_wall = mine_once(file_table)
 
-    shm_run = measure_process_mode(colpath, capacity, in_ram=True)
+    ram_run = measure_process_mode(colpath, capacity, in_ram=True)
     mmap_run = measure_process_mode(colpath, capacity, in_ram=False)
 
     return {
@@ -136,12 +149,12 @@ def run_comparison(colpath, table):
         "pool": file_table.buffer_pool.stats(),
         "decoded_bytes": table.estimated_bytes(),
         "capacity_bytes": capacity,
-        "shm_run": shm_run,
+        "ram_run": ram_run,
         "mmap_run": mmap_run,
         "process_identical": (
-            shm_run["rules"] == mmap_run["rules"]
-            and shm_run["lambdas"] == mmap_run["lambdas"]
-            and shm_run["simulated_seconds"] == mmap_run["simulated_seconds"]
+            ram_run["rules"] == mmap_run["rules"]
+            and ram_run["lambdas"] == mmap_run["lambdas"]
+            and ram_run["simulated_seconds"] == mmap_run["simulated_seconds"]
         ),
     }
 
@@ -153,7 +166,7 @@ def test_ablation_out_of_core(once, tmp_path):
     out = once(lambda: run_comparison(colpath, table))
 
     pool = out["pool"]
-    shm_rss = out["shm_run"]["peak_rss_kib"]
+    ram_rss = out["ram_run"]["peak_rss_kib"]
     mmap_rss = out["mmap_run"]["peak_rss_kib"]
     print_table(
         "Ablation — in-RAM vs file-backed mining "
@@ -162,7 +175,7 @@ def test_ablation_out_of_core(once, tmp_path):
         ),
         ["path", "wall seconds", "peak RSS KiB (process mode)"],
         [
-            ["in-RAM (shm copy)", out["in_ram_wall"], shm_rss],
+            ["in-RAM (rows in the batch)", out["in_ram_wall"], ram_rss],
             ["file-backed (mmap)", out["file_wall"], mmap_rss],
         ],
         note="bit-identical: %s; pool hits/misses/evictions: %d/%d/%d" % (
@@ -178,14 +191,14 @@ def test_ablation_out_of_core(once, tmp_path):
         "pool_capacity_bytes": out["capacity_bytes"],
         "in_ram_wall_seconds": out["in_ram_wall"],
         "file_backed_wall_seconds": out["file_wall"],
-        "process_in_ram_peak_rss_kib": shm_rss,
+        "process_in_ram_peak_rss_kib": ram_rss,
         "process_file_backed_peak_rss_kib": mmap_rss,
-        "process_rss_delta_kib": shm_rss - mmap_rss,
+        "process_rss_delta_kib": ram_rss - mmap_rss,
         "pool_hit_rate": pool["hit_rate"],
         "pool_evictions": pool["evictions"],
         "bit_identical": out["identical"] and out["process_identical"],
-        "in_ram_made_shm_copy": out["shm_run"]["made_shm_copy"],
-        "file_backed_made_shm_copy": out["mmap_run"]["made_shm_copy"],
+        "in_ram_shm_added": out["ram_run"]["shm_added"],
+        "file_backed_shm_added": out["mmap_run"]["shm_added"],
     }))
     # Out-of-core determinism: the storage mode is invisible in results.
     assert out["identical"]
@@ -193,7 +206,7 @@ def test_ablation_out_of_core(once, tmp_path):
     # The undersized pool really streamed (evicted and stayed bounded).
     assert pool["evictions"] > 0
     assert pool["resident_bytes"] <= pool["capacity_bytes"]
-    # The deleted copy, structurally: process mode over the in-RAM
-    # table copies it into shm; over the file-backed table it must not.
-    assert out["shm_run"]["made_shm_copy"]
-    assert not out["mmap_run"]["made_shm_copy"]
+    # Neither process-mode run puts anything in /dev/shm: in-RAM rows
+    # cross in the batch, file-backed blocks as mmap descriptors.
+    assert out["ram_run"]["shm_added"] == []
+    assert out["mmap_run"]["shm_added"] == []

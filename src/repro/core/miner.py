@@ -46,7 +46,6 @@ from repro.core.lattice_packed import (
 from repro.core.sampling import draw_sample_rows, lca_aggregates_packed
 from repro.core.scaling import iterative_scale
 from repro.core.session import MiningSession
-from repro.data.shm import resolve as shm_resolve
 from repro.engine.cluster import ClusterContext
 from repro.engine.cost import ClusterSpec, CostModel
 from repro.engine.task import job_slot
@@ -73,9 +72,8 @@ lca_aggregates_fast = lca_aggregates_baseline = lca_aggregates_packed
 # Module-level functions bound with ``functools.partial`` rather than
 # closures: a bound kernel pickles, so the same kernel object runs on
 # the serial driver loop, the thread pool, or a process-pool worker.
-# Session-wide arrays arrive either directly (pickled into the batch
-# on the way to a remote worker) or as shared-memory descriptors
-# (process mode) and are resolved via ``shm_resolve``.
+# Session-wide arrays are bound in directly and pickled into the batch
+# on the way to a process child or a remote worker.
 #
 # Kernels that only meter — they charge costs derived from the
 # partition's size and read no column — run on the driver
@@ -103,8 +101,8 @@ def _prune_kernel(tc, part, measure, estimates, sample_rows, codec,
     The LCA table is consumed by the ancestor mappers in place (a
     narrow dependency) -- no shuffle here.
     """
-    measure = shm_resolve(measure)[part.start:part.stop]
-    estimates = shm_resolve(estimates)[part.start:part.stop]
+    measure = measure[part.start:part.stop]
+    estimates = estimates[part.start:part.stop]
     # The columns go in unread: with the plan retained a file-backed
     # partition faults no block in.
     return lca_aggregates_packed(
@@ -141,8 +139,8 @@ def _match_counts_packed_kernel(tc, keys, sample_keys, codec, job=None):
 
 def _exhaustive_kernel(tc, part, measure, estimates):
     """Full-cube candidate generation over one partition."""
-    measure = shm_resolve(measure)[part.start:part.stop]
-    estimates = shm_resolve(estimates)[part.start:part.stop]
+    measure = measure[part.start:part.stop]
+    estimates = estimates[part.start:part.stop]
     acc, emitted = cand.generate_exhaustive(
         part.columns, measure, estimates, tc
     )
@@ -294,9 +292,9 @@ class Sirum:
             return self._mine(table, mined_table, session, cluster,
                               prior_rules, sample_rows, rng, wall)
         finally:
-            # Shared-memory segments (process mode) die with the
-            # session; an internally created cluster's worker pools
-            # die with the call.
+            # The job's retained plans die with the session; an
+            # internally created cluster's worker pools die with the
+            # call.
             session.close()
             if owns_cluster:
                 cluster.close()
@@ -470,8 +468,8 @@ class Sirum:
 
             prune_kernel = partial(
                 _prune_kernel,
-                measure=session.measure_ref(),
-                estimates=session.estimates_ref(),
+                measure=session.measure,
+                estimates=session.estimates,
                 sample_rows=sample_rows,
                 codec=codec,
                 sample_index=sample_index,
@@ -556,8 +554,8 @@ class Sirum:
         with cluster.phase("ancestor_generation"):
             kernel = partial(
                 _exhaustive_kernel,
-                measure=session.measure_ref(),
-                estimates=session.estimates_ref(),
+                measure=session.measure,
+                estimates=session.estimates,
             )
             stage = session.run_over_data(kernel)
             merged = cand.merge_exhaustive([acc for acc, _ in stage.outputs])

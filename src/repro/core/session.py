@@ -15,9 +15,7 @@ from repro.common.errors import EngineError
 from repro.core.codec import RowCodec
 from repro.core.measure import MeasureTransform
 from repro.core.rct import BitMatrix
-from repro.data.shm import SharedArray
 from repro.data.table import TableBlock
-from repro.engine.executors import EXECUTOR_PROCESS
 from repro.engine.task import drop_job, open_job
 
 #: A partition kernel's input: one contiguous block of the table as
@@ -78,13 +76,12 @@ class MiningSession:
             )
         num_partitions = max(1, min(num_partitions, len(table)))
         #: True when the cluster runs stages on worker processes, so
-        #: partitions must be picklable descriptors.
+        #: partitions cross a process boundary.
         self.shared = shared = cluster.uses_processes
         #: Zero-copy contiguous blocks of the table; partition kernels
         #: receive these and vectorize over their own column views.  In
-        #: process and remote mode the blocks are shared-memory or mmap
-        #: descriptors, so shipping one to a worker does not copy its
-        #: data.
+        #: process and remote mode an in-RAM table's blocks cross as
+        #: their rows and a file-backed table's as mmap descriptors.
         self.partitions = table.partition_blocks(num_partitions,
                                                  shared=shared)
         self.num_partitions = len(self.partitions)
@@ -99,25 +96,13 @@ class MiningSession:
             transform if transform is not None
             else MeasureTransform.fit(table.measure)
         )
-        # For process-pool children the measure and the evolving
-        # estimates live in session-owned shared memory: kernels receive
-        # descriptors, and the driver's in-place estimate updates are
-        # visible to the children through the same pages.  Remote
-        # workers share no memory with the driver; they get the arrays
-        # as bytes inside each stage's batch.
-        self._shared_measure = None
-        self._shared_estimates = None
-        measure = self.transform.transformed
-        estimates = np.ones(n, dtype=np.float64)
-        if shared and cluster.executor == EXECUTOR_PROCESS:
-            self._shared_measure = SharedArray.create(measure)
-            measure = self._shared_measure.array
-            self._shared_estimates = SharedArray.create(estimates)
-            estimates = self._shared_estimates.array
+        # Stages bind the measure and the evolving estimates into their
+        # kernels, so a process child or a shard worker gets them as
+        # bytes inside each stage's batch.
         #: Transformed measure (max-ent preconditioned).
-        self.measure = measure
+        self.measure = self.transform.transformed
         #: Current per-tuple estimates in transformed space.
-        self.estimates = estimates
+        self.estimates = np.ones(n, dtype=np.float64)
         #: Per-tuple rule coverage bits (RCT input).
         self.bit_matrix = BitMatrix(n)
         #: Boolean coverage masks per selected rule.
@@ -131,37 +116,9 @@ class MiningSession:
     def num_rows(self):
         return len(self.table)
 
-    def measure_ref(self):
-        """The measure as a kernel argument.
-
-        A :class:`~repro.data.shm.SharedArray` descriptor in process
-        mode (children reattach, no copy), the plain array otherwise —
-        which a remote stage pickles into its batch; kernels resolve
-        either through :func:`repro.data.shm.resolve`.
-        """
-        if self._shared_measure is not None:
-            return self._shared_measure
-        return self.measure
-
-    def estimates_ref(self):
-        """The current estimates as a kernel argument (see measure_ref)."""
-        if self._shared_estimates is not None:
-            return self._shared_estimates
-        return self.estimates
-
     def close(self):
-        """Release what the session owns (idempotent).
-
-        Drops the plans this process kept for the job, and unlinks the
-        measure/estimates segments this session created; the table's
-        column pack is table-owned and outlives the session (concurrent
-        jobs on the same dataset share it).  Only process mode makes
-        such segments.
-        """
+        """Drop the plans this process kept for the job (idempotent)."""
         drop_job(self.job)
-        for shared in (self._shared_measure, self._shared_estimates):
-            if shared is not None:
-                shared.unlink()
 
     def run_over_data(self, kernel, phase=None, shuffle_data=False,
                       shuffle_output=False, touch_cache=True,

@@ -176,15 +176,6 @@ class BufferPool:
     def contains(self, handle, block_index):
         return (handle.path, handle.file_key, int(block_index)) in self._frames
 
-    def invalidate_file(self, path):
-        """Drop every unpinned resident block of ``path``."""
-        with self._lock:
-            victims = [key for key, frame in self._frames.items()
-                       if key[0] == str(path) and frame.pin_count == 0]
-            for key in victims:
-                self._index.pop(key)
-                del self._frames[key]
-
     def stats(self):
         """Counter snapshot for service ``stats()`` / debugging."""
         with self._lock:

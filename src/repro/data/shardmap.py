@@ -8,9 +8,9 @@ This module centralizes all of it:
 
 - :class:`Shard` is one placed row range: a picklable descriptor
   ``(shard_id, start, stop, size_bytes)`` every execution mode consumes
-  — serial and thread kernels slice table views by it, process kernels
-  receive shm/mmap blocks built from it, and remote workers receive it
-  inside an :class:`~repro.data.shm.MmapTableBlock`.
+  — serial and thread kernels slice table views by it, and process
+  kernels and remote workers receive the rows it names, or an
+  :class:`~repro.data.shm.MmapTableBlock` built from it.
 - :class:`ShardMap` is the immutable, versioned assignment of a
   table's row ranges to shard ids.  It is built once per dataset
   version (:meth:`~repro.data.table.Table.shard_map` caches it) and
@@ -30,8 +30,6 @@ per-shard row counts feed the cost model, and the engine's
 bit-identity contract requires identical charges across in-RAM and
 file-backed tables.
 """
-
-import bisect
 
 from repro.common.errors import EngineError
 
@@ -205,15 +203,6 @@ class ShardMap:
         if not self._shards:
             return [0] if self.num_rows == 0 else [0, self.num_rows]
         return [s.start for s in self._shards] + [self.num_rows]
-
-    def shard_of_row(self, row):
-        """The shard containing ``row`` (bisection over the bounds)."""
-        if not 0 <= row < self.num_rows or not self._shards:
-            raise EngineError(
-                "row %d outside the %d-row shard map" % (row, self.num_rows)
-            )
-        starts = [s.start for s in self._shards]
-        return self._shards[bisect.bisect_right(starts, row) - 1]
 
     @staticmethod
     def placement_for(rank, num_shards, num_workers):

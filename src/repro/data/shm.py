@@ -1,101 +1,45 @@
-"""Shared-memory column blocks for the process-pool execution mode.
+"""Picklable file-backed table blocks and the caches that resolve them.
 
-``ClusterContext(executor="process")`` runs partition kernels in worker
-*processes*.  Shipping each partition's columns through the task pickle
-would copy the table once per stage, so the driver instead copies the
-data once into a POSIX shared-memory segment and kernels receive tiny
-descriptors (segment name + per-array offset/dtype/shape) that reattach
-to the same physical pages inside the worker.  Attachments resolve to
-*read-only* NumPy views — stage kernels are pure per-partition
-functions and must not write shared state.
+An in-RAM table's partitions cross a process boundary as their own
+rows, pickled into the stage batch like every other in-RAM array (the
+session's measure and estimates, candidate keys).  File-backed tables
+cross as descriptors instead: a :class:`MmapTableBlock` carries
+``(path, file_key, row range)`` and the receiving process resolves it
+against a process-cached read-only mmap of the colfile itself
+(:func:`attached_handle`), so the kernel reads the OS page cache and no
+copy of the table is made for the job.  ``file_key`` pins the exact
+file state; a file rewritten between pickling and attachment is refused
+rather than silently misread.
 
-Lifetime
---------
-The creating process owns a segment: it is unlinked when the owning
-:class:`SharedArrayPack` is garbage collected (``weakref.finalize``,
-which also runs at interpreter exit) or when the owner calls
-:meth:`SharedArrayPack.unlink` explicitly; both are idempotent, and a
-forked worker inheriting the owner object never unlinks (the finalizer
-checks the owning PID).  Unlinking only removes the *name* — existing
-mappings, including worker attachments, stay valid until released.
-Workers cache a bounded number of attachments per process so repeated
-stages over the same table do not re-map it — and since a service's
-pool children outlive its jobs, the cache stays warm from one job to
-the next.  That is safe only because a segment name is never reused
-while a cache could still hold it: names are built from the owner's
-pid and a process-wide counter (:func:`_next_segment_name`), not drawn
-at random, so a long-lived worker can never resolve a new segment's
-name to an old, unlinked segment's pages.
-
-File-backed tables skip shm entirely: :class:`MmapTableBlock` carries
-``(path, file_key, row range)`` and workers resolve it against a
-process-cached read-only mmap of the colfile itself
-(:func:`attached_handle`), so the kernel reads the OS page cache —
-zero copies of the table are made for the job.  ``file_key`` pins the
-exact file state; a file rewritten between pickling and attachment is
-refused rather than silently misread.
+A shard worker that cannot open the file resolves the same descriptor
+through a remote source installed around its stage
+(:func:`block_fetcher`), which ships the needed blocks from the
+driver's live handles (:func:`register_served_handle`).
 """
 
-import itertools
 import os
-import sys
 import threading
 import weakref
 from collections import OrderedDict
-from multiprocessing import resource_tracker
-from multiprocessing import shared_memory as _shared_memory
-
-import numpy as np
 
 from repro.common.errors import DataError
 
-#: Per-array alignment inside a pack, generous enough for any SIMD load.
-_ALIGNMENT = 64
-
-#: Attachments kept open per worker process; old ones are closed as new
-#: segments arrive (every mined table and session makes new ones).
+#: Files kept open per process; old ones are closed as new file states
+#: arrive (a rewritten file is a new state).
 _ATTACHMENT_CAP = 8
-
-_register_patch_lock = threading.Lock()
-
-#: Segments this process has named so far.  A forked child inherits the
-#: count but not the pid, so its names differ from its parent's too.
-_segment_counter = itertools.count()
-
-
-def _next_segment_name():
-    """A segment name this process has never used: owner pid + counter.
-
-    Whoever attaches by name (pool children, which live and die under
-    one driver pid) may cache the attachment past the segment's life;
-    a name that cannot recur cannot be served stale.
-    """
-    return "repro-%d-%d" % (os.getpid(), next(_segment_counter))
-
-
-def _create_segment(size):
-    while True:
-        try:
-            return _shared_memory.SharedMemory(
-                name=_next_segment_name(), create=True, size=size
-            )
-        except FileExistsError:
-            # Left behind by a dead process that had our pid; not ours
-            # to remove, and the next name is as good.
-            continue
 
 
 class _AttachmentCache:
     """A bounded per-process LRU of open attachments, counting hits.
 
-    ``opener(key)`` runs outside the lock — it maps a segment or a
-    file, and raises for a key that must not be attached.  Of two
-    threads racing to open one key, the loser's attachment goes to
-    ``closer`` and both get the winner's; ``closer`` also takes
-    whatever falls off the cold end past :data:`_ATTACHMENT_CAP`.
+    ``opener(key)`` runs outside the lock — it maps a file, and raises
+    for a key that must not be attached.  Of two threads racing to open
+    one key, the loser's attachment goes to ``closer`` and both get the
+    winner's; ``closer`` also takes whatever falls off the cold end past
+    :data:`_ATTACHMENT_CAP`.
 
-    Keys name a segment or a ``(path, file_key)`` file, never a shard:
-    a process opens each once and every shard of it that lands there
+    Keys name a ``(path, file_key)`` file state, never a shard: a
+    process opens each once and every shard of it that lands there
     afterwards is a hit, whichever worker ran it before.  The hit/miss
     counters live in whichever process resolves the block — the driver
     for serial and thread stages, each pool worker for process stages.
@@ -133,75 +77,10 @@ class _AttachmentCache:
 def attachment_cache_stats():
     """This process's attachment-cache counters, one dict."""
     return {
-        "segment_hits": _segments.hits,
-        "segment_misses": _segments.misses,
         "handle_hits": _handles.hits,
         "handle_misses": _handles.misses,
-        "segments_cached": len(_segments.entries),
         "handles_cached": len(_handles.entries),
     }
-
-
-def _noop_register(name, rtype):
-    pass
-
-
-def _attach_segment(name):
-    """Attach an existing segment without taking cleanup ownership.
-
-    A plain ``SharedMemory(name=...)`` registers the segment with the
-    resource tracker — shared, under fork, with the creator — so the
-    attaching process would fight the creator over cleanup.  Python
-    3.13 grew ``track=False`` for exactly this; older versions get the
-    registration suppressed instead (unregistering *after* the fact
-    would remove the creator's entry from the shared tracker).
-    """
-    if sys.version_info >= (3, 13):
-        return _shared_memory.SharedMemory(name=name, track=False)
-    with _register_patch_lock:
-        original = resource_tracker.register
-        resource_tracker.register = _noop_register
-        try:
-            return _shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
-def _close_quietly(segment):
-    try:
-        segment.close()
-    except BufferError:
-        # Live views (:func:`_segment_view`) still pin the mapping; they
-        # keep the mmap object alive and its pages are unmapped when
-        # the last of them goes.  Drop our reference and close the
-        # descriptor now, so the handle's own finalizer has nothing
-        # left to close.
-        segment._mmap = None
-        segment.close()
-
-
-def _segment_view(segment, offset, dtype, shape):
-    """A NumPy view of ``segment``'s bytes that pins its mapping.
-
-    ``np.frombuffer`` holds a buffer export for the view's lifetime, so
-    closing the segment while the view lives raises ``BufferError``
-    instead of unmapping pages the view still reads.
-    ``np.ndarray(buffer=...)`` would release its export at once and
-    keep only the mmap object, which ``close`` then unmaps under it.
-    """
-    dtype = np.dtype(dtype)
-    count = int(np.prod(shape, dtype=np.int64))
-    return np.frombuffer(
-        segment.buf, dtype=dtype, count=count, offset=offset
-    ).reshape(shape)
-
-
-_segments = _AttachmentCache(_attach_segment, _close_quietly)
-
-
-def attached_segment(name):
-    """The (cached) attachment of segment ``name`` in this process."""
-    return _segments.get(name)
 
 
 def _open_verified_handle(key):
@@ -254,27 +133,17 @@ _served_lock = threading.Lock()
 #: a worker stage: resolution is purely local.
 _block_fetcher = threading.local()
 
-#: ``resource_tracker.register`` as imported, which a fork inside
-#: :func:`_attach_segment`'s patch window must get back.
-_tracker_register = resource_tracker.register
-
 
 def _reset_after_fork():
     """Fresh module locks in a forked child (``os.register_at_fork``).
 
     A process child forks from a service already running threads; a
     lock one of them held at the fork would never be released in the
-    child, and the child's first attach or open would hang on it.  A
-    fork inside the patch window would also leave the resource
-    tracker's ``register`` patched out for the child's whole life.
+    child, and the child's first open would hang on it.
     """
-    global _served_lock, _register_patch_lock
-    _segments._lock = threading.Lock()
+    global _served_lock
     _handles._lock = threading.Lock()
     _served_lock = threading.Lock()
-    _register_patch_lock = threading.Lock()
-    if resource_tracker.register is _noop_register:
-        resource_tracker.register = _tracker_register
 
 
 os.register_at_fork(after_in_child=_reset_after_fork)
@@ -391,174 +260,11 @@ def resolve_block_source(path, file_key):
     return fetcher(path, file_key)
 
 
-def _unlink_segment(segment, owner_pid):
-    """Finalizer: remove the segment name, in the owning process only."""
-    if os.getpid() != owner_pid:
-        return
-    try:
-        segment.unlink()
-    except FileNotFoundError:
-        pass
-    _close_quietly(segment)
-
-
-class SharedArrayPack:
-    """Several aligned NumPy arrays in one shared-memory segment.
-
-    Create with :meth:`create` (copies each source array once); the
-    object pickles as a descriptor and :attr:`arrays` resolves the
-    views lazily on either side.  Driver-side (owner) views are
-    writable — the session updates its estimates in place and workers
-    observe the new values through the same pages; worker-side views
-    are read-only.
-    """
-
-    def __init__(self, name, specs):
-        self.name = name
-        self.specs = tuple(specs)  # (offset, dtype_str, shape) per array
-        self._segment = None
-        self._arrays = None
-        self._owner = False
-        self._finalizer = None
-
-    @classmethod
-    def create(cls, arrays):
-        arrays = [np.ascontiguousarray(a) for a in arrays]
-        specs = []
-        offset = 0
-        for a in arrays:
-            offset = -(-offset // _ALIGNMENT) * _ALIGNMENT
-            specs.append((offset, a.dtype.str, a.shape))
-            offset += a.nbytes
-        segment = _create_segment(max(1, offset))
-        views = []
-        for a, (off, dtype, shape) in zip(arrays, specs):
-            view = _segment_view(segment, off, dtype, shape)
-            view[...] = a
-            views.append(view)
-        pack = cls(segment.name, specs)
-        pack._segment = segment
-        pack._arrays = views
-        pack._owner = True
-        pack._finalizer = weakref.finalize(
-            pack, _unlink_segment, segment, os.getpid()
-        )
-        return pack
-
-    @property
-    def arrays(self):
-        if self._arrays is None:
-            segment = attached_segment(self.name)
-            views = []
-            for off, dtype, shape in self.specs:
-                view = _segment_view(segment, off, dtype, shape)
-                view.setflags(write=False)
-                views.append(view)
-            self._arrays = views
-        return self._arrays
-
-    def unlink(self):
-        """Remove the segment name (owner only; idempotent)."""
-        if self._finalizer is not None:
-            self._finalizer()
-
-    def __getstate__(self):
-        return (self.name, self.specs)
-
-    def __setstate__(self, state):
-        self.name, self.specs = state
-        self._segment = None
-        self._arrays = None
-        self._owner = False
-        self._finalizer = None
-
-
-class SharedArray:
-    """One shared-memory NumPy array (a single-entry pack)."""
-
-    def __init__(self, pack):
-        self._pack = pack
-
-    @classmethod
-    def create(cls, array):
-        return cls(SharedArrayPack.create([array]))
-
-    @property
-    def array(self):
-        return self._pack.arrays[0]
-
-    def unlink(self):
-        self._pack.unlink()
-
-
-def resolve(obj):
-    """The ndarray behind ``obj`` (passthrough for plain arrays).
-
-    Stage kernels bind session arrays through this so the same kernel
-    runs on a plain array (serial/thread modes) or on a
-    :class:`SharedArray` descriptor (process mode).
-    """
-    if isinstance(obj, SharedArray):
-        return obj.array
-    return obj
-
-
-class SharedTableBlock:
-    """Picklable :class:`~repro.data.table.TableBlock` equivalent.
-
-    Carries the pack descriptor plus its row range; ``columns`` and
-    ``measure`` materialize as zero-copy views of the shared pages on
-    first access (driver or worker).  The pack's final array is the
-    measure column; the rest are the dimension columns in schema order.
-    """
-
-    __slots__ = ("index", "start", "stop", "size_bytes", "_pack",
-                 "_columns", "_measure")
-
-    def __init__(self, index, pack, start, stop, size_bytes):
-        self.index = index
-        self.start = start
-        self.stop = stop
-        self.size_bytes = size_bytes
-        self._pack = pack
-        self._columns = None
-        self._measure = None
-
-    @property
-    def num_rows(self):
-        return self.stop - self.start
-
-    @property
-    def columns(self):
-        if self._columns is None:
-            arrays = self._pack.arrays
-            self._columns = [col[self.start:self.stop]
-                             for col in arrays[:-1]]
-        return self._columns
-
-    @property
-    def measure(self):
-        if self._measure is None:
-            self._measure = self._pack.arrays[-1][self.start:self.stop]
-        return self._measure
-
-    def __getstate__(self):
-        return (self.index, self.start, self.stop, self.size_bytes,
-                self._pack)
-
-    def __setstate__(self, state):
-        (self.index, self.start, self.stop, self.size_bytes,
-         self._pack) = state
-        self._columns = None
-        self._measure = None
-
-
 class MmapTableBlock:
     """Picklable table block backed by an mmap of the colfile itself.
 
-    The file-backed counterpart of :class:`SharedTableBlock`: instead of
-    a shm segment name it carries ``(path, file_key)`` plus its row
-    range, and ``columns`` / ``measure`` resolve through
+    Carries ``(path, file_key)`` plus its row range, and ``columns`` /
+    ``measure`` resolve through
     :func:`resolve_block_source` — normally the process-cached
     read-only mapping from :func:`attached_handle`; on a shared-nothing
     worker, a remote source that ships the needed blocks from the
@@ -568,8 +274,7 @@ class MmapTableBlock:
     layout interleaves per block).  Either way no whole-table copy ever
     exists — the OS page cache is the only shared storage.
 
-    There is no segment to unlink, so no owner/finalizer machinery:
-    lifetime is the file's.
+    Nothing to release: lifetime is the file's.
     """
 
     __slots__ = ("index", "start", "stop", "size_bytes", "path",

@@ -15,12 +15,7 @@ from repro.common.errors import DataError
 from repro.data.encoding import DictionaryEncoder
 from repro.data.schema import Schema
 from repro.data.shardmap import ShardMap
-from repro.data.shm import (
-    MmapTableBlock,
-    SharedArrayPack,
-    SharedTableBlock,
-    register_served_handle,
-)
+from repro.data.shm import MmapTableBlock, register_served_handle
 
 #: Process-wide dataset version counter.  Tables are immutable, so a
 #: version identifies one table *instance*'s data for its whole life;
@@ -36,7 +31,9 @@ class TableBlock:
     Blocks are what the engine hands to partition kernels: ``columns``
     and ``measure`` are slices of the parent table's arrays (views, not
     row lists), so partitioning costs nothing and kernels vectorize
-    over their block directly.
+    over their block directly.  A block pickles as its own rows, which
+    is how an in-RAM partition reaches a process child or a shard
+    worker.
     """
 
     __slots__ = ("index", "columns", "measure", "start", "stop",
@@ -82,13 +79,6 @@ class Table:
         for col in self._dims:
             col.setflags(write=False)
         self._measure.setflags(write=False)
-        # Lazily-created shared-memory copy of the columns, for the
-        # process-pool execution mode (see ``partition_blocks``).  The
-        # lock is per table: concurrent jobs sharing one table get one
-        # pack, while unrelated tables' O(bytes) copies never queue on
-        # each other.
-        self._shm_pack = None
-        self._shm_lock = threading.Lock()
         self.dataset_version = next(_dataset_versions)
         self._shard_maps = {}
         self._shard_map_lock = threading.Lock()
@@ -132,8 +122,8 @@ class Table:
         its columns live in the file: scans stream blocks through a
         :class:`~repro.data.bufferpool.BufferPool` (``pool``, or a new
         one sized by ``capacity_bytes`` / ``REPRO_BUFFER_POOL_BYTES``),
-        and process-mode partitioning hands workers mmap-backed
-        descriptors instead of copying the table into shared memory.
+        and partitions that cross a process boundary are mmap-backed
+        descriptors instead of copies of their rows.
         """
         from repro.data.bufferpool import BufferPool
         from repro.data.colfile import ColFileHandle
@@ -248,7 +238,7 @@ class Table:
         ``num_shards`` (built once per degree and cached).
 
         The map is the one partition abstraction: every execution mode
-        — serial views, shm descriptors, mmap descriptors, remote
+        — serial views, pickled rows, mmap descriptors, remote
         shards — derives its blocks from the same map, so ranges and
         metered sizes are identical everywhere.  Maps carry this
         table's ``dataset_version``; a different table (new data) gets
@@ -278,27 +268,11 @@ class Table:
         row counts differ by at most one).  This is the partitioning
         every engine stage runs over.
 
-        With ``shared=True`` the blocks are
-        :class:`~repro.data.shm.SharedTableBlock` descriptors over a
-        shared-memory copy of the columns (created once per table and
-        reused): they are picklable, so the process-pool execution mode
-        ships a partition to a worker without copying its data.  Values
-        seen by kernels are identical either way.  The segment is
-        unlinked when the table is garbage collected.
+        ``shared`` asks for blocks that cross a process boundary.  An
+        in-RAM table's views already do — they pickle as their own rows —
+        so it returns the same blocks either way; a file-backed table
+        answers with descriptors (:meth:`FileBackedTable.partition_blocks`).
         """
-        shard_map = self.shard_map(num_blocks)
-        if shared:
-            pack = self._shared_columns()
-            return [
-                SharedTableBlock(
-                    index=shard.shard_id,
-                    pack=pack,
-                    start=shard.start,
-                    stop=shard.stop,
-                    size_bytes=shard.size_bytes,
-                )
-                for shard in shard_map
-            ]
         return [
             TableBlock(
                 index=shard.shard_id,
@@ -308,17 +282,8 @@ class Table:
                 stop=shard.stop,
                 size_bytes=shard.size_bytes,
             )
-            for shard in shard_map
+            for shard in self.shard_map(num_blocks)
         ]
-
-    def _shared_columns(self):
-        """This table's shared-memory column pack (created on demand)."""
-        with self._shm_lock:
-            if self._shm_pack is None:
-                self._shm_pack = SharedArrayPack.create(
-                    list(self._dims) + [self._measure]
-                )
-            return self._shm_pack
 
     # ------------------------------------------------------------------
     # Aggregates used across the library
@@ -357,11 +322,11 @@ class FileBackedTable(Table):
     behaviour lives; its hit/miss/eviction counters are the observable
     record of that streaming.
 
-    Process-mode partitioning never touches shm: ``partition_blocks``
-    with ``shared=True`` returns
+    Partitions that cross a process boundary are not copies of their
+    rows: ``partition_blocks`` with ``shared=True`` returns
     :class:`~repro.data.shm.MmapTableBlock` descriptors that workers
     resolve against an mmap of the file itself, so no whole-table copy
-    is made for a process job (``_shm_pack`` stays ``None``).
+    is made for a process or remote job.
 
     Values are bit-identical to ``read_colfile(path)`` — codes are
     stored as int64 and the measure as float64, the engine's native
@@ -376,8 +341,6 @@ class FileBackedTable(Table):
         self._handle = handle
         self._pool = pool
         self._encoders = list(handle.encoders)
-        self._shm_pack = None
-        self._shm_lock = threading.Lock()
         self._materialize_lock = threading.Lock()
         self.dataset_version = next(_dataset_versions)
         self._shard_maps = {}
@@ -462,10 +425,10 @@ class FileBackedTable(Table):
     def partition_blocks(self, num_blocks, shared=False):
         """Partition for the engine; mmap descriptors in shared mode.
 
-        With ``shared=True`` (process-pool execution) the blocks carry
-        ``(path, file_key, row range)`` and workers map the file
-        directly — the shm copy an in-RAM table would make is never
-        created.  Partition bounds and ``size_bytes`` match the base
+        With ``shared=True`` (process or remote execution) the blocks
+        carry ``(path, file_key, row range)`` and workers map the file
+        directly, or fetch its blocks from the driver, instead of
+        receiving the rows in the batch.  Partition bounds and ``size_bytes`` match the base
         implementation exactly, keeping metered costs bit-identical.
         """
         if not shared:

@@ -195,9 +195,9 @@ class ClusterContext:
     def uses_processes(self):
         """True when partition data must cross a process boundary.
 
-        Process-pool stages and remote stages both need picklable
-        shard descriptors (shm or mmap blocks) rather than driver-local
-        array views.
+        Process-pool stages and remote stages both pickle their
+        partitions into the batch: an in-RAM table's blocks as their
+        rows, a file-backed table's as mmap descriptors.
         """
         if self.executor == EXECUTOR_REMOTE:
             return True

@@ -27,8 +27,8 @@ A ``PoolExecutor`` either owns one (a cluster on its own: the children
 go when the cluster closes) or is *lent* one that outlives it — the
 service's engine budget keeps a single pool as wide as its cap and
 every job's cluster runs on it, so children fork once per service, not
-once per job, and their imports and shm / mmap attachments stay warm
-from job to job.  Either way the executor *reserves* ``width`` slots
+once per job, and their imports and mmap attachments stay warm from
+job to job.  Either way the executor *reserves* ``width`` slots
 at its first wide process stage and holds them until it closes, and a
 process stage is one message per reserved child: of
 ``min(width, partitions)`` contiguous batches, batch ``i`` goes to the

@@ -18,12 +18,6 @@ mirroring the front-door server's convention):
   attachment-cache and block-cache sizes.
 - ``heartbeat`` — minimal liveness probe; the driver's health checks
   use it with a short deadline (:meth:`ShardWorkerClient.heartbeat`).
-- ``worker_attach`` — pre-open and verify a colfile by ``(path,
-  file_key)`` through the worker's process-wide attachment cache
-  (:func:`repro.data.shm.attached_handle`), so a job's first
-  ``run_stage`` finds the mmap hot and a stale file is refused before
-  any kernel runs.  Refused when the worker runs with
-  ``local_files=False``.
 - ``run_stage`` — one batch of the stage, in the codec a process-pool
   child speaks over its pipe (:mod:`repro.engine.executors`): the
   ``batch`` blob is a :func:`~repro.engine.executors.batch_request`,
@@ -100,7 +94,6 @@ from repro.common.metrics import MetricsRegistry
 from repro.data.colfile import read_row_range
 from repro.data.shardmap import ShardMap
 from repro.data.shm import (
-    attached_handle,
     attachment_cache_stats,
     block_fetcher,
     resolve_local_handle,
@@ -509,7 +502,6 @@ class ShardWorker:
         self.ops = {
             "worker_hello": self._op_hello,
             "heartbeat": self._op_heartbeat,
-            "worker_attach": self._op_attach,
             "run_stage": self._op_run_stage,
         }
 
@@ -583,26 +575,6 @@ class ShardWorker:
         """Minimal liveness probe: no caches touched, no locks held
         beyond the counter read — answers even while stages grind."""
         return {"ok": True, "pid": os.getpid(), "closing": self.closing}, ()
-
-    def _op_attach(self, frame, connection):
-        if not self.local_files:
-            raise EngineError(
-                "worker runs with local_files disabled; blocks are "
-                "fetched from the driver, there is nothing to attach"
-            )
-        try:
-            path = frame.payload["path"]
-            file_key = frame.payload["file_key"]
-        except KeyError as exc:
-            raise ProtocolError(
-                "worker_attach needs %s" % exc
-            ) from None
-        handle = attached_handle(path, file_key)
-        return {
-            "ok": True,
-            "num_rows": handle.num_rows,
-            "num_blocks": handle.num_blocks,
-        }, ()
 
     def _op_run_stage(self, frame, connection):
         request = _blob_at(frame.blobs, frame.payload.get("batch"),
@@ -805,12 +777,6 @@ class ShardWorkerClient:
             return False
         finally:
             self.timeout = previous
-
-    def attach(self, path, file_key):
-        """Pre-open/verify a colfile on the worker (warm its mmap)."""
-        return self._call("worker_attach", {
-            "path": str(path), "file_key": list(file_key),
-        }).payload
 
     def run_stage(self, request):
         """Run one :func:`~repro.engine.executors.batch_request` on the

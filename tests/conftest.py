@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.miner import make_default_cluster
 from repro.data.generators import flight_table, gdelt_table, income_table
-from repro.data.shm import SharedArrayPack
 from repro.engine import task
 
 
@@ -119,24 +118,17 @@ def live_workers():
 
 
 def shm_entries():
-    """Shared-memory segments of this process that outlived their owner.
+    """``/dev/shm`` entries named for this process (``repro-<pid>-*``).
 
-    Segment names embed the creator's pid (``repro.data.shm``), so
-    other processes on the host cannot show up here.  A name whose
-    owning pack is still alive is not a leak — a table keeps the pack
-    a process or remote job made of it for as long as it lives, and
-    the pack unlinks when collected.
+    Nothing in the library makes shared-memory segments, so any such
+    entry is a leak; the pid keeps other processes on the host out.
     """
     prefix = "repro-%d-" % os.getpid()
     try:
-        entries = {name for name in os.listdir("/dev/shm")
-                   if name.startswith(prefix)}
+        return {name for name in os.listdir("/dev/shm")
+                if name.startswith(prefix)}
     except OSError:  # no /dev/shm on this platform
         return set()
-    if entries:
-        entries -= {obj.name for obj in gc.get_objects()
-                    if isinstance(obj, SharedArrayPack) and obj._owner}
-    return entries
 
 
 def open_sockets():

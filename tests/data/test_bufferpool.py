@@ -145,11 +145,3 @@ class TestEviction:
         assert stats["resident_blocks"] == 2
         assert stats["pinned_blocks"] == 0
         assert stats["resident_bytes"] == pool.resident_bytes
-
-    def test_invalidate_file_drops_unpinned(self, handle):
-        pool = BufferPool(capacity_bytes=1 << 20)
-        with pool.pin(handle, 0):
-            pass
-        pool.invalidate_file(handle.path)
-        assert not pool.contains(handle, 0)
-        assert pool.resident_bytes == 0

@@ -227,11 +227,14 @@ class TestFileBackedTable:
     def test_shared_partitions_are_mmap_backed(self, colpath):
         from repro.data.shm import MmapTableBlock
 
+        from tests.conftest import shm_entries
+
+        before = shm_entries()
         table = Table.open_colfile(colpath)
         blocks = table.partition_blocks(3, shared=True)
         assert all(isinstance(b, MmapTableBlock) for b in blocks)
-        # No shm copy of the table was (or will be) made for these.
-        assert table._shm_pack is None
+        # No copy of the table was put in /dev/shm for these.
+        assert shm_entries() <= before
 
     def test_empty_colfile_opens(self, tmp_path):
         from repro.data.colfile import write_colfile

@@ -116,7 +116,7 @@ class TestProtocolOps:
         # statically instead of standing up a listening worker.
         source = inspect.getsource(net_worker)
         ops = set(re.findall(r'"(\w+)":\s*self\._op_\w+', source))
-        assert ops >= {"worker_hello", "heartbeat", "worker_attach", "run_stage"}, (
+        assert ops >= {"worker_hello", "heartbeat", "run_stage"}, (
             "worker op table in source looks wrong: %s" % sorted(ops)
         )
         for op in sorted(ops):

@@ -29,6 +29,7 @@ from tests.conftest import (
     kill_child_before_stage,
     live_workers,
     mining_bytes,
+    shm_entries,
     stage_threads,
 )
 
@@ -348,6 +349,17 @@ class TestPoolLifecycle:
              executor="process")
         assert child_pids() <= before
 
+    def test_process_mine_of_in_ram_table_makes_no_shm_entry(self):
+        # The table's partitions, measure and estimates reach the
+        # children as bytes in each batch: nothing is left in /dev/shm
+        # for the table (still alive here) to own.
+        table = synthetic_table(num_rows=600)
+        before = shm_entries()
+        mine(table, k=2, sample_size=16, seed=0, parallelism=2,
+             executor="process")
+        assert shm_entries() <= before
+        assert len(table) == 600
+
     def test_explore_cube_closes_internal_cluster(self):
         from repro.apps import explore_cube
 
@@ -610,6 +622,7 @@ class TestFileBackedBitIdentity:
             finally:
                 cluster.close()
 
+        before = shm_entries()
         in_ram = run(table)
         out_of_core = run(file_table)
         assert [tuple(m.rule.values) for m in in_ram.rule_set] == [
@@ -625,10 +638,9 @@ class TestFileBackedBitIdentity:
         assert pool.misses > 0
         assert pool.evictions > 0
         assert pool.resident_bytes <= pool.capacity_bytes
-        if executor == "process" and parallelism > 1:
-            # Process workers attached the mmap'd file; no shm copy of
-            # the table was made for the job.
-            assert file_table._shm_pack is None
+        # Process workers attached the mmap'd file; nothing was put in
+        # /dev/shm for the job.
+        assert shm_entries() <= before
 
     def test_file_backed_service_job_exposes_pool_stats(self):
         import tempfile

@@ -70,15 +70,6 @@ class TestShardMapProperties:
         assert_bijection(shard_map, sum(block_rows))
         assert [s.num_rows for s in shard_map] == block_rows
 
-    @given(st.integers(1, 2000), st.integers(1, 32))
-    @settings(max_examples=100, deadline=None)
-    def test_shard_of_row_agrees_with_the_ranges(self, num_rows,
-                                                 num_shards):
-        shard_map = ShardMap.build(num_rows, num_shards)
-        for row in {0, num_rows // 2, num_rows - 1}:
-            shard = shard_map.shard_of_row(row)
-            assert shard.start <= row < shard.stop
-
 
 class TestShardMapValidation:
     def test_overlapping_shards_rejected(self):

@@ -1,4 +1,6 @@
-"""Shared-memory column blocks: round-trips, lifetime, worker access."""
+"""Table blocks that cross a process boundary: in-RAM blocks as their
+rows, file-backed blocks as mmap descriptors, the attachment cache that
+resolves those, and its fork safety."""
 
 import os
 import pickle
@@ -8,13 +10,8 @@ import numpy as np
 import pytest
 
 from repro.data.generators import SyntheticSpec, generate
-from repro.data.shm import (
-    MmapTableBlock,
-    SharedArray,
-    SharedArrayPack,
-    SharedTableBlock,
-    resolve,
-)
+from repro.data.shm import MmapTableBlock
+from repro.data.table import TableBlock
 
 
 def small_table(num_rows=500, seed=3):
@@ -41,192 +38,31 @@ def _sum_block(block):
     )
 
 
-def _sum_shared_array(shared):
-    return float(resolve(shared).sum())
+class TestInRamBlocks:
+    """An in-RAM table's blocks are views whether or not they are to
+    cross a process boundary, and they cross as their own rows."""
 
-
-class TestSharedArrayPack:
-    def test_roundtrip_values(self):
-        a = np.arange(10, dtype=np.int64)
-        b = np.linspace(0.0, 1.0, 7)
-        pack = SharedArrayPack.create([a, b])
-        try:
-            out_a, out_b = pack.arrays
-            assert np.array_equal(out_a, a)
-            assert np.array_equal(out_b, b)
-        finally:
-            pack.unlink()
-
-    def test_pickled_copy_resolves_read_only(self):
-        a = np.arange(20, dtype=np.float64)
-        pack = SharedArrayPack.create([a])
-        try:
-            clone = pickle.loads(pickle.dumps(pack))
-            view = clone.arrays[0]
-            assert np.array_equal(view, a)
-            assert not view.flags.writeable
-            with pytest.raises((ValueError, RuntimeError)):
-                view[0] = 99.0
-        finally:
-            pack.unlink()
-
-    def test_owner_writes_are_visible_through_attachments(self):
-        pack = SharedArrayPack.create([np.zeros(4)])
-        try:
-            clone = pickle.loads(pickle.dumps(pack))
-            view = clone.arrays[0]
-            pack.arrays[0][:] = 7.0
-            assert np.array_equal(view, np.full(4, 7.0))
-        finally:
-            pack.unlink()
-
-    def test_unlink_is_idempotent(self):
-        pack = SharedArrayPack.create([np.ones(3)])
-        pack.unlink()
-        pack.unlink()
-
-    def test_attach_after_unlink_fails(self):
-        pack = SharedArrayPack.create([np.ones(3)])
-        clone = pickle.loads(pickle.dumps(pack))
-        pack.unlink()
-        with pytest.raises(FileNotFoundError):
-            clone.arrays  # the segment name is gone
-
-    @pytest.mark.parametrize("script", [
-        # The owner pack is collected while a view of it lives: its
-        # finalizer unlinks and closes the segment.
-        "pack = SharedArrayPack.create([np.arange(100000)])\n"
-        "view = pack.arrays[0]\n"
-        "del pack\n"
-        "gc.collect()\n"
-        "print(int(view.sum()))\n",
-        # An attachment is evicted past the cache cap while a view of it
-        # lives, and later segments are mapped after it.
-        "owners = [SharedArrayPack.create([np.arange(100000) * (i + 1)])\n"
-        "          for i in range(_ATTACHMENT_CAP + 4)]\n"
-        "clones = [pickle.loads(pickle.dumps(p)) for p in owners]\n"
-        "view = clones[0].arrays[0]\n"
-        "for clone in clones[1:]:\n"
-        "    clone.arrays\n"
-        "print(int(view.sum()))\n",
-    ], ids=["collected-owner", "evicted-attachment"])
-    def test_views_outlive_a_closed_segment(self, script):
-        # Closing a segment must not unmap pages a live view reads: the
-        # old views read freed memory (a crash, or another segment's
-        # bytes once the address was reused).  Run in a child so a
-        # regression fails this test instead of killing the suite.
-        import subprocess
-        import sys
-
-        import repro
-
-        prelude = ("import gc, pickle\n"
-                   "import numpy as np\n"
-                   "from repro.data.shm import SharedArrayPack, "
-                   "_ATTACHMENT_CAP\n")
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-c", prelude + script],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "4999950000"
-        assert done.stderr == ""
-
-
-class TestSegmentNames:
-    """A worker that outlives jobs caches attachments by segment name,
-    so a name must never come back for a different segment."""
-
-    def test_names_never_recur_and_embed_the_owner_pid(self):
-        import os
-
-        names = set()
-        for _ in range(10_000):
-            pack = SharedArrayPack.create([np.zeros(1)])
-            names.add(pack.name)
-            pack.unlink()
-        assert len(names) == 10_000
-        prefix = "repro-%d-" % os.getpid()
-        assert all(name.startswith(prefix) for name in names)
-
-    def test_cached_attachment_cannot_be_served_for_a_new_segment(self):
-        from repro.data import shm
-
-        old = SharedArrayPack.create([np.full(4, 1.0)])
-        stale = pickle.loads(pickle.dumps(old))
-        assert stale.arrays[0][0] == 1.0  # now in the attachment cache
-        old.unlink()
-        assert old.name in shm._segments.entries
-        new = SharedArrayPack.create([np.full(4, 2.0)])
-        try:
-            assert new.name != old.name
-            fresh = pickle.loads(pickle.dumps(new))
-            assert fresh.arrays[0][0] == 2.0
-        finally:
-            new.unlink()
-
-    def test_name_left_by_a_dead_process_is_skipped(self, monkeypatch):
-        import itertools
-        import os
-        from multiprocessing import shared_memory
-
-        from repro.data import shm
-
-        monkeypatch.setattr(shm, "_segment_counter", itertools.count(10**9))
-        squatter = shared_memory.SharedMemory(
-            name="repro-%d-%d" % (os.getpid(), 10**9), create=True, size=8
-        )
-        try:
-            pack = SharedArrayPack.create([np.arange(3)])
-            try:
-                assert pack.name == "repro-%d-%d" % (os.getpid(), 10**9 + 1)
-                assert np.array_equal(pack.arrays[0], np.arange(3))
-            finally:
-                pack.unlink()
-        finally:
-            squatter.close()
-            squatter.unlink()
-
-
-class TestSharedArray:
-    def test_resolve_passthrough(self):
-        plain = np.arange(5)
-        assert resolve(plain) is plain
-        shared = SharedArray.create(plain)
-        try:
-            assert np.array_equal(resolve(shared), plain)
-        finally:
-            shared.unlink()
-
-
-class TestSharedTableBlocks:
-    def test_shared_blocks_match_plain_blocks(self):
+    def test_shared_blocks_are_the_plain_views(self):
         table = small_table()
         plain = table.partition_blocks(4)
         shared = table.partition_blocks(4, shared=True)
         assert len(plain) == len(shared)
         for p, s in zip(plain, shared):
-            assert isinstance(s, SharedTableBlock)
+            assert isinstance(s, TableBlock)
             assert (p.index, p.start, p.stop, p.size_bytes) == (
                 s.index, s.start, s.stop, s.size_bytes
             )
-            assert p.num_rows == s.num_rows
             for pc, sc in zip(p.columns, s.columns):
                 assert np.array_equal(pc, sc)
             assert np.array_equal(p.measure, s.measure)
 
-    def test_shared_pack_is_reused_per_table(self):
-        table = small_table()
-        first = table.partition_blocks(2, shared=True)
-        second = table.partition_blocks(3, shared=True)
-        assert first[0]._pack is second[0]._pack
-
-    def test_block_pickle_roundtrip(self):
+    def test_block_pickles_as_its_rows(self):
         table = small_table()
         block = table.partition_blocks(4, shared=True)[2]
-        clone = pickle.loads(pickle.dumps(block))
+        payload = pickle.dumps(block)
+        # The block's own rows, not the table it views.
+        assert len(payload) < table.estimated_bytes() // 2
+        clone = pickle.loads(payload)
         assert clone.start == block.start and clone.stop == block.stop
         for a, b in zip(clone.columns, block.columns):
             assert np.array_equal(a, b)
@@ -242,14 +78,29 @@ class TestSharedTableBlocks:
             assert measure_sum == pytest.approx(float(block.measure.sum()))
             assert num_rows == block.num_rows
 
-    def test_worker_process_reads_shared_array(self):
-        shared = SharedArray.create(np.arange(100, dtype=np.float64))
-        try:
-            with ProcessPoolExecutor(max_workers=1) as pool:
-                total = pool.submit(_sum_shared_array, shared).result()
-            assert total == pytest.approx(4950.0)
-        finally:
-            shared.unlink()
+
+def _sum_bound(values, tc, part):
+    return float(values.sum())
+
+
+class TestBoundArraysCrossAsBytes:
+    """Arrays bound into a kernel reach a process child as bytes in the
+    batch, pickled when the stage is sent."""
+
+    def test_driver_writes_reach_the_next_process_stage(self):
+        import functools
+
+        from repro.engine.cluster import ClusterContext
+
+        values = np.zeros(100)
+        kernel = functools.partial(_sum_bound, values)
+        with ClusterContext(parallelism=2, executor="process") as cluster:
+            first = cluster.run_stage(kernel, range(2)).outputs
+            values[:] = 1.0  # as the miner updates its estimates
+            second = cluster.run_stage(kernel, range(2)).outputs
+            assert cluster.fallback_stages == 0
+        assert first == [0.0, 0.0]
+        assert second == [100.0, 100.0]
 
 
 class TestMmapTableBlocks:
@@ -324,7 +175,24 @@ class TestMmapTableBlocks:
 
 
 class TestAttachmentCache:
-    """The one open-outside-the-lock LRU both attachment caches use."""
+    """The open-outside-the-lock LRU that keeps colfile handles."""
+
+    def test_stats_count_colfile_handles_only(self, tmp_path):
+        from repro.data import shm
+        from repro.data.colfile import write_colfile
+
+        path = tmp_path / "t.col"
+        write_colfile(small_table(), path, block_rows=64)
+        info = os.stat(path)
+        key = (info.st_size, info.st_mtime_ns)
+        before = shm.attachment_cache_stats()
+        assert set(before) == {"handle_hits", "handle_misses",
+                               "handles_cached"}
+        shm.attached_handle(path, key)
+        shm.attached_handle(path, key)
+        after = shm.attachment_cache_stats()
+        assert after["handle_misses"] == before["handle_misses"] + 1
+        assert after["handle_hits"] == before["handle_hits"] + 1
 
     def test_loser_of_an_open_race_is_closed(self):
         import threading
@@ -379,60 +247,47 @@ class TestAttachmentCache:
         assert (cache.hits, cache.misses, len(cache.entries)) == (0, 2, 0)
 
 
-def _through_every_shm_lock(pack, path, file_key, tc, part):
-    """A segment attach (and, before 3.13, its tracker patch window), a
-    file open and a served-handle lookup: every module lock of
+def _through_every_shm_lock(path, file_key, tc, part):
+    """A file open and a served-handle lookup: every module lock of
     ``repro.data.shm`` a process child takes."""
-    from multiprocessing import resource_tracker
-
     from repro.data import shm
 
-    total = float(pack.arrays[0].sum())
-    shm.attached_handle(path, file_key)
+    handle = shm.attached_handle(path, file_key)
     shm.served_handle(path, file_key)
-    return total, resource_tracker.register is not shm._noop_register
+    return handle.num_rows
 
 
 class TestForkHazard:
     """A process child forked while a driver thread holds one of
     ``repro.data.shm``'s module locks starts with the lock free."""
 
-    @pytest.mark.parametrize("name", [
-        "_segments", "_handles", "_served_lock", "_register_patch_lock",
-    ])
+    @pytest.mark.parametrize("name", ["_handles", "_served_lock"])
     def test_the_first_stage_completes(self, name, tmp_path):
         import functools
-        import os
         import threading
-        from multiprocessing import resource_tracker
 
         from repro.data import shm
         from repro.data.colfile import write_colfile
         from repro.engine.cluster import ClusterContext
 
+        table = small_table()
         path = tmp_path / "t.col"
-        write_colfile(small_table(), path, block_rows=64)
+        write_colfile(table, path, block_rows=64)
         info = os.stat(path)
-        pack = SharedArrayPack.create([np.arange(100, dtype=np.float64)])
         lock = getattr(shm, name)
         lock = getattr(lock, "_lock", lock)
         holding, release = threading.Event(), threading.Event()
 
         def hold():
             with lock:
-                original = resource_tracker.register
-                if lock is shm._register_patch_lock:
-                    # Inside the patch window, as an attach would be.
-                    resource_tracker.register = shm._noop_register
                 holding.set()
                 release.wait(60.0)
-                resource_tracker.register = original
 
         holder = threading.Thread(target=hold)
         holder.start()
         assert holding.wait(10.0)
         cluster = ClusterContext(parallelism=2, executor="process")
-        kernel = functools.partial(_through_every_shm_lock, pack, str(path),
+        kernel = functools.partial(_through_every_shm_lock, str(path),
                                    (info.st_size, info.st_mtime_ns))
         outputs = []
         stage = threading.Thread(target=lambda: outputs.extend(
@@ -447,7 +302,6 @@ class TestForkHazard:
             holder.join(10.0)
             if finished:  # closing a hung pool would hang the test too
                 cluster.close()
-            pack.unlink()
         assert finished, "the first process stage hung on %s" % name
         assert cluster.fallback_stages == 0
-        assert outputs == [(4950.0, True)] * 4
+        assert outputs == [len(table)] * 4

@@ -4,7 +4,7 @@ A :class:`~repro.net.worker.ShardWorker` on 127.0.0.1 receives pickled
 kernels plus :class:`~repro.data.shm.MmapTableBlock` shard
 descriptors of a real colfile and executes them through the same task
 body process-pool workers use — so these tests drive the entire remote
-leg end-to-end over real sockets: attach, stage batches, charge
+leg end-to-end over real sockets: stage batches, block shipping, charge
 records, failure semantics and the full mining bit-identity check
 against a serial run.
 """
@@ -20,7 +20,6 @@ import pytest
 
 import repro.net.worker as worker_module
 from repro.common.errors import (
-    DataError,
     EngineError,
     FrameTooLargeError,
     ProtocolError,
@@ -89,19 +88,6 @@ class TestWorkerOps:
         assert hello["pid"] > 0
         assert hello["stages"] == 0
         assert "attachments" in hello
-
-    def test_attach_verifies_the_colfile(self, client, file_table):
-        handle = file_table._handle
-        reply = client.attach(handle.path, handle.file_key)
-        assert reply["ok"]
-        assert reply["num_rows"] == len(file_table)
-        assert reply["num_blocks"] == handle.num_blocks
-
-    def test_attach_refuses_a_stale_file_key(self, client, file_table):
-        handle = file_table._handle
-        stale = (handle.file_key[0], handle.file_key[1] + 1)
-        with pytest.raises(DataError):
-            client.attach(handle.path, stale)
 
     def test_unknown_op_is_a_protocol_error(self, client):
         with pytest.raises(ProtocolError, match="unknown worker op"):
@@ -325,15 +311,16 @@ def _serve_until_told(pipe):
 def _serve_isolated(pipe):
     """Body of a shard worker that reaches neither the driver's files
     nor its shared memory, as on another host: blocks come only over
-    the wire (``local_files=False``) and attaching a shared-memory
-    segment by name fails.  Reports its address, then answers any
-    message with its statistics until the pipe closes."""
-    import repro.data.shm as shm
+    the wire (``local_files=False``) and opening any shared-memory
+    segment fails.  Reports its address, then answers any message with
+    its statistics until the pipe closes."""
+    from multiprocessing import shared_memory
 
-    def no_segment(name):
-        raise FileNotFoundError("no shared memory on this host: %s" % name)
+    class NoSharedMemory:
+        def __init__(self, *args, **kwargs):
+            raise FileNotFoundError("no shared memory on this host")
 
-    shm.attached_segment = no_segment
+    shared_memory.SharedMemory = NoSharedMemory
     with ShardWorker(local_files=False) as worker:
         pipe.send(worker.address)
         while True:
@@ -644,6 +631,24 @@ class TestBlockShipping:
         served = stats()
         assert served["stages"] > 0 and served["fetched_bytes"] > 0
 
+    def test_isolated_worker_mines_an_in_ram_table_byte_identically(
+            self, flights, isolated_worker):
+        # An in-RAM table's partitions cross as their rows in the batch,
+        # like the session's arrays: no segment, no block fetch.
+        address, stats = isolated_worker
+        config = variant_config("optimized", k=3, sample_size=16, seed=0)
+        serial = Sirum(config).mine(flights)
+        cluster = make_default_cluster(executor="remote", workers=[address])
+        try:
+            remote = Sirum(config).mine(flights, cluster=cluster)
+            fallbacks = cluster.fallback_stages
+        finally:
+            cluster.close()
+        assert mining_bytes(remote) == mining_bytes(serial)
+        served = stats()
+        assert served["stages"] > 0 and served["fetched_bytes"] == 0
+        assert fallbacks == 0
+
     @pytest.mark.parametrize("num_workers", [2, 3])
     def test_a_cold_job_ships_each_block_about_once(self, tmp_path,
                                                     num_workers):
@@ -673,17 +678,6 @@ class TestBlockShipping:
         assert 1 < num_blocks < 16
         assert num_blocks <= pstats["blocks_shipped"]
         assert pstats["blocks_shipped"] <= num_blocks + num_workers - 1
-
-    def test_attach_is_refused_without_local_files(self, flights,
-                                                   tmp_path):
-        path = tmp_path / "flights.col"
-        write_colfile(flights, path, block_rows=64)
-        file_table = Table.open_colfile(path)
-        handle = file_table._handle
-        with ShardWorker(local_files=False) as worker:
-            with ShardWorkerClient(worker.address) as client:
-                with pytest.raises(EngineError, match="local_files"):
-                    client.attach(handle.path, handle.file_key)
 
     def test_remote_colfile_reads_bit_identically(self, flights,
                                                   tmp_path):

@@ -332,8 +332,7 @@ class TestStats:
         # but the process-local attachment-cache counters always are.
         assert stats["buffer_pool"]["attached"] is False
         attachments = stats["buffer_pool"]["attachments"]
-        for field in ("segment_hits", "segment_misses",
-                      "handle_hits", "handle_misses"):
+        for field in ("handle_hits", "handle_misses"):
             assert attachments[field] >= 0
         placement = stats["placement"]
         assert placement["shards"] >= 1
