@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import EngineError
+from repro.core.miner import make_default_cluster
 from repro.core.rule import Rule, WILDCARD
 from repro.core.session import MiningSession
 from repro.data.schema import Schema
@@ -106,3 +107,43 @@ class TestMeasureState:
     def test_estimates_start_at_one(self, flights, cluster):
         session = MiningSession(cluster, flights, num_partitions=1)
         np.testing.assert_array_equal(session.estimates, np.ones(14))
+
+
+def _estimates_of_partition(tc, part, estimates):
+    return float(estimates[part.start:part.stop].sum())
+
+
+class TestProcessModeState:
+    """With process children the session keeps plain arrays; a stage
+    that binds them carries them as bytes in its batch."""
+
+    def test_arrays_are_plain_and_blocks_are_views(self, flights):
+        from repro.data.table import TableBlock
+
+        with make_default_cluster(parallelism=2,
+                                  executor="process") as cluster:
+            session = MiningSession(cluster, flights, num_partitions=2)
+            assert session.shared
+            assert type(session.measure) is np.ndarray
+            assert type(session.estimates) is np.ndarray
+            assert all(isinstance(p, TableBlock)
+                       for p in session.partitions)
+            session.close()
+            session.close()  # idempotent
+
+    def test_children_see_in_place_estimate_updates(self, flights):
+        from functools import partial
+
+        with make_default_cluster(parallelism=2,
+                                  executor="process") as cluster:
+            session = MiningSession(cluster, flights, num_partitions=2)
+            kernel = partial(_estimates_of_partition,
+                             estimates=session.estimates)
+            first = session.run_over_data(kernel).outputs
+            session.estimates *= 3.0  # as iterative scaling does
+            second = session.run_over_data(kernel).outputs
+            session.close()
+            assert cluster.fallback_stages == 0
+        assert sum(first) == 14.0
+        assert sum(second) == 42.0
+        assert [3.0 * x for x in first] == second

@@ -78,6 +78,25 @@ class TestInRamBlocks:
             assert measure_sum == pytest.approx(float(block.measure.sum()))
             assert num_rows == block.num_rows
 
+    def test_all_blocks_together_pickle_to_about_one_table(self):
+        # Each partition carries only its own rows, so shipping every
+        # partition of a stage costs one table's bytes, not one per
+        # partition.
+        table = small_table(num_rows=2000)
+        blocks = table.partition_blocks(8, shared=True)
+        total = sum(len(pickle.dumps(block)) for block in blocks)
+        assert total < 1.5 * table.estimated_bytes()
+
+    def test_a_clone_is_a_copy_not_a_view_of_the_table(self):
+        table = small_table()
+        block = table.partition_blocks(2, shared=True)[1]
+        clone = pickle.loads(pickle.dumps(block))
+        clone.measure[:] = -1.0
+        assert not np.array_equal(block.measure, clone.measure)
+        assert np.array_equal(
+            block.measure, table.measure[block.start:block.stop]
+        )
+
 
 def _sum_bound(values, tc, part):
     return float(values.sum())
@@ -245,6 +264,235 @@ class TestAttachmentCache:
             with pytest.raises(ValueError):
                 cache.get("k")
         assert (cache.hits, cache.misses, len(cache.entries)) == (0, 2, 0)
+
+
+def _write_colfile(tmp_path, num_rows=500):
+    """A small table and the colfile it was written to, with its
+    ``(size, mtime_ns)`` file key."""
+    from repro.data.colfile import write_colfile
+
+    table = small_table(num_rows=num_rows)
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    path = tmp_path / "t.col"
+    write_colfile(table, path, block_rows=64)
+    info = os.stat(path)
+    return table, str(path), (info.st_size, info.st_mtime_ns)
+
+
+class _TableSource:
+    """A ``read_rows`` source over an in-RAM table, as a block fetcher
+    returns: it records the row ranges asked of it."""
+
+    def __init__(self, table):
+        self._block = table.partition_blocks(1)[0]
+        self.reads = []
+
+    def read_rows(self, start, stop):
+        self.reads.append((start, stop))
+        return ([col[start:stop] for col in self._block.columns],
+                self._block.measure[start:stop])
+
+
+class _RecordingFetcher:
+    def __init__(self, source):
+        self.source = source
+        self.calls = []
+
+    def __call__(self, path, file_key):
+        self.calls.append((path, tuple(file_key)))
+        return self.source
+
+
+class TestServedHandles:
+    """The driver's registry of live colfile handles that remote block
+    fetches are served from."""
+
+    def test_open_colfile_registers_its_handle(self, tmp_path):
+        from repro.data import shm
+        from repro.data.table import Table
+
+        _, path, _ = _write_colfile(tmp_path)
+        file_table = Table.open_colfile(path)
+        handle = file_table._handle
+        assert shm.served_handle(path, handle.file_key) is handle
+
+    def test_unregistered_state_is_not_served(self, tmp_path):
+        from repro.data import shm
+
+        _, path, key = _write_colfile(tmp_path)
+        assert shm.served_handle(path, key) is None
+
+    def test_closed_handle_is_not_served(self, tmp_path):
+        from repro.data import shm
+        from repro.data.colfile import ColFileHandle
+
+        _, path, key = _write_colfile(tmp_path)
+        handle = ColFileHandle(path)
+        shm.register_served_handle(handle)
+        assert shm.served_handle(path, key) is handle
+        handle.close()
+        assert shm.served_handle(path, key) is None
+
+    def test_deleted_file_is_served_from_the_live_map(self, tmp_path):
+        from repro.common.errors import DataError
+        from repro.data import shm
+        from repro.data.colfile import ColFileHandle
+
+        table, path, key = _write_colfile(tmp_path)
+        handle = ColFileHandle(path)
+        shm.register_served_handle(handle)
+        os.remove(path)
+        assert shm.served_handle(path, key) is handle
+        assert shm.resolve_local_handle(path, key) is handle
+        columns, measure = handle.read_rows(10, 90)
+        assert np.array_equal(measure, table.measure[10:90])
+        with pytest.raises((DataError, OSError)):
+            shm.attached_handle(path, key)  # the path itself is gone
+
+    def test_rewritten_file_drops_the_registration(self, tmp_path):
+        from repro.data import shm
+        from repro.data.colfile import ColFileHandle, write_colfile
+
+        table, path, key = _write_colfile(tmp_path)
+        handle = ColFileHandle(path)
+        shm.register_served_handle(handle)
+        write_colfile(table.slice(0, 100), path, block_rows=16)
+        assert shm.served_handle(path, key) is None
+        assert (path, key) not in shm._served_handles
+
+    def test_registration_prunes_closed_handles(self, tmp_path):
+        from repro.data import shm
+        from repro.data.colfile import ColFileHandle
+
+        _, first_path, first_key = _write_colfile(tmp_path / "a")
+        _, second_path, _ = _write_colfile(tmp_path / "b")
+        first = ColFileHandle(first_path)
+        shm.register_served_handle(first)
+        assert (first_path, first_key) in shm._served_handles
+        first.close()
+        shm.register_served_handle(ColFileHandle(second_path))
+        assert (first_path, first_key) not in shm._served_handles
+
+
+class TestResolveBlockSource:
+    """The one seam file-backed blocks resolve through: local handles
+    first, then the thread's block fetcher."""
+
+    def test_without_a_fetcher_resolution_is_local(self, tmp_path):
+        from repro.data import shm
+
+        _, path, key = _write_colfile(tmp_path)
+        source = shm.resolve_block_source(path, key)
+        assert source is shm.attached_handle(path, key)
+
+    def test_served_handle_wins_over_the_attachment_cache(self, tmp_path):
+        from repro.data import shm
+        from repro.data.colfile import ColFileHandle
+
+        _, path, key = _write_colfile(tmp_path)
+        handle = ColFileHandle(path)
+        shm.register_served_handle(handle)
+        before = shm.attachment_cache_stats()
+        assert shm.resolve_block_source(path, key) is handle
+        assert shm.attachment_cache_stats() == before
+
+    def test_refused_file_without_a_fetcher_raises(self, tmp_path):
+        from repro.common.errors import DataError
+        from repro.data import shm
+
+        _, path, (size, mtime) = _write_colfile(tmp_path)
+        with pytest.raises(DataError, match="changed on disk"):
+            shm.resolve_block_source(path, (size, mtime + 1))
+
+    def test_fetcher_is_not_asked_while_local_files_resolve(self,
+                                                             tmp_path):
+        from repro.data import shm
+
+        table, path, key = _write_colfile(tmp_path)
+        fetch = _RecordingFetcher(_TableSource(table))
+        with shm.block_fetcher(fetch):
+            source = shm.resolve_block_source(path, key)
+        assert source is shm.attached_handle(path, key)
+        assert fetch.calls == []
+
+    def test_fetcher_takes_over_a_refused_local_file(self, tmp_path):
+        from repro.data import shm
+
+        table, path, (size, mtime) = _write_colfile(tmp_path)
+        fetch = _RecordingFetcher(_TableSource(table))
+        stale = (size, mtime + 1)
+        with shm.block_fetcher(fetch):
+            assert shm.resolve_block_source(path, stale) is fetch.source
+        assert fetch.calls == [(path, stale)]
+
+    def test_without_local_files_the_fetcher_is_always_asked(self,
+                                                              tmp_path):
+        from repro.data import shm
+
+        table, path, key = _write_colfile(tmp_path)
+        fetch = _RecordingFetcher(_TableSource(table))
+        before = shm.attachment_cache_stats()
+        with shm.block_fetcher(fetch, local_files=False):
+            assert shm.resolve_block_source(path, key) is fetch.source
+        assert fetch.calls == [(path, key)]
+        # The file on this disk was not even opened.
+        assert shm.attachment_cache_stats() == before
+
+    def test_nested_fetchers_restore_the_outer_one(self, tmp_path):
+        from repro.common.errors import DataError
+        from repro.data import shm
+
+        table, path, (size, mtime) = _write_colfile(tmp_path)
+        stale = (size, mtime + 1)
+        outer = _RecordingFetcher(_TableSource(table))
+        inner = _RecordingFetcher(_TableSource(table))
+        with shm.block_fetcher(outer):
+            with pytest.raises(RuntimeError):
+                with shm.block_fetcher(inner, local_files=False):
+                    assert shm.resolve_block_source(path, stale) is (
+                        inner.source)
+                    raise RuntimeError("stage failed")
+            assert shm.resolve_block_source(path, stale) is outer.source
+        with pytest.raises(DataError):
+            shm.resolve_block_source(path, stale)
+        assert len(outer.calls) == len(inner.calls) == 1
+
+    def test_fetcher_is_installed_for_its_thread_only(self, tmp_path):
+        import threading
+
+        from repro.common.errors import DataError
+        from repro.data import shm
+
+        table, path, (size, mtime) = _write_colfile(tmp_path)
+        fetch = _RecordingFetcher(_TableSource(table))
+        raised = []
+
+        def other_thread():
+            try:
+                shm.resolve_block_source(path, (size, mtime + 1))
+            except DataError:
+                raised.append(True)
+
+        with shm.block_fetcher(fetch):
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            thread.join(10.0)
+        assert raised == [True]
+        assert fetch.calls == []
+
+    def test_mmap_block_reads_its_rows_through_the_fetcher(self, tmp_path):
+        from repro.data import shm
+
+        table, path, key = _write_colfile(tmp_path)
+        fetch = _RecordingFetcher(_TableSource(table))
+        block = MmapTableBlock(1, path, key, 100, 250, size_bytes=0)
+        with shm.block_fetcher(fetch, local_files=False):
+            columns, measure = block.columns, block.measure
+        assert fetch.source.reads == [(100, 250)]  # resolved once
+        assert np.array_equal(measure, table.measure[100:250])
+        plain = table.partition_blocks(1)[0]
+        for col, expected in zip(columns, plain.columns):
+            assert np.array_equal(col, expected[100:250])
 
 
 def _through_every_shm_lock(path, file_key, tc, part):
