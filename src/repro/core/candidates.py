@@ -1,38 +1,39 @@
 """Candidate rule generation and gain computation.
 
-Two generation modes and the scoring step they share:
+Candidates are packed rule keys (:class:`~repro.core.codec.RowCodec`)
+in two generation modes, with the scoring step they share:
 
 - sample-pruned (default, thesis §3.1.1): ancestors of LCA(s, D) over
   packed keys with the multiplicity correction, ancestor generation
   either single-stage or column-grouped (§4.3) — the miner's stages
   over :mod:`repro.core.lattice_packed`;
 - exhaustive (§3.1, used by the cube-exploration experiments where
-  pruning is disabled): the full data cube of D, computed per cuboid;
-- scoring: Eq. 2.2 gain per candidate (:func:`score_packed`).
+  pruning is disabled): the full data cube of each partition, one
+  :class:`~repro.core.codec.GroupPlan` built cuboid by cuboid
+  (:func:`cube_plan`) and kept by the job, so iterations 2..k only
+  re-sum ``SUM(m-hat)``;
+- scoring: Eq. 2.2 gain per candidate (:func:`score_aggregates`).
 """
 
 import numpy as np
 
 from repro.common.errors import DataError
-from repro.core.codec import RowCodec, group_packed
+from repro.core.codec import GroupPlan, index_dtype, plan_groups
 from repro.core.rule import Rule
 
 
 class CandidateSet:
     """Scored candidate rules from one mining iteration.
 
-    Candidates are held either as explicit :class:`Rule` objects
-    (``rules``, the exhaustive cube) or as packed keys plus a codec
-    (``keys`` + ``codec``, sample pruning); the packed form avoids
-    materializing millions of Rule objects on high-dimensional
-    workloads.  :meth:`rule_at` decodes on demand either way.
+    Candidates are packed keys plus the codec that packed them, which
+    avoids materializing millions of Rule objects on high-dimensional
+    workloads; :meth:`rule_at` decodes on demand.  Position is part of
+    the output: :meth:`order_by_gain` and :meth:`best` break gain ties
+    by it.
     """
 
-    def __init__(self, rules, sums_m, sums_mhat, counts, gains,
-                 emitted_pairs, keys=None, codec=None):
-        if rules is None and (keys is None or codec is None):
-            raise DataError("provide rules, or keys plus a codec")
-        self.rules = rules
+    def __init__(self, keys, codec, sums_m, sums_mhat, counts, gains,
+                 emitted_pairs):
         self.keys = keys
         self.codec = codec
         self.sums_m = sums_m
@@ -44,14 +45,10 @@ class CandidateSet:
         self.emitted_pairs = emitted_pairs
 
     def __len__(self):
-        if self.rules is not None:
-            return len(self.rules)
         return int(self.keys.size)
 
     def rule_at(self, index):
-        """The candidate rule at ``index``, decoded if packed."""
-        if self.rules is not None:
-            return self.rules[index]
+        """The candidate rule at ``index``, decoded."""
         return Rule(self.codec.unpack(int(self.keys[index])))
 
     def order_by_gain(self):
@@ -76,30 +73,36 @@ def score_packed(keys, aggs, multiplicities, emitted, codec):
         raise DataError(
             "candidate failed the sample-multiplicity invariant"
         )
-    corrected = aggs / multiplicities[:, None]
-    gains = _gains(corrected[:, 0], corrected[:, 1])
-    return CandidateSet(
-        None,
-        corrected[:, 0],
-        corrected[:, 1],
-        corrected[:, 2],
-        gains,
-        emitted,
-        keys=keys,
-        codec=codec,
+    return score_aggregates(
+        keys, aggs / multiplicities[:, None], emitted, codec
     )
 
 
-def generate_exhaustive(columns, measure, estimates, tc=None):
-    """Full-cube candidate generation over a data block (no pruning).
+def score_aggregates(keys, aggs, emitted, codec):
+    """Eq. 2.2 gains of ``keys`` whose (sum_m, sum_mhat, count) rows
+    ``aggs`` are their true aggregates over D."""
+    return CandidateSet(
+        keys, codec, aggs[:, 0], aggs[:, 1], aggs[:, 2],
+        _gains(aggs[:, 0], aggs[:, 1]), emitted,
+    )
 
-    Computes every cuboid of the block: for each of the 2^d wildcard
-    patterns, groups the block by the bound attributes and aggregates
-    (SUM(m), SUM(m-hat), COUNT).  This is the simple MapReduce data-cube
-    algorithm of [25] that Naive SIRUM uses (§3.1) and the mode the
-    cube-exploration evaluation runs in (§5.6.2).
 
-    Returns (aggregates dict, emitted pair count).
+def cube_plan(columns, measure, codec):
+    """The estimate-independent half of a block's full data cube.
+
+    Every one of the 2^d cuboids of the block — for each wildcard
+    pattern, the block grouped by the bound attributes — as one
+    :class:`~repro.core.codec.GroupPlan` over ``codec``'s keys: the
+    simple MapReduce data-cube algorithm of [25] that Naive SIRUM uses
+    (§3.1) and the mode the cube-exploration evaluation runs in
+    (§5.6.2).  A cell's key has zeros exactly at its cuboid's wildcard
+    fields, so no cell is in two cuboids.  Cells are in (cuboid, key)
+    order, the all-bound cuboid first and the root last; each sums its
+    rows in ascending row order.  The tally is the emission count,
+    n * 2^d.
+
+    The cube is grouped one cuboid at a time, so no more than one
+    cuboid's keys exist at once beside the plan.
     """
     n = measure.size
     d = len(columns)
@@ -108,64 +111,29 @@ def generate_exhaustive(columns, measure, estimates, tc=None):
             "exhaustive generation over %d dimensions would enumerate "
             "2^%d cuboids; use sample-based pruning" % (d, d)
         )
-    aggregates = {}
-    emitted = n * (1 << d)
-    weights = [measure, estimates, np.ones(n, dtype=np.float64)]
-    codec = RowCodec([int(col.max()) + 1 if col.size else 1 for col in columns])
+    cells = n << d
     terms = [
         (columns[j].astype(codec.key_dtype) + 1) << codec.offsets[j]
         for j in range(d)
     ]
+    keys = []
+    group_ids = np.empty(cells, dtype=index_dtype(cells))
+    sources = np.empty(cells, dtype=index_dtype(n))
+    groups = 0
     for pattern in range(1 << d):
-        keys = np.zeros(n, dtype=codec.key_dtype)
+        cuboid = np.zeros(n, dtype=codec.key_dtype)
         for j in range(d):
             if not pattern & (1 << j):
-                keys += terms[j]
-        uniq, (sums_m, sums_mhat, counts) = group_packed(
-            keys, weights, key_bits=codec.total_bits
-        )
-        rows = codec.unpack_batch(uniq)
-        for row, sm, smh, c in zip(rows, sums_m, sums_mhat, counts):
-            key = tuple(int(v) for v in row)
-            existing = aggregates.get(key)
-            if existing is None:
-                aggregates[key] = [sm, smh, c]
-            else:
-                existing[0] += sm
-                existing[1] += smh
-                existing[2] += c
-    if tc is not None:
-        # Each tuple emits 2^d cuboid cells; hash-add per emission.
-        tc.add_ops(emitted * 2)
-        tc.add_records(n)
-    return aggregates, emitted
-
-
-def merge_exhaustive(dicts):
-    """Reduce-side merge of per-block exhaustive cube aggregates."""
-    merged = {}
-    for acc in dicts:
-        for key, agg in acc.items():
-            existing = merged.get(key)
-            if existing is None:
-                merged[key] = list(agg)
-            else:
-                existing[0] += agg[0]
-                existing[1] += agg[1]
-                existing[2] += agg[2]
-    return merged
-
-
-def candidate_set_from_cube(cube_aggregates, emitted):
-    """Score a merged exhaustive cube into a :class:`CandidateSet`."""
-    rules = [Rule(key) for key in cube_aggregates]
-    raw = np.asarray(
-        [cube_aggregates[r.values] for r in rules], dtype=np.float64
+                cuboid += terms[j]
+        uniq, ids, positions = plan_groups(cuboid, codec.total_bits)
+        span = slice(pattern * n, (pattern + 1) * n)
+        group_ids[span] = ids + groups
+        sources[span] = np.arange(n) if positions is None else positions
+        keys.append(uniq)
+        groups += uniq.size
+    return GroupPlan(
+        np.concatenate(keys), group_ids, sources, measure, np.ones(n), cells
     )
-    if raw.size == 0:
-        raise DataError("exhaustive generation produced no candidates")
-    gains = _gains(raw[:, 0], raw[:, 1])
-    return CandidateSet(rules, raw[:, 0], raw[:, 1], raw[:, 2], gains, emitted)
 
 
 def _gains(sums_m, sums_mhat):

@@ -196,10 +196,11 @@ class GroupPlan:
 
     def __init__(self, keys, group_ids, sources, sum_m, counts, tally=0):
         self.keys = keys
-        self.group_ids = group_ids.astype(index_dtype(keys.size))
+        self.group_ids = group_ids.astype(index_dtype(keys.size),
+                                         copy=False)
         self.sources = (
             None if sources is None
-            else sources.astype(index_dtype(sum_m.size))
+            else sources.astype(index_dtype(sum_m.size), copy=False)
         )
         self.tally = tally
         self.fixed = np.zeros((keys.size, 3), dtype=np.float64)
@@ -249,21 +250,3 @@ def planned(state, build, *args):
         plan = build(*args)
         state.put(plan)
     return plan
-
-
-def group_packed(keys, weight_columns, key_bits=None):
-    """Group packed keys, summing each weight column per distinct key.
-
-    Returns ``(unique_keys, sums)`` where ``sums`` has one row per
-    weight column aligned with ``unique_keys``; see
-    :func:`plan_groups` for the order each group is summed in.
-    """
-    uniq, group_ids, positions = plan_groups(keys, key_bits)
-    if positions is not None:
-        weight_columns = [w[positions] for w in weight_columns]
-    sums = [
-        np.bincount(group_ids, weights=w, minlength=uniq.size)
-        for w in weight_columns
-    ]
-    return uniq, sums
-

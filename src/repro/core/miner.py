@@ -137,15 +137,19 @@ def _match_counts_packed_kernel(tc, keys, sample_keys, codec, job=None):
     return counts
 
 
-def _exhaustive_kernel(tc, part, measure, estimates):
+def _exhaustive_kernel(tc, part, measure, estimates, codec, job=None):
     """Full-cube candidate generation over one partition."""
     measure = measure[part.start:part.stop]
     estimates = estimates[part.start:part.stop]
-    acc, emitted = cand.generate_exhaustive(
-        part.columns, measure, estimates, tc
+    plan = planned(
+        job_slot(job, ("cube", 0, tc.partition_id)),
+        lambda: cand.cube_plan(part.columns, measure, codec),
     )
-    tc.add_light_ops(len(acc))
-    return acc, emitted
+    # Each tuple emits 2^d cuboid cells; hash-add per emission.
+    tc.add_ops(plan.tally * 2)
+    tc.add_records(measure.size)
+    tc.add_light_ops(plan.keys.size)
+    return plan.keys, plan.apply(estimates), plan.tally
 
 
 def _rct_build_kernel(tc, part, words):
@@ -550,19 +554,29 @@ class Sirum:
     def _generate_exhaustive(self, session):
         """Full-cube candidate generation (cube-exploration mode)."""
         cluster = session.cluster
+        codec = session.codec
 
         with cluster.phase("ancestor_generation"):
             kernel = partial(
                 _exhaustive_kernel,
                 measure=session.measure,
                 estimates=session.estimates,
+                codec=codec,
+                job=session.job,
             )
             stage = session.run_over_data(kernel)
-            merged = cand.merge_exhaustive([acc for acc, _ in stage.outputs])
-            emitted = sum(e for _, e in stage.outputs)
+            plan = planned(
+                job_slot(session.job, ("merge", 0, 0)),
+                _merge_plan, stage.outputs, codec.total_bits, True,
+            )
+            aggs = plan.apply(
+                np.concatenate([a[:, 1] for _, a, _ in stage.outputs])
+            )
 
         with cluster.phase("gain"):
-            candidate_set = cand.candidate_set_from_cube(merged, emitted)
+            candidate_set = cand.score_aggregates(
+                plan.keys, aggs, plan.tally, codec
+            )
             cluster.metrics.charge(
                 len(candidate_set) * cluster.cost.light_op_seconds
             )
@@ -734,15 +748,27 @@ def _fit_rules(table, rules, config):
     return transform.transformed, result.estimates, transform
 
 
-def _merge_plan(outputs, key_bits):
-    """The estimate-independent half of one ancestor round's merge.
+def _merge_plan(outputs, key_bits, first_seen=False):
+    """The estimate-independent half of a reduce-side merge.
 
-    ``outputs`` are the round's ``(keys, aggs, emitted)`` task outputs
-    in partition order; the tally is the round's emission count.
+    ``outputs`` are the stage's ``(keys, aggs, emitted)`` task outputs
+    in partition order; the tally is the stage's emission count.  Keys
+    come out sorted, or with ``first_seen`` in the order they first
+    appear in the concatenated outputs — the exhaustive cube's
+    candidate order, (partition, cuboid, key), by which gain ties
+    break.  Each key sums in partition order either way.
     """
     all_keys = np.concatenate([k for k, _, _ in outputs])
     all_aggs = np.concatenate([a for _, a, _ in outputs])
     uniq, group_ids, positions = plan_groups(all_keys, key_bits)
+    if first_seen:
+        first = np.full(uniq.size, all_keys.size)
+        np.minimum.at(
+            first, group_ids,
+            np.arange(all_keys.size) if positions is None else positions,
+        )
+        order = np.argsort(first)
+        uniq, group_ids = uniq[order], np.argsort(order)[group_ids]
     return GroupPlan(
         uniq, group_ids, positions, all_aggs[:, 0], all_aggs[:, 2],
         sum(e for _, _, e in outputs),

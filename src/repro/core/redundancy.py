@@ -11,15 +11,12 @@ general, more interpretable pattern) and drop the descendant.
 Support-set equality between a rule and its parent is detected from the
 aggregates the pipeline already computed: a descendant covers a subset
 of each parent's support, so equal ``count`` (and, as a numeric
-tie-break, equal ``sum_m``) implies the same support set.
-
-Both candidate representations are supported: packed keys (in the
-codec's ``key_dtype``) and :class:`Rule` lists.
+tie-break, equal ``sum_m``) implies the same support set.  Candidates
+are packed keys in the codec's ``key_dtype``; a parent is the key with
+one more field cleared.
 """
 
 import numpy as np
-
-from repro.core.rule import WILDCARD
 
 
 def redundant_mask_packed(keys, counts, sums_m, codec):
@@ -55,25 +52,6 @@ def redundant_mask_packed(keys, counts, sums_m, codec):
     return redundant
 
 
-def redundant_mask_rules(rules, counts, sums_m):
-    """Boolean mask of redundant :class:`Rule` candidates."""
-    counts = np.asarray(counts)
-    sums_m = np.asarray(sums_m)
-    stats = {
-        rule: (float(c), float(s))
-        for rule, c, s in zip(rules, counts, sums_m)
-    }
-    redundant = np.zeros(len(rules), dtype=bool)
-    for i, rule in enumerate(rules):
-        own = stats[rule]
-        for parent in rule.parents():
-            parent_stats = stats.get(parent)
-            if parent_stats is not None and _close(parent_stats, own):
-                redundant[i] = True
-                break
-    return redundant
-
-
 def _close(a, b):
     return a[0] == b[0] and abs(a[1] - b[1]) <= 1e-9 * (1.0 + abs(a[1]))
 
@@ -88,24 +66,16 @@ def filter_candidate_set(candidates):
     """
     from repro.core.candidates import CandidateSet
 
-    if candidates.rules is not None:
-        redundant = redundant_mask_rules(
-            candidates.rules, candidates.counts, candidates.sums_m
-        )
-    else:
-        redundant = redundant_mask_packed(
-            candidates.keys, candidates.counts, candidates.sums_m,
-            candidates.codec,
-        )
-    keep = ~redundant
+    keep = ~redundant_mask_packed(
+        candidates.keys, candidates.counts, candidates.sums_m,
+        candidates.codec,
+    )
     return CandidateSet(
-        [r for r, k in zip(candidates.rules, keep) if k]
-        if candidates.rules is not None else None,
+        candidates.keys[keep],
+        candidates.codec,
         candidates.sums_m[keep],
         candidates.sums_mhat[keep],
         candidates.counts[keep],
         candidates.gains[keep],
         candidates.emitted_pairs,
-        keys=candidates.keys[keep] if candidates.keys is not None else None,
-        codec=candidates.codec,
     )

@@ -130,13 +130,6 @@ class Rule:
     # Lattice navigation
     # ------------------------------------------------------------------
 
-    def parents(self):
-        """Immediate proper ancestors (one more wildcard each)."""
-        for pos in self.bound_positions():
-            values = list(self.values)
-            values[pos] = WILDCARD
-            yield Rule(values)
-
     def generalize(self, positions):
         """Return the ancestor wildcarding exactly ``positions``."""
         values = list(self.values)

@@ -9,8 +9,9 @@ Four kinds, and nothing under ``src/`` imports any of them:
   ``int64`` and Python-int (``object``) keys alike;
 - object references over :class:`~repro.core.rule.Rule` tuples and
   dicts: the cube lattice with its §4.3 column-grouped stages, the
-  quadratic LCA table and the tuple sample-match count.  They define
-  *which* candidates and aggregates the kernels must produce;
+  quadratic LCA table, the tuple sample-match count and the rule-list
+  redundancy mask.  They define *which* candidates and aggregates the
+  kernels must produce;
 - the naive data cube, one group-by per cuboid, which the SQL engine's
   ``GROUP BY CUBE`` and the mined rules' aggregates are checked against
   (``tests/integration/test_cross_subsystem.py``);
@@ -139,6 +140,14 @@ def ancestors(rule, include_self=True):
         yield Rule(values)
 
 
+def parents(rule):
+    """Immediate proper ancestors of ``rule`` (one more wildcard each)."""
+    for pos in rule.bound_positions():
+        values = list(rule.values)
+        values[pos] = WILDCARD
+        yield Rule(values)
+
+
 def ancestors_within_group(rule, group):
     """Ancestors of ``rule`` whose new wildcards lie only in ``group``.
 
@@ -214,6 +223,25 @@ def lca_table_reference(columns, measure, estimates, sample_rows):
             entry[1] += estimates[i]
             entry[2] += 1.0
     return acc
+
+
+def redundant_mask_rules(rules, counts, sums_m):
+    """Which of ``rules`` have a parent with the same count and measure
+    sum (:func:`repro.core.redundancy.redundant_mask_packed`)."""
+    stats = {
+        rule: (float(c), float(s))
+        for rule, c, s in zip(rules, counts, sums_m)
+    }
+    redundant = np.zeros(len(rules), dtype=bool)
+    for i, rule in enumerate(rules):
+        own = stats[rule]
+        for parent in parents(rule):
+            other = stats.get(parent)
+            if other is not None and other[0] == own[0] and \
+                    abs(other[1] - own[1]) <= 1e-9 * (1.0 + abs(other[1])):
+                redundant[i] = True
+                break
+    return redundant
 
 
 def sample_match_counts(candidate_rows, sample_rows):

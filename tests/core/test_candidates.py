@@ -7,9 +7,8 @@ from repro.common.errors import DataError
 from repro.common.rng import make_rng
 from repro.core.candidates import (
     CandidateSet,
-    candidate_set_from_cube,
-    generate_exhaustive,
-    merge_exhaustive,
+    cube_plan,
+    score_aggregates,
     score_packed,
     select_rules,
 )
@@ -20,10 +19,12 @@ from repro.core.lattice_packed import (
     match_counts_packed,
     pack_rule_rows,
 )
+from repro.core.miner import _merge_plan, mine
 from repro.core.rule import Rule, WILDCARD
 from repro.core.sampling import draw_sample_rows, lca_aggregates_packed
 
-from .oracles import ancestors
+from .oracles import ancestors, cube_point, naive_cube
+from .test_redundancy import _support_table
 
 
 def _candidates(table, estimates, sample, column_groups=None, codec=None):
@@ -132,63 +133,84 @@ class TestGenerateFromLcas:
             assert got.emitted_pairs == native.emitted_pairs
 
 
+def _cube(table, estimates, rows=slice(None)):
+    """One block's cube plan over the table's codec, and its aggregates."""
+    codec = RowCodec.from_table(table)
+    plan = cube_plan(
+        [c[rows] for c in table.dimension_columns()], table.measure[rows],
+        codec,
+    )
+    return plan, plan.apply(estimates[rows]), codec
+
+
 class TestGenerateExhaustive:
     def test_counts_are_cuboid_cells(self, flights):
-        columns = flights.dimension_columns()
-        estimates = np.ones(14)
-        acc, emitted = generate_exhaustive(columns, flights.measure, estimates)
-        assert emitted == 14 * 8
-        # The root cell aggregates everything.
-        root_key = (WILDCARD,) * 3
-        assert acc[root_key][0] == pytest.approx(flights.measure.sum())
-        assert acc[root_key][2] == 14
+        plan, aggs, _ = _cube(flights, np.ones(14))
+        assert plan.tally == 14 * 8
+        # The root cell aggregates everything; it is the last cuboid.
+        assert plan.keys[-1] == 0
+        assert aggs[-1, 0] == pytest.approx(flights.measure.sum())
+        assert aggs[-1, 2] == 14
 
     def test_exhaustive_contains_every_support(self, flights):
-        columns = flights.dimension_columns()
-        estimates = np.ones(14)
-        acc, _ = generate_exhaustive(columns, flights.measure, estimates)
-        for key, (sum_m, _sum_mhat, count) in acc.items():
-            mask = Rule(key).match_mask(flights)
-            assert count == pytest.approx(float(mask.sum()))
-            assert sum_m == pytest.approx(float(flights.measure[mask].sum()))
+        plan, aggs, codec = _cube(flights, np.ones(14))
+        cube = naive_cube(flights)
+        assert plan.keys.size == sum(len(cells) for cells in cube.values())
+        for key, (sum_m, _sum_mhat, count) in zip(plan.keys, aggs):
+            assert (count, sum_m) == cube_point(cube, codec.unpack(key))
 
-    def test_merge_exhaustive_equals_whole(self, flights):
-        columns = flights.dimension_columns()
-        estimates = np.ones(14)
-        whole, _ = generate_exhaustive(columns, flights.measure, estimates)
-        first, _ = generate_exhaustive(
-            [c[:7] for c in columns], flights.measure[:7], estimates[:7]
+    def test_merged_halves_equal_the_whole(self, flights, rng):
+        estimates = rng.integers(1, 9, size=14).astype(np.float64)
+        whole, whole_aggs, codec = _cube(flights, estimates)
+        halves = []
+        for rows in (slice(0, 7), slice(7, 14)):
+            plan, aggs, _ = _cube(flights, estimates, rows)
+            halves.append((plan.keys, aggs, plan.tally))
+        merge = _merge_plan(halves, codec.total_bits, first_seen=True)
+        merged = merge.apply(
+            np.concatenate([aggs[:, 1] for _, aggs, _ in halves])
         )
-        second, _ = generate_exhaustive(
-            [c[7:] for c in columns], flights.measure[7:], estimates[7:]
-        )
-        merged = merge_exhaustive([first, second])
-        assert set(merged) == set(whole)
-        for key in whole:
-            assert merged[key] == pytest.approx(whole[key])
+        assert merge.tally == whole.tally
+        got, expected = np.argsort(merge.keys), np.argsort(whole.keys)
+        assert merge.keys[got].tobytes() == whole.keys[expected].tobytes()
+        assert merged[got].tobytes() == whole_aggs[expected].tobytes()
 
     def test_too_many_dimensions_rejected(self):
         columns = [np.zeros(2, dtype=np.int64)] * 21
         with pytest.raises(DataError):
-            generate_exhaustive(columns, np.ones(2), np.ones(2))
+            cube_plan(columns, np.ones(2), RowCodec([1] * 21))
 
     def test_cube_candidate_scores(self, flights):
-        columns = flights.dimension_columns()
-        estimates = np.full(14, flights.measure.mean())
-        acc, emitted = generate_exhaustive(columns, flights.measure, estimates)
-        candidates = candidate_set_from_cube(acc, emitted)
-        best = candidates.rules[candidates.best()]
+        plan, aggs, codec = _cube(flights, np.full(14, flights.measure.mean()))
+        candidates = score_aggregates(plan.keys, aggs, plan.tally, codec)
+        best = candidates.rule_at(candidates.best())
         # The single most informative rule over the flight data after
         # the root is (*, *, London) — thesis §2.4.
         london = flights.encoder("Destination").encode_existing("London")
         assert best == Rule((WILDCARD, WILDCARD, london))
 
+    @pytest.mark.parametrize("variant", ["naive", "baseline"])
+    def test_gain_ties_break_by_first_seen_position(self, variant):
+        # (a, x) and its parent (a, *) cover the same rows, so their
+        # gains are bit-equal; (a, x)'s cuboid comes first.
+        table = _support_table()
+        result = mine(table, k=2, variant=variant, exhaustive=True)
+        a, b = (table.encoder("A").encode_existing(v) for v in "ab")
+        x, y = (table.encoder("B").encode_existing(v) for v in "xy")
+        assert [m.rule for m in result.rule_set][1:] == [
+            Rule((a, x)), Rule((b, y)),
+        ]
+
 
 class TestSelectRules:
     def _make(self, rules, gains):
-        n = len(rules)
-        ones = np.ones(n)
-        return CandidateSet(rules, ones, ones, ones, np.asarray(gains, float), 0)
+        codec = RowCodec([100] * rules[0].arity)
+        keys = pack_rule_rows(
+            np.array([r.values for r in rules], dtype=np.int64), codec
+        )
+        ones = np.ones(len(rules))
+        return CandidateSet(keys, codec, ones, ones, ones,
+                            np.asarray(gains, float), 0)
 
     def test_picks_highest_gain(self):
         candidates = self._make(

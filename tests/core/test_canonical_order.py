@@ -28,7 +28,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import lattice_packed, sampling
-from repro.core.codec import RowCodec, group_packed, position_bits
+from repro.core.candidates import cube_plan
+from repro.core.codec import GroupPlan, RowCodec, plan_groups, position_bits
 from repro.core.lattice_packed import (
     generate_ancestors_packed,
     match_counts_packed,
@@ -77,6 +78,15 @@ def _job_slot(module, builder):
         task.drop_job(job)
 
 
+def _planned(keys, weights, key_bits=None):
+    """``keys`` grouped by :func:`plan_groups`, each weight column
+    summed through a :class:`GroupPlan` as the kernels sum it."""
+    uniq, group_ids, positions = plan_groups(keys, key_bits)
+    zeros = np.zeros(keys.size)
+    plan = GroupPlan(uniq, group_ids, positions, zeros, zeros)
+    return plan.keys, [plan._sums(w) for w in weights]
+
+
 def _assert_same_bytes(got, expected):
     assert got.dtype == expected.dtype
     assert got.shape == expected.shape
@@ -101,7 +111,7 @@ class TestPositionBits:
         assert position_bits(10, 4, 0) is None
 
 
-class TestGroupPacked:
+class TestPlanGroups:
     @given(
         key_bits=st.sampled_from([1, 7, 20, 43, 55, 60, 63]),
         n=st.integers(0, 400),
@@ -120,7 +130,7 @@ class TestGroupPacked:
         # With the key width (fast path when positions fit, fallback
         # when they do not) and without it (always the fallback).
         for kwargs in ({"key_bits": key_bits}, {}):
-            uniq, sums = group_packed(keys.copy(), weights, **kwargs)
+            uniq, sums = _planned(keys.copy(), weights, **kwargs)
             _assert_same_bytes(uniq, uniq_ref)
             assert len(sums) == columns
             for got, expected in zip(sums, sums_ref):
@@ -134,7 +144,7 @@ class TestGroupPacked:
         keys = np.array(keys, dtype=np.int64)
         weights = [_wild_floats(np.random.default_rng(1), keys.size)]
         uniq_ref, (sums_ref,) = group_packed_reference(keys, weights)
-        uniq, (sums,) = group_packed(keys, weights, key_bits=key_bits)
+        uniq, (sums,) = _planned(keys, weights, key_bits=key_bits)
         _assert_same_bytes(uniq, uniq_ref)
         _assert_same_bytes(sums, sums_ref)
 
@@ -239,6 +249,41 @@ class TestMatchCounts:
             with mock.patch.object(lattice_packed, "_MATCH_BLOCK", block):
                 counts = match_counts_packed(keys, sample_keys, codec)
             _assert_same_bytes(counts, reference)
+
+
+class TestCubePlan:
+    @pytest.mark.parametrize("width", WIDTHS)
+    @given(n=st.integers(1, 60), seed=SEEDS)
+    @settings(max_examples=25, deadline=None)
+    def test_equals_per_cuboid_reference(self, width, n, seed):
+        # Cells in (cuboid, key) order, each summing its rows in
+        # ascending row order; the plan is applied twice.
+        codec = CODECS[width]
+        rng = np.random.default_rng(seed)
+        columns = [
+            rng.integers(0, min(card, 3), size=n).astype(np.int64)
+            for card in codec.cardinalities
+        ]
+        measure = _wild_floats(rng, n)
+        plan = cube_plan(columns, measure, codec)
+        assert plan.tally == n << codec.arity
+        for _ in range(2):
+            estimates = _wild_floats(rng, n)
+            key_parts, agg_parts = [], []
+            for pattern in range(1 << codec.arity):
+                bound = [
+                    np.where(pattern >> j & 1, WILDCARD, col)
+                    for j, col in enumerate(columns)
+                ]
+                keys, sums = group_packed_reference(
+                    pack_rule_rows(np.stack(bound, axis=1), codec),
+                    [measure, estimates, np.ones(n)],
+                )
+                key_parts.append(keys)
+                agg_parts.append(np.stack(sums, axis=1))
+            _assert_same_bytes(plan.keys, np.concatenate(key_parts))
+            _assert_same_bytes(plan.apply(estimates),
+                               np.concatenate(agg_parts))
 
 
 class TestCoverageGrouping:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import DataError
-from repro.core.codec import RowCodec, group_packed
+from repro.core.codec import GroupPlan, RowCodec, plan_groups
 from repro.core.lattice_packed import pack_rule_rows
 from repro.core.rule import WILDCARD
 
@@ -91,23 +91,29 @@ class TestRowCodec:
             RowCodec([0, 3])
 
 
+def _plan(keys, weights, key_bits=None):
+    """A group-by plan summing ``weights`` and counting per key."""
+    uniq, group_ids, positions = plan_groups(keys, key_bits)
+    return GroupPlan(uniq, group_ids, positions, weights,
+                     np.ones(keys.size))
+
+
 class TestGrouping:
-    def test_group_packed_sums_weights(self):
+    def test_a_plan_sums_weights(self):
         keys = np.array([3, 3, 5, 3], dtype=np.int64)
-        weights = [np.array([1.0, 2.0, 4.0, 8.0])]
-        uniq, (sums,) = group_packed(keys, weights)
-        np.testing.assert_array_equal(uniq, [3, 5])
-        np.testing.assert_allclose(sums, [11.0, 4.0])
+        plan = _plan(keys, np.array([1.0, 2.0, 4.0, 8.0]))
+        np.testing.assert_array_equal(plan.keys, [3, 5])
+        np.testing.assert_allclose(plan.fixed[:, 0], [11.0, 4.0])
+        np.testing.assert_array_equal(plan.fixed[:, 2], [3.0, 1.0])
 
     def test_oversized_keys_group_like_fitting_ones(self, rng):
         rows = rng.integers(-1, 4, size=(50, 2)).astype(np.int64)
-        weights = [rng.uniform(0, 1, size=50)]
+        weights = rng.uniform(0, 1, size=50)
         fitting, wide = RowCodec([4, 4]), RowCodec([2**40, 2**40])
-        uniq_f, (sums_f,) = group_packed(pack_rule_rows(rows, fitting),
-                                         weights, key_bits=6)
-        uniq_w, (sums_w,) = group_packed(pack_rule_rows(rows, wide),
-                                         weights, key_bits=wide.total_bits)
+        plan_f = _plan(pack_rule_rows(rows, fitting), weights, key_bits=6)
+        plan_w = _plan(pack_rule_rows(rows, wide), weights,
+                       key_bits=wide.total_bits)
         np.testing.assert_array_equal(
-            wide.unpack_batch(uniq_w), fitting.unpack_batch(uniq_f)
+            wide.unpack_batch(plan_w.keys), fitting.unpack_batch(plan_f.keys)
         )
-        assert sums_w.tobytes() == sums_f.tobytes()
+        assert plan_w.fixed.tobytes() == plan_f.fixed.tobytes()

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ReproError
-from repro.core import lattice_packed, miner, sampling
+from repro.core import candidates, lattice_packed, miner, sampling
 from repro.core.codec import RowCodec
 from repro.core.config import SirumConfig, variant_config
 from repro.core.lattice_packed import (
@@ -431,6 +431,31 @@ class TestOnePath:
         assert after["evictions"] == before["evictions"]
         assert after["not_retained"] == before["not_retained"]
 
+    def test_an_exhaustive_job_builds_each_cube_once(self, table):
+        slots = collections.Counter()
+        get = task.JobSlot.get
+
+        def counting_get(slot):
+            plan = get(slot)
+            slots[slot.key[0], plan is not None] += 1
+            return plan
+
+        config = SirumConfig(k=3, exhaustive=True, use_rct=True,
+                             num_partitions=16)
+        with mock.patch.object(task.JobSlot, "get", counting_get), \
+                mock.patch.object(candidates, "cube_plan",
+                                  wraps=candidates.cube_plan) as cube, \
+                mock.patch.object(miner, "_merge_plan",
+                                  wraps=miner._merge_plan) as merge:
+            result = Sirum(config).mine(table)
+        assert max(m.iteration for m in result.rule_set) == 3
+        assert cube.call_count == 16
+        assert merge.call_count == 1
+        assert slots == {
+            ("cube", False): 16, ("cube", True): 32,
+            ("merge", False): 1, ("merge", True): 2,
+        }
+
     def test_no_switch_selects_an_implementation(self):
         pattern = re.compile(r"use_state|stateless|REPRO_JOB")
         offenders = [
@@ -655,19 +680,21 @@ class TestGeneratedJobs:
         use_fast_pruning=st.booleans(),
         reset_lambdas=st.booleans(),
         eliminate_redundant=st.booleans(),
+        exhaustive=st.booleans(),
         seed=st.integers(0, 2 ** 16),
     )
     @settings(max_examples=40, deadline=None)
     def test_a_job_equals_itself_with_every_slot_forced_empty(
             self, storage, kind, rows, num_partitions, codec_bits, k,
             sample_size, rules_per_iteration, num_column_groups,
-            use_fast_pruning, reset_lambdas, eliminate_redundant, seed):
+            use_fast_pruning, reset_lambdas, eliminate_redundant,
+            exhaustive, seed):
         config = SirumConfig(
             k=k, sample_size=sample_size, use_rct=True,
             rules_per_iteration=rules_per_iteration,
             num_column_groups=num_column_groups,
             use_fast_pruning=use_fast_pruning, reset_lambdas=reset_lambdas,
-            eliminate_redundant=eliminate_redundant,
+            eliminate_redundant=eliminate_redundant, exhaustive=exhaustive,
             num_partitions=num_partitions, seed=seed,
         )
         table = _generated_table(kind, rows, seed)
@@ -715,17 +742,19 @@ class TestGeneratedJobs:
             num_column_groups=st.sampled_from([None, 2, 3]),
             use_fast_pruning=st.booleans(),
             eliminate_redundant=st.booleans(),
+            exhaustive=st.booleans(),
             seed=st.integers(0, 2 ** 16),
         )
         def check(kind, rows, num_partitions, k, sample_size,
                   rules_per_iteration, num_column_groups, use_fast_pruning,
-                  eliminate_redundant, seed):
+                  eliminate_redundant, exhaustive, seed):
             config = SirumConfig(
                 k=k, sample_size=sample_size, use_rct=True,
                 rules_per_iteration=rules_per_iteration,
                 num_column_groups=num_column_groups,
                 use_fast_pruning=use_fast_pruning,
                 eliminate_redundant=eliminate_redundant,
+                exhaustive=exhaustive,
                 num_partitions=num_partitions, seed=seed,
             )
             table = _generated_table(kind, rows, seed)

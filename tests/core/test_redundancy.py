@@ -6,14 +6,12 @@ import pytest
 from repro.core.codec import RowCodec
 from repro.core.lattice_packed import pack_rule_rows
 from repro.core.miner import mine
-from repro.core.redundancy import (
-    filter_candidate_set,
-    redundant_mask_packed,
-    redundant_mask_rules,
-)
+from repro.core.redundancy import filter_candidate_set, redundant_mask_packed
 from repro.core.rule import Rule, WILDCARD
 from repro.data.schema import Schema
 from repro.data.table import Table
+
+from .oracles import redundant_mask_rules
 
 
 def _support_table():
@@ -28,13 +26,21 @@ def _support_table():
     return Table.from_rows(schema, rows)
 
 
+def _packed_mask(rules, counts, sums):
+    codec = RowCodec([3] * rules[0].arity)
+    keys = pack_rule_rows(
+        np.array([r.values for r in rules], dtype=np.int64), codec
+    )
+    return redundant_mask_packed(keys, counts, sums, codec)
+
+
 class TestRuleMasks:
     def test_descendant_with_equal_support_is_redundant(self):
         # (0, 0) covers exactly the tuples (0, *) covers -> redundant.
         rules = [Rule((0, 0)), Rule((0, WILDCARD)), Rule((WILDCARD, 0))]
         counts = np.array([2.0, 2.0, 3.0])
         sums = np.array([12.0, 12.0, 13.0])
-        mask = redundant_mask_rules(rules, counts, sums)
+        mask = _packed_mask(rules, counts, sums)
         assert mask[0]           # descendant dropped
         assert not mask[1]       # ancestor kept
         assert not mask[2]       # different support
@@ -43,12 +49,12 @@ class TestRuleMasks:
         rules = [Rule((0, 0)), Rule((0, WILDCARD))]
         counts = np.array([2.0, 2.0])
         sums = np.array([5.0, 12.0])
-        mask = redundant_mask_rules(rules, counts, sums)
+        mask = _packed_mask(rules, counts, sums)
         assert not mask.any()
 
     def test_missing_parent_keeps_candidate(self):
         rules = [Rule((0, 0))]
-        mask = redundant_mask_rules(rules, np.array([2.0]), np.array([5.0]))
+        mask = _packed_mask(rules, np.array([2.0]), np.array([5.0]))
         assert not mask.any()
 
 

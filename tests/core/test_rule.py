@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import DataError
 from repro.core.rule import Rule, WILDCARD
 
-from .oracles import ancestors
+from .oracles import ancestors, parents
 
 
 class TestConstruction:
@@ -157,9 +157,9 @@ class TestAncestors:
 
     def test_parents_have_one_more_wildcard(self):
         rule = Rule((1, 2, WILDCARD))
-        parents = list(rule.parents())
-        assert len(parents) == 2
-        for parent in parents:
+        lifted = list(parents(rule))
+        assert len(lifted) == 2
+        for parent in lifted:
             assert parent.num_bound == rule.num_bound - 1
 
     def test_generalize(self):
@@ -200,21 +200,20 @@ class TestLatticeStructure:
         rule = Rule(tuple(range(arity)))
         lattice = list(ancestors(rule))
         for child in lattice:
-            for parent in child.parents():
+            for parent in parents(child):
                 assert parent in lattice
                 assert parent.is_ancestor_of(child)
                 assert parent.num_bound == child.num_bound - 1
         for parent in lattice:
-            children = [c for c in lattice if parent in set(c.parents())]
+            children = [c for c in lattice if parent in set(parents(c))]
             assert len(children) == arity - parent.num_bound
 
     def test_root_has_no_parents(self):
-        assert list(Rule.all_wildcards(3).parents()) == []
+        assert list(parents(Rule.all_wildcards(3))) == []
 
     def test_bound_rule_has_a_parent_per_bound_attribute(self):
         rule = Rule((1, WILDCARD, 3, 0))
-        parents = set(rule.parents())
-        assert parents == {
+        assert set(parents(rule)) == {
             Rule((WILDCARD, WILDCARD, 3, 0)),
             Rule((1, WILDCARD, WILDCARD, 0)),
             Rule((1, WILDCARD, 3, WILDCARD)),

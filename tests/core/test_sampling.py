@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import lattice_packed
-from repro.core.codec import RowCodec, group_packed
+from repro.core.codec import RowCodec
 from repro.core.index import SampleInvertedIndex
 from repro.core.lattice_packed import match_counts_packed, pack_rule_rows
 from repro.core.rule import Rule, WILDCARD
 from repro.core.sampling import draw_sample_rows, lca_aggregates_packed
 from repro.engine.task import TaskContext
 
-from .oracles import ancestors, lca_table_reference
+from .oracles import ancestors, group_packed_reference, lca_table_reference
 
 
 def _lca_table(columns, measure, estimates, sample, codec=None, **kwargs):
@@ -170,7 +170,7 @@ class TestMerge:
             for part in (slice(0, 7), slice(7, 14))
         ]
         aggs = np.concatenate([a for _, a in halves])
-        keys, sums = group_packed(
+        keys, sums = group_packed_reference(
             np.concatenate([k for k, _ in halves]), list(aggs.T)
         )
         merged = {
